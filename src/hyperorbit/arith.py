@@ -25,6 +25,10 @@ from .errors import ParameterRangeError
 
 LOG_ZERO = float("-inf")
 
+# A sum whose modulus falls below this fraction of its largest term is a
+# cancellation and snaps to exact zero (scalar, vector and matrix sums alike).
+CANCEL_SNAP = 1e-15
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -80,7 +84,7 @@ class LogComplex:
         z = complex(z)
         if z == 0:
             return LogComplex.zero()
-        return LogComplex(math.log(abs(z)), normalize_phase(cmath.phase(z)))
+        return LogComplex(math.log(abs(z)), normalize_phase(math.atan2(z.imag, z.real)))
 
     @staticmethod
     def from_real(x: float) -> "LogComplex":
@@ -92,6 +96,8 @@ class LogComplex:
 
     @staticmethod
     def from_polar(log_mag: float, phase: float) -> "LogComplex":
+        if math.isnan(log_mag) or math.isnan(phase):
+            raise ParameterRangeError("log magnitude and phase must not be NaN")
         if log_mag == LOG_ZERO:
             return LogComplex.zero()
         return LogComplex(log_mag, normalize_phase(phase))
@@ -145,7 +151,7 @@ class LogComplex:
     def add(self, other: "LogComplex") -> "LogComplex":
         """Complex sum, computed by factoring out the larger magnitude.
 
-        A relative cancellation below 1e-15 snaps to exact zero, so that
+        A relative cancellation below ``CANCEL_SNAP`` snaps to exact zero, so that
         structural cancellations (``a + (-a)``) produce the distinguished
         zero rather than rounding noise.
         """
@@ -159,11 +165,11 @@ class LogComplex:
                            other.phase - self.phase)
         s = 1.0 + ratio
         mag = abs(s)
-        if mag < 1e-15:
+        if mag < CANCEL_SNAP:
             return LogComplex.zero()
         return LogComplex(
             self.log_mag + math.log(mag),
-            normalize_phase(self.phase + cmath.phase(s)),
+            normalize_phase(self.phase + math.atan2(s.imag, s.real)),
         )
 
     def pow_int(self, n: int) -> "LogComplex":
@@ -174,6 +180,8 @@ class LogComplex:
             return LogComplex.zero()
         if n == 0:
             return LogComplex.one()
+        if self.log_mag == 0.0:  # unit modulus stays unit (0 * inf would be NaN)
+            return LogComplex(0.0, phase_times_int(self.phase, n))
         try:
             nf = float(n)
         except OverflowError:

@@ -35,9 +35,9 @@ from .conjugation import build_N, commutation_check, host_basis, pushforward_orb
 from .dynamics import (
     OPERATORS,
     classify_orbit,
+    closed_form_agreement,
     closed_form_state,
     iterate_bc,
-    ledger,
     make_operator,
 )
 from .errors import BadBracketError, CertificateFailure, HyperorbitError
@@ -159,16 +159,9 @@ def cmd_orbit(args) -> RunReport:
         rep.parameters["window_exhausted_at"] = orbit.exhausted_at
 
     if spec.has_closed_form and orbit.states:
-        led = ledger(spec, init, len(orbit.states))
-        worst = 0.0
-        for n in range(1, len(orbit.states) + 1):
-            cf = closed_form_state(spec, init, led, n)
-            d = orbit.states[n - 1]
-            live = ~np.isneginf(d.lm)
-            if live.any():
-                rel = np.max(np.abs(cf.lm[live] - d.lm[live])
-                             / np.maximum(1.0, np.abs(d.lm[live])))
-                worst = max(worst, float(rel))
+        # the closed form is read from this module, where a negative control
+        # can replace it
+        worst = closed_form_agreement(orbit, closed_form_state)
         rep.add(check_leq("closed-form-agreement", worst, 1e-9,
                           "orbit-closed-form"))
     cls = classify_orbit(orbit, tol=args.tol)

@@ -25,7 +25,7 @@ import numpy as np
 from .arith import LOG_ZERO, LogComplex
 from .dynamics import MultilinearSpec, apply, iterate_bc
 from .errors import ParameterRangeError
-from .spaces import SeqVector, SpaceTag, WeightSeq, norm
+from .spaces import SeqVector, SpaceTag, WeightSeq, log_matvec, norm
 
 _L1 = SpaceTag.l1()
 
@@ -96,39 +96,38 @@ def host_basis(kind: str, N: int, scales=None, u: float = 0.3,
 # ---------------------------------------------------------------------------
 
 
-def _log_matvec(mat_abs_log: np.ndarray, mat_phase: np.ndarray,
-                v: SeqVector, out_space: SpaceTag) -> SeqVector:
-    """Log-domain ``M v`` for a matrix given by log moduli + phases.
+@dataclass(frozen=True)
+class _LogMatrix:
+    """A complex matrix as log moduli and phases, with the phases' cosine and
+    sine built once, for repeated :func:`~hyperorbit.spaces.log_matvec` calls."""
 
-    Rows with a single live term pass that term through directly, so images
-    of canonical vectors keep the matrix entries bit for bit.
-    """
-    n_out, n_in = mat_abs_log.shape
-    vl = v._padded(n_in).lm[:n_in]
-    vp = v._padded(n_in).phase[:n_in]
-    with np.errstate(invalid="ignore"):
-        terms = mat_abs_log + vl[np.newaxis, :]
-        live = ~(np.isneginf(mat_abs_log) | np.isneginf(vl)[np.newaxis, :])
-        terms = np.where(live, terms, LOG_ZERO)
-    rowmax = np.max(terms, axis=1)
-    dead = np.isneginf(rowmax)
-    with np.errstate(invalid="ignore"):
-        scaled = np.where(np.isneginf(terms), 0.0,
-                          np.exp(terms - np.where(dead, 0.0, rowmax)[:, np.newaxis]))
-        s = np.sum(scaled * np.exp(1j * (mat_phase + vp[np.newaxis, :])), axis=1)
-    smag = np.abs(s)
-    zero = dead | (smag < 1e-15)
-    with np.errstate(divide="ignore"):
-        hi = np.where(zero, LOG_ZERO, rowmax + np.log(np.maximum(smag, 1e-300)))
-    ph = np.where(zero, 0.0, np.angle(s))
-    single = np.sum(live, axis=1) == 1
-    if single.any():
-        idx = np.argmax(live, axis=1)
-        rows = np.nonzero(single)[0]
-        hi[rows] = terms[rows, idx[rows]]
-        from .spaces import _norm_phases
-        ph[rows] = _norm_phases(mat_phase[rows, idx[rows]] + vp[idx[rows]])
-    return SeqVector(out_space, hi, np.zeros(n_out), ph)
+    log_abs: np.ndarray
+    phase: np.ndarray
+    cos: np.ndarray
+    sin: np.ndarray
+
+    @staticmethod
+    def from_complex(m: np.ndarray) -> "_LogMatrix":
+        with np.errstate(divide="ignore"):
+            log_abs = np.log(np.abs(m))
+        phase = np.angle(m)
+        return _LogMatrix(log_abs, phase, np.cos(phase), np.sin(phase))
+
+    def rows(self, start: int, stop: int | None = None) -> "_LogMatrix":
+        sl = slice(start, stop)
+        return _LogMatrix(self.log_abs[sl], self.phase[sl], self.cos[sl],
+                          self.sin[sl])
+
+    def matvec(self, v: SeqVector) -> SeqVector:
+        """Log-domain ``M v`` on l1; ``v`` is zero-padded or cut to the width.
+
+        Rows with a single live term pass that term through directly, so
+        images of canonical vectors keep the matrix entries bit for bit.
+        """
+        n_in = self.log_abs.shape[1]
+        v = v._padded(n_in)
+        return log_matvec(self.log_abs + v.lm[:n_in], v.phase[:n_in], _L1,
+                          entry_phase=(self.phase, self.cos, self.sin))
 
 
 class FactorMap:
@@ -140,14 +139,12 @@ class FactorMap:
 
     def __init__(self, basis: MarkushevichBasis):
         self.basis = basis
-        with np.errstate(divide="ignore"):
-            self._cols_log = np.log(np.abs(basis.columns))
-        self._cols_phase = np.angle(basis.columns)
+        self._cols = _LogMatrix.from_complex(basis.columns)
 
     def __call__(self, v: SeqVector) -> SeqVector:
         if self.basis.kind == "identity":
             return v._padded(self.basis.size).retag(_L1)
-        return _log_matvec(self._cols_log, self._cols_phase, v, _L1)
+        return self._cols.matvec(v)
 
     def image_of_basis(self, n: int) -> SeqVector:
         return self.basis.vector(n)
@@ -160,23 +157,17 @@ class HostBilinear:
         self.basis = basis
         self.w = w or WeightSeq.inv_squares()
         N = basis.size
-        with np.errstate(divide="ignore"):
-            self._rows_log = np.log(np.abs(basis.rows))
-        self._rows_phase = np.angle(basis.rows)
+        self._rows = _LogMatrix.from_complex(basis.rows)
         # combined matrix for sum_l x_l*(u) w_{l-1} x_{l-1}:
         # out = columns[:, l-2] scaled by w_{l-1} * (row_l . u), l = 2..N
         wlog = self.w.logs(N - 1)
         self._mix = (self.basis.columns[:, : N - 1]
                      * np.exp(wlog)[np.newaxis, :])
-        with np.errstate(divide="ignore"):
-            self._mix_log = np.log(np.abs(self._mix))
-        self._mix_phase = np.angle(self._mix)
+        self._mix_log = _LogMatrix.from_complex(self._mix)
 
     def functional(self, l: int, v: SeqVector) -> LogComplex:
         """``x_l*(v)`` in the log domain."""
-        row = _log_matvec(self._rows_log[l - 1: l], self._rows_phase[l - 1: l],
-                          v, _L1)
-        return row.coord(1)
+        return self._rows.rows(l - 1, l).matvec(v).coord(1)
 
     def apply(self, u: SeqVector, v: SeqVector) -> SeqVector:
         """``N(u, v)`` in the log domain.
@@ -194,8 +185,8 @@ class HostBilinear:
         s = self.functional(1, v)
         if s.is_zero:
             return SeqVector.zeros(_L1, N)
-        coef = _log_matvec(self._rows_log[1:], self._rows_phase[1:], u, _L1)
-        return _log_matvec(self._mix_log, self._mix_phase, coef, _L1).scale(s)
+        coef = self._rows.rows(1).matvec(u)
+        return self._mix_log.matvec(coef).scale(s)
 
     def apply_dense(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Plain complex evaluation (for tame magnitudes)."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import LOG_ZERO, LogComplex, normalize_phase
+from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, normalize_phase
 from .errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 
 TRANSLATE_DEGREE_CAP = 500
@@ -308,8 +308,8 @@ class SeqVector:
         """Coordinate-wise complex sum (shorter operand is zero-padded).
 
         Where one operand is exactly zero the other's coordinate is passed
-        through bit for bit; a relative cancellation below 1e-15 snaps to
-        exact zero.
+        through bit for bit; a relative cancellation below ``CANCEL_SNAP``
+        snaps to exact zero.
         """
         n = max(len(self), len(other))
         a, b = self._padded(n), other._padded(n)
@@ -325,7 +325,7 @@ class SeqVector:
             dlog = np.where(za | zb, LOG_ZERO, dlog)
             s = 1.0 + np.exp(dlog) * np.exp(1j * dph)
             smag = np.abs(s)
-        cancel = smag < 1e-15
+        cancel = smag < CANCEL_SNAP
         with np.errstate(divide="ignore"):
             step = np.where(cancel, LOG_ZERO, np.log(np.maximum(smag, 1e-300)))
         hi, lo = _dd_add(base_hi, base_lo, step)
@@ -498,30 +498,129 @@ def derivative_at_zero(v: SeqVector, k: int) -> LogComplex:
     return LogComplex(c.log_mag + math.lgamma(k + 1.0), c.phase)
 
 
-_BINOM_CACHE: dict[int, np.ndarray] = {}
+# ---------------------------------------------------------------------------
+# the log-domain matrix-vector kernel
+# ---------------------------------------------------------------------------
 
 
-def _log_binom_matrix(n: int) -> np.ndarray:
-    """``log C(l, j)`` for 0 <= j <= l < n, -inf elsewhere (big-int exact, then logged)."""
-    m = _BINOM_CACHE.get(n)
-    if m is None:
-        m = np.full((n, n), LOG_ZERO)
+_EXP_FLOOR = -700.0
+
+
+def log_matvec(T: np.ndarray, phase: np.ndarray, space: SpaceTag, *,
+               entry_phase=None, col_phase=None, row_phase=None) -> SeqVector:
+    """Log-domain ``out_j = sum_l exp(T[j, l]) * e^{i (phase_l + theta[j, l])}``.
+
+    ``T[j, l] = A[j, l] + lm_l`` holds the log moduli of the terms of a
+    matrix-vector product (``-inf`` for absent ones); the caller builds it
+    and the kernel overwrites it as scratch.  The entry phase
+    ``theta[j, l]`` is ``col_phase[l] + row_phase[j]``, plus
+    ``entry_phase[0][j, l]`` when ``entry_phase = (theta, cos theta, sin theta)``
+    is given; each part is optional.
+
+    Row-max scaling: every row is shifted by its largest term before one
+    in-place real ``exp`` of the whole matrix, so nothing overflows and the
+    largest term becomes exactly 1.  Scaled terms below ``exp(_EXP_FLOOR)``
+    (``-inf`` ones included) are raised to it first: ``exp`` is an order of
+    magnitude slower on ``-inf`` and on underflowing arguments, and ``n_in``
+    such terms stay below 1e-300 of the largest one, so they change no
+    digit of a sum.  The complex sums then come from one BLAS product with
+    the ``n_in x 3`` matrix ``[cos psi, sin psi, 1]``, where
+    ``psi = phase + col_phase``: the phase is factored out per column, and
+    the third column gives each row's sum of scaled moduli.  An entry phase
+    costs two elementwise products with its cached cosine and sine matrices
+    instead (two ``n_out x n_in`` temporaries).
+
+    Semantics, row by row:
+
+    * no live (non ``-inf``) term: canonical zero (``hi = -inf``, ``lo = 0``,
+      ``phase = 0``);
+    * a sum whose modulus is below ``CANCEL_SNAP`` times its largest term
+      snaps to the same canonical zero;
+    * when the scaled moduli of a row sum to exactly 1 -- the other terms
+      together are below half an ulp of the largest, as when the row has
+      exactly one live term -- the largest term is returned bit for bit: log
+      magnitude ``T[j, l]`` and phase ``phase_l + theta[j, l]`` (normalized),
+      with no rounding from the sum.
+
+    Output ``lo`` parts are zero.  Callers keep their matrices across
+    calls: :func:`translate_by` caches the log-binomial matrix and the
+    offsets ``max(l - j, 0)`` per window, and the conjugated operator builds
+    log moduli, phases, cosines and sines once per matrix; each costs
+    ``n**2 * 8`` bytes (627 kB at n = 280).
+    """
+    rowmax = np.max(T, axis=1)
+    dead = np.isneginf(rowmax)
+    T -= np.where(dead, 0.0, rowmax)[:, np.newaxis]
+    np.maximum(T, _EXP_FLOOR, out=T)
+    np.exp(T, out=T)
+    psi = phase if col_phase is None else phase + col_phase
+    X = np.ones((phase.size, 3))
+    X[:, 0] = np.cos(psi)
+    X[:, 1] = np.sin(psi)
+    if entry_phase is None:
+        re, im, tot = (T @ X).T
+    else:
+        _, cos_t, sin_t = entry_phase
+        P = (T * cos_t) @ X[:, :2]
+        Q = (T * sin_t) @ X[:, :2]
+        re, im = P[:, 0] - Q[:, 1], P[:, 1] + Q[:, 0]
+        tot = np.sum(T, axis=1)
+    smag = np.hypot(re, im)
+    zero = dead | (smag < CANCEL_SNAP)
+    with np.errstate(divide="ignore"):
+        hi = np.where(zero, LOG_ZERO, rowmax + np.log(smag))
+    ang = np.arctan2(im, re)
+    if row_phase is not None:
+        ang = ang + row_phase
+    ph = np.where(zero, 0.0, _norm_phases(ang))
+    rows = np.flatnonzero(tot == 1.0)
+    if rows.size:
+        cols = np.argmax(T[rows], axis=1)
+        theta = 0.0
+        if col_phase is not None:
+            theta = theta + col_phase[cols]
+        if row_phase is not None:
+            theta = theta + row_phase[rows]
+        if entry_phase is not None:
+            theta = theta + entry_phase[0][rows, cols]
+        hi[rows] = rowmax[rows]
+        ph[rows] = _norm_phases(phase[cols] + theta)
+    return SeqVector(space, hi, np.zeros(hi.size), ph)
+
+
+_TRANSLATE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _translate_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log C(l, j)`` and the offsets ``max(l - j, 0)``, both at ``[j, l]``.
+
+    The binomials are exact big integers, then logged; ``-inf`` below the
+    diagonal.  Cached per window: ``n**2 * 8`` bytes per matrix.
+    """
+    mats = _TRANSLATE_CACHE.get(n)
+    if mats is None:
+        binom = np.full((n, n), LOG_ZERO)
         for l in range(n):
-            row = 1
-            m[l, 0] = 0.0
+            c = 1
+            binom[0, l] = 0.0
             for j in range(1, l + 1):
-                row = row * (l - j + 1) // j
-                m[l, j] = math.log(row)
-        m.flags.writeable = False
-        _BINOM_CACHE[n] = m
-    return m
+                c = c * (l - j + 1) // j
+                binom[j, l] = math.log(c)
+        idx = np.arange(n, dtype=float)
+        offsets = np.maximum(idx[np.newaxis, :] - idx[:, np.newaxis], 0.0)
+        binom.flags.writeable = False
+        offsets.flags.writeable = False
+        mats = _TRANSLATE_CACHE[n] = (binom, offsets)
+    return mats
 
 
 def translate_by(v: SeqVector, steps: int = 1) -> SeqVector:
     """Monomial coefficients of ``f(z + steps)``: ``b_j = sum_l C(l,j) steps**(l-j) a_l``.
 
     Exact for polynomial inputs up to rounding; degree capped at
-    ``TRANSLATE_DEGREE_CAP``.
+    ``TRANSLATE_DEGREE_CAP``.  One :func:`log_matvec` call; the power
+    ``|steps|**(l-j)`` enters the matrix as a whole, since splitting it into
+    row and column factors cancels catastrophically.
     """
     if v.space.kind != "hc":
         raise WrongSpaceError("translate is defined on hc-tagged vectors")
@@ -531,31 +630,18 @@ def translate_by(v: SeqVector, steps: int = 1) -> SeqVector:
     if n > TRANSLATE_DEGREE_CAP:
         raise DegreeCapError(
             f"translate supports degree < {TRANSLATE_DEGREE_CAP}, got window {n}")
-    base = _log_binom_matrix(n)  # [l, j]
-    lm = v.lm
-    phases = np.broadcast_to(v.phase, (n, n))
-    with np.errstate(invalid="ignore"):
-        M = base.T + lm[np.newaxis, :]  # row j, column l
-        if steps != 1:
-            l_idx = np.arange(n, dtype=float)
-            off = l_idx[np.newaxis, :] - np.arange(n, dtype=float)[:, np.newaxis]
-            off = np.where(off >= 0, off, 0.0)
-            M = M + off * math.log(abs(steps))
-            if steps < 0:  # odd powers of a negative shift flip sign
-                phases = phases + np.pi * np.mod(off, 2.0)
-        M = np.where(np.isneginf(base.T), LOG_ZERO, M)
-    rowmax = np.max(M, axis=1)
-    dead = np.isneginf(rowmax)
-    with np.errstate(invalid="ignore"):
-        scaled = np.exp(M - np.where(dead, 0.0, rowmax)[:, np.newaxis])
-        scaled = np.where(np.isneginf(M), 0.0, scaled)
-        s = np.sum(scaled * np.exp(1j * phases), axis=1)
-    smag = np.abs(s)
-    zero = dead | (smag < 1e-15)
-    with np.errstate(divide="ignore"):
-        hi = np.where(zero, LOG_ZERO, rowmax + np.log(np.maximum(smag, 1e-300)))
-    ph = np.where(zero, 0.0, _norm_phases(np.angle(s)))
-    return SeqVector(v.space, hi, np.zeros(n), ph)
+    binom, offsets = _translate_matrices(n)
+    if abs(steps) == 1:
+        T = binom + v.lm
+    else:  # one scratch matrix: a second n x n temporary costs page faults
+        T = offsets * math.log(abs(steps))
+        T += binom
+        T += v.lm
+    col = row = None
+    if steps < 0:  # (-1)**(l-j) as a column phase plus a row phase
+        col = np.pi * (np.arange(n) % 2)
+        row = -col
+    return log_matvec(T, v.phase, v.space, col_phase=col, row_phase=row)
 
 
 def translate(v: SeqVector) -> SeqVector:
@@ -633,7 +719,7 @@ def vector_from_json(obj: dict) -> SeqVector:
 
 def write_vector(path, v: SeqVector) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(vector_to_json(v), fh)
+        fh.write(json.dumps(vector_to_json(v)))  # one-shot dumps uses the C encoder
 
 
 def read_vector(path) -> SeqVector:

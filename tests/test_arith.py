@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from hyperorbit.arith import (
+    LOG_ZERO,
     ASeq,
     FibCache,
     LogComplex,
@@ -23,6 +24,7 @@ from hyperorbit.arith import (
     phase_times_int,
 )
 from hyperorbit.errors import ParameterRangeError
+from hyperorbit.spaces import SeqVector, SpaceTag
 
 
 class TestFibonacci:
@@ -159,6 +161,24 @@ class TestLogComplexBasics:
         with pytest.raises(ZeroDivisionError):
             LogComplex.zero().pow_int(0)
 
+    def test_pow_unit_modulus_astronomical_exponent(self):
+        for n in (10**400, -(10**400)):
+            p = LogComplex(0.0, 0.3).pow_int(n)
+            assert p.log_mag == 0.0
+            assert -math.pi < p.phase <= math.pi
+
+    def test_add_subnormal_phase(self):
+        # atan2 underflows here; cmath.phase raised OverflowError
+        s = LogComplex(0.0, 0.0).add(LogComplex(0.0, 5e-324))
+        assert s.log_mag == math.log(2.0) and s.phase == 0.0
+        z = LogComplex.from_complex(2 + 5e-324j)
+        assert z.log_mag == math.log(2.0) and z.phase == 0.0
+
+    def test_from_polar_rejects_nan(self):
+        for lm, ph in ((math.nan, 0.0), (0.0, math.nan), (LOG_ZERO, math.nan)):
+            with pytest.raises(ParameterRangeError):
+                LogComplex.from_polar(lm, ph)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             LogComplex.one().div(LogComplex.zero())
@@ -185,6 +205,11 @@ class TestPhaseReduction:
 # magnitudes away from over/underflow so the complex-double reference exists
 _mag = st.floats(math.log(1e-100), math.log(1e100))
 _ph = st.floats(-math.pi, math.pi, exclude_min=True)
+# exact zero, subnormal moduli, huge moduli (|log| >= 1e4) and subnormal phases
+_edge_log = st.one_of(st.just(LOG_ZERO), st.floats(-745.0, -708.0),
+                      st.floats(1e4, 1e6), st.floats(-1e6, -1e4), _mag)
+_edge_ph = st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, math.pi]),
+                     st.floats(-1e-307, 1e-307), _ph)
 
 
 class TestScalarProperties:
@@ -211,6 +236,19 @@ class TestScalarProperties:
             return  # catastrophic cancellation: the double reference is noise
         s = logc_add(a, b)
         assert s.to_complex() == pytest.approx(zs, rel=1e-12)
+
+    @given(_edge_log, _edge_ph, _edge_log, _edge_ph)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_and_vector_add_agree(self, la, pa, lb, pb):
+        a, b = LogComplex.from_polar(la, pa), LogComplex.from_polar(lb, pb)
+        s = a.add(b)
+        l1 = SpaceTag.l1()
+        v = SeqVector(l1, [a.log_mag], [0.0], [a.phase]).add(
+            SeqVector(l1, [b.log_mag], [0.0], [b.phase]))
+        assert s.is_zero == bool(v.hi[0] == LOG_ZERO)
+        if not s.is_zero:
+            assert abs(v.lm[0] - s.log_mag) <= 2 * math.ulp(max(1.0, abs(s.log_mag)))
+            assert abs(math.remainder(v.phase[0] - s.phase, 2 * math.pi)) <= 4 * math.ulp(math.pi)
 
     @given(_mag, _ph, st.integers(1, 50))
     @settings(max_examples=100, deadline=None)

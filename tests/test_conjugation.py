@@ -113,6 +113,34 @@ class TestFactorMap:
         assert norm(lhs.sub(rhs)) <= norm(rhs) + math.log(1e-12)
 
 
+class TestLogMatvec:
+    @pytest.mark.parametrize("kind", ["diagonal", "banded"])
+    def test_matches_dense_complex(self, kind):
+        basis = host_basis(kind, 200)
+        phi, op = FactorMap(basis), build_N(basis)
+        rng = np.random.default_rng(31)
+        u, v = rand_vec(rng, 200), rand_vec(rng, 200)
+        uc, vc = u.to_complex(), v.to_complex()
+        want = basis.columns @ uc
+        assert np.allclose(phi(u).to_complex(), want, rtol=1e-13, atol=0)
+        want = op.apply_dense(uc, vc)
+        got = op.apply(u, v).to_complex()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        got = op.functional(3, v).to_complex()
+        assert got == pytest.approx(basis.rows[2] @ vc, rel=1e-13)
+
+    def test_single_live_term_is_bit_exact(self):
+        basis = host_basis("diagonal", 40)
+        op = build_N(basis)
+        rng = np.random.default_rng(32)
+        v = rand_vec(rng, 40)
+        for l in (1, 7, 40):
+            got = op.functional(l, v)
+            d = SeqVector.from_complex(L1, [basis.rows[l - 1, l - 1]])
+            assert got.log_mag == d.hi[0] + v.lm[l - 1]
+            assert got.phase == v.phase[l - 1]  # the diagonal entries are real
+
+
 class TestCommutation:
     def test_identity_residual_zero(self):
         basis = host_basis("identity", 60)

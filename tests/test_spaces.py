@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpc
 
-from hyperorbit.arith import LOG_ZERO, LogComplex
+from hyperorbit.arith import CANCEL_SNAP, LOG_ZERO, LogComplex
 from hyperorbit.errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 from hyperorbit.spaces import (
     SeqVector,
@@ -23,6 +24,7 @@ from hyperorbit.spaces import (
     forward_pow,
     forward_shift,
     integral,
+    log_matvec,
     norm,
     shift_pow,
     translate,
@@ -239,6 +241,84 @@ class TestTranslate:
         v = SeqVector.zeros(SpaceTag.hc(1), 501)
         with pytest.raises(DegreeCapError):
             translate(v)
+
+
+def _translate_oracle(v, steps):
+    """``log |b_j|`` of ``f(z + steps)`` at 60 digits from exact integer weights."""
+    with mp.workdps(60):
+        a = [mp.exp(mpc(float(lm), float(ph))) for lm, ph in zip(v.lm, v.phase)]
+        out = []
+        for j in range(len(a)):
+            s, c = mpc(0), 1  # c = C(l, j) * steps**(l - j)
+            for l in range(j, len(a)):
+                if l > j:
+                    c = c * l // (l - j) * steps
+                s += c * a[l]
+            out.append(float(mp.log(abs(s))))
+    return np.array(out)
+
+
+TRANSLATE_STEPS = (1, 2, 40, -3)
+
+
+class TestTranslateKernel:
+    @pytest.mark.parametrize("wide", [False, True])
+    @pytest.mark.parametrize("n", [140, 280])
+    def test_matches_mpmath_oracle(self, n, wide):
+        rng = np.random.default_rng(n + wide)
+        if wide:
+            lm = rng.uniform(-3e4, 3e4, n)
+        else:
+            lm = np.log(rng.uniform(0.5, 2.0, n))
+        v = SeqVector(SpaceTag.hc(1), lm, np.zeros(n), rng.uniform(-np.pi, np.pi, n))
+        for steps in TRANSLATE_STEPS:
+            want = _translate_oracle(v, steps)
+            got = translate_by(v, steps).lm
+            rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert np.max(rel) <= 1e-14, (steps, float(np.max(rel)))
+
+    @pytest.mark.parametrize("steps", TRANSLATE_STEPS)
+    def test_last_coefficient_passes_through_bitwise(self, steps):
+        rng = np.random.default_rng(21)
+        v = cvec(rng.normal(size=50) + 1j * rng.normal(size=50), SpaceTag.hc(1))
+        out = translate_by(v, steps)
+        assert out.hi[-1] == v.lm[-1]
+        assert out.phase[-1] == v.phase[-1]
+
+    @pytest.mark.parametrize("steps", TRANSLATE_STEPS)
+    def test_dead_rows_are_canonical_zero(self, steps):
+        v = cvec([1.5, -2j, 0.5, 0, 0, 0], SpaceTag.hc(1))
+        out = translate_by(v, steps)
+        assert np.all(np.isneginf(out.hi[3:]))
+        assert np.all(out.lo[3:] == 0.0) and np.all(out.phase[3:] == 0.0)
+        assert np.all(np.isfinite(out.hi[:3]))
+
+    def test_kernel_rows(self):
+        # rows: dead; exact cancellation; one live term; a plain two-term sum
+        T = np.array([[LOG_ZERO, LOG_ZERO],
+                      [0.0, 0.0],
+                      [LOG_ZERO, 3.25],
+                      [math.log(3.0), math.log(4.0)]])
+        out = log_matvec(T.copy(), np.array([0.0, math.pi]), L1,
+                         col_phase=np.array([0.0, 0.0]),
+                         row_phase=np.array([0.0, 0.0, 0.5, -math.pi / 2]))
+        assert out.hi[0] == LOG_ZERO and out.phase[0] == 0.0
+        assert out.hi[1] == LOG_ZERO and out.phase[1] == 0.0
+        assert out.hi[2] == 3.25
+        assert out.phase[2] == pytest.approx(0.5 - math.pi, abs=1e-15)
+        assert out.hi[3] == pytest.approx(0.0, abs=1e-15)  # |3 - 4| = 1
+        assert out.phase[3] == pytest.approx(math.pi / 2, abs=1e-15)
+        assert np.all(out.lo == 0.0)
+
+    def test_snap_is_relative_to_largest_term(self):
+        # 1 - (1 - 2**-40) survives; a cancellation below CANCEL_SNAP does not
+        keep = log_matvec(np.array([[0.0, math.log1p(-2.0 ** -40)]]),
+                          np.array([0.0, math.pi]), L1)
+        assert keep.lm[0] == pytest.approx(-40 * math.log(2.0), rel=1e-4)
+        tiny = CANCEL_SNAP / 4
+        gone = log_matvec(np.array([[0.0, math.log1p(-tiny)]]),
+                          np.array([0.0, math.pi]), L1)
+        assert gone.hi[0] == LOG_ZERO
 
 
 class TestFunctional:
