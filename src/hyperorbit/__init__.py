@@ -29,7 +29,6 @@ from .conjugation import (
     pushforward_orbit_check,
 )
 from .constructions import (
-    Certificate,
     DenseTestSeq,
     GapSchedule,
     JuliaProbe,
@@ -73,6 +72,7 @@ from .errors import (
     WrongSpaceError,
     ZeroCoordinateError,
 )
+from .report import Check
 from .spaces import (
     SeqVector,
     SpaceTag,

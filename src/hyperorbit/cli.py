@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .arith import ASeq, FibCache, check_fib_identities, fib_partial_sum_ok
+from .arith import ASeq, FibCache, LogComplex, check_fib_identities, fib_partial_sum_ok
 from .constructions import (
     DenseTestSeq,
     companion_x,
@@ -40,9 +40,9 @@ from .dynamics import (
     iterate_bc,
     make_operator,
 )
-from .errors import BadBracketError, CertificateFailure, HyperorbitError
+from .errors import BadBracketError, HyperorbitError
 from .rational import q_iterate, q_vector_from_json, q_vector_to_json
-from .report import Check, RunReport, certificates_to_checks, check_flag, check_leq
+from .report import Check, RunReport, check_flag, check_leq
 from .spaces import (
     LOG_ZERO,
     SeqVector,
@@ -180,17 +180,14 @@ def _build_companion(args, rep: RunReport) -> None:
     x = companion_x(y, w, a)
     write_vector(_emit_path(args.out, "companion_x.json"), x)
     n_exact = min(200, len(y) - 1)
-    rep.extend(certificates_to_checks(
-        weight_identity_certificates(n_exact, w, ASeq(n_exact),
-                                     raise_on_failure=False),
-        "companion-weight-identity"))
+    rep.extend(weight_identity_certificates(n_exact, w, ASeq(n_exact),
+                                            raise_on_failure=False))
     n_rec = min(15, (len(y) - 1) // 2)
     if n_rec >= 1:
         for n, dlog, dph in weight_identity_recursion_error(y, w, a, n_rec):
             target = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
-            rep.add(check_leq(f"recursion-identity[{n}]",
-                              max(dlog, dph), 1e-8 * max(1.0, target),
-                              "companion-weight-identity"))
+            rep.add(check_leq("recursion-identity", max(dlog, dph),
+                              1e-8 * max(1.0, target), "companion-weight-identity", n))
 
 
 def _build_universal(args, rep: RunReport) -> None:
@@ -201,14 +198,14 @@ def _build_universal(args, rep: RunReport) -> None:
     rep.parameters["schedule"] = schedule.ns[1:]
     z, certs = universal_y_l1(schedule, dense, w, raise_on_failure=False)
     write_vector(_emit_path(args.out, "universal_y.json"), z)
-    rep.extend(certificates_to_checks(certs, "universal-vector"))
+    rep.extend(certs)
     for r in schedule.records:
-        rep.add(check_flag(f"gap-minimality[{r['j']}]",
+        rep.add(check_flag("gap-minimality",
                            r["violated_at_prev"] is None or r["violated_at_prev"] > 0,
-                           "gap-schedule"))
-        rep.add(check_flag(f"gap-monotone[{r['j']}]",
+                           "gap-schedule", r["j"]))
+        rep.add(check_flag("gap-monotone",
                            r["tail_monotone"] and r["derivative_negative"],
-                           "gap-schedule"))
+                           "gap-schedule", r["j"]))
 
 
 def _build_delta_d(args, rep: RunReport) -> None:
@@ -218,7 +215,7 @@ def _build_delta_d(args, rep: RunReport) -> None:
         g = stacked_primitive_g(DenseTestSeq(), blocks=8)
     f, certs = delta_d_pair(g, raise_on_failure=False)
     write_vector(_emit_path(args.out, "delta_d_f.json"), f)
-    rep.extend(certificates_to_checks(certs, "even-weight-unity"))
+    rep.extend(certs)
 
 
 def _build_q_blocks(args, rep: RunReport) -> None:
@@ -226,7 +223,7 @@ def _build_q_blocks(args, rep: RunReport) -> None:
     qb = hc_Q_blocks(DenseTestSeq(), K, raise_on_failure=False)
     rep.parameters["block_tops"] = qb.ns
     write_vector(_emit_path(args.out, "q_universal.json"), qb.Q)
-    rep.extend(certificates_to_checks(qb.certificates, "unit-weight-blocks"))
+    rep.extend(qb.certificates)
 
 
 def _build_symmetric(args, rep: RunReport) -> None:
@@ -236,15 +233,13 @@ def _build_symmetric(args, rep: RunReport) -> None:
     rng = np.random.default_rng(args.seed)
     w = WeightSeq.inv_squares()
     base = norm(x0)
-    from .arith import LogComplex
     for t in range(20):
         lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
                                               * np.exp(1j * rng.uniform(-np.pi, np.pi))))
         x, y, resid = symmetric_preimage(x0, lam, w)
         rel = resid - base if base > LOG_ZERO else resid
-        rep.add(check_leq(f"preimage-residual[{t}]",
-                          rel if rel > LOG_ZERO else -1e9,
-                          math.log(1e-12), "symmetric-preimage"))
+        rep.add(check_leq("preimage-residual", rel if rel > LOG_ZERO else -1e9,
+                          math.log(1e-12), "symmetric-preimage", t))
         if t == 0:
             write_vector(_emit_path(args.out, "preimage_x.json"), x)
             write_vector(_emit_path(args.out, "preimage_y.json"), y)
@@ -267,7 +262,7 @@ def cmd_build(args) -> RunReport:
                               "blocks": args.blocks, "seed": args.seed})
     try:
         _BUILDERS[args.target](args, rep)
-    except (CertificateFailure, HyperorbitError) as exc:
+    except HyperorbitError as exc:
         rep.add(Check(type(exc).__name__, "fail", 1.0, 0.0, str(exc)))
     return rep.finish()
 

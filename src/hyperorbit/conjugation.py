@@ -25,7 +25,17 @@ import numpy as np
 from .arith import LOG_ZERO, LogComplex
 from .dynamics import MultilinearSpec, apply, iterate_bc
 from .errors import ParameterRangeError
-from .spaces import SeqVector, SpaceTag, WeightSeq, log_matvec, norm
+from .spaces import (
+    SeqVector,
+    SpaceTag,
+    WeightSeq,
+    backward_shift,
+    eval_functional,
+    log_matvec,
+    norm,
+    vector_from_json,
+    vector_to_json,
+)
 
 _L1 = SpaceTag.l1()
 
@@ -178,7 +188,6 @@ class HostBilinear:
         """
         N = self.basis.size
         if self.basis.kind == "identity":
-            from .spaces import backward_shift, eval_functional
             out = backward_shift(u._padded(N), self.w).scale(
                 eval_functional(v._padded(N)))
             return out._padded(N)
@@ -201,18 +210,12 @@ def build_N(basis: MarkushevichBasis, w: WeightSeq | None = None) -> HostBilinea
 
 
 # ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-
-# ---------------------------------------------------------------------------
 # basis interchange format
 # ---------------------------------------------------------------------------
 
 
 def basis_to_json(basis: MarkushevichBasis) -> dict:
     """Serialize: one vector object per basis vector plus a functional-rows section."""
-    from .spaces import vector_to_json
 
     def enc(row):
         return vector_to_json(SeqVector.from_complex(_L1, row))
@@ -227,8 +230,6 @@ def basis_to_json(basis: MarkushevichBasis) -> dict:
 
 
 def basis_from_json(obj: dict) -> MarkushevichBasis:
-    from .spaces import vector_from_json
-
     size = int(obj["size"])
     cols = np.zeros((size, size), dtype=complex)
     rows = np.zeros((size, size), dtype=complex)
@@ -238,6 +239,11 @@ def basis_from_json(obj: dict) -> MarkushevichBasis:
         rows[n] = vector_from_json(entry).to_complex()
     return MarkushevichBasis(str(obj["kind"]), size, cols, rows,
                              float(obj.get("eps", 0.5)))
+
+
+# ---------------------------------------------------------------------------
+# verification
+# ---------------------------------------------------------------------------
 
 
 @dataclass

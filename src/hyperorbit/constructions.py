@@ -1,10 +1,11 @@
 """Builders for the explicit vectors and entire functions the theory constructs.
 
-Each builder returns its object together with *certificates*: the explicit
-inequalities the construction promises, re-evaluated in the log domain on the
-built prefix.  A failed certificate raises :class:`CertificateFailure`; the
-certificate list is the machine-checkable record that the finite truncation
-actually realizes the construction.
+Each builder returns its object together with *certificates*
+(:class:`~hyperorbit.report.Check` records): the explicit inequalities the
+construction promises, re-evaluated in the log domain on the built prefix.  A
+failed certificate raises :class:`CertificateFailure`; the certificate list is
+the machine-checkable record that the finite truncation actually realizes the
+construction.
 """
 
 from __future__ import annotations
@@ -33,37 +34,19 @@ from .errors import (
     SearchOverflowError,
     ZeroCoordinateError,
 )
-from .rational import QComplex, QVector, q_equal, q_forward_shift, q_scale
+from .rational import QComplex, QVector, q_equal, q_forward_shift, q_iterate, q_scale
+from .report import Check, check_flag, check_leq
 from .spaces import (
     SeqVector,
     SpaceTag,
     WeightSeq,
     _dd_add,
     _norm_phases,
+    _two_sum,
     forward_pow,
     norm,
     shift_pow,
 )
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A checked inequality: ``measured <= bound`` (both as log magnitudes)."""
-
-    name: str
-    index: int | None
-    measured: float
-    bound: float
-    ok: bool
-
-    @property
-    def margin(self) -> float:
-        return self.measured - self.bound
-
-
-def _cert(name, index, measured, bound, strict=False) -> Certificate:
-    ok = measured < bound if strict else measured <= bound
-    return Certificate(name, index, float(measured), float(bound), bool(ok))
 
 
 def _raise_if_failed(certs) -> None:
@@ -146,7 +129,7 @@ def companion_x(y: SeqVector, w: WeightSeq, a: ASeq) -> SeqVector:
 
 def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
                                  a: ASeq | None = None, tol: float = 1e-8,
-                                 raise_on_failure: bool = True) -> list[Certificate]:
+                                 raise_on_failure: bool = True) -> list[Check]:
     """Certify ``c_{2n} d_{2n} = 2**n n!**2`` for the companion pair, n <= n_max.
 
     The two-term recursion amplifies float noise with Fibonacci weight, so at
@@ -169,7 +152,8 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
     if a is None:
         a = ASeq(n_max)
     cache = FibCache(2 * n_max + 3)
-    certs: list[Certificate] = []
+    verifies = "companion-weight-identity"
+    certs: list[Check] = []
     for n in range(1, n_max + 1):
         # exponent of log y_j: F(2(n-j+1)) - sum_{i=j..n} F(2(n-i)+1)
         tail = 0
@@ -179,21 +163,21 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
             if cache(2 * (n - j + 1)) - tail != 0:
                 y_ok = False
                 break
-        certs.append(_cert("y-exponent-telescopes", n, 0.0 if y_ok else 1.0, 0.0))
+        certs.append(check_flag("y-exponent-telescopes", y_ok, verifies, n))
         # exponent of log w_l: F(2n+3-2l) - 1 - F(2(n-l+1)) - F(2(n-l)+1)
         w_ok = all(
             cache(2 * n + 3 - 2 * l) - 1 - cache(2 * (n - l + 1))
             - cache(2 * (n - l) + 1) == -1
             for l in range(1, n + 1))
-        certs.append(_cert("w-exponent-is-minus-one", n, 0.0 if w_ok else 1.0, 0.0))
+        certs.append(check_flag("w-exponent-is-minus-one", w_ok, verifies, n))
         # exponent of log 2
         e2 = sum(a[i] * cache(2 * (n - i) + 1) for i in range(1, n + 1))
-        certs.append(_cert("two-exponent-is-n", n, 0.0 if e2 == n else 1.0, 0.0))
+        certs.append(check_flag("two-exponent-is-n", e2 == n, verifies, n))
         # surviving value vs the closed form
         value = n * LN2 - float(np.sum(w.logs(n)))
         target = n * LN2 + 2.0 * math.lgamma(n + 1.0)
         rel = abs(value - target) / max(1.0, abs(target))
-        certs.append(_cert("weight-identity-value", n, rel, tol))
+        certs.append(check_leq("weight-identity-value", rel, tol, verifies, n))
     if raise_on_failure:
         _raise_if_failed(certs)
     return certs
@@ -404,32 +388,34 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
         ph[sl] = placed.phase[n_j: n_j + j]
 
     z = SeqVector(tag, hi, lo, ph)
-    certs: list[Certificate] = []
+    verifies = "universal-vector"
+    certs: list[Check] = []
 
     # (a) block norms <= 1/j^2
     for j in range(1, J + 1):
         n_j = ns[j]
         seg = SeqVector(tag, hi[n_j: n_j + j], lo[n_j: n_j + j], ph[n_j: n_j + j])
-        certs.append(_cert("block-norm", j, norm(seg), -2.0 * math.log(j)))
+        certs.append(check_leq("block-norm", norm(seg), -2.0 * math.log(j),
+                               verifies, j))
 
     # (b) Phi bound beyond the first gap
     phiz = phi_map(z, a)
     lm_phi = phiz.lm
     for i in range(ns[2] + 1, total + 1):
-        certs.append(_cert("phi-bound", i,
-                           float(lm_phi[i - 1]), -2.0 * math.log(i)))
+        certs.append(check_leq("phi-bound", float(lm_phi[i - 1]),
+                               -2.0 * math.log(i), verifies, i))
 
     # (c) universality residuals
     for j in range(1, J + 1):
         n_j = ns[j]
         img = shift_pow(z, w, n_j).scale(LogComplex(block_scale[j], 0.0))
         resid = norm(img.sub(blocks[j]))
-        certs.append(_cert("universality-residual", j,
-                           resid, math.log(2.0 * _zeta2_tail(j))))
+        certs.append(check_leq("universality-residual", resid,
+                               math.log(2.0 * _zeta2_tail(j)), verifies, j))
 
     # total l1 norm stays under ||z_1|| + 2 * zeta(2)
-    certs.append(_cert("l1-norm", None, norm(z),
-                       math.log(1.0 + 2.0 * _zeta2_tail(1))))
+    certs.append(check_leq("l1-norm", norm(z),
+                           math.log(1.0 + 2.0 * _zeta2_tail(1)), verifies))
 
     if raise_on_failure:
         _raise_if_failed(certs)
@@ -502,7 +488,6 @@ def steer_target_CN(m: int, init, target: QVector, k: int):
 
 def steering_exact(m: int, init, target: QVector, k: int) -> bool:
     """Oracle: iterate the steered tuple and compare state k with the target."""
-    from .rational import q_iterate
     steered = steer_target_CN(m, init, target, k)
     states = q_iterate(m, list(steered), k)
     return q_equal(states[k - 1], list(target))
@@ -513,17 +498,9 @@ def steering_exact(m: int, init, target: QVector, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _two_sum_arrays(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
 def _dd_plus(ah, al, bh, bl):
     """Scalar double-double addition (floats in, floats out)."""
-    s = ah + bh
-    bb = s - ah
-    e = (ah - (s - bb)) + (bh - bb)
+    s, e = _two_sum(ah, bh)
     e += al + bl
     hi = s + e
     return hi, e - (hi - s)
@@ -606,7 +583,7 @@ def delta_d_pair(g: SeqVector, tol: float = 1e-9, check_to: int | None = None,
     if np.any(np.isneginf(lm)):
         raise ZeroCoordinateError("pair construction needs nonzero coefficients")
     lgf = np.array([math.lgamma(i + 1.0) for i in range(n)])
-    a_hi, a_lo = _two_sum_arrays(lm, lgf)  # log |g^(i)(0)| as dd pairs
+    a_hi, a_lo = _two_sum(lm, lgf)  # log |g^(i)(0)| as dd pairs
     a_ph = g.phase.copy()
 
     # compensated negated prefix sums of the derivative logs: b_i = -sum_{t<i}
@@ -637,8 +614,8 @@ def delta_d_pair(g: SeqVector, tol: float = 1e-9, check_to: int | None = None,
             if cache(2 * (t + 1)) != acc:
                 ok = False
                 break
-        certs.append(_cert("reciprocal-exponent-telescopes", 2 * m,
-                           0.0 if ok else 1.0, 0.0))
+        certs.append(check_flag("reciprocal-exponent-telescopes", ok,
+                                "even-weight-unity", 2 * m))
 
     # value route: the weight recursion evaluated at the full stored precision
     # (the vector stores compensated log magnitudes; a single-double reading
@@ -646,7 +623,8 @@ def delta_d_pair(g: SeqVector, tol: float = 1e-9, check_to: int | None = None,
     n_float = min(N, check_to) if check_to is not None else N
     for m, c_log, c_ph in _unity_weights_dd((f_hi, f_lo, fp_hi, fp_lo),
                                             (a_hi, a_lo, a_ph), lgf, n_float):
-        certs.append(_cert("even-weight-unity", m, max(abs(c_log), abs(c_ph)), tol))
+        certs.append(check_leq("even-weight-unity", max(abs(c_log), abs(c_ph)), tol,
+                               "even-weight-unity", m))
     if raise_on_failure:
         _raise_if_failed(certs)
     return f, certs
@@ -806,18 +784,19 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
     spec = m_fg_prime(1)
     one_fn = SeqVector.from_complex(SpaceTag.hc(1), [1.0])
     led = ledger(spec, (one_fn, Q), ns[-1] + 2)
+    verifies = "unit-weight-blocks"
     certs = []
     for j in range(K):
         for off in (1, 2):
             c = led.c(ns[j] + off)
             worst = max(abs(c.log_mag), abs(c.phase))
-            certs.append(_cert("unit-weight", ns[j] + off, worst, tol))
+            certs.append(check_leq("unit-weight", worst, tol, verifies, ns[j] + off))
     C_log = max(0.0, coefficient_constant())
     for j in range(1, K):
-        certs.append(_cert("alpha-bound", j + 1, alphas[j].log_mag,
-                           C_log + (ns[j - 1] + 1) * LN2))
-        certs.append(_cert("beta-bound", j + 1, betas[j].log_mag,
-                           C_log + ns[j] * LN2))
+        certs.append(check_leq("alpha-bound", alphas[j].log_mag,
+                               C_log + (ns[j - 1] + 1) * LN2, verifies, j + 1))
+        certs.append(check_leq("beta-bound", betas[j].log_mag,
+                               C_log + ns[j] * LN2, verifies, j + 1))
     if raise_on_failure:
         _raise_if_failed(certs)
     return QBlocks(Q, ns, alphas, betas, C_log, certs, stages)

@@ -8,12 +8,14 @@ import time
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     """One verified inequality or equality, with its measured value and bound.
 
     ``verifies`` is a stable identifier of the property being checked, so
-    reports can be compared across runs and versions.
+    reports can be compared across runs and versions.  ``index`` locates one
+    instance of a per-index family (a block, a coordinate, a step); the report
+    names it ``name[index]``.
     """
 
     name: str
@@ -21,6 +23,11 @@ class Check:
     measured: float | None = None
     bound: float | None = None
     verifies: str = ""
+    index: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "fail"
 
     @property
     def margin(self) -> float | None:
@@ -36,7 +43,7 @@ class Check:
                 return "-inf" if x < 0 else "inf"
             return x
         return {
-            "name": self.name,
+            "name": self.name if self.index is None else f"{self.name}[{self.index}]",
             "status": self.status,
             "measured": _num(self.measured),
             "bound": _num(self.bound),
@@ -46,13 +53,16 @@ class Check:
 
 
 def check_leq(name: str, measured: float, bound: float, verifies: str = "",
-              strict: bool = False) -> Check:
-    ok = measured < bound if strict else measured <= bound
-    return Check(name, "pass" if ok else "fail", measured, bound, verifies)
+              index: int | None = None) -> Check:
+    measured, bound = float(measured), float(bound)
+    return Check(name, "pass" if measured <= bound else "fail", measured, bound,
+                 verifies, index)
 
 
-def check_flag(name: str, ok: bool, verifies: str = "") -> Check:
-    return Check(name, "pass" if ok else "fail", 0.0 if ok else 1.0, 0.0, verifies)
+def check_flag(name: str, ok: bool, verifies: str = "",
+               index: int | None = None) -> Check:
+    return Check(name, "pass" if ok else "fail", 0.0 if ok else 1.0, 0.0, verifies,
+                 index)
 
 
 @dataclass
@@ -77,7 +87,7 @@ class RunReport:
 
     @property
     def ok(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
+        return all(c.ok for c in self.checks)
 
     @property
     def status(self) -> str:
@@ -100,12 +110,3 @@ class RunReport:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
 
-
-def certificates_to_checks(certs, verifies: str) -> list:
-    """Convert construction certificates into report checks."""
-    out = []
-    for c in certs:
-        idx = "" if c.index is None else f"[{c.index}]"
-        out.append(Check(f"{c.name}{idx}", "pass" if c.ok else "fail",
-                         c.measured, c.bound, verifies))
-    return out

@@ -32,10 +32,12 @@ from hyperorbit.constructions import (
 from hyperorbit.dynamics import OrbitClass, apply, ledger, m_fg_prime, m_symmetric
 from hyperorbit.errors import (
     BadBracketError,
+    CertificateFailure,
     ParameterRangeError,
     ZeroCoordinateError,
 )
 from hyperorbit.rational import QComplex, q_iterate, qvec
+from hyperorbit.report import Check
 from hyperorbit.spaces import (
     SeqVector,
     SpaceTag,
@@ -186,6 +188,62 @@ class TestUniversalVector:
         total = [c for c in certs if c.name == "l1-norm"][0]
         assert total.ok
         assert norm(z) == pytest.approx(total.measured)
+
+
+class TestCertificateFailures:
+    """Negative controls: each certificate family fails on a broken input, and
+    the raising call reports the first failing check."""
+
+    @staticmethod
+    def first_failure(certs, build):
+        with pytest.raises(CertificateFailure) as info:
+            build()
+        exc = info.value
+        first = next(c for c in certs if not c.ok)
+        assert (exc.name, exc.index, exc.measured, exc.bound) == (
+            first.name, first.index, first.measured, first.bound)
+        return exc
+
+    def test_weight_identity_wrong_weights(self):
+        w = WeightSeq.linear()
+        certs = weight_identity_certificates(20, w=w, raise_on_failure=False)
+        exc = self.first_failure(certs, lambda: weight_identity_certificates(20, w=w))
+        assert (exc.name, exc.index, exc.bound) == ("weight-identity-value", 2, 1e-8)
+        # w_l = l: the surviving value is log 2 against the closed form 4 log 2
+        assert exc.measured == pytest.approx(0.75, rel=1e-12)
+
+    def test_universal_vector_wrong_weights(self, built):
+        sch = built[0]
+        dense, w = DenseTestSeq(), WeightSeq.ones()
+        _, certs = universal_y_l1(sch, dense, w, raise_on_failure=False)
+        exc = self.first_failure(certs, lambda: universal_y_l1(sch, dense, w))
+        assert (exc.name, exc.index) == ("universality-residual", 2)
+        assert exc.bound == pytest.approx(math.log(2.0 * (math.pi ** 2 / 6 - 1.0)))
+        assert exc.measured > exc.bound
+
+    def test_delta_d_pair_tol_below_worst(self):
+        g = stacked_primitive_g(DenseTestSeq(), 8)
+        _, certs = delta_d_pair(g, raise_on_failure=False)
+        tol = max(c.measured for c in certs if c.name == "even-weight-unity") - 1e-12
+        _, certs = delta_d_pair(g, tol=tol, raise_on_failure=False)
+        exc = self.first_failure(certs, lambda: delta_d_pair(g, tol=tol))
+        assert exc.name == "even-weight-unity" and exc.bound == tol
+
+    def test_hc_q_blocks_tol_below_worst(self):
+        dense = DenseTestSeq()
+        qb = hc_Q_blocks(dense, 3, raise_on_failure=False)
+        tol = 0.5 * max(c.measured for c in qb.certificates if c.name == "unit-weight")
+        certs = hc_Q_blocks(dense, 3, tol=tol, raise_on_failure=False).certificates
+        exc = self.first_failure(certs, lambda: hc_Q_blocks(dense, 3, tol=tol))
+        assert exc.name == "unit-weight" and exc.bound == tol
+
+
+class TestCheck:
+    def test_indexed_name_and_ok(self):
+        c = Check("x", "pass", 1.0, 2.0, "v", 3)
+        assert c.to_json()["name"] == "x[3]"
+        assert Check("x", "pass").to_json()["name"] == "x"
+        assert c.ok and Check("x", "skip").ok and not Check("x", "fail").ok
 
 
 class TestSteering:
