@@ -18,7 +18,7 @@ exposed so each can check the other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -29,6 +29,8 @@ from .spaces import (
     SeqVector,
     SpaceTag,
     WeightSeq,
+    _add_arrays,
+    _scale_arrays,
     backward_shift,
     derivative,
     derivative_at_zero,
@@ -486,20 +488,45 @@ def closed_form_agreement(orbit: OrbitBC, closed_form=None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _quantize(v: SeqVector, q: float) -> tuple:
-    """Dedup key: per-coordinate quantized (log, phase) with trailing zeros
-    stripped (windows of different lengths describe the same state when the
-    extra coordinates are exactly zero)."""
-    lm = v.lm
-    key = []
-    for i in range(len(v)):
-        if np.isneginf(lm[i]):
-            key.append(("z",))
-        else:
-            key.append((int(round(lm[i] / q)), int(round(v.phase[i] / q))))
-    while key and key[-1] == ("z",):
-        key.pop()
-    return tuple(key)
+def _quant_keys(hi, lo, phase, q: float):
+    """Dedup keys of a block of states held as ``(rows, n)`` arrays.
+
+    Coordinate j of a row keys as the float pair
+    ``(rint(lm / q), rint(phase / q))``, an exact zero as ``(-inf, 0)``.  For
+    every finite value these floats are equal exactly when
+    ``int(round(.))`` is, and unlike int64 they cannot overflow; the
+    ``+ 0.0`` folds ``-0.0`` into ``0.0``, so equal keys have equal bytes.
+    Returns the key block ``(rows, n, 2)`` and each row's width, one past its
+    last nonzero coordinate.  A row's key is its first ``width`` pairs as
+    bytes: windows that differ only by trailing exact zeros describe the same
+    state and key alike, so padding to a common ``n`` changes no key.
+    """
+    live = ~np.isneginf(hi)
+    keys = np.empty(hi.shape + (2,))
+    keys[..., 0] = np.where(live, np.rint((hi + lo) / q) + 0.0, LOG_ZERO)
+    keys[..., 1] = np.where(live, np.rint(phase / q) + 0.0, 0.0)
+    width = np.zeros(len(hi), dtype=int)
+    if hi.shape[1]:
+        width = np.where(live.any(axis=1),
+                         hi.shape[1] - np.argmax(live[:, ::-1], axis=1), 0)
+    return keys, width
+
+
+def _quantize(v: SeqVector, q: float) -> bytes:
+    """Dedup key of one state: the one-row case of :func:`_quant_keys`."""
+    keys, width = _quant_keys(v.hi[np.newaxis], v.lo[np.newaxis],
+                              v.phase[np.newaxis], q)
+    return keys[0, :width[0]].tobytes()
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Ascending index of the first row of each distinct key row."""
+    flat = keys.reshape(len(keys), 2 * keys.shape[1])
+    if flat.size == 0:
+        return np.arange(0)
+    rows = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)  # stable: first occurrence
+    return np.sort(first)
 
 
 def _quant_distance(a: SeqVector, b: SeqVector) -> float:
@@ -519,15 +546,25 @@ def _quant_distance(a: SeqVector, b: SeqVector) -> float:
 
 @dataclass
 class OrbitTreeGK:
-    """Levels of the pairwise-image orbit tree with quantized deduplication."""
+    """Levels of the pairwise-image orbit tree with quantized deduplication.
+
+    Per level, ``candidate_counts`` states were generated: the previous
+    level's states plus one image per ordered pair.  Each is kept (it is in
+    ``levels``), dropped as a duplicate, or dropped because shifts consumed
+    its window, so ``candidate_counts == level_sizes + duplicate_counts +
+    exhausted_counts`` level by level.  At an aborted level the two drop
+    counts cover only the candidates examined before the abort.
+    """
 
     spec: MultilinearSpec
     q: float
     levels: list            # list of list[SeqVector]
-    hash_sets: list         # list of set[tuple]
+    hash_sets: list         # list of set[bytes], keys from _quantize
     candidate_counts: list  # states generated per level before dedup
     aborted_at_level: int | None = None
     containment: list | None = None   # per-depth bool, if checked
+    duplicate_counts: list = field(default_factory=list)
+    exhausted_counts: list = field(default_factory=list)
 
     @property
     def level_sizes(self) -> list[int]:
@@ -541,6 +578,93 @@ class OrbitTreeGK:
         return any(_quant_distance(state, s) <= tol for s in self.levels[level])
 
 
+# elements (candidate rows times padded image width) per array of one block
+# of a tree level; bounds the level pass's peak memory
+_TREE_BLOCK = 1 << 12
+
+
+def _outer(parts, s_log, s_ph, img, sc):
+    """Rows ``scalar[sc[r]] * image[img[r]]``: a batched :meth:`SeqVector.scale`.
+
+    A zero scalar gives a canonical zero row, as ``scale`` does.
+    """
+    zero = np.isneginf(s_log[sc])
+    hi, lo, ph = _scale_arrays(*(a[img] for a in parts),
+                               np.where(zero, 0.0, s_log[sc])[:, np.newaxis],
+                               s_ph[sc][:, np.newaxis])
+    hi[zero], lo[zero], ph[zero] = LOG_ZERO, 0.0, 0.0
+    return hi, lo, ph
+
+
+def _candidates(spec: MultilinearSpec, parts, lens, s_log, s_ph, rows, L):
+    """Candidate rows ``M(z, w)`` for flat pair indices ``rows = z * L + w``.
+
+    ``parts`` are the images' padded ``(L, W)`` hi/lo/phase arrays (canonical
+    zero padding) and ``lens`` their true lengths.  Returns the candidates'
+    padded hi/lo/phase, true lengths (0 = exhausted) and image indices, the
+    same bits :func:`apply` gives pair by pair.
+    """
+    pair = np.divmod(rows, L)
+    img, sc = pair[spec.shift_slot - 1], pair[spec.functional_slots[0] - 1]
+    hi, lo, ph = _outer(parts, s_log, s_ph, img, sc)
+    n = lens[img]
+    if spec.symmetrized:
+        ohi, olo, oph = _outer(parts, s_log, s_ph, sc, img)
+        n = np.minimum(n, lens[sc])
+        cut = np.arange(hi.shape[1]) >= n[:, np.newaxis]
+        hi[cut] = ohi[cut] = LOG_ZERO
+        lo[cut] = olo[cut] = ph[cut] = oph[cut] = 0.0
+        hi, lo, ph = _scale_arrays(*_add_arrays(hi, lo, ph, ohi, olo, oph),
+                                   HALF.log_mag, HALF.phase)
+    return hi, lo, ph, n, img
+
+
+def _tree_level(spec: MultilinearSpec, prev: list, images: list, scalars: list,
+                seen: set, q: float, cap: int):
+    """One tree level: ``prev`` plus each new image of a pair from it.
+
+    Pairs run in z-major order, in blocks of at most ``_TREE_BLOCK``
+    elements; a candidate is kept when its key is not yet in ``seen``, which
+    is updated in place.  Returns the level, the exhausted and examined
+    candidate counts, and whether ``cap`` aborted it.
+    """
+    L = len(prev)
+    lens = np.array([len(im) for im in images])
+    width = int(lens.max(initial=0))
+    parts = (np.full((L, width), LOG_ZERO), np.zeros((L, width)), np.zeros((L, width)))
+    for i, im in enumerate(images):
+        for a, b in zip(parts, (im.hi, im.lo, im.phase)):
+            a[i, :len(im)] = b
+    s_log = np.array([s.log_mag for s in scalars])
+    s_ph = np.array([s.phase for s in scalars])
+
+    out = list(prev)
+    exhausted = 0
+    step = max(1, _TREE_BLOCK // max(width, 1))
+    for r0 in range(0, L * L, step):
+        rows = np.arange(r0, min(L * L, r0 + step))
+        hi, lo, ph, n, img = _candidates(spec, parts, lens, s_log, s_ph, rows, L)
+        live = np.flatnonzero(n)
+        keys, kw = _quant_keys(hi[live], lo[live], ph[live], q)
+        picked, stop = [], None
+        for j in _first_rows(keys):
+            k = keys[j, :kw[j]].tobytes()
+            if k not in seen:
+                seen.add(k)
+                picked.append(live[j])
+                if len(out) + len(picked) > cap:
+                    stop = int(live[j])
+                    break
+        for a, b, c, m, i in zip(hi[picked], lo[picked], ph[picked],
+                                 n[picked], img[picked]):
+            out.append(SeqVector(prev[i].space, a[:m], b[:m], c[:m]))
+        if stop is not None:
+            exhausted += int(np.count_nonzero(n[:stop] == 0))
+            return out, exhausted, r0 + stop + 1, True
+        exhausted += len(rows) - len(live)
+    return out, exhausted, L * L, False
+
+
 def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
             q: float = 1e-7, cap: int = 10**6,
             check_containment: bool = True) -> OrbitTreeGK:
@@ -550,15 +674,19 @@ def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
     and phase to ``q`` (exact zero hashes canonically); floating states never
     repeat bit-exactly, so dedup without quantization would be vacuous.  A
     level exceeding ``cap`` aborts with the partial result recorded.
+
+    A level is one array pass: each state's linear image and functional
+    scalar are computed once, the images of all ordered pairs ``(z, w)``
+    (z-major, as :func:`apply` would give them one by one) form an outer
+    product of scalars with padded images, and their keys are quantized and
+    deduplicated together.
     """
     if spec.arity != 2:
         raise ParameterRangeError("the tree orbit is defined for arity 2")
     if depth < 0 or q <= 0:
         raise ParameterRangeError("need depth >= 0 and q > 0")
-    levels: list[list[SeqVector]] = []
-    hash_sets: list[set] = []
-    counts: list[int] = []
-    aborted = None
+    if depth:
+        _check_spaces(spec, (x, y))
 
     cur: list[SeqVector] = []
     seen: set = set()
@@ -567,39 +695,29 @@ def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
         if h not in seen:
             seen.add(h)
             cur.append(s)
-    levels.append(cur)
-    hash_sets.append(seen)
-    counts.append(2)
+    tree = OrbitTreeGK(spec, q, [cur], [seen], [2],
+                       duplicate_counts=[2 - len(cur)], exhausted_counts=[0])
 
+    images: list[SeqVector] = []
+    scalars: list[LogComplex] = []
     for lvl in range(1, depth + 1):
-        prev = levels[-1]
-        nxt = list(prev)
-        seen = set(hash_sets[-1])
-        counts.append(len(prev) + len(prev) ** 2)
-        ok = True
-        for z in prev:
-            for w_ in prev:
-                cand = apply(spec, (z, w_))
-                if cand.is_exhausted:
-                    continue
-                h = _quantize(cand, q)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(cand)
-                    if len(nxt) > cap:
-                        ok = False
-                        break
-            if not ok:
-                break
-        levels.append(nxt)
-        hash_sets.append(seen)
-        if not ok:
-            aborted = lvl
+        prev = tree.levels[-1]
+        for v in prev[len(images):]:
+            images.append(spec.linear_apply(v))
+            scalars.append(logc_prod((eval_functional(v),)))
+        seen = set(tree.hash_sets[-1])
+        nxt, exhausted, examined, aborted = _tree_level(
+            spec, prev, images, scalars, seen, q, cap)
+        tree.levels.append(nxt)
+        tree.hash_sets.append(seen)
+        tree.candidate_counts.append(len(prev) + len(prev) ** 2)
+        tree.exhausted_counts.append(exhausted)
+        tree.duplicate_counts.append(examined - (len(nxt) - len(prev)) - exhausted)
+        if aborted:
+            tree.aborted_at_level = lvl
             break
 
-    tree = OrbitTreeGK(spec, q, levels, hash_sets, counts, aborted)
-
-    if check_containment and aborted is None:
+    if check_containment and tree.aborted_at_level is None:
         orbit = iterate_bc(spec, (x, y), depth) if depth >= 1 else None
         flags = []
         for n in range(1, depth + 1):

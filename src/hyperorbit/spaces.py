@@ -106,6 +106,53 @@ def _norm_phases(p):
     return np.where(inside, p, q)  # already-normalized phases pass through bitwise
 
 
+def _lm(hi, lo):
+    """Collapsed log magnitudes ``hi + lo``; exact zeros (``hi = -inf``) stay -inf."""
+    with np.errstate(invalid="ignore"):
+        out = hi + lo
+    return np.where(np.isneginf(hi), LOG_ZERO, out)
+
+
+def _scale_arrays(hi, lo, phase, log_mag, ph):
+    """Array body of :meth:`SeqVector.scale` by a nonzero scalar.
+
+    Broadcasts, so one call scales a block of rows by a column of scalars.
+    """
+    hi, lo = _dd_add(hi, lo, log_mag)
+    p = _norm_phases(phase + ph)
+    return hi, lo, np.where(np.isneginf(hi), 0.0, p)
+
+
+def _add_arrays(ahi, alo, aph, bhi, blo, bph):
+    """Array body of :meth:`SeqVector.add` on operands of equal shape.
+
+    Elementwise, so it adds blocks of rows as well as single vectors.
+    """
+    la, lb = _lm(ahi, alo), _lm(bhi, blo)
+    za, zb = np.isneginf(la), np.isneginf(lb)
+    a_big = la >= lb
+    base_hi = np.where(a_big, ahi, bhi)
+    base_lo = np.where(a_big, alo, blo)
+    base_ph = np.where(a_big, aph, bph)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dlog = np.where(a_big, lb - la, la - lb)
+        dph = np.where(a_big, bph - aph, aph - bph)
+        dlog = np.where(za | zb, LOG_ZERO, dlog)
+        s = 1.0 + np.exp(dlog) * np.exp(1j * dph)
+        smag = np.abs(s)
+    cancel = smag < CANCEL_SNAP
+    with np.errstate(divide="ignore"):
+        step = np.where(cancel, LOG_ZERO, np.log(np.maximum(smag, 1e-300)))
+    hi, lo = _dd_add(base_hi, base_lo, step)
+    hi = np.where(cancel, LOG_ZERO, hi)
+    lo = np.where(cancel, 0.0, lo)
+    ph = _norm_phases(base_ph + np.angle(s))
+    ph = np.where(np.isneginf(hi), 0.0, ph)
+    return (np.where(za, bhi, np.where(zb, ahi, hi)),
+            np.where(za, blo, np.where(zb, alo, lo)),
+            np.where(za, bph, np.where(zb, aph, ph)))
+
+
 def _lse(a: np.ndarray) -> float:
     """log(sum(exp(a))) with empty/all-zero handled."""
     if a.size == 0:
@@ -252,9 +299,7 @@ class SeqVector:
     @property
     def lm(self) -> np.ndarray:
         """Collapsed log magnitudes (hi + lo) as plain doubles."""
-        with np.errstate(invalid="ignore"):
-            out = self.hi + self.lo
-        return np.where(np.isneginf(self.hi), LOG_ZERO, out)
+        return _lm(self.hi, self.lo)
 
     def coord(self, i: int) -> LogComplex:
         """Coordinate ``i`` (1-indexed) as a scalar."""
@@ -282,10 +327,8 @@ class SeqVector:
     def scale(self, s: LogComplex) -> "SeqVector":
         if s.is_zero:
             return SeqVector.zeros(self.space, len(self))
-        hi, lo = _dd_add(self.hi, self.lo, s.log_mag)
-        ph = _norm_phases(self.phase + s.phase)
-        ph = np.where(np.isneginf(hi), 0.0, ph)
-        return SeqVector(self.space, hi, lo, ph)
+        return SeqVector(self.space, *_scale_arrays(
+            self.hi, self.lo, self.phase, s.log_mag, s.phase))
 
     def neg(self) -> "SeqVector":
         # direct +-pi flip stays normalized and avoids a wrap round trip
@@ -313,30 +356,8 @@ class SeqVector:
         """
         n = max(len(self), len(other))
         a, b = self._padded(n), other._padded(n)
-        la, lb = a.lm, b.lm
-        za, zb = np.isneginf(la), np.isneginf(lb)
-        a_big = la >= lb
-        base_hi = np.where(a_big, a.hi, b.hi)
-        base_lo = np.where(a_big, a.lo, b.lo)
-        base_ph = np.where(a_big, a.phase, b.phase)
-        with np.errstate(invalid="ignore", over="ignore"):
-            dlog = np.where(a_big, lb - la, la - lb)
-            dph = np.where(a_big, b.phase - a.phase, a.phase - b.phase)
-            dlog = np.where(za | zb, LOG_ZERO, dlog)
-            s = 1.0 + np.exp(dlog) * np.exp(1j * dph)
-            smag = np.abs(s)
-        cancel = smag < CANCEL_SNAP
-        with np.errstate(divide="ignore"):
-            step = np.where(cancel, LOG_ZERO, np.log(np.maximum(smag, 1e-300)))
-        hi, lo = _dd_add(base_hi, base_lo, step)
-        hi = np.where(cancel, LOG_ZERO, hi)
-        lo = np.where(cancel, 0.0, lo)
-        ph = _norm_phases(base_ph + np.angle(s))
-        ph = np.where(np.isneginf(hi), 0.0, ph)
-        out_hi = np.where(za, b.hi, np.where(zb, a.hi, hi))
-        out_lo = np.where(za, b.lo, np.where(zb, a.lo, lo))
-        out_ph = np.where(za, b.phase, np.where(zb, a.phase, ph))
-        return SeqVector(self.space, out_hi, out_lo, out_ph)
+        return SeqVector(self.space, *_add_arrays(
+            a.hi, a.lo, a.phase, b.hi, b.lo, b.phase))
 
     def sub(self, other: "SeqVector") -> "SeqVector":
         return self.add(other.neg())

@@ -199,6 +199,22 @@ class TestBuildCommand:
         assert rc == 0
         assert os.path.exists(tmp_path / "delta_d_f.json")
 
+    def test_delta_d_zero_coefficient_fails_with_stable_tag(self, tmp_path, capsys):
+        # two different bad inputs at one path: the reports are equal once
+        # wall_time is dropped, and the message goes to stderr
+        path = tmp_path / "g.json"
+        reports = []
+        for coords in ([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.5]] * 4 + [[0.0, 0.0]]):
+            path.write_text(json.dumps({"space": "hc", "param": 1, "coords": coords}))
+            rc, rep = run(["build", "--target", "delta_d", "--init", str(path)],
+                          tmp_path)
+            assert rc == 1 and rep["status"] == "fail"
+            assert [c["verifies"] for c in rep["checks"]] == ["build-input"]
+            assert "nonzero coefficients" in capsys.readouterr().err
+            del rep["wall_time"]
+            reports.append(rep)
+        assert reports[0] == reports[1]
+
     def test_unknown_target(self, tmp_path):
         rc = main(["build", "--target", "nope"])
         assert rc == 2

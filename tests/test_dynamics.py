@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from hyperorbit import dynamics
 from hyperorbit.arith import LOG_ZERO, FibCache, LogComplex
 from hyperorbit.dynamics import (
     OPERATORS,
     OrbitClass,
+    _quant_distance,
+    _quantize,
     apply,
     b_translate,
     classify_orbit,
@@ -306,6 +309,32 @@ class TestTreeOrbit:
         for lvl in range(1, 4):
             assert tree.level_sizes[lvl] <= tree.candidate_counts[lvl]
 
+    def test_depth_seven_lattice(self):
+        x = cvec([0.9] * 12, SpaceTag.c0())
+        tree = gk_tree(n_transpose(), x, x, 7, q=1e-7)
+        assert tree.level_sizes == [1, 2, 5, 15, 44, 120, 307, 749]
+        assert tree.containment == [True] * 7
+
+    @pytest.mark.parametrize("name,sizes,depth", [
+        ("n_transpose", (12, 12), 6), ("n_transpose", (12, 7), 8),
+        ("m_l1", (4, 2), 3), ("m_symmetric", (12, 7), 3)])
+    def test_work_counters_partition_candidates(self, name, sizes, depth):
+        # constant initials on a lattice (the n_transpose rows) make many
+        # duplicates; unequal windows make exhausted candidates
+        rng = np.random.default_rng(44)
+        if name == "n_transpose":
+            w = LogComplex(0.0, 2.0 * math.pi / 3.0)
+            x, y = (SeqVector.from_logc(SpaceTag.c0(), [w] * n) for n in sizes)
+        else:
+            x, y = (rand_vec(rng, L1, n) for n in sizes)
+        tree = gk_tree(OPERATORS[name](), x, y, depth, q=1e-7)
+        assert len(tree.duplicate_counts) == len(tree.exhausted_counts) == depth + 1
+        for lvl in range(depth + 1):
+            assert tree.candidate_counts[lvl] == (tree.level_sizes[lvl]
+                                                  + tree.duplicate_counts[lvl]
+                                                  + tree.exhausted_counts[lvl])
+        assert sum(tree.duplicate_counts) + sum(tree.exhausted_counts) > 0
+
     def test_symmetrized_operator_tree(self):
         # the symmetrized operator admits no closed form but its tree orbit
         # and containment check work the same way
@@ -313,6 +342,200 @@ class TestTreeOrbit:
         x, y = rand_vec(rng, L1, 10), rand_vec(rng, L1, 10)
         tree = gk_tree(m_symmetric(), x, y, 3, q=1e-9)
         assert tree.containment == [True] * 3
+
+
+def _ref_key(v, q):
+    """The per-coordinate tuple key the tree used before its array pass."""
+    lm = v.lm
+    key = []
+    for i in range(len(v)):
+        if np.isneginf(lm[i]):
+            key.append(("z",))
+        else:
+            key.append((int(round(lm[i] / q)), int(round(v.phase[i] / q))))
+    while key and key[-1] == ("z",):
+        key.pop()
+    return tuple(key)
+
+
+def _ref_tree(spec, x, y, depth, q, cap=10**6):
+    """Pair-by-pair reference: one ``apply`` and one tuple key per pair."""
+    seen, cur = set(), []
+    for s in (x, y):
+        if _ref_key(s, q) not in seen:
+            seen.add(_ref_key(s, q))
+            cur.append(s)
+    levels, sets, counts, aborted = [cur], [seen], [2], None
+    drops = [(2 - len(cur), 0)]
+    for lvl in range(1, depth + 1):
+        prev = levels[-1]
+        nxt, seen, ok = list(prev), set(sets[-1]), True
+        counts.append(len(prev) + len(prev) ** 2)
+        dup = exh = 0
+        for z in prev:
+            for w in prev:
+                cand = apply(spec, (z, w))
+                if cand.is_exhausted:
+                    exh += 1
+                    continue
+                if _ref_key(cand, q) in seen:
+                    dup += 1
+                    continue
+                seen.add(_ref_key(cand, q))
+                nxt.append(cand)
+                if len(nxt) > cap:
+                    ok = False
+                    break
+            if not ok:
+                break
+        levels.append(nxt)
+        sets.append(seen)
+        drops.append((dup, exh))
+        if not ok:
+            aborted = lvl
+            break
+    return levels, sets, counts, aborted, drops
+
+
+def _ref_contains(levels, sets, state, level, q):
+    return (_ref_key(state, q) in sets[level]
+            or any(_quant_distance(state, s) <= 2.0 * q for s in levels[level]))
+
+
+def _assert_tree_matches_reference(spec, x, y, depth, q, cap=10**6):
+    tree = gk_tree(spec, x, y, depth, q=q, cap=cap)
+    levels, sets, counts, aborted, drops = _ref_tree(spec, x, y, depth, q, cap)
+    assert tree.level_sizes == [len(lv) for lv in levels]
+    assert tree.candidate_counts == counts
+    assert list(zip(tree.duplicate_counts, tree.exhausted_counts)) == drops
+    assert tree.aborted_at_level == aborted
+    for got_level, ref_level in zip(tree.levels, levels):
+        for got, ref in zip(got_level, ref_level):
+            assert got.space == ref.space
+            for part in ("hi", "lo", "phase"):
+                assert getattr(got, part).tobytes() == getattr(ref, part).tobytes()
+    probes = [s for lv in levels for s in lv]
+    if aborted is None:
+        orbit = iterate_bc(spec, (x, y), depth)
+        ref_flags = [n <= len(orbit.states)
+                     and _ref_contains(levels, sets, orbit.states[n - 1], n, q)
+                     for n in range(1, depth + 1)]
+        assert tree.containment == ref_flags
+        probes += orbit.states
+    for lvl, (got_set, ref_set) in enumerate(zip(tree.hash_sets, sets)):
+        assert len(got_set) == len(ref_set)
+        for s in probes:
+            assert (_quantize(s, q) in got_set) == (_ref_key(s, q) in ref_set)
+    return tree
+
+
+class TestTreeMatchesPairwiseReference:
+    """The array level pass gives the pair-by-pair loop's levels bit for bit."""
+
+    @pytest.mark.parametrize("name,space", [
+        ("n_transpose", SpaceTag.c0()), ("m_l1", L1), ("m_symmetric", L1),
+        ("m_fg_prime", HC), ("b_translate", HC)])
+    def test_generic_pairs(self, name, space):
+        rng = np.random.default_rng(40)
+        x, y = rand_vec(rng, space, 8), rand_vec(rng, space, 8)
+        depth = 2 if name == "b_translate" else 3
+        _assert_tree_matches_reference(OPERATORS[name](), x, y, depth, 1e-9)
+
+    @pytest.mark.parametrize("name", ["n_transpose", "m_l1", "m_symmetric"])
+    def test_constant_lattice(self, name):
+        x = SeqVector.from_logc(SpaceTag.c0() if name == "n_transpose" else L1,
+                                [LogComplex(-0.3, 1.1)] * 12)
+        _assert_tree_matches_reference(OPERATORS[name](), x, x, 4, 1e-7)
+
+    @pytest.mark.parametrize("name,space", [
+        ("n_transpose", SpaceTag.c0()), ("m_symmetric", L1), ("m_fg_prime", HC)])
+    def test_zero_initials(self, name, space):
+        # an all-zero initial and one with a zero first coordinate: zero
+        # scalars give canonical zero rows and zero states dedup to one key
+        rng = np.random.default_rng(41)
+        zero = SeqVector.zeros(space, 9)
+        y = rand_vec(rng, space, 9)
+        y = SeqVector(space, np.r_[LOG_ZERO, y.hi[1:]], y.lo, y.phase)
+        _assert_tree_matches_reference(OPERATORS[name](), zero, y, 3, 1e-9)
+
+    def test_unequal_lengths_exhaust_mid_level(self):
+        # windows 12 and 7 of a cube root of unity keep the tree small enough
+        # to reach level 7, where the shortest rows' images run out
+        w = LogComplex(0.0, 2.0 * math.pi / 3.0)
+        x = SeqVector.from_logc(SpaceTag.c0(), [w] * 12)
+        y = SeqVector.from_logc(SpaceTag.c0(), [w] * 7)
+        tree = _assert_tree_matches_reference(n_transpose(), x, y, 8, 1e-7)
+        assert tree.exhausted_counts[:7] == [0] * 7
+        assert 0 < tree.exhausted_counts[7] < tree.candidate_counts[7]
+
+    @pytest.mark.parametrize("name,space", [
+        ("n_transpose", SpaceTag.c0()), ("m_l1", L1), ("m_symmetric", L1),
+        ("m_fg_prime", HC)])
+    def test_short_windows_exhaust_mid_level(self, name, space):
+        rng = np.random.default_rng(42)
+        x, y = rand_vec(rng, space, 4), rand_vec(rng, space, 2)
+        tree = _assert_tree_matches_reference(OPERATORS[name](), x, y, 3, 1e-9)
+        assert 0 < tree.exhausted_counts[2] < tree.candidate_counts[2]
+
+    @pytest.mark.parametrize("sizes,cap", [
+        ((12, 12), 3), ((12, 12), 30), ((12, 12), 31), ((4, 2), 24), ((4, 2), 100)])
+    def test_cap_abort_gives_identical_partial_level(self, sizes, cap):
+        # the (4, 2) windows abort before (cap 24) and after (cap 100) the
+        # exhausted rows of their level
+        rng = np.random.default_rng(14)
+        x, y = (rand_vec(rng, L1, n) for n in sizes)
+        tree = _assert_tree_matches_reference(m_l1(), x, y, 5, 1e-9, cap=cap)
+        assert tree.aborted_at_level is not None
+        assert tree.level_sizes[-1] == cap + 1
+
+
+    @pytest.mark.parametrize("block", [1, 40, 97])
+    def test_blocks_split_levels_without_changing_them(self, block, monkeypatch):
+        # blocks far smaller than a level: duplicates across blocks are caught
+        # through the seen set, and the cap aborts inside a later block
+        monkeypatch.setattr(dynamics, "_TREE_BLOCK", block)
+        w = LogComplex(0.0, 2.0 * math.pi / 3.0)
+        x = SeqVector.from_logc(SpaceTag.c0(), [w] * 12)
+        y = SeqVector.from_logc(SpaceTag.c0(), [w] * 7)
+        _assert_tree_matches_reference(n_transpose(), x, y, 8, 1e-7)
+        rng = np.random.default_rng(45)
+        u, v = rand_vec(rng, L1, 6), rand_vec(rng, L1, 3)
+        _assert_tree_matches_reference(m_symmetric(), u, v, 3, 1e-9)
+        _assert_tree_matches_reference(m_l1(), u, v, 4, 1e-9, cap=60)
+
+
+class TestTreeKeys:
+    def test_negative_zero_rounding_folds(self):
+        # lm / q in (-0.5, 0) rounds to -0.0 and must key as +0.0 does
+        q = 1e-7
+        a = SeqVector(L1, [-0.3 * q, 0.0], [0.0, 0.0], [0.2 * q, -0.4 * q])
+        b = SeqVector(L1, [0.3 * q, 0.0], [0.0, 0.0], [-0.2 * q, 0.4 * q])
+        assert np.signbit(np.rint(a.lm[0] / q))
+        assert _quantize(a, q) == _quantize(b, q)
+        assert _ref_key(a, q) == _ref_key(b, q)
+
+    def test_trailing_zeros_key_alike(self):
+        rng = np.random.default_rng(43)
+        v = rand_vec(rng, L1, 9)
+        v9 = SeqVector(L1, np.r_[v.hi[:6], [LOG_ZERO] * 3], v.lo, v.phase)
+        v12 = v9._padded(12)
+        assert len(v12) == 12 and len(v9) == 9
+        assert _quantize(v12, 1e-9) == _quantize(v9, 1e-9)
+        assert _quantize(v9, 1e-9) != _quantize(v9.truncate(5), 1e-9)
+
+    def test_huge_log_magnitude_keys_without_overflow(self):
+        # lm / q far beyond int64: the float key still separates what the
+        # integer tuple key separates and merges what it merges
+        q = 1e-7
+        base = SeqVector(L1, [1e15, -1e15, 2.0], [0.0, 0.0, 0.0], [0.5, -1.0, 3.0])
+        same = SeqVector(L1, [1e15, -1e15, 2.0], [1e-9, 0.0, 0.0], [0.5, -1.0, 3.0])
+        other = SeqVector(L1, [np.nextafter(1e15, 2e15), -1e15, 2.0],
+                          [0.0, 0.0, 0.0], [0.5, -1.0, 3.0])
+        assert abs(_ref_key(base, q)[0][0]) > 2**63
+        for a, b in [(base, same), (base, other), (same, other)]:
+            same = _ref_key(a, q) == _ref_key(b, q)
+            assert (_quantize(a, q) == _quantize(b, q)) == same
+        assert _quantize(base, q) != _quantize(other, q)
 
 
 class TestClassification:
