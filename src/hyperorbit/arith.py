@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import sub
 
 from mpmath import mp
 
@@ -294,6 +295,11 @@ def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityRepor
     All arithmetic is exact big-integer; the report carries the first failing
     index combination, if any.  Passing a cache makes the scan audit that
     cache's values (a corrupted entry is reported as a failure).
+
+    Every Vajda product is ``F(a) F(b)`` with ``a, b <= N``, so the products
+    are computed once, as the table ``H[a][b]``, and each ``(m, i)`` compares
+    a whole row of ``j`` values at C level; ``j`` is located only on a
+    mismatch.  The big-integer multiplies are the cost, not the loop.
     """
     if N < 3:
         raise ParameterRangeError("identity check needs N >= 3")
@@ -311,17 +317,20 @@ def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityRepor
             return IdentityReport(False, checked, ("even-sum", n),
                                   "F(2n) != sum of odd-index terms")
 
+    H = [list(map(fa.__mul__, F)) for fa in F]
     for m in range(1, N - 1):
-        sign = 1 if m % 2 == 0 else -1
-        Fm = F[m]
+        Hm = H[m]
         for i in range(1, N - m):
-            Fmi = F[m + i]
-            for j in range(1, N - m - i + 1):
-                lhs = Fmi * F[m + j] - Fm * F[m + i + j]
-                if lhs != sign * F[i] * F[j]:
-                    return IdentityReport(False, checked, ("vajda", m, i, j),
-                                          "Vajda identity failed")
-                checked += 1
+            # rows over j = 1 .. N-m-i of F(m+i)F(m+j), F(m)F(m+i+j) and
+            # F(i)F(j); for odd m the left side flips sign instead of the right
+            a, b = H[m + i][m + 1:N - i + 1], Hm[m + i + 1:N + 1]
+            lhs = list(map(sub, a, b) if m % 2 == 0 else map(sub, b, a))
+            rhs = H[i][1:N - m - i + 1]
+            if lhs != rhs:
+                j = next(k for k, (x, y) in enumerate(zip(lhs, rhs), 1) if x != y)
+                return IdentityReport(False, checked + j - 1, ("vajda", m, i, j),
+                                      "Vajda identity failed")
+            checked += len(rhs)
 
     return IdentityReport(True, checked)
 

@@ -10,6 +10,7 @@ inputs and seeds up to wall-time fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -374,9 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         rep = args.fn(args)
     except InputError as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -103,10 +104,45 @@ class RunReport:
         }
 
     def write(self, path=None) -> None:
-        text = json.dumps(self.to_json(), indent=2, sort_keys=False)
+        """Write the report as JSON to ``path`` (stdout when ``None``).
+
+        Top-level fields are indented as ``json.dumps(indent=2)`` lays them
+        out, and each check is one line.  ``json.loads`` of the text equals
+        :meth:`to_json`, key order included.
+        """
+        parts = []
+        for key, value in self.to_json().items():
+            parts.append((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ")
+            if key == "checks" and value:
+                parts.extend(_check_lines(value))
+            else:
+                parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
+        parts.append("\n}\n")
         if path is None:
-            print(text)
+            sys.stdout.writelines(parts)
         else:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.writelines(parts)
 
+
+_CHECKS_PER_CALL = 1024  # bounds the encoded text held at once
+
+
+def _check_lines(checks):
+    """The JSON list of ``checks`` (dicts), one per line, in text pieces.
+
+    Each piece is one call of the C encoder: with ``indent`` set, ``json``
+    falls back to its pure-Python encoder, which dominates the write of a
+    large report.  Checks are flat objects and a quote inside a string is
+    escaped, so '}, {"' occurs only between two checks.
+    """
+    yield "[\n    "
+    for k in range(0, len(checks), _CHECKS_PER_CALL):
+        if k:
+            yield ",\n    "
+        # the encoder's output is not bound to a name, so it is freed before
+        # the next piece is encoded; keeping it alive one piece longer
+        # fragmented the heap and raised the process's peak RSS
+        yield (json.dumps(checks[k:k + _CHECKS_PER_CALL])[1:-1]
+               .replace('}, {"', '},\n    {"'))
+    yield "\n  ]"

@@ -20,6 +20,7 @@ would corrupt it.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -87,7 +88,7 @@ def _two_sum(a, b):
 
 def _dd_add(hi, lo, w):
     """Compensated ``(hi + lo) + w``; exact-zero entries (hi = -inf) pass through."""
-    mask = np.isneginf(hi)
+    mask = hi == LOG_ZERO
     with np.errstate(invalid="ignore"):
         s, e = _two_sum(hi, w)
         lo2 = lo + e
@@ -110,7 +111,7 @@ def _lm(hi, lo):
     """Collapsed log magnitudes ``hi + lo``; exact zeros (``hi = -inf``) stay -inf."""
     with np.errstate(invalid="ignore"):
         out = hi + lo
-    return np.where(np.isneginf(hi), LOG_ZERO, out)
+    return np.where(hi == LOG_ZERO, LOG_ZERO, out)
 
 
 def _scale_arrays(hi, lo, phase, log_mag, ph):
@@ -120,7 +121,7 @@ def _scale_arrays(hi, lo, phase, log_mag, ph):
     """
     hi, lo = _dd_add(hi, lo, log_mag)
     p = _norm_phases(phase + ph)
-    return hi, lo, np.where(np.isneginf(hi), 0.0, p)
+    return hi, lo, np.where(hi == LOG_ZERO, 0.0, p)
 
 
 def _add_arrays(ahi, alo, aph, bhi, blo, bph):
@@ -129,7 +130,7 @@ def _add_arrays(ahi, alo, aph, bhi, blo, bph):
     Elementwise, so it adds blocks of rows as well as single vectors.
     """
     la, lb = _lm(ahi, alo), _lm(bhi, blo)
-    za, zb = np.isneginf(la), np.isneginf(lb)
+    za, zb = la == LOG_ZERO, lb == LOG_ZERO
     a_big = la >= lb
     base_hi = np.where(a_big, ahi, bhi)
     base_lo = np.where(a_big, alo, blo)
@@ -147,7 +148,7 @@ def _add_arrays(ahi, alo, aph, bhi, blo, bph):
     hi = np.where(cancel, LOG_ZERO, hi)
     lo = np.where(cancel, 0.0, lo)
     ph = _norm_phases(base_ph + np.angle(s))
-    ph = np.where(np.isneginf(hi), 0.0, ph)
+    ph = np.where(hi == LOG_ZERO, 0.0, ph)
     return (np.where(za, bhi, np.where(zb, ahi, hi)),
             np.where(za, blo, np.where(zb, alo, lo)),
             np.where(za, bph, np.where(zb, aph, ph)))
@@ -251,7 +252,7 @@ class SeqVector:
         self.hi = np.asarray(hi, dtype=float)
         self.lo = np.asarray(lo, dtype=float)
         self.phase = np.asarray(phase, dtype=float)
-        zero = np.isneginf(self.hi)
+        zero = self.hi == LOG_ZERO
         if zero.any():  # canonical zero: no lo part, phase 0
             self.lo = np.where(zero, 0.0, self.lo)
             self.phase = np.where(zero, 0.0, self.phase)
@@ -305,7 +306,7 @@ class SeqVector:
         """Coordinate ``i`` (1-indexed) as a scalar."""
         if not 1 <= i <= len(self):
             raise IndexError(f"coordinate {i} outside window of length {len(self)}")
-        if np.isneginf(self.hi[i - 1]):
+        if self.hi[i - 1] == LOG_ZERO:
             return LogComplex.zero()
         return LogComplex(float(self.hi[i - 1] + self.lo[i - 1]),
                           float(self.phase[i - 1]))
@@ -333,7 +334,7 @@ class SeqVector:
     def neg(self) -> "SeqVector":
         # direct +-pi flip stays normalized and avoids a wrap round trip
         ph = np.where(self.phase > 0, self.phase - np.pi, self.phase + np.pi)
-        ph = np.where(np.isneginf(self.hi), 0.0, ph)
+        ph = np.where(self.hi == LOG_ZERO, 0.0, ph)
         return SeqVector(self.space, self.hi, self.lo, ph)
 
     def _padded(self, n: int) -> "SeqVector":
@@ -428,7 +429,7 @@ def backward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:
         return v
     logs = w.logs(max(n - 1, 0))
     hi, lo = _dd_add(v.hi[1:], v.lo[1:], logs)
-    ph = np.where(np.isneginf(hi), 0.0, v.phase[1:])
+    ph = np.where(hi == LOG_ZERO, 0.0, v.phase[1:])
     return SeqVector(v.space, hi, lo, ph)
 
 
@@ -441,7 +442,7 @@ def forward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:
     n = len(v)
     logs = w.logs(n)
     hi, lo = _dd_add(v.hi, v.lo, -logs)
-    ph = np.where(np.isneginf(hi), 0.0, v.phase)
+    ph = np.where(hi == LOG_ZERO, 0.0, v.phase)
     return SeqVector(
         v.space,
         np.concatenate(([LOG_ZERO], hi)),
@@ -465,7 +466,7 @@ def shift_pow(v: SeqVector, w: WeightSeq, k: int) -> SeqVector:
     cum = w.cum(n - 1)
     delta = cum[k: n] - cum[0: n - k]
     hi, lo = _dd_add(v.hi[k:], v.lo[k:], delta)
-    ph = np.where(np.isneginf(hi), 0.0, v.phase[k:])
+    ph = np.where(hi == LOG_ZERO, 0.0, v.phase[k:])
     return SeqVector(v.space, hi, lo, ph)
 
 
@@ -477,7 +478,7 @@ def forward_pow(v: SeqVector, w: WeightSeq, k: int) -> SeqVector:
     cum = w.cum(n + k)
     delta = cum[k: n + k] - cum[0: n]
     hi, lo = _dd_add(v.hi, v.lo, -delta)
-    ph = np.where(np.isneginf(hi), 0.0, v.phase)
+    ph = np.where(hi == LOG_ZERO, 0.0, v.phase)
     return SeqVector(
         v.space,
         np.concatenate([np.full(k, LOG_ZERO), hi]),
@@ -570,7 +571,7 @@ def log_matvec(T: np.ndarray, phase: np.ndarray, space: SpaceTag, *,
     ``n**2 * 8`` bytes (627 kB at n = 280).
     """
     rowmax = np.max(T, axis=1)
-    dead = np.isneginf(rowmax)
+    dead = rowmax == LOG_ZERO
     T -= np.where(dead, 0.0, rowmax)[:, np.newaxis]
     np.maximum(T, _EXP_FLOOR, out=T)
     np.exp(T, out=T)
@@ -696,46 +697,66 @@ def vector_to_json(v: SeqVector) -> dict:
 
     Coordinates with ``|log magnitude| <= 700`` are written as ``[re, im]``;
     anything larger keeps the log-polar form ``{"log": L, "phase": p}``.
+    Values come from the libm calls of :meth:`LogComplex.to_complex`, not
+    numpy's vectorized ``exp``/``cos``/``sin``, so the bytes do not depend
+    on numpy's SIMD kernels.
     """
     coords = []
-    lm = v.lm
-    for i in range(len(v)):
-        if np.isneginf(lm[i]):
+    for l, p in zip(v.lm.tolist(), v.phase.tolist()):
+        if l == LOG_ZERO:
             coords.append([0.0, 0.0])
-        elif abs(lm[i]) <= LOG_FORM_THRESHOLD:
-            z = LogComplex(float(lm[i]), float(v.phase[i])).to_complex()
+        elif abs(l) <= LOG_FORM_THRESHOLD:
+            z = cmath.rect(math.exp(l), p)
             coords.append([z.real, z.imag])
         else:
-            coords.append({"log": float(lm[i]), "phase": float(v.phase[i])})
+            coords.append({"log": l, "phase": p})
     obj: dict = {"space": v.space.kind, "coords": coords}
     if v.space.param is not None:
         obj["param"] = v.space.param
     return obj
 
 
-def _coord_from_json(entry) -> LogComplex:
-    if isinstance(entry, dict):
-        if "log" in entry:
-            return LogComplex.from_polar(float(entry["log"]),
-                                         float(entry.get("phase", 0.0)))
-        if "num" in entry:
-            q = Fraction(int(entry["num"]), int(entry["den"]))
-            if q == 0:
-                return LogComplex.zero()
-            sign_phase = 0.0 if q > 0 else math.pi
-            return LogComplex(
-                math.log(abs(q.numerator)) - math.log(q.denominator), sign_phase)
-        raise ParameterRangeError(f"unrecognized coordinate object {entry!r}")
-    re, im = float(entry[0]), float(entry[1])
-    return LogComplex.from_complex(complex(re, im))
+def _coord_from_json(entry: dict) -> LogComplex:
+    """A coordinate object: ``{"log", "phase"}`` or a fraction ``{"num", "den"}``."""
+    if "log" in entry:
+        return LogComplex.from_polar(float(entry["log"]),
+                                     float(entry.get("phase", 0.0)))
+    if "num" in entry:
+        q = Fraction(int(entry["num"]), int(entry["den"]))
+        if q == 0:
+            return LogComplex.zero()
+        sign_phase = 0.0 if q > 0 else math.pi
+        return LogComplex(
+            math.log(abs(q.numerator)) - math.log(q.denominator), sign_phase)
+    raise ParameterRangeError(f"unrecognized coordinate object {entry!r}")
 
 
 def vector_from_json(obj: dict) -> SeqVector:
+    """Parse the interchange format; the inverse of :func:`vector_to_json`.
+
+    ``[re, im]`` pairs are converted inline with the calls of
+    :meth:`LogComplex.from_complex`, so the arrays are bit-identical to
+    building one scalar per coordinate.
+    """
     kind = str(obj["space"]).lower()
     param = obj.get("param")
     tag = SpaceTag(kind, param)
-    coords = [_coord_from_json(e) for e in obj["coords"]]
-    return SeqVector.from_logc(tag, coords)
+    hi, ph = [], []
+    for e in obj["coords"]:
+        if isinstance(e, dict):
+            c = _coord_from_json(e)
+            hi.append(c.log_mag)
+            ph.append(c.phase)
+            continue
+        z = complex(float(e[0]), float(e[1]))
+        if z == 0:
+            hi.append(LOG_ZERO)
+            ph.append(0.0)
+        else:
+            hi.append(math.log(abs(z)))
+            ph.append(normalize_phase(math.atan2(z.imag, z.real)))
+    return SeqVector(tag, np.array(hi, dtype=float), np.zeros(len(hi)),
+                     np.array(ph, dtype=float))
 
 
 def write_vector(path, v: SeqVector) -> None:

@@ -11,6 +11,7 @@ from hyperorbit.arith import (
     LOG_ZERO,
     ASeq,
     FibCache,
+    IdentityReport,
     LogComplex,
     a_naive,
     a_seq,
@@ -25,6 +26,28 @@ from hyperorbit.arith import (
 )
 from hyperorbit.errors import ParameterRangeError
 from hyperorbit.spaces import SeqVector, SpaceTag
+
+
+def _identities_triple_loop(N, cache):
+    """Reference: every Vajda instance as its own big-integer expression."""
+    F = cache.prefix(N)
+    checked = 0
+    acc = 0
+    for n in range(1, N // 2 + 1):
+        acc += F[2 * n - 1]
+        checked += 1
+        if F[2 * n] != acc:
+            return IdentityReport(False, checked, ("even-sum", n),
+                                  "F(2n) != sum of odd-index terms")
+    for m in range(1, N - 1):
+        sign = 1 if m % 2 == 0 else -1
+        for i in range(1, N - m):
+            for j in range(1, N - m - i + 1):
+                if F[m + i] * F[m + j] - F[m] * F[m + i + j] != sign * F[i] * F[j]:
+                    return IdentityReport(False, checked, ("vajda", m, i, j),
+                                          "Vajda identity failed")
+                checked += 1
+    return IdentityReport(True, checked)
 
 
 class TestFibonacci:
@@ -58,6 +81,17 @@ class TestFibonacci:
 
     def test_partial_sums_500(self):
         assert fib_partial_sum_ok(500)
+
+    @pytest.mark.parametrize("N", [3, 4, 10, 57, 200])
+    def test_identity_report_matches_triple_loop(self, N):
+        # clean cache, then +-1 at the indices that reach both loops' failure paths
+        cases = [(None, 0)] + [(k, d) for k in sorted({1, 2, 3, N // 2, N}) for d in (1, -1)]
+        for index, delta in cases:
+            caches = FibCache(N), FibCache(N)
+            if index is not None:
+                for c in caches:
+                    c._corrupt_for_testing(index, delta)
+            assert check_fib_identities(N, caches[0]) == _identities_triple_loop(N, caches[1])
 
     def test_cache_growth(self):
         cache = FibCache(4)

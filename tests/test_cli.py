@@ -10,6 +10,8 @@ import pytest
 from hyperorbit.arith import ASeq
 from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x
+from hyperorbit import report
+from hyperorbit.report import Check, RunReport, check_flag, check_leq
 from hyperorbit.spaces import (
     SeqVector,
     SpaceTag,
@@ -262,3 +264,60 @@ class TestReportContract:
                          "--steps", "20", "--seed", "7"], tmp_path, "b.json")
         rep1.pop("wall_time"), rep2.pop("wall_time")
         assert rep1 == rep2
+
+    def test_parser_reuse_keeps_calls_independent(self, tmp_path):
+        rc1, rep1 = run(["identities", "--max-n", "30", "--corrupt-cache"], tmp_path, "a.json")
+        rc2, rep2 = run(["identities", "--max-n", "30"], tmp_path, "b.json")
+        assert (rc1, rc2) == (1, 0)
+        assert rep2["parameters"]["corrupt_cache"] is False
+
+
+def _report_with_checks(checks):
+    rep = RunReport("build", {"target": "x", "init": None, "schedule": [0, 3],
+                              "nested": {"a": [], "b": {}}})
+    rep.extend(checks)
+    return rep.finish()
+
+
+class TestReportLayout:
+    AWKWARD = [
+        check_leq("plain", 0.5, 1.0, "p", 3),
+        check_leq("inf-bound", 2.0, math.inf, "p"),
+        Check('brace}, {"name": "x"', "fail", None, -math.inf, 'quote " and \\ }, {"'),
+        Check("unicode-é≤", "skip", verifies="line\nbreak"),
+        check_flag("flag", True, "f", 0),
+    ]
+
+    @pytest.mark.parametrize("per_call", [1024, 2])
+    def test_text_parses_to_report_with_one_line_per_check(self, per_call, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.setattr(report, "_CHECKS_PER_CALL", per_call)
+        rep = _report_with_checks(self.AWKWARD)
+        path = tmp_path / "r.json"
+        rep.write(path)
+        text = path.read_text(encoding="utf-8")
+        # key order too: dumps of both sides must agree
+        assert json.dumps(json.loads(text)) == json.dumps(rep.to_json())
+        lines = text.splitlines()
+        start = lines.index('  "checks": [')
+        body = lines[start + 1: start + 1 + len(self.AWKWARD)]
+        assert lines[start + 1 + len(self.AWKWARD)] == "  ],"
+        for line, check in zip(body, rep.to_json()["checks"]):
+            assert line.startswith("    {")
+            assert json.loads(line.strip().rstrip(",")) == check
+
+    def test_empty_checks_keep_the_indented_layout(self, tmp_path, capsys):
+        rep = _report_with_checks([])
+        rep.write(tmp_path / "r.json")
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
+        assert text == json.dumps(rep.to_json(), indent=2) + "\n"
+        rep.write()
+        assert capsys.readouterr().out == text
+
+    def test_stdout_path(self, capsys):
+        assert main(["identities", "--max-n", "20"]) == 0
+        out = capsys.readouterr().out
+        rep = json.loads(out)
+        lines = out.splitlines()
+        assert len(rep["checks"]) == 3
+        assert sum(line.startswith('    {"name": ') for line in lines) == 3

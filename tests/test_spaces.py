@@ -12,9 +12,11 @@ from mpmath import mp, mpc
 from hyperorbit.arith import CANCEL_SNAP, LOG_ZERO, LogComplex
 from hyperorbit.errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 from hyperorbit.spaces import (
+    LOG_FORM_THRESHOLD,
     SeqVector,
     SpaceTag,
     WeightSeq,
+    _coord_from_json,
     backward_shift,
     derivative,
     derivative_at_zero,
@@ -38,6 +40,24 @@ L1 = SpaceTag.l1()
 
 def cvec(values, space=L1):
     return SeqVector.from_complex(space, values)
+
+
+def _vector_to_json_loop(v):
+    """Reference writer: one scalar ``LogComplex`` per coordinate."""
+    coords = []
+    lm = v.lm
+    for i in range(len(v)):
+        if np.isneginf(lm[i]):
+            coords.append([0.0, 0.0])
+        elif abs(lm[i]) <= LOG_FORM_THRESHOLD:
+            z = LogComplex(float(lm[i]), float(v.phase[i])).to_complex()
+            coords.append([z.real, z.imag])
+        else:
+            coords.append({"log": float(lm[i]), "phase": float(v.phase[i])})
+    obj = {"space": v.space.kind, "coords": coords}
+    if v.space.param is not None:
+        obj["param"] = v.space.param
+    return obj
 
 
 class TestSpaceTag:
@@ -372,6 +392,46 @@ class TestJsonFormat:
         obj = vector_to_json(v)
         assert obj["coords"][0][0] == pytest.approx(10.0)
         assert json.dumps(obj)  # serializable
+
+    def test_writer_bytes_match_per_coordinate_loop(self):
+        up = math.nextafter(700.0, math.inf)
+        hi = [LOG_ZERO, 700.0, up, -700.0, -up, 2000.0, -2000.0, -708.5, -744.4,
+              3.0, 0.0, -0.5, 699.0, 1e-300]
+        lo = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+              1e-17, -1e-20, 0.0, 0.999999, 0.0]
+        ph = [0.0, math.pi, -math.pi, 0.3, -2.0, math.pi, -math.pi, 1.0, -1.0,
+              math.pi, -math.pi, 2.5, 0.0, -0.0]
+        rng = np.random.default_rng(17)
+        n = 500
+        cases = [SeqVector(SpaceTag.hc(3), hi, lo, ph),
+                 SeqVector(L1, rng.uniform(-800.0, 800.0, n), rng.normal(0, 1e-16, n),
+                           rng.uniform(-np.pi, np.pi, n)),
+                 SeqVector.zeros(SpaceTag.lp(1.5), 3), SeqVector.zeros(L1, 0)]
+        for v in cases:
+            assert json.dumps(vector_to_json(v)) == json.dumps(_vector_to_json_loop(v))
+
+    def test_reader_arrays_match_scalar_path(self):
+        coords = [[1.5, -2], [0, 0], [-0.0, 0.0], [0.0, -0.0], [-1, 0], [-1, -0.0],
+                  [5e-324, 0.0], [0.0, -5e-324], [1e308, 1e308], [3, 4], ["0.25", "-1e-3"],
+                  {"log": 900.0, "phase": 4.0}, {"log": -2000.0, "phase": -math.pi},
+                  {"log": 2.0}, {"log": float("-inf"), "phase": 1.0},
+                  {"num": "-3", "den": "4"}, {"num": "0", "den": "5"},
+                  {"num": "10000000000000000000001", "den": "3"}]
+        obj = {"space": "HC", "param": 2, "coords": coords}
+        v = vector_from_json(obj)
+        ref = SeqVector.from_logc(SpaceTag.hc(2), [
+            _coord_from_json(e) if isinstance(e, dict)
+            else LogComplex.from_complex(complex(float(e[0]), float(e[1])))
+            for e in coords])
+        assert v.space == ref.space
+        for a, b in ((v.hi, ref.hi), (v.lo, ref.lo), (v.phase, ref.phase)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert vector_from_json({"space": "l1", "coords": []}).hi.shape == (0,)
+
+    def test_reader_rejects_nan_log(self):
+        obj = {"space": "l1", "coords": [[1.0, 0.0], {"log": float("nan"), "phase": 0.0}]}
+        with pytest.raises(ParameterRangeError):
+            vector_from_json(obj)
 
 
 class TestVectorAlgebra:
