@@ -41,7 +41,7 @@ from .dynamics import (
     iterate_bc,
     make_operator,
 )
-from .errors import BadBracketError, HyperorbitError
+from .errors import BadBracketError, HyperorbitError, ParameterRangeError
 from .rational import q_iterate, q_vector_from_json, q_vector_to_json
 from .report import Check, RunReport, check_flag, check_leq
 from .spaces import (
@@ -63,12 +63,16 @@ class InputError(Exception):
     """Bad file, unparsable JSON, or unusable parameters (exit code 2)."""
 
 
+# what reading a malformed vector file or entry raises; each is an input error
+_VECTOR_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
+                  IndexError, ParameterRangeError)
+
+
 def _read_vector_input(path):
     """Read a single vector file, mapping any malformation to an input error."""
     try:
         return read_vector(path)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-            IndexError) as exc:
+    except _VECTOR_ERRORS as exc:
         raise InputError(f"cannot read vector file {path}: {exc}") from exc
 
 
@@ -152,7 +156,7 @@ def cmd_orbit(args) -> RunReport:
     spec = make_operator(args.operator, arity=len(vectors))
     try:
         init = tuple(vector_from_json(v) for v in vectors)
-    except (KeyError, ValueError, TypeError) as exc:
+    except _VECTOR_ERRORS as exc:
         raise InputError(f"bad vector in init file: {exc}") from exc
     orbit = iterate_bc(spec, init, args.steps)
     rep.parameters["states"] = len(orbit.states)
@@ -385,10 +389,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         rep = args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BadBracketError as exc:

@@ -156,9 +156,6 @@ class FactorMap:
             return v._padded(self.basis.size).retag(_L1)
         return self._cols.matvec(v)
 
-    def image_of_basis(self, n: int) -> SeqVector:
-        return self.basis.vector(n)
-
 
 class HostBilinear:
     """The conjugated bilinear operator acting in host coordinates."""

@@ -11,7 +11,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from mpmath import psi
@@ -19,11 +19,11 @@ from mpmath import psi
 from .arith import LOG_ZERO, ASeq, FibCache, LogComplex, normalize_phase, phase_times_int
 from .dynamics import (
     LN2,
-    MultilinearSpec,
     OrbitClass,
     apply,
     ledger,
     m_fg_prime,
+    m_l1,
     m_symmetric,
     n_delta_d,
 )
@@ -83,11 +83,6 @@ class DenseTestSeq:
         if length is not None and length > k:
             vals += [0.0] * (length - k)
         return SeqVector.from_complex(space or SpaceTag.l1(), vals)
-
-    def poly(self, k: int, seminorm_k: int = 1) -> SeqVector:
-        """The k-th test polynomial (monomial coefficients, degree k)."""
-        vals = [self.value(k, i) for i in range(k + 1)]
-        return SeqVector.from_complex(SpaceTag.hc(seminorm_k), vals)
 
     def constraint_ok(self, k: int) -> bool:
         lo, hi = 1.0 / k, float(k)
@@ -191,10 +186,7 @@ def weight_identity_recursion_error(y: SeqVector, w: WeightSeq, a: ASeq,
     Useful only for small n: the recursion's rounding noise grows with
     Fibonacci weight and swamps the identity beyond n of a few dozen.
     """
-    spec = MultilinearSpec(
-        name="m_l1", arity=2, functional_slots=(2,), shift_slot=1,
-        linear="shift", space=y.space, weights=w,
-        merge_style="alternating_raw")
+    spec = replace(m_l1(), space=y.space, weights=w)
     x = companion_x(y, w, a)
     led = ledger(spec, (x, y), 2 * n_max)
     out = []
@@ -868,10 +860,7 @@ def classify_polynomial_ray(v: SeqVector, t: float, w: WeightSeq | None = None,
     along the ray point ``t * v``.
     """
     w = w or WeightSeq.inv_squares()
-    spec = MultilinearSpec(
-        name="p_diag", arity=2, functional_slots=(2,), shift_slot=1,
-        linear="shift", space=SpaceTag.l1(), weights=w,
-        merge_style="none")
+    spec = replace(m_l1(), name="p_diag", weights=w)
     s = v.truncate(truncation).scale(LogComplex.from_real(t))
     log_tol = math.log(tol)
     run = 0

@@ -35,8 +35,8 @@ from .spaces import (
     derivative,
     derivative_at_zero,
     derivative_pow,
+    eval_at_integer,
     eval_functional,
-    log_matvec,
     norm,
     shift_pow,
     translate,
@@ -50,19 +50,14 @@ LN2 = math.log(2.0)
 # operator descriptions
 # ---------------------------------------------------------------------------
 
-_MERGE_STYLES = ("alternating_raw", "alternating_deriv", "chain_coords",
-                 "chain_deriv", "chain_eval", "none")
-
-
 @dataclass(frozen=True)
 class MultilinearSpec:
     """An m-linear operator of functional-times-shift form.
 
     ``functional_slots`` (1-indexed) are fed to the first-coordinate
-    functional; ``shift_slot`` receives the linear part.  ``merge_style``
-    selects how the scalar ledger reads the initial data (raw coordinates vs
-    derivative values vs integer-point evaluations), mirroring each operator
-    family's own bookkeeping.
+    functional; ``shift_slot`` receives the linear part.  Which slot that is
+    and what the linear part is decide the scalar ledger and the closed form
+    (:attr:`chain`, :attr:`has_closed_form`).
     """
 
     name: str
@@ -73,7 +68,6 @@ class MultilinearSpec:
     space: SpaceTag
     weights: WeightSeq | None = None
     symmetrized: bool = False
-    merge_style: str = "none"
 
     def __post_init__(self):
         if self.arity < 2:
@@ -87,12 +81,18 @@ class MultilinearSpec:
             raise ParameterRangeError("symmetrization is defined for arity 2 only")
         if self.linear not in ("shift", "derivative", "translate"):
             raise ParameterRangeError(f"unknown linear part {self.linear!r}")
-        if self.merge_style not in _MERGE_STYLES:
-            raise ParameterRangeError(f"unknown merge style {self.merge_style!r}")
+
+    @property
+    def chain(self) -> bool:
+        """The linear part acts on the newest slot: the orbit is one power
+        chain on the last initial vector.  Otherwise a bilinear orbit
+        alternates between the two initial vectors."""
+        return self.shift_slot == self.arity
 
     @property
     def has_closed_form(self) -> bool:
-        return not self.symmetrized and self.merge_style != "none"
+        return not self.symmetrized and (
+            self.arity == 2 or (self.chain and self.linear == "shift"))
 
     def linear_apply(self, v: SeqVector) -> SeqVector:
         if self.linear == "shift":
@@ -118,16 +118,14 @@ def mc_CN(m: int = 2, k: int = 4) -> MultilinearSpec:
     return MultilinearSpec(
         name="mc_CN", arity=m,
         functional_slots=tuple(range(1, m)), shift_slot=m,
-        linear="shift", space=SpaceTag.cn(k), weights=WeightSeq.ones(),
-        merge_style="chain_coords")
+        linear="shift", space=SpaceTag.cn(k), weights=WeightSeq.ones())
 
 
 def m_l1() -> MultilinearSpec:
     """Bilinear ``(x, y) -> y_1 * B_w(x)`` on l1 with weights ``w_i = 1/i**2``."""
     return MultilinearSpec(
         name="m_l1", arity=2, functional_slots=(2,), shift_slot=1,
-        linear="shift", space=SpaceTag.l1(), weights=WeightSeq.inv_squares(),
-        merge_style="alternating_raw")
+        linear="shift", space=SpaceTag.l1(), weights=WeightSeq.inv_squares())
 
 
 def n_transpose(space: SpaceTag | None = None) -> MultilinearSpec:
@@ -139,32 +137,28 @@ def n_transpose(space: SpaceTag | None = None) -> MultilinearSpec:
     """
     return MultilinearSpec(
         name="n_transpose", arity=2, functional_slots=(2,), shift_slot=1,
-        linear="shift", space=space or SpaceTag.c0(), weights=WeightSeq.ones(),
-        merge_style="alternating_raw")
+        linear="shift", space=space or SpaceTag.c0(), weights=WeightSeq.ones())
 
 
 def m_fg_prime(k: int = 1) -> MultilinearSpec:
     """Bilinear ``(f, g) -> f(0) * g'`` on entire functions."""
     return MultilinearSpec(
         name="m_fg_prime", arity=2, functional_slots=(1,), shift_slot=2,
-        linear="derivative", space=SpaceTag.hc(k),
-        merge_style="chain_deriv")
+        linear="derivative", space=SpaceTag.hc(k))
 
 
 def n_delta_d(k: int = 1) -> MultilinearSpec:
     """Bilinear ``(f, g) -> g(0) * f'`` on entire functions."""
     return MultilinearSpec(
         name="n_delta_d", arity=2, functional_slots=(2,), shift_slot=1,
-        linear="derivative", space=SpaceTag.hc(k),
-        merge_style="alternating_deriv")
+        linear="derivative", space=SpaceTag.hc(k))
 
 
 def b_translate(k: int = 1) -> MultilinearSpec:
     """Bilinear ``(g, f) -> g(0) * f(z + 1)`` on entire functions."""
     return MultilinearSpec(
         name="b_translate", arity=2, functional_slots=(1,), shift_slot=2,
-        linear="translate", space=SpaceTag.hc(k),
-        merge_style="chain_eval")
+        linear="translate", space=SpaceTag.hc(k))
 
 
 def m_symmetric() -> MultilinearSpec:
@@ -172,7 +166,7 @@ def m_symmetric() -> MultilinearSpec:
     return MultilinearSpec(
         name="m_symmetric", arity=2, functional_slots=(2,), shift_slot=1,
         linear="shift", space=SpaceTag.l1(), weights=WeightSeq.inv_squares(),
-        symmetrized=True, merge_style="none")
+        symmetrized=True)
 
 
 OPERATORS = {
@@ -275,14 +269,6 @@ def iterate_bc(spec: MultilinearSpec, init, steps: int) -> OrbitBC:
 # ---------------------------------------------------------------------------
 
 
-def _eval_poly_at_nonneg_int(v: SeqVector, point: int) -> LogComplex:
-    """``f(point)`` for integer point >= 0: a one-row log-domain power sum."""
-    if point == 0 or len(v) == 0:
-        return eval_functional(v)
-    terms = np.arange(len(v), dtype=float) * math.log(point) + v.lm
-    return log_matvec(terms[np.newaxis, :], v.phase, v.space).coord(1)
-
-
 def _coord_or_zero(v: SeqVector, i: int) -> LogComplex:
     """Coordinate i (1-indexed), with the tail beyond the window exactly zero."""
     if i > len(v):
@@ -290,37 +276,27 @@ def _coord_or_zero(v: SeqVector, i: int) -> LogComplex:
     return v.coord(i)
 
 
+def _read_power(spec: MultilinearSpec, v: SeqVector, i: int) -> LogComplex:
+    """The functional of ``L**i v`` for the linear part L, weights left out
+    (``d_n`` collects them): coordinate i+1, ``f^(i)(0)`` or ``f(i)``."""
+    if spec.linear == "shift":
+        return _coord_or_zero(v, i + 1)
+    if spec.linear == "derivative":
+        return derivative_at_zero(v, i)
+    return eval_at_integer(v, i)
+
+
 def _merge_sequence(spec: MultilinearSpec, init, N: int) -> list[LogComplex]:
-    """The scalar sequence z_1..z_N feeding the two-term c-recursion."""
-    if spec.merge_style == "alternating_raw":
-        x, y = init
-        out = [_coord_or_zero(y, 1)]
-        i = 1
-        while len(out) < N:
-            out.append(_coord_or_zero(x, i + 1))
-            if len(out) < N:
-                out.append(_coord_or_zero(y, i + 1))
-            i += 1
-        return out[:N]
-    if spec.merge_style == "alternating_deriv":
-        f, g = init
-        out = [derivative_at_zero(g, 0)]
-        i = 1
-        while len(out) < N:
-            out.append(derivative_at_zero(f, i))
-            if len(out) < N:
-                out.append(derivative_at_zero(g, i))
-            i += 1
-        return out[:N]
-    if spec.merge_style == "chain_deriv":
-        f, g = init
-        return [eval_functional(f)] + [derivative_at_zero(g, j)
-                                       for j in range(N - 1)]
-    if spec.merge_style == "chain_eval":
-        g, f = init
-        return [eval_functional(g)] + [_eval_poly_at_nonneg_int(f, j)
-                                       for j in range(N - 1)]
-    raise UnsupportedFormError(f"{spec.name} has no merged scalar sequence")
+    """The scalar sequence z_1..z_N feeding the two-term c-recursion.
+
+    A chain reads the first initial vector's functional, then the powers
+    0, 1, ... of the second; an alternating orbit reads ``z_n`` from power
+    ``n // 2`` of initial vector ``n mod 2`` (0-indexed).
+    """
+    if spec.chain:
+        return [eval_functional(init[0])] + [_read_power(spec, init[1], j)
+                                             for j in range(N - 1)]
+    return [_read_power(spec, init[n % 2], n // 2) for n in range(1, N + 1)]
 
 
 @dataclass
@@ -329,16 +305,16 @@ class WeightLedger:
 
     ``c_n`` obeys ``c_1 = z_1``, ``c_2 = z_1 z_2``, ``c_n = c_{n-1} c_{n-2} z_n``
     over the merged sequence ``z``; for the product-of-functionals chain
-    (style ``chain_coords``) the recursion instead multiplies the previous m-1
-    first coordinates, as that family requires.  ``d_n`` collects weight
-    products: ``d_1 = 1``, ``d_2 = w_1``,
+    (a shift on the newest slot) the recursion instead multiplies the
+    previous m-1 first coordinates, as that family requires.  ``d_n``
+    collects weight products: ``d_1 = 1``, ``d_2 = w_1``,
     ``d_n = d_{n-1} d_{n-2} w_1 ... w_{floor(n/2)}``.
     """
 
     spec: MultilinearSpec
     c_vals: list          # [c_1 .. c_N]
     d_vals: list          # [d_1 .. d_N]
-    merge: list           # z_1 .. z_N (empty for chain_coords)
+    merge: list           # z_1 .. z_N (empty for a shift chain)
     zero_from: int | None = None
 
     def c(self, n: int) -> LogComplex:
@@ -387,24 +363,21 @@ def ledger(spec: MultilinearSpec, init, N: int) -> WeightLedger:
     """
     if N < 2:
         raise ParameterRangeError("ledger needs N >= 2")
-    if spec.symmetrized or spec.merge_style == "none":
+    if not spec.has_closed_form:
         raise UnsupportedFormError(f"{spec.name} has no scalar ledger")
     init = tuple(init)
 
-    # d_n: weight products, identity for families whose merge absorbs weights
-    d_vals = [LogComplex.one()]
-    if spec.merge_style in ("alternating_raw", "chain_coords") and spec.weights is not None:
-        w = spec.weights
-        cum = w.cum(N // 2 + 1)
-        d_vals.append(LogComplex(float(cum[1]), 0.0))
+    # d_n: weight products; the other linear parts carry no weights
+    one = LogComplex.one()
+    d_vals = [one] * N
+    if spec.linear == "shift":
+        cum = spec.weights.cum(N // 2 + 1)
+        d_vals = [one, LogComplex(float(cum[1]), 0.0)]
         for n in range(3, N + 1):
             step = LogComplex(float(cum[n // 2]), 0.0)
             d_vals.append(d_vals[-1].mul(d_vals[-2]).mul(step))
-    else:
-        d_vals = [LogComplex.one()] * N
-    d_vals = d_vals[:N] + [LogComplex.one()] * (N - len(d_vals))
 
-    if spec.merge_style == "chain_coords":
+    if spec.chain and spec.linear == "shift":
         # product-of-functionals chain: c_n = c_{n-1} * prod of the first
         # coordinates of states n-m .. n-2 (initial vectors for indices <= 0)
         m = spec.arity
@@ -450,7 +423,7 @@ def closed_form_state(spec: MultilinearSpec, init, ledg: WeightLedger,
         raise ParameterRangeError(f"ledger covers only {len(ledg)} steps")
     init = tuple(init)
     cd = ledg.cd(n)
-    if spec.merge_style in ("chain_coords", "chain_deriv", "chain_eval"):
+    if spec.chain:
         base = spec.linear_pow(init[-1], n)
     else:
         if n % 2 == 0:
@@ -471,7 +444,8 @@ def closed_form_agreement(orbit: OrbitBC, closed_form=None) -> float:
     """
     closed_form = closed_form or closed_form_state
     spec, init = orbit.spec, orbit.initial
-    led = ledger(spec, init, len(orbit.states))
+    # ledger entries do not depend on its length, which must be at least 2
+    led = ledger(spec, init, max(2, len(orbit.states)))
     worst = 0.0
     for n, d in enumerate(orbit.states, start=1):
         cf = closed_form(spec, init, led, n)

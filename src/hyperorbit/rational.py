@@ -8,7 +8,6 @@ part) and iterates the orbit with no rounding at all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,13 +73,6 @@ def q_forward_shift(v: QVector, k: int = 1) -> QVector:
 
 def q_scale(v: QVector, s: QComplex) -> QVector:
     return [s * c for c in v]
-
-
-def q_add(a: QVector, b: QVector) -> QVector:
-    n = max(len(a), len(b))
-    z = QComplex.of(0)
-    return [(a[i] if i < len(a) else z) + (b[i] if i < len(b) else z)
-            for i in range(n)]
 
 
 def q_equal(a: QVector, b: QVector) -> bool:
@@ -150,13 +142,3 @@ def q_vector_to_json(v: QVector) -> dict:
 
 def q_vector_from_json(obj: dict) -> QVector:
     return [q_coord_from_json(e) for e in obj["coords"]]
-
-
-def read_qvector(path) -> QVector:
-    with open(path, encoding="utf-8") as fh:
-        return q_vector_from_json(json.load(fh))
-
-
-def write_qvector(path, v: QVector) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(q_vector_to_json(v), fh)

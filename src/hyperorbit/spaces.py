@@ -679,10 +679,19 @@ def eval_functional(v: SeqVector) -> LogComplex:
 
 
 def eval_at_integer(v: SeqVector, point: int) -> LogComplex:
-    """``f(point)`` for an hc vector: first coefficient of ``f(z + point)``."""
-    if point == 0:
+    """``f(point)`` for an hc vector: the one-row power sum ``sum_l a_l point**l``.
+
+    One :func:`log_matvec` row with terms ``l * log|point| + lm_l``; a
+    negative point adds the column phase ``pi * (l mod 2)``.
+    """
+    if v.space.kind != "hc":
+        raise WrongSpaceError("evaluation is defined on hc-tagged vectors")
+    if point == 0 or len(v) == 0:
         return eval_functional(v)
-    return eval_functional(translate_by(v, point))
+    idx = np.arange(len(v))
+    terms = idx * math.log(abs(point)) + v.lm
+    col = np.pi * (idx % 2) if point < 0 else None
+    return log_matvec(terms[np.newaxis, :], v.phase, v.space, col_phase=col).coord(1)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +745,8 @@ def vector_from_json(obj: dict) -> SeqVector:
 
     ``[re, im]`` pairs are converted inline with the calls of
     :meth:`LogComplex.from_complex`, so the arrays are bit-identical to
-    building one scalar per coordinate.
+    building one scalar per coordinate.  A NaN part raises
+    :class:`ParameterRangeError`, as a NaN log-polar entry does.
     """
     kind = str(obj["space"]).lower()
     param = obj.get("param")
@@ -749,6 +759,8 @@ def vector_from_json(obj: dict) -> SeqVector:
             ph.append(c.phase)
             continue
         z = complex(float(e[0]), float(e[1]))
+        if z != z:
+            raise ParameterRangeError(f"NaN coordinate {e!r}")
         if z == 0:
             hi.append(LOG_ZERO)
             ph.append(0.0)

@@ -68,6 +68,24 @@ class TestExitCodes:
         rc = main(["orbit", "--operator", "m_l1", "--init", "/nonexistent.json"])
         assert rc == 2
 
+    @pytest.mark.parametrize("nan", [{"log": math.nan, "phase": 0.0}, [math.nan, 0.0]])
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--operator", "n_delta_d"],
+        ["julia", "--bracket", "1.0", "20.0"],
+        ["build", "--target", "delta_d"],
+    ])
+    def test_nan_coordinate_is_input_error(self, argv, nan, tmp_path, capsys):
+        # a NaN coordinate is unusable input, like unparsable JSON: exit 2
+        # and no report
+        vec = {"space": "hc", "param": 1, "coords": [[1.0, 0.0], nan]}
+        path = tmp_path / "v.json"
+        obj = {"vectors": [vec, vec]} if argv[0] == "orbit" else vec
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--init", str(path), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_bracket_is_check_failure(self, tmp_path):
         d = tmp_path / "dir.json"
         write_vector(d, SeqVector.from_complex(L1, [1.0, 1.0, 0, 0, 0, 0]))
@@ -90,6 +108,13 @@ class TestOrbitCommand:
         assert rep["parameters"]["classification"] == "converges_to_zero"
         names = [c["name"] for c in rep["checks"]]
         assert "closed-form-agreement" in names
+
+    def test_one_step_orbit(self, init_file, tmp_path):
+        rc, rep = run(["orbit", "--operator", "m_l1", "--init", init_file,
+                       "--steps", "1"], tmp_path)
+        assert rc == 0 and rep["parameters"]["states"] == 1
+        agree = [c for c in rep["checks"] if c["name"] == "closed-form-agreement"]
+        assert len(agree) == 1 and agree[0]["status"] == "pass"
 
     def test_zero_init_trace(self, tmp_path):
         init = tmp_path / "zero.json"

@@ -1,6 +1,7 @@
 """Orbit engines, weight ledgers, the tree orbit, and asymptotic classification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from hyperorbit import dynamics
 from hyperorbit.arith import LOG_ZERO, FibCache, LogComplex
 from hyperorbit.dynamics import (
     OPERATORS,
+    MultilinearSpec,
     OrbitClass,
     _quant_distance,
     _quantize,
     apply,
     b_translate,
     classify_orbit,
+    closed_form_agreement,
     closed_form_state,
     collapse_constant,
     gk_tree,
@@ -191,6 +194,16 @@ class TestLedger:
         with pytest.raises(UnsupportedFormError):
             ledger(m_symmetric(), (x, y), 5)
 
+    def test_no_ledger_for_three_linear_shift_on_first_slot(self):
+        spec = MultilinearSpec(
+            name="first_slot_cn", arity=3, functional_slots=(2, 3), shift_slot=1,
+            linear="shift", space=SpaceTag.cn(4), weights=WeightSeq.ones())
+        assert not spec.chain and not spec.has_closed_form
+        rng = np.random.default_rng(5)
+        init = tuple(rand_vec(rng, SpaceTag.cn(4), 12) for _ in range(3))
+        with pytest.raises(UnsupportedFormError):
+            ledger(spec, init, 5)
+
     def test_product_chain_recursion_form(self):
         # the m-term recursion: c_{m+j+1} = c_{j+1} ... c_{j+m}
         #                                   * [x0]_{j+2} ... [x0]_{j+m}
@@ -253,6 +266,19 @@ class TestClosedFormAgreement:
         for n in range(1, 41):
             assert np.all(orbit.states[n - 1].phase == 0.0)
             assert closed_form_state(spec, init, led, n).phase.max() == 0.0
+
+    @pytest.mark.parametrize("window", [40, 140])
+    def test_translate_on_first_slot_has_derived_closed_form(self, window):
+        # (f, g) -> g(0) f(z + 1): not registered, but its shape (arity 2,
+        # translate on the oldest slot) gives an alternating closed form
+        spec = replace(b_translate(), name="translate_first",
+                       functional_slots=(2,), shift_slot=1)
+        assert not spec.chain and spec.has_closed_form
+        rng = np.random.default_rng(11)
+        init = (rand_vec(rng, HC, window), rand_vec(rng, HC, window))
+        orbit = iterate_bc(spec, init, 30)
+        assert len(orbit.states) == 30
+        assert closed_form_agreement(orbit) <= 1e-9
 
     def test_unsupported_for_symmetrized(self):
         rng = np.random.default_rng(10)
@@ -617,6 +643,25 @@ class TestWeightCollapse:
 
 
 class TestRegistry:
+    # operator -> (chain, has_closed_form): the shape alone decides both
+    SHAPES = {
+        "mc_CN": (True, True),
+        "m_l1": (False, True),
+        "n_transpose": (False, True),
+        "m_fg_prime": (True, True),
+        "n_delta_d": (False, True),
+        "b_translate": (True, True),
+        "m_symmetric": (False, False),
+    }
+
+    def test_shape_decides_closed_form(self):
+        assert sorted(self.SHAPES) == sorted(OPERATORS)
+        for name, want in self.SHAPES.items():
+            spec = make_operator(name)
+            assert (spec.chain, spec.has_closed_form) == want, name
+        spec = mc_CN(4)
+        assert spec.chain and spec.has_closed_form
+
     def test_all_registered(self):
         assert sorted(OPERATORS) == sorted(
             ["mc_CN", "m_l1", "n_transpose", "m_fg_prime", "n_delta_d",

@@ -246,6 +246,18 @@ class TestTranslate:
         f = cvec([1, 2, 0, 1], SpaceTag.hc(1))
         assert eval_at_integer(f, 3).to_complex() == pytest.approx(34.0)
 
+    @pytest.mark.parametrize("point", [-1, -2, -7])
+    def test_eval_at_negative_integer(self, point):
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=9) + 1j * rng.normal(size=9)
+        f = cvec(a, SpaceTag.hc(1))
+        got = eval_at_integer(f, point).to_complex()
+        scale = float(np.sum(np.abs(a) * abs(point) ** np.arange(9)))
+        dense = complex(np.polyval(a[::-1], point))
+        via_translate = translate_by(f, point).coord(1).to_complex()
+        assert abs(got - dense) <= 1e-14 * scale
+        assert abs(got - via_translate) <= 1e-14 * scale
+
     def test_negative_translation_inverts(self):
         rng = np.random.default_rng(14)
         f = cvec(rng.normal(size=9), SpaceTag.hc(1))
@@ -430,6 +442,12 @@ class TestJsonFormat:
 
     def test_reader_rejects_nan_log(self):
         obj = {"space": "l1", "coords": [[1.0, 0.0], {"log": float("nan"), "phase": 0.0}]}
+        with pytest.raises(ParameterRangeError):
+            vector_from_json(obj)
+
+    @pytest.mark.parametrize("pair", [[math.nan, 0.0], [0.0, math.nan]])
+    def test_reader_rejects_nan_pair(self, pair):
+        obj = {"space": "l1", "coords": [[1.0, 0.0], pair]}
         with pytest.raises(ParameterRangeError):
             vector_from_json(obj)
 
