@@ -153,7 +153,13 @@ def cmd_orbit(args) -> RunReport:
     if args.operator not in OPERATORS:
         raise InputError(f"unknown operator {args.operator!r}; "
                          f"registered: {sorted(OPERATORS)}")
-    spec = make_operator(args.operator, arity=len(vectors))
+    try:
+        spec = make_operator(args.operator, arity=len(vectors))
+    except ParameterRangeError as exc:
+        raise InputError(f"{len(vectors)} init vectors for {args.operator}: {exc}") from exc
+    if len(vectors) != spec.arity:
+        raise InputError(f"{spec.name} takes {spec.arity} init vectors, "
+                         f"got {len(vectors)}")
     try:
         init = tuple(vector_from_json(v) for v in vectors)
     except _VECTOR_ERRORS as exc:

@@ -101,12 +101,24 @@ class MultilinearSpec:
             return derivative(v)
         return translate(v)
 
-    def linear_pow(self, v: SeqVector, k: int) -> SeqVector:
+    def linear_pow(self, v: SeqVector, k) -> SeqVector:
+        """``L**k v``; a 1-D array of powers gives a block, one row per power.
+
+        The shift and the derivative take the whole array in one call; a
+        translation is one :func:`translate_by` per power, all rows as wide
+        as ``v``.
+        """
         if self.linear == "shift":
             return shift_pow(v, self.weights, k)
         if self.linear == "derivative":
             return derivative_pow(v, k)
-        return translate_by(v, k)
+        if np.ndim(k) == 0:
+            return translate_by(v, k)
+        hi, lo, ph = (np.empty((len(k), len(v))) for _ in range(3))
+        for r, j in enumerate(k):
+            t = translate_by(v, int(j))
+            hi[r], lo[r], ph[r] = t.hi, t.lo, t.phase
+        return SeqVector(v.space, hi, lo, ph)
 
 
 def mc_CN(m: int = 2, k: int = 4) -> MultilinearSpec:
@@ -408,53 +420,85 @@ def ledger(spec: MultilinearSpec, init, N: int) -> WeightLedger:
     return WeightLedger(spec, c_vals, d_vals, merge, zero_from)
 
 
-def closed_form_state(spec: MultilinearSpec, init, ledg: WeightLedger,
-                      n: int) -> SeqVector:
-    """State n straight from the closed form (shift power times c_n d_n).
+def _scale_rows(hi, lo, ph, s_log, s_ph):
+    """Row r of a block times scalar r: a batched :meth:`SeqVector.scale`.
 
-    Families with the shift on the newest slot are a single power chain on the
-    last initial vector; families with the shift on the oldest slot alternate
-    between the two initial vectors (even steps read the second, odd the
-    first).
+    A zero scalar gives a canonical zero row, as ``scale`` does.
+    """
+    zero = s_log == LOG_ZERO
+    hi, lo, ph = _scale_arrays(hi, lo, ph, np.where(zero, 0.0, s_log)[:, np.newaxis],
+                               s_ph[:, np.newaxis])
+    hi[zero], lo[zero], ph[zero] = LOG_ZERO, 0.0, 0.0
+    return hi, lo, ph
+
+
+def closed_form_state(spec: MultilinearSpec, init, ledg: WeightLedger,
+                      n) -> SeqVector:
+    """State n straight from the closed form (linear power times c_n d_n).
+
+    Families with the linear part on the newest slot are a single power
+    chain on the last initial vector; the others alternate between the two
+    initial vectors (even steps read the second, odd the first).
+
+    ``n`` is one step or a 1-D array of steps.  One step gives the state at
+    its true length.  An array gives a block, one row per step, padded with
+    canonical zeros (see :class:`SeqVector`): each initial vector's powers
+    come from one :meth:`MultilinearSpec.linear_pow` call, and the rows are
+    scaled by the ``c_n d_n`` column at once.  The bits of each row are
+    those of ``linear_pow(v, k).scale(ledg.cd(n))`` step by step.
     """
     if not spec.has_closed_form:
         raise UnsupportedFormError(f"{spec.name} has no derived closed form")
-    if n > len(ledg):
+    ks = np.atleast_1d(np.asarray(n, dtype=int))
+    if ks.size and ks.max() > len(ledg):
         raise ParameterRangeError(f"ledger covers only {len(ledg)} steps")
     init = tuple(init)
-    cd = ledg.cd(n)
     if spec.chain:
-        base = spec.linear_pow(init[-1], n)
+        sources = [(init[-1], ks, np.arange(ks.size))]
     else:
-        if n % 2 == 0:
-            base = spec.linear_pow(init[1], n // 2)
-        else:
-            base = spec.linear_pow(init[0], (n + 1) // 2)
-    return base.scale(cd)
+        odd = ks % 2 == 1
+        sources = [(init[0], (ks[odd] + 1) // 2, np.flatnonzero(odd)),
+                   (init[1], ks[~odd] // 2, np.flatnonzero(~odd))]
+    blocks = [(spec.linear_pow(v, powers), rows)
+              for v, powers, rows in sources if rows.size]
+    width = max((len(b) for b, _ in blocks), default=0)
+    hi = np.full((ks.size, width), LOG_ZERO)
+    lo, ph = np.zeros_like(hi), np.zeros_like(hi)
+    for b, rows in blocks:
+        hi[rows, :len(b)], lo[rows, :len(b)], ph[rows, :len(b)] = b.hi, b.lo, b.phase
+    cd = [ledg.cd(int(k)) for k in ks]
+    hi, lo, ph = _scale_rows(hi, lo, ph, np.array([c.log_mag for c in cd]),
+                             np.array([c.phase for c in cd]))
+    if np.ndim(n) == 0:
+        hi, lo, ph = hi[0], lo[0], ph[0]
+    space = blocks[0][0].space if blocks else init[-1].space
+    return SeqVector(space, hi, lo, ph)
 
 
 def closed_form_agreement(orbit: OrbitBC, closed_form=None) -> float:
     """Worst relative log-magnitude gap between direct states and closed forms.
 
-    For each state n, the largest ``|cf - direct| / max(1, |direct|)`` over
-    the direct state's live coordinates, with ``cf`` recomputed independently
+    The largest ``|cf - direct| / max(1, |direct|)`` over the live
+    coordinates of every direct state, with ``cf`` recomputed independently
     by ``closed_form`` (default :func:`closed_form_state`, same signature;
-    a negative control passes a perturbed one); 0.0 when no state has a live
-    coordinate.
+    a negative control passes a perturbed one) in one call for the steps
+    ``1..N``.  The direct states are padded as wide as that block and
+    reduced with one masked ``np.max``, so a NaN anywhere in the compared
+    coordinates gives NaN, which fails any bound.  0.0 when no state has a
+    live coordinate.
     """
     closed_form = closed_form or closed_form_state
-    spec, init = orbit.spec, orbit.initial
+    spec, init, states = orbit.spec, orbit.initial, orbit.states
     # ledger entries do not depend on its length, which must be at least 2
-    led = ledger(spec, init, max(2, len(orbit.states)))
-    worst = 0.0
-    for n, d in enumerate(orbit.states, start=1):
-        cf = closed_form(spec, init, led, n)
-        live = ~np.isneginf(d.lm)
-        if live.any():
-            rel = np.max(np.abs(cf.lm[live] - d.lm[live])
-                         / np.maximum(1.0, np.abs(d.lm[live])))
-            worst = max(worst, float(rel))
-    return worst
+    led = ledger(spec, init, max(2, len(states)))
+    cf = closed_form(spec, init, led, np.arange(1, len(states) + 1)).lm
+    direct = np.full(cf.shape, LOG_ZERO)
+    for r, d in enumerate(states):
+        direct[r, :len(d)] = d.lm
+    live = direct != LOG_ZERO
+    d = direct[live]
+    rel = np.abs(cf[live] - d) / np.maximum(1.0, np.abs(d))
+    return float(np.max(rel, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -558,16 +602,8 @@ _TREE_BLOCK = 1 << 12
 
 
 def _outer(parts, s_log, s_ph, img, sc):
-    """Rows ``scalar[sc[r]] * image[img[r]]``: a batched :meth:`SeqVector.scale`.
-
-    A zero scalar gives a canonical zero row, as ``scale`` does.
-    """
-    zero = np.isneginf(s_log[sc])
-    hi, lo, ph = _scale_arrays(*(a[img] for a in parts),
-                               np.where(zero, 0.0, s_log[sc])[:, np.newaxis],
-                               s_ph[sc][:, np.newaxis])
-    hi[zero], lo[zero], ph[zero] = LOG_ZERO, 0.0, 0.0
-    return hi, lo, ph
+    """Rows ``scalar[sc[r]] * image[img[r]]``: a batched :meth:`SeqVector.scale`."""
+    return _scale_rows(*(a[img] for a in parts), s_log[sc], s_ph[sc])
 
 
 def _candidates(spec: MultilinearSpec, parts, lens, s_log, s_ph, rows, L):

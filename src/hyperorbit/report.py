@@ -40,6 +40,8 @@ class Check:
         def _num(x):
             if x is None:
                 return None
+            if math.isnan(x):
+                return "nan"  # strict JSON has no NaN, as it has no infinity
             if math.isinf(x):
                 return "-inf" if x < 0 else "inf"
             return x

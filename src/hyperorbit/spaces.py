@@ -243,7 +243,13 @@ class WeightSeq:
 
 
 class SeqVector:
-    """Truncated vector with log-polar coordinates (1-indexed externally)."""
+    """Truncated vector with log-polar coordinates (1-indexed externally).
+
+    A block of vectors of one space shares the class: ``hi``/``lo``/``phase``
+    are ``(K, W)`` arrays, one vector per row, shorter rows padded with
+    canonical zeros, and ``len()`` is the width W.  Blocks promise only the
+    elementwise members (:attr:`lm`, :meth:`scale`).
+    """
 
     __slots__ = ("space", "hi", "lo", "phase")
 
@@ -262,7 +268,8 @@ class SeqVector:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zeros(space: SpaceTag, n: int) -> "SeqVector":
+    def zeros(space: SpaceTag, n) -> "SeqVector":
+        """Canonical zeros: ``n`` coordinates, or a block of shape ``n``."""
         return SeqVector(space, np.full(n, LOG_ZERO), np.zeros(n), np.zeros(n))
 
     @staticmethod
@@ -290,7 +297,7 @@ class SeqVector:
     # -- basic access ------------------------------------------------------
 
     def __len__(self) -> int:
-        return self.hi.size
+        return self.hi.shape[-1]
 
     @property
     def is_exhausted(self) -> bool:
@@ -327,7 +334,7 @@ class SeqVector:
 
     def scale(self, s: LogComplex) -> "SeqVector":
         if s.is_zero:
-            return SeqVector.zeros(self.space, len(self))
+            return SeqVector.zeros(self.space, self.hi.shape)
         return SeqVector(self.space, *_scale_arrays(
             self.hi, self.lo, self.phase, s.log_mag, s.phase))
 
@@ -451,22 +458,43 @@ def forward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:
     )
 
 
-def shift_pow(v: SeqVector, w: WeightSeq, k: int) -> SeqVector:
+def shift_pow(v: SeqVector, w: WeightSeq, k) -> SeqVector:
     """``B_w**k`` in one pass via cumulative log-weight sums.
 
     Coordinate i of the result is ``(w_i ... w_{i+k-1}) * v_{i+k}``.  Uses the
     same cumulative sums as :func:`forward_pow`, so the k-fold round trip is
     exact as well.
+
+    ``k`` may also be a 1-D array of powers.  The result is then a block:
+    row r is ``B_w**k[r] v``, padded with canonical zeros to the widest row,
+    ``len(v) - min(k)`` coordinates; one gather of the prefix sums serves all
+    rows.  An int power is the one-row case at its true length (read through
+    slices, not a gather), and power 0 returns ``v`` bit for bit either way.
     """
-    if k == 0:
-        return v
     n = len(v)
-    if k >= n:
-        return SeqVector.zeros(v.space, 0)
-    cum = w.cum(n - 1)
-    delta = cum[k: n] - cum[0: n - k]
-    hi, lo = _dd_add(v.hi[k:], v.lo[k:], delta)
-    ph = np.where(hi == LOG_ZERO, 0.0, v.phase[k:])
+    if np.ndim(k) == 0:
+        if k == 0:
+            return v
+        if k >= n:
+            return SeqVector.zeros(v.space, 0)
+        cum = w.cum(n - 1)
+        delta = cum[k: n] - cum[0: n - k]
+        hi, lo, ph = v.hi[k:], v.lo[k:], v.phase[k:]
+    else:
+        ks = np.asarray(k)
+        width = max(n - int(ks.min(initial=n)), 0)
+        src = ks[:, np.newaxis] + np.arange(width)
+        live = src < n
+        src = np.where(live, src, 0)  # padding reads coordinate 1, then masks it
+        cum = w.cum(max(n - 1, 0))
+        delta = cum[src] - cum[:width]
+        hi = np.where(live, v.hi[src], LOG_ZERO)
+        lo, ph = v.lo[src], v.phase[src]
+    hi, lo = _dd_add(hi, lo, delta)
+    ph = np.where(hi == LOG_ZERO, 0.0, ph)
+    if np.ndim(k) and 0 in ks:
+        same = ks == 0  # then the block is exactly len(v) wide
+        hi[same], lo[same], ph[same] = v.hi, v.lo, v.phase
     return SeqVector(v.space, hi, lo, ph)
 
 
@@ -497,7 +525,8 @@ def derivative(v: SeqVector) -> SeqVector:
     return backward_shift(v, _LINEAR)
 
 
-def derivative_pow(v: SeqVector, k: int) -> SeqVector:
+def derivative_pow(v: SeqVector, k) -> SeqVector:
+    """The k-th derivative; an array of powers gives a block, as in :func:`shift_pow`."""
     if v.space.kind != "hc":
         raise WrongSpaceError("derivative is defined on hc-tagged vectors")
     return shift_pow(v, _LINEAR, k)
@@ -726,10 +755,7 @@ def vector_to_json(v: SeqVector) -> dict:
 
 
 def _coord_from_json(entry: dict) -> LogComplex:
-    """A coordinate object: ``{"log", "phase"}`` or a fraction ``{"num", "den"}``."""
-    if "log" in entry:
-        return LogComplex.from_polar(float(entry["log"]),
-                                     float(entry.get("phase", 0.0)))
+    """A fraction coordinate object ``{"num", "den"}``."""
     if "num" in entry:
         q = Fraction(int(entry["num"]), int(entry["den"]))
         if q == 0:
@@ -743,10 +769,11 @@ def _coord_from_json(entry: dict) -> LogComplex:
 def vector_from_json(obj: dict) -> SeqVector:
     """Parse the interchange format; the inverse of :func:`vector_to_json`.
 
-    ``[re, im]`` pairs are converted inline with the calls of
-    :meth:`LogComplex.from_complex`, so the arrays are bit-identical to
-    building one scalar per coordinate.  A NaN part raises
-    :class:`ParameterRangeError`, as a NaN log-polar entry does.
+    ``[re, im]`` pairs and ``{"log", "phase"}`` objects are converted inline
+    with the calls of :meth:`LogComplex.from_complex` and
+    :meth:`LogComplex.from_polar`, so the arrays are bit-identical to
+    building one scalar per coordinate.  A NaN part of either raises
+    :class:`ParameterRangeError`.
     """
     kind = str(obj["space"]).lower()
     param = obj.get("param")
@@ -754,6 +781,13 @@ def vector_from_json(obj: dict) -> SeqVector:
     hi, ph = [], []
     for e in obj["coords"]:
         if isinstance(e, dict):
+            if "log" in e:
+                l, p = float(e["log"]), float(e.get("phase", 0.0))
+                if l != l or p != p:
+                    raise ParameterRangeError(f"NaN coordinate {e!r}")
+                hi.append(l)
+                ph.append(0.0 if l == LOG_ZERO else normalize_phase(p))
+                continue
             c = _coord_from_json(e)
             hi.append(c.log_mag)
             ph.append(c.phase)

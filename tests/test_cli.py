@@ -86,6 +86,22 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operator, space, count", [
+        ("m_l1", "l1", 3), ("m_l1", "l1", 1), ("mc_CN", "cn", 1)])
+    def test_init_count_off_arity_is_input_error(self, operator, space, count,
+                                                 tmp_path, capsys):
+        # the orbit and its ledger would read different initial vectors
+        vec = {"space": space, "coords": [[0.5, 0.1]] * 8}
+        if space == "cn":
+            vec["param"] = 4
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps({"vectors": [vec] * count}))
+        out = tmp_path / "report.json"
+        rc = main(["orbit", "--operator", operator, "--init", str(path),
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_bracket_is_check_failure(self, tmp_path):
         d = tmp_path / "dir.json"
         write_vector(d, SeqVector.from_complex(L1, [1.0, 1.0, 0, 0, 0, 0]))
@@ -330,6 +346,20 @@ class TestReportLayout:
         for line, check in zip(body, rep.to_json()["checks"]):
             assert line.startswith("    {")
             assert json.loads(line.strip().rstrip(",")) == check
+
+    def test_nan_measurement_fails_and_stays_strict_json(self, tmp_path):
+        rep = _report_with_checks([check_leq("nan", math.nan, 1e-9, "p"),
+                                   check_leq("inf", -math.inf, 1e-9, "p")])
+        assert [c.status for c in rep.checks] == ["fail", "pass"] and not rep.ok
+        rep.write(tmp_path / "r.json")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        got = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject)
+        nan, inf = got["checks"]
+        assert nan["measured"] == nan["margin"] == "nan"
+        assert inf["measured"] == inf["margin"] == "-inf"
 
     def test_empty_checks_keep_the_indented_layout(self, tmp_path, capsys):
         rep = _report_with_checks([])

@@ -37,6 +37,7 @@ from hyperorbit.errors import (
     UnsupportedFormError,
     WrongSpaceError,
 )
+from hyperorbit.report import check_leq
 from hyperorbit.spaces import SeqVector, SpaceTag, WeightSeq, norm
 
 L1 = SpaceTag.l1()
@@ -286,6 +287,115 @@ class TestClosedFormAgreement:
         led = ledger(m_l1(), init, 5)
         with pytest.raises(UnsupportedFormError):
             closed_form_state(m_symmetric(), init, led, 3)
+
+
+def _ref_closed_form(spec, init, led, n):
+    """Per-step reference: one linear power of one initial vector, then one scale."""
+    if spec.chain:
+        base = spec.linear_pow(init[-1], n)
+    elif n % 2 == 0:
+        base = spec.linear_pow(init[1], n // 2)
+    else:
+        base = spec.linear_pow(init[0], (n + 1) // 2)
+    return base.scale(led.cd(n))
+
+
+def _translate_first():
+    return replace(b_translate(), name="translate_first",
+                   functional_slots=(2,), shift_slot=1)
+
+
+BLOCK_FAMILIES = {
+    "m_l1": (m_l1, L1),
+    "n_transpose": (n_transpose, SpaceTag.c0()),
+    "m_fg_prime": (m_fg_prime, HC),
+    "n_delta_d": (n_delta_d, HC),
+    "b_translate": (b_translate, HC),
+    "translate_first": (_translate_first, HC),
+    "mc_CN3": (lambda: mc_CN(3), SpaceTag.cn(4)),
+}
+
+
+def _assert_block_matches_reference(spec, init, steps):
+    """Every row of the block for steps 1..steps, and every one-step call,
+    has the reference's bits; block rows are padded with canonical zeros."""
+    led = ledger(spec, init, steps)
+    ks = np.arange(1, steps + 1)
+    block = closed_form_state(spec, init, led, ks)
+    refs = [_ref_closed_form(spec, init, led, int(n)) for n in ks]
+    width = max(len(r) for r in refs)
+    assert block.hi.shape == block.lo.shape == block.phase.shape == (steps, width)
+    assert len(block) == width
+    pad = (np.full(width, LOG_ZERO), np.zeros(width), np.zeros(width))
+    for r, (n, ref) in enumerate(zip(ks, refs)):
+        one = closed_form_state(spec, init, led, n)
+        assert len(one) == len(ref), (spec.name, n)
+        w = len(ref)
+        for got, single, want, zero in zip((block.hi, block.lo, block.phase),
+                                           (one.hi, one.lo, one.phase),
+                                           (ref.hi, ref.lo, ref.phase), pad):
+            assert got[r, :w].tobytes() == want.tobytes(), (spec.name, n)
+            assert got[r, w:].tobytes() == zero[w:].tobytes(), (spec.name, n)
+            assert single.tobytes() == want.tobytes(), (spec.name, n)
+    return led, block
+
+
+class TestClosedFormBlock:
+    @pytest.mark.parametrize("name", sorted(BLOCK_FAMILIES))
+    @pytest.mark.parametrize("windows, steps", [
+        ((60, 45, 52), 25),   # unequal lengths, powers inside the windows
+        ((14, 9, 11), 30),    # powers at and beyond both windows
+    ])
+    def test_rows_match_per_step_reference(self, name, windows, steps):
+        factory, space = BLOCK_FAMILIES[name]
+        spec = factory()
+        rng = np.random.default_rng(sum(windows) + steps)
+        init = tuple(rand_vec(rng, space, n) for n in windows[:spec.arity])
+        _assert_block_matches_reference(spec, init, steps)
+
+    @pytest.mark.parametrize("name", ["m_l1", "n_delta_d"])
+    @pytest.mark.parametrize("zero_at, zero_from", [((1, 1), 1), ((0, 2), 2)])
+    def test_zero_ledger_gives_canonical_zero_rows(self, name, zero_at, zero_from):
+        # a zero y_1 (or x_2) zeroes c_n, and with it every row, from
+        # zero_from on
+        factory, space = BLOCK_FAMILIES[name]
+        rng = np.random.default_rng(21)
+        vals = [rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-3, 3, n))
+                for n in (30, 24)]
+        vals[zero_at[0]][zero_at[1] - 1] = 0.0
+        init = tuple(cvec(v, space) for v in vals)
+        led, block = _assert_block_matches_reference(factory(), init, 20)
+        assert led.zero_from == zero_from
+        assert np.all(block.hi[zero_from - 1:] == LOG_ZERO)
+        assert not np.any(block.phase[zero_from - 1:])
+        assert all(np.any(row > LOG_ZERO) for row in block.hi[:zero_from - 1])
+
+    def test_perturbed_closed_form_is_caught(self):
+        # negative control: a closed form off by 1e-6 in log magnitude on
+        # every step of the block must fail the 1e-9 bound
+        rng = np.random.default_rng(22)
+        for name, (factory, space) in BLOCK_FAMILIES.items():
+            spec = factory()
+            init = tuple(rand_vec(rng, space, 40) for _ in range(spec.arity))
+            orbit = iterate_bc(spec, init, 12)
+
+            def perturbed(spec, init, led, n):
+                return closed_form_state(spec, init, led, n).scale(LogComplex(1e-6, 0.0))
+
+            assert closed_form_agreement(orbit) <= 1e-9, name
+            assert closed_form_agreement(orbit, perturbed) > 1e-9, name
+
+    def test_nan_state_fails_the_agreement(self):
+        rng = np.random.default_rng(23)
+        init = (rand_vec(rng, L1, 30), rand_vec(rng, L1, 30))
+        orbit = iterate_bc(m_l1(), init, 10)
+        s = orbit.states[4]
+        hi = s.hi.copy()
+        hi[3] = np.nan
+        orbit.states[4] = SeqVector(s.space, hi, s.lo, s.phase)
+        worst = closed_form_agreement(orbit)
+        assert math.isnan(worst)
+        assert not check_leq("closed-form-agreement", worst, 1e-9).ok
 
 
 class TestTreeOrbit:

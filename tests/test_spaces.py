@@ -169,6 +169,25 @@ class TestShifts:
         power = shift_pow(v, w, 4)
         assert np.allclose(single.lm, power.lm, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("powers", [[3, 0, 1, 19, 20, 25, 7], [5, 2], [20, 21], []])
+    def test_array_of_powers_is_a_block_of_int_powers(self, powers):
+        # row r holds the bits of the int power k[r], padded with canonical
+        # zeros; power 0 is v itself and powers >= len(v) are all padding
+        rng = np.random.default_rng(7)
+        hi = rng.uniform(-5, 5, 20)
+        hi[4] = LOG_ZERO
+        v = SeqVector(L1, hi, rng.normal(0, 1e-16, 20), rng.uniform(-3, 3, 20))
+        w = WeightSeq.inv_squares()
+        block = shift_pow(v, w, np.array(powers, dtype=int))
+        width = max([20 - k for k in powers if k < 20], default=0)
+        assert block.hi.shape == (len(powers), width) and len(block) == width
+        for r, k in enumerate(powers):
+            one = shift_pow(v, w, k)
+            for got, want, pad in ((block.hi, one.hi, LOG_ZERO), (block.lo, one.lo, 0.0),
+                                   (block.phase, one.phase, 0.0)):
+                assert got[r, :len(one)].tobytes() == want.tobytes()
+                assert np.all(got[r, len(one):] == pad)
+
 
 class TestCoefficientOperators:
     def test_derivative_of_square(self):
@@ -429,12 +448,24 @@ class TestJsonFormat:
                   {"log": 2.0}, {"log": float("-inf"), "phase": 1.0},
                   {"num": "-3", "den": "4"}, {"num": "0", "den": "5"},
                   {"num": "10000000000000000000001", "den": "3"}]
-        obj = {"space": "HC", "param": 2, "coords": coords}
-        v = vector_from_json(obj)
-        ref = SeqVector.from_logc(SpaceTag.hc(2), [
-            _coord_from_json(e) if isinstance(e, dict)
-            else LogComplex.from_complex(complex(float(e[0]), float(e[1])))
-            for e in coords])
+        # log-polar phases outside (-pi, pi] reduce as normalize_phase does,
+        # and a -inf log (a float or the string "-inf") is canonical zero
+        coords += [{"log": 1.0, "phase": p} for p in (
+            math.pi, -math.pi, math.nextafter(math.pi, 4.0), 3 * math.pi, -3 * math.pi,
+            7.5, -7.5, 1e6, -1e17, 2 * math.pi, -0.0)]
+        coords += [{"log": float("-inf"), "phase": 2.0}, {"log": "-inf", "phase": -9.0},
+                   {"log": "-inf"}, {"log": -1e308, "phase": 4.0},
+                   {"log": "1e3", "phase": "-4"}]
+
+        def scalar(e):
+            if isinstance(e, dict) and "log" in e:
+                return LogComplex.from_polar(float(e["log"]), float(e.get("phase", 0.0)))
+            if isinstance(e, dict):
+                return _coord_from_json(e)
+            return LogComplex.from_complex(complex(float(e[0]), float(e[1])))
+
+        v = vector_from_json({"space": "HC", "param": 2, "coords": coords})
+        ref = SeqVector.from_logc(SpaceTag.hc(2), [scalar(e) for e in coords])
         assert v.space == ref.space
         for a, b in ((v.hi, ref.hi), (v.lo, ref.lo), (v.phase, ref.phase)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -442,6 +473,12 @@ class TestJsonFormat:
 
     def test_reader_rejects_nan_log(self):
         obj = {"space": "l1", "coords": [[1.0, 0.0], {"log": float("nan"), "phase": 0.0}]}
+        with pytest.raises(ParameterRangeError):
+            vector_from_json(obj)
+
+    @pytest.mark.parametrize("log", [1.0, float("-inf")])
+    def test_reader_rejects_nan_phase(self, log):
+        obj = {"space": "l1", "coords": [{"log": log, "phase": float("nan")}]}
         with pytest.raises(ParameterRangeError):
             vector_from_json(obj)
 
