@@ -43,6 +43,21 @@ def normalize_phase(p: float) -> float:
     return q
 
 
+def polar_parts(log_mag: float, phase: float) -> tuple[float, float]:
+    """The canonical ``(log_mag, phase)`` of a log-polar number.
+
+    A ``-inf`` log is the canonical zero with phase 0; any other phase is
+    reduced by :func:`normalize_phase`.  A NaN part raises
+    :class:`ParameterRangeError`.  :meth:`LogComplex.from_polar` wraps it, and
+    the vector reader calls it without building a scalar object.
+    """
+    if math.isnan(log_mag) or math.isnan(phase):
+        raise ParameterRangeError("log magnitude and phase must not be NaN")
+    if log_mag == LOG_ZERO:
+        return LOG_ZERO, 0.0
+    return log_mag, normalize_phase(phase)
+
+
 def phase_times_int(phase: float, n: int) -> float:
     """Reduce ``n * phase`` mod 2*pi into ``(-pi, pi]`` for arbitrarily large ``n``.
 
@@ -97,11 +112,7 @@ class LogComplex:
 
     @staticmethod
     def from_polar(log_mag: float, phase: float) -> "LogComplex":
-        if math.isnan(log_mag) or math.isnan(phase):
-            raise ParameterRangeError("log magnitude and phase must not be NaN")
-        if log_mag == LOG_ZERO:
-            return LogComplex.zero()
-        return LogComplex(log_mag, normalize_phase(phase))
+        return LogComplex(*polar_parts(log_mag, phase))
 
     # -- predicates and conversions ---------------------------------------
 

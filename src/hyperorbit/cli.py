@@ -139,17 +139,6 @@ def cmd_orbit(args) -> RunReport:
     rep = RunReport("orbit", {"operator": args.operator, "init": args.init,
                               "steps": args.steps, "rational": bool(args.rational),
                               "tol": args.tol, "seed": args.seed})
-    if args.rational:
-        if args.operator != "mc_CN":
-            raise InputError("rational iteration is exact only for mc_CN")
-        init = [q_vector_from_json(v) for v in vectors]
-        states = q_iterate(len(init), init, args.steps)
-        rep.parameters["arity"] = len(init)
-        rep.add(check_flag("exact-iteration", True, "orbit-recursion"))
-        if args.trace:
-            _write_trace(args.trace, states, rational=True)
-        return rep.finish()
-
     if args.operator not in OPERATORS:
         raise InputError(f"unknown operator {args.operator!r}; "
                          f"registered: {sorted(OPERATORS)}")
@@ -160,6 +149,17 @@ def cmd_orbit(args) -> RunReport:
     if len(vectors) != spec.arity:
         raise InputError(f"{spec.name} takes {spec.arity} init vectors, "
                          f"got {len(vectors)}")
+    if args.rational:
+        if spec.name != "mc_CN":
+            raise InputError("rational iteration is exact only for mc_CN")
+        init = [q_vector_from_json(v) for v in vectors]
+        states = q_iterate(len(init), init, args.steps)
+        rep.parameters["arity"] = len(init)
+        rep.add(check_flag("exact-iteration", True, "orbit-recursion"))
+        if args.trace:
+            _write_trace(args.trace, states, rational=True)
+        return rep.finish()
+
     try:
         init = tuple(vector_from_json(v) for v in vectors)
     except _VECTOR_ERRORS as exc:

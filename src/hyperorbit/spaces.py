@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, normalize_phase
+from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, normalize_phase, polar_parts
 from .errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 
 TRANSLATE_DEGREE_CAP = 500
@@ -468,33 +468,26 @@ def shift_pow(v: SeqVector, w: WeightSeq, k) -> SeqVector:
     ``k`` may also be a 1-D array of powers.  The result is then a block:
     row r is ``B_w**k[r] v``, padded with canonical zeros to the widest row,
     ``len(v) - min(k)`` coordinates; one gather of the prefix sums serves all
-    rows.  An int power is the one-row case at its true length (read through
-    slices, not a gather), and power 0 returns ``v`` bit for bit either way.
+    rows.  An int power is the one-row case at its true length, and power 0
+    gives ``v`` bit for bit.
     """
     n = len(v)
-    if np.ndim(k) == 0:
-        if k == 0:
-            return v
-        if k >= n:
-            return SeqVector.zeros(v.space, 0)
-        cum = w.cum(n - 1)
-        delta = cum[k: n] - cum[0: n - k]
-        hi, lo, ph = v.hi[k:], v.lo[k:], v.phase[k:]
-    else:
-        ks = np.asarray(k)
-        width = max(n - int(ks.min(initial=n)), 0)
-        src = ks[:, np.newaxis] + np.arange(width)
-        live = src < n
-        src = np.where(live, src, 0)  # padding reads coordinate 1, then masks it
-        cum = w.cum(max(n - 1, 0))
-        delta = cum[src] - cum[:width]
-        hi = np.where(live, v.hi[src], LOG_ZERO)
-        lo, ph = v.lo[src], v.phase[src]
+    ks = np.atleast_1d(k)
+    width = max(n - int(ks.min(initial=n)), 0)
+    src = ks[:, np.newaxis] + np.arange(width)
+    live = src < n
+    src = np.where(live, src, 0)  # padding reads coordinate 1, then masks it
+    cum = w.cum(max(n - 1, 0))
+    delta = cum[src] - cum[:width]
+    hi = np.where(live, v.hi[src], LOG_ZERO)
+    lo, ph = v.lo[src], v.phase[src]
     hi, lo = _dd_add(hi, lo, delta)
     ph = np.where(hi == LOG_ZERO, 0.0, ph)
-    if np.ndim(k) and 0 in ks:
+    if 0 in ks:
         same = ks == 0  # then the block is exactly len(v) wide
         hi[same], lo[same], ph[same] = v.hi, v.lo, v.phase
+    if np.ndim(k) == 0:
+        hi, lo, ph = hi[0], lo[0], ph[0]
     return SeqVector(v.space, hi, lo, ph)
 
 
@@ -769,11 +762,12 @@ def _coord_from_json(entry: dict) -> LogComplex:
 def vector_from_json(obj: dict) -> SeqVector:
     """Parse the interchange format; the inverse of :func:`vector_to_json`.
 
-    ``[re, im]`` pairs and ``{"log", "phase"}`` objects are converted inline
-    with the calls of :meth:`LogComplex.from_complex` and
-    :meth:`LogComplex.from_polar`, so the arrays are bit-identical to
-    building one scalar per coordinate.  A NaN part of either raises
-    :class:`ParameterRangeError`.
+    ``[re, im]`` pairs are converted inline with the calls of
+    :meth:`LogComplex.from_complex`, and ``{"log", "phase"}`` objects through
+    :func:`~hyperorbit.arith.polar_parts`, the rule that
+    :meth:`LogComplex.from_polar` wraps; the arrays are bit-identical to
+    building one scalar per coordinate, without building one.  A NaN part of
+    either raises :class:`ParameterRangeError`.
     """
     kind = str(obj["space"]).lower()
     param = obj.get("param")
@@ -782,11 +776,9 @@ def vector_from_json(obj: dict) -> SeqVector:
     for e in obj["coords"]:
         if isinstance(e, dict):
             if "log" in e:
-                l, p = float(e["log"]), float(e.get("phase", 0.0))
-                if l != l or p != p:
-                    raise ParameterRangeError(f"NaN coordinate {e!r}")
+                l, p = polar_parts(float(e["log"]), float(e.get("phase", 0.0)))
                 hi.append(l)
-                ph.append(0.0 if l == LOG_ZERO else normalize_phase(p))
+                ph.append(p)
                 continue
             c = _coord_from_json(e)
             hi.append(c.log_mag)

@@ -23,6 +23,7 @@ from hyperorbit.arith import (
     logc_root,
     normalize_phase,
     phase_times_int,
+    polar_parts,
 )
 from hyperorbit.errors import ParameterRangeError
 from hyperorbit.spaces import SeqVector, SpaceTag
@@ -212,6 +213,17 @@ class TestLogComplexBasics:
         for lm, ph in ((math.nan, 0.0), (0.0, math.nan), (LOG_ZERO, math.nan)):
             with pytest.raises(ParameterRangeError):
                 LogComplex.from_polar(lm, ph)
+
+    def test_polar_parts_is_the_from_polar_rule(self):
+        # -inf is the canonical zero whatever the phase; other phases reduce
+        assert polar_parts(LOG_ZERO, 2.0) == (LOG_ZERO, 0.0)
+        for ph in (3 * math.pi, -math.pi, 7.5, 1e6):
+            assert polar_parts(1.0, ph) == (1.0, normalize_phase(ph))
+            z = LogComplex.from_polar(1.0, ph)
+            assert (z.log_mag, z.phase) == polar_parts(1.0, ph)
+        for lm, ph in ((math.nan, 0.0), (LOG_ZERO, math.nan)):
+            with pytest.raises(ParameterRangeError):
+                polar_parts(lm, ph)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

@@ -86,19 +86,22 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         assert "input error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("operator, space, count", [
-        ("m_l1", "l1", 3), ("m_l1", "l1", 1), ("mc_CN", "cn", 1)])
+    @pytest.mark.parametrize("operator, space, count, rational", [
+        ("m_l1", "l1", 3, False), ("m_l1", "l1", 1, False),
+        ("mc_CN", "cn", 1, False), ("mc_CN", "cn", 1, True)])
     def test_init_count_off_arity_is_input_error(self, operator, space, count,
-                                                 tmp_path, capsys):
-        # the orbit and its ledger would read different initial vectors
-        vec = {"space": space, "coords": [[0.5, 0.1]] * 8}
+                                                 rational, tmp_path, capsys):
+        # the orbit and its ledger would read different initial vectors; a
+        # one-vector rational mc_CN orbit would be a plain shift
+        coord = {"num": "1", "den": "2"} if rational else [0.5, 0.1]
+        vec = {"space": space, "coords": [coord] * 8}
         if space == "cn":
             vec["param"] = 4
         path = tmp_path / "init.json"
         path.write_text(json.dumps({"vectors": [vec] * count}))
         out = tmp_path / "report.json"
         rc = main(["orbit", "--operator", operator, "--init", str(path),
-                   "--out", str(out)])
+                   "--out", str(out)] + (["--rational"] if rational else []))
         assert rc == 2 and not out.exists()
         assert "input error" in capsys.readouterr().err
 
