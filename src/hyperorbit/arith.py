@@ -58,6 +58,17 @@ def polar_parts(log_mag: float, phase: float) -> tuple[float, float]:
     return log_mag, normalize_phase(phase)
 
 
+def complex_parts(z: complex) -> tuple[float, float]:
+    """The canonical ``(log_mag, phase)`` of a complex number: 0 is the
+    canonical zero, and a NaN part raises :class:`ParameterRangeError`.  The
+    scalar and vector constructors and the vector reader all use it."""
+    if z != z:
+        raise ParameterRangeError(f"complex value {z!r} must not be NaN")
+    if z == 0:
+        return LOG_ZERO, 0.0
+    return math.log(abs(z)), normalize_phase(math.atan2(z.imag, z.real))
+
+
 def phase_times_int(phase: float, n: int) -> float:
     """Reduce ``n * phase`` mod 2*pi into ``(-pi, pi]`` for arbitrarily large ``n``.
 
@@ -97,18 +108,11 @@ class LogComplex:
 
     @staticmethod
     def from_complex(z: complex) -> "LogComplex":
-        z = complex(z)
-        if z == 0:
-            return LogComplex.zero()
-        return LogComplex(math.log(abs(z)), normalize_phase(math.atan2(z.imag, z.real)))
+        return LogComplex(*complex_parts(complex(z)))
 
     @staticmethod
     def from_real(x: float) -> "LogComplex":
-        if x == 0:
-            return LogComplex.zero()
-        if x > 0:
-            return LogComplex(math.log(x), 0.0)
-        return LogComplex(math.log(-x), math.pi)
+        return LogComplex.from_complex(x)  # phase 0 or pi
 
     @staticmethod
     def from_polar(log_mag: float, phase: float) -> "LogComplex":
@@ -286,6 +290,18 @@ def fib(n: int, cache: FibCache | None = None) -> int:
     return cache(n)
 
 
+def even_sum_failure(cache: FibCache, s_max: int) -> int | None:
+    """First ``s <= s_max`` with ``F(2s) != sum_{t<s} F(2t+1)`` in ``cache``, or
+    None: the even-index sum identity, exactly, in one pass."""
+    F = cache.prefix(2 * s_max)
+    acc = 0
+    for s in range(1, s_max + 1):
+        acc += F[2 * s - 1]
+        if F[2 * s] != acc:
+            return s
+    return None
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Outcome of an exhaustive exact identity check."""
@@ -318,15 +334,11 @@ def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityRepor
         cache = FibCache(N)
     cache.ensure(N)
     F = cache.prefix(N)
-    checked = 0
-
-    acc = 0
-    for n in range(1, N // 2 + 1):
-        acc += F[2 * n - 1]
-        checked += 1
-        if F[2 * n] != acc:
-            return IdentityReport(False, checked, ("even-sum", n),
-                                  "F(2n) != sum of odd-index terms")
+    n = even_sum_failure(cache, N // 2)
+    if n is not None:
+        return IdentityReport(False, n, ("even-sum", n),
+                              "F(2n) != sum of odd-index terms")
+    checked = N // 2
 
     H = [list(map(fa.__mul__, F)) for fa in F]
     for m in range(1, N - 1):

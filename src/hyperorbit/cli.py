@@ -65,7 +65,7 @@ class InputError(Exception):
 
 # what reading a malformed vector file or entry raises; each is an input error
 _VECTOR_ERRORS = (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError,
-                  IndexError, ParameterRangeError)
+                  IndexError, OverflowError, ParameterRangeError)
 
 
 def _read_vector_input(path):
@@ -149,10 +149,14 @@ def cmd_orbit(args) -> RunReport:
     if len(vectors) != spec.arity:
         raise InputError(f"{spec.name} takes {spec.arity} init vectors, "
                          f"got {len(vectors)}")
+    if args.rational and spec.name != "mc_CN":
+        raise InputError("rational iteration is exact only for mc_CN")
+    read = q_vector_from_json if args.rational else vector_from_json
+    try:
+        init = tuple(read(v) for v in vectors)
+    except _VECTOR_ERRORS as exc:
+        raise InputError(f"bad vector in init file: {exc}") from exc
     if args.rational:
-        if spec.name != "mc_CN":
-            raise InputError("rational iteration is exact only for mc_CN")
-        init = [q_vector_from_json(v) for v in vectors]
         states = q_iterate(len(init), init, args.steps)
         rep.parameters["arity"] = len(init)
         rep.add(check_flag("exact-iteration", True, "orbit-recursion"))
@@ -160,10 +164,6 @@ def cmd_orbit(args) -> RunReport:
             _write_trace(args.trace, states, rational=True)
         return rep.finish()
 
-    try:
-        init = tuple(vector_from_json(v) for v in vectors)
-    except _VECTOR_ERRORS as exc:
-        raise InputError(f"bad vector in init file: {exc}") from exc
     orbit = iterate_bc(spec, init, args.steps)
     rep.parameters["states"] = len(orbit.states)
     if orbit.exhausted_at is not None:

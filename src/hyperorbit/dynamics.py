@@ -423,12 +423,12 @@ def ledger(spec: MultilinearSpec, init, N: int) -> WeightLedger:
 def _scale_rows(hi, lo, ph, s_log, s_ph):
     """Row r of a block times scalar r: a batched :meth:`SeqVector.scale`.
 
-    A zero scalar gives a canonical zero row, as ``scale`` does.
+    A zero scalar gives a zero row, as ``scale`` does.
     """
     zero = s_log == LOG_ZERO
     hi, lo, ph = _scale_arrays(hi, lo, ph, np.where(zero, 0.0, s_log)[:, np.newaxis],
                                s_ph[:, np.newaxis])
-    hi[zero], lo[zero], ph[zero] = LOG_ZERO, 0.0, 0.0
+    hi[zero] = LOG_ZERO
     return hi, lo, ph
 
 
@@ -588,12 +588,12 @@ class OrbitTreeGK:
     def level_sizes(self) -> list[int]:
         return [len(lv) for lv in self.levels]
 
-    def contains(self, state: SeqVector, level: int, slack: float = 2.0) -> bool:
-        """Hash membership at a level, with a near-miss distance fallback."""
+    def contains(self, state: SeqVector, level: int) -> bool:
+        """Hash membership at a level, with a near-miss fallback: any state
+        within two quanta."""
         if _quantize(state, self.q) in self.hash_sets[level]:
             return True
-        tol = slack * self.q
-        return any(_quant_distance(state, s) <= tol for s in self.levels[level])
+        return any(_quant_distance(state, s) <= 2.0 * self.q for s in self.levels[level])
 
 
 # elements (candidate rows times padded image width) per array of one block
@@ -612,7 +612,8 @@ def _candidates(spec: MultilinearSpec, parts, lens, s_log, s_ph, rows, L):
     ``parts`` are the images' padded ``(L, W)`` hi/lo/phase arrays (canonical
     zero padding) and ``lens`` their true lengths.  Returns the candidates'
     padded hi/lo/phase, true lengths (0 = exhausted) and image indices, the
-    same bits :func:`apply` gives pair by pair.
+    same bits :func:`apply` gives pair by pair (zeros become canonical in
+    the :class:`SeqVector` constructor; the keys ignore them).
     """
     pair = np.divmod(rows, L)
     img, sc = pair[spec.shift_slot - 1], pair[spec.functional_slots[0] - 1]
@@ -623,7 +624,6 @@ def _candidates(spec: MultilinearSpec, parts, lens, s_log, s_ph, rows, L):
         n = np.minimum(n, lens[sc])
         cut = np.arange(hi.shape[1]) >= n[:, np.newaxis]
         hi[cut] = ohi[cut] = LOG_ZERO
-        lo[cut] = olo[cut] = ph[cut] = oph[cut] = 0.0
         hi, lo, ph = _scale_arrays(*_add_arrays(hi, lo, ph, ohi, olo, oph),
                                    HALF.log_mag, HALF.phase)
     return hi, lo, ph, n, img
@@ -676,14 +676,15 @@ def _tree_level(spec: MultilinearSpec, prev: list, images: list, scalars: list,
 
 
 def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
-            q: float = 1e-7, cap: int = 10**6,
-            check_containment: bool = True) -> OrbitTreeGK:
+            q: float = 1e-7, cap: int = 10**6) -> OrbitTreeGK:
     """Build tree-orbit levels 0..depth: each level adds all pairwise images.
 
     Level 0 is {x, y}.  States are deduplicated by quantizing log magnitude
     and phase to ``q`` (exact zero hashes canonically); floating states never
     repeat bit-exactly, so dedup without quantization would be vacuous.  A
-    level exceeding ``cap`` aborts with the partial result recorded.
+    level exceeding ``cap`` aborts with the partial result recorded.  A tree
+    that does not abort records whether each level contains the state of the
+    direct orbit at that step.
 
     A level is one array pass: each state's linear image and functional
     scalar are computed once, the images of all ordered pairs ``(z, w)``
@@ -727,7 +728,7 @@ def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
             tree.aborted_at_level = lvl
             break
 
-    if check_containment and tree.aborted_at_level is None:
+    if tree.aborted_at_level is None:
         orbit = iterate_bc(spec, (x, y), depth) if depth >= 1 else None
         flags = []
         for n in range(1, depth + 1):
@@ -751,19 +752,20 @@ class OrbitClass(Enum):
     UNDECIDED = "undecided"
 
 
-def classify_orbit(orbit: OrbitBC, horizon: int | None = None,
-                   tol: float = 1e-12, consecutive: int = 10) -> OrbitClass:
+CONVERGENCE_RUN = 10  # non-increasing norms below tol in a row that mean convergence
+
+
+def classify_orbit(orbit: OrbitBC, tol: float = 1e-12) -> OrbitClass:
     """Classify an orbit from its norm sequence.
 
-    Convergence requires the last stretch of at least ``consecutive`` norms to
-    sit below ``tol`` and be monotone non-increasing through the end of the
-    horizon (a transient dip is not convergence).  Any norm above ``1/tol``
-    classifies as escaping.
+    Convergence requires the last stretch of at least ``CONVERGENCE_RUN``
+    norms to sit below ``tol`` and be monotone non-increasing through the
+    last state (a transient dip is not convergence).  Any norm above
+    ``1/tol`` classifies as escaping.
     """
-    states = orbit.states if horizon is None else orbit.states[:horizon]
-    if not states:
+    norms = [norm(s) for s in orbit.states]
+    if not norms:
         return OrbitClass.UNDECIDED
-    norms = [norm(s) for s in states]
     log_tol = math.log(tol)
 
     if any(v > -log_tol for v in norms):
@@ -775,7 +777,7 @@ def classify_orbit(orbit: OrbitBC, horizon: int | None = None,
             run += 1
         else:
             run = 0
-    if run >= consecutive:
+    if run >= CONVERGENCE_RUN:
         return OrbitClass.CONVERGES_TO_ZERO
 
     init_sup = max(norm(s) for s in orbit.initial)
@@ -822,16 +824,14 @@ def collapse_constant(N: int) -> tuple[float, float]:
 
 
 def verify_weight_collapse(f0, g: SeqVector, N: int) -> CollapseReport:
-    """Check ``|c_n| <= 1 / (k * 2**(2**(n/2)))`` for n <= N by direct recursion.
+    """Check ``|c_n| <= 1 / (k * 2**(2**(n/2)))`` for n <= N on the ledger of
+    :func:`m_fg_prime`, ``c_n = c_{n-1} c_{n-2} g^(n-2)(0)`` from ``c_1 = f(0)``.
 
     Preconditions (reported as a hypothesis violation, not a bound failure):
     all monomial coefficients of g have modulus at most 1 (so the n-th
     derivative at 0 is at most n!), and ``|f(0)| < delta = 1/(4k)``.
     """
-    if isinstance(f0, LogComplex):
-        f0c = f0
-    else:
-        f0c = LogComplex.from_real(abs(float(f0)))
+    f0c = f0 if isinstance(f0, LogComplex) else LogComplex.from_real(abs(float(f0)))
     k_log, delta_log = collapse_constant(N)
 
     lm = g.lm
@@ -843,13 +843,9 @@ def verify_weight_collapse(f0, g: SeqVector, N: int) -> CollapseReport:
         return CollapseReport(False, k_log, delta_log, [],
                               detail="hypothesis-violation: |f(0)| >= delta")
 
-    c_prev2 = f0c                                  # c_1 = f(0)
-    c_prev1 = f0c.mul(derivative_at_zero(g, 0))    # c_2 = f(0) g(0)
-    cs = [c_prev2, c_prev1]
-    for n in range(2, N):
-        nxt = c_prev1.mul(c_prev2).mul(derivative_at_zero(g, n - 1))
-        cs.append(nxt)
-        c_prev2, c_prev1 = c_prev1, nxt
+    # c_n of the orbit of (f, g) under (f, g) -> f(0) g', with f = f(0)
+    f = SeqVector(g.space, [f0c.log_mag], [0.0], [f0c.phase])
+    cs = ledger(m_fg_prime(), (f, g), max(2, N)).c_vals
     margins = []
     first_violation = None
     for n in range(1, N + 1):

@@ -8,9 +8,11 @@ part) and iterates the orbit with no rounding at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import LOG_ZERO, complex_parts
 from .errors import ParameterRangeError
 
 
@@ -28,6 +30,16 @@ class QComplex:
     @property
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
+
+    def polar_parts(self) -> tuple[float, float]:
+        """The canonical ``(log_mag, phase)``, for parts of any size: the larger
+        part's modulus ``s`` is factored out exactly (``log num - log den`` on
+        big integers), leaving parts in ``[-1, 1]`` that read as doubles."""
+        s = max(abs(self.re), abs(self.im))
+        if s == 0:
+            return LOG_ZERO, 0.0
+        log_unit, phase = complex_parts(complex(self.re / s, self.im / s))
+        return math.log(s.numerator) - math.log(s.denominator) + log_unit, phase
 
     def __add__(self, other: "QComplex") -> "QComplex":
         return QComplex(self.re + other.re, self.im + other.im)
@@ -122,13 +134,21 @@ def q_coord_to_json(c: QComplex):
             "imnum": str(c.im.numerator), "imden": str(c.im.denominator)}
 
 
+def _fraction(num, den) -> Fraction:
+    try:
+        return Fraction(int(num), int(den))
+    except ZeroDivisionError:
+        raise ParameterRangeError(f"zero denominator in {num!r}/{den!r}") from None
+
+
 def q_coord_from_json(entry) -> QComplex:
+    """The one reader of fraction coordinates ``{"num", "den"[, "imnum",
+    "imden"]}``; ``[re, im]`` pairs read as nearby fractions."""
     if isinstance(entry, dict) and "num" in entry:
-        re = Fraction(int(entry["num"]), int(entry["den"]))
         im = Fraction(0)
         if "imnum" in entry:
-            im = Fraction(int(entry["imnum"]), int(entry.get("imden", 1)))
-        return QComplex(re, im)
+            im = _fraction(entry["imnum"], entry.get("imden", 1))
+        return QComplex(_fraction(entry["num"], entry["den"]), im)
     if isinstance(entry, (list, tuple)):
         return QComplex(Fraction(entry[0]).limit_denominator(10**15),
                         Fraction(entry[1]).limit_denominator(10**15))

@@ -24,12 +24,12 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, normalize_phase, polar_parts
+from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, complex_parts, polar_parts
 from .errors import DegreeCapError, ParameterRangeError, WrongSpaceError
+from .rational import q_coord_from_json
 
 TRANSLATE_DEGREE_CAP = 500
 
@@ -107,21 +107,13 @@ def _norm_phases(p):
     return np.where(inside, p, q)  # already-normalized phases pass through bitwise
 
 
-def _lm(hi, lo):
-    """Collapsed log magnitudes ``hi + lo``; exact zeros (``hi = -inf``) stay -inf."""
-    with np.errstate(invalid="ignore"):
-        out = hi + lo
-    return np.where(hi == LOG_ZERO, LOG_ZERO, out)
-
-
 def _scale_arrays(hi, lo, phase, log_mag, ph):
     """Array body of :meth:`SeqVector.scale` by a nonzero scalar.
 
     Broadcasts, so one call scales a block of rows by a column of scalars.
     """
     hi, lo = _dd_add(hi, lo, log_mag)
-    p = _norm_phases(phase + ph)
-    return hi, lo, np.where(hi == LOG_ZERO, 0.0, p)
+    return hi, lo, _norm_phases(phase + ph)
 
 
 def _add_arrays(ahi, alo, aph, bhi, blo, bph):
@@ -129,7 +121,7 @@ def _add_arrays(ahi, alo, aph, bhi, blo, bph):
 
     Elementwise, so it adds blocks of rows as well as single vectors.
     """
-    la, lb = _lm(ahi, alo), _lm(bhi, blo)
+    la, lb = ahi + alo, bhi + blo
     za, zb = la == LOG_ZERO, lb == LOG_ZERO
     a_big = la >= lb
     base_hi = np.where(a_big, ahi, bhi)
@@ -146,9 +138,7 @@ def _add_arrays(ahi, alo, aph, bhi, blo, bph):
         step = np.where(cancel, LOG_ZERO, np.log(np.maximum(smag, 1e-300)))
     hi, lo = _dd_add(base_hi, base_lo, step)
     hi = np.where(cancel, LOG_ZERO, hi)
-    lo = np.where(cancel, 0.0, lo)
     ph = _norm_phases(base_ph + np.angle(s))
-    ph = np.where(hi == LOG_ZERO, 0.0, ph)
     return (np.where(za, bhi, np.where(zb, ahi, hi)),
             np.where(za, blo, np.where(zb, alo, lo)),
             np.where(za, bph, np.where(zb, aph, ph)))
@@ -280,19 +270,20 @@ class SeqVector:
         return SeqVector(space, hi, np.zeros(n), np.zeros(n))
 
     @staticmethod
+    def from_parts(space: SpaceTag, parts) -> "SeqVector":
+        """From canonical ``(log_mag, phase)`` pairs, one per coordinate."""
+        parts = list(parts)
+        hi = np.array([l for l, _ in parts], dtype=float)
+        ph = np.array([p for _, p in parts], dtype=float)
+        return SeqVector(space, hi, np.zeros(len(parts)), ph)
+
+    @staticmethod
     def from_complex(space: SpaceTag, values) -> "SeqVector":
-        vals = [complex(v) for v in values]
-        hi = np.array([LOG_ZERO if v == 0 else math.log(abs(v)) for v in vals])
-        ph = np.array([0.0 if v == 0 else normalize_phase(math.atan2(v.imag, v.real))
-                       for v in vals])
-        return SeqVector(space, hi, np.zeros(len(vals)), ph)
+        return SeqVector.from_parts(space, (complex_parts(complex(v)) for v in values))
 
     @staticmethod
     def from_logc(space: SpaceTag, coords) -> "SeqVector":
-        coords = list(coords)
-        hi = np.array([c.log_mag for c in coords])
-        ph = np.array([c.phase for c in coords])
-        return SeqVector(space, hi, np.zeros(len(coords)), ph)
+        return SeqVector.from_parts(space, ((c.log_mag, c.phase) for c in coords))
 
     # -- basic access ------------------------------------------------------
 
@@ -307,14 +298,12 @@ class SeqVector:
     @property
     def lm(self) -> np.ndarray:
         """Collapsed log magnitudes (hi + lo) as plain doubles."""
-        return _lm(self.hi, self.lo)
+        return self.hi + self.lo
 
     def coord(self, i: int) -> LogComplex:
         """Coordinate ``i`` (1-indexed) as a scalar."""
         if not 1 <= i <= len(self):
             raise IndexError(f"coordinate {i} outside window of length {len(self)}")
-        if self.hi[i - 1] == LOG_ZERO:
-            return LogComplex.zero()
         return LogComplex(float(self.hi[i - 1] + self.lo[i - 1]),
                           float(self.phase[i - 1]))
 
@@ -341,7 +330,6 @@ class SeqVector:
     def neg(self) -> "SeqVector":
         # direct +-pi flip stays normalized and avoids a wrap round trip
         ph = np.where(self.phase > 0, self.phase - np.pi, self.phase + np.pi)
-        ph = np.where(self.hi == LOG_ZERO, 0.0, ph)
         return SeqVector(self.space, self.hi, self.lo, ph)
 
     def _padded(self, n: int) -> "SeqVector":
@@ -436,8 +424,7 @@ def backward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:
         return v
     logs = w.logs(max(n - 1, 0))
     hi, lo = _dd_add(v.hi[1:], v.lo[1:], logs)
-    ph = np.where(hi == LOG_ZERO, 0.0, v.phase[1:])
-    return SeqVector(v.space, hi, lo, ph)
+    return SeqVector(v.space, hi, lo, v.phase[1:])
 
 
 def forward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:
@@ -449,12 +436,11 @@ def forward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:
     n = len(v)
     logs = w.logs(n)
     hi, lo = _dd_add(v.hi, v.lo, -logs)
-    ph = np.where(hi == LOG_ZERO, 0.0, v.phase)
     return SeqVector(
         v.space,
         np.concatenate(([LOG_ZERO], hi)),
         np.concatenate(([0.0], lo)),
-        np.concatenate(([0.0], ph)),
+        np.concatenate(([0.0], v.phase)),
     )
 
 
@@ -482,7 +468,6 @@ def shift_pow(v: SeqVector, w: WeightSeq, k) -> SeqVector:
     hi = np.where(live, v.hi[src], LOG_ZERO)
     lo, ph = v.lo[src], v.phase[src]
     hi, lo = _dd_add(hi, lo, delta)
-    ph = np.where(hi == LOG_ZERO, 0.0, ph)
     if 0 in ks:
         same = ks == 0  # then the block is exactly len(v) wide
         hi[same], lo[same], ph[same] = v.hi, v.lo, v.phase
@@ -499,12 +484,11 @@ def forward_pow(v: SeqVector, w: WeightSeq, k: int) -> SeqVector:
     cum = w.cum(n + k)
     delta = cum[k: n + k] - cum[0: n]
     hi, lo = _dd_add(v.hi, v.lo, -delta)
-    ph = np.where(hi == LOG_ZERO, 0.0, v.phase)
     return SeqVector(
         v.space,
         np.concatenate([np.full(k, LOG_ZERO), hi]),
         np.concatenate([np.zeros(k), lo]),
-        np.concatenate([np.zeros(k), ph]),
+        np.concatenate([np.zeros(k), v.phase]),
     )
 
 
@@ -537,8 +521,6 @@ def derivative_at_zero(v: SeqVector, k: int) -> LogComplex:
     if k + 1 > len(v):
         return LogComplex.zero()
     c = v.coord(k + 1)
-    if c.is_zero:
-        return c
     return LogComplex(c.log_mag + math.lgamma(k + 1.0), c.phase)
 
 
@@ -616,7 +598,7 @@ def log_matvec(T: np.ndarray, phase: np.ndarray, space: SpaceTag, *,
     ang = np.arctan2(im, re)
     if row_phase is not None:
         ang = ang + row_phase
-    ph = np.where(zero, 0.0, _norm_phases(ang))
+    ph = _norm_phases(ang)
     rows = np.flatnonzero(tot == 1.0)
     if rows.size:
         cols = np.argmax(T[rows], axis=1)
@@ -747,54 +729,26 @@ def vector_to_json(v: SeqVector) -> dict:
     return obj
 
 
-def _coord_from_json(entry: dict) -> LogComplex:
-    """A fraction coordinate object ``{"num", "den"}``."""
-    if "num" in entry:
-        q = Fraction(int(entry["num"]), int(entry["den"]))
-        if q == 0:
-            return LogComplex.zero()
-        sign_phase = 0.0 if q > 0 else math.pi
-        return LogComplex(
-            math.log(abs(q.numerator)) - math.log(q.denominator), sign_phase)
-    raise ParameterRangeError(f"unrecognized coordinate object {entry!r}")
+def _coord_parts(e) -> tuple[float, float]:
+    """Canonical ``(log_mag, phase)`` of one coordinate of the interchange format."""
+    if not isinstance(e, dict):
+        return complex_parts(complex(float(e[0]), float(e[1])))
+    if "log" in e:
+        return polar_parts(float(e["log"]), float(e.get("phase", 0.0)))
+    return q_coord_from_json(e).polar_parts()
 
 
 def vector_from_json(obj: dict) -> SeqVector:
     """Parse the interchange format; the inverse of :func:`vector_to_json`.
 
-    ``[re, im]`` pairs are converted inline with the calls of
-    :meth:`LogComplex.from_complex`, and ``{"log", "phase"}`` objects through
-    :func:`~hyperorbit.arith.polar_parts`, the rule that
-    :meth:`LogComplex.from_polar` wraps; the arrays are bit-identical to
-    building one scalar per coordinate, without building one.  A NaN part of
-    either raises :class:`ParameterRangeError`.
+    ``[re, im]`` pairs, ``{"log", "phase"}`` objects and fractions
+    ``{"num", "den"[, "imnum", "imden"]}`` read through the scalar rules
+    (``complex_parts``, ``polar_parts``, ``q_coord_from_json``), without
+    building a scalar per coordinate.  A NaN part or a zero denominator
+    raises :class:`ParameterRangeError`.
     """
-    kind = str(obj["space"]).lower()
-    param = obj.get("param")
-    tag = SpaceTag(kind, param)
-    hi, ph = [], []
-    for e in obj["coords"]:
-        if isinstance(e, dict):
-            if "log" in e:
-                l, p = polar_parts(float(e["log"]), float(e.get("phase", 0.0)))
-                hi.append(l)
-                ph.append(p)
-                continue
-            c = _coord_from_json(e)
-            hi.append(c.log_mag)
-            ph.append(c.phase)
-            continue
-        z = complex(float(e[0]), float(e[1]))
-        if z != z:
-            raise ParameterRangeError(f"NaN coordinate {e!r}")
-        if z == 0:
-            hi.append(LOG_ZERO)
-            ph.append(0.0)
-        else:
-            hi.append(math.log(abs(z)))
-            ph.append(normalize_phase(math.atan2(z.imag, z.real)))
-    return SeqVector(tag, np.array(hi, dtype=float), np.zeros(len(hi)),
-                     np.array(ph, dtype=float))
+    tag = SpaceTag(str(obj["space"]).lower(), obj.get("param"))
+    return SeqVector.from_parts(tag, map(_coord_parts, obj["coords"]))
 
 
 def write_vector(path, v: SeqVector) -> None:

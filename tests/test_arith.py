@@ -16,6 +16,8 @@ from hyperorbit.arith import (
     a_naive,
     a_seq,
     check_fib_identities,
+    complex_parts,
+    even_sum_failure,
     fib,
     fib_partial_sum_ok,
     logc_add,
@@ -79,6 +81,15 @@ class TestFibonacci:
         rep = check_fib_identities(64, cache)
         assert not rep.ok
         assert rep.first_failure is not None
+
+    def test_even_sum_failure_is_first_bad_index(self):
+        assert even_sum_failure(FibCache(80), 40) is None
+        # F(k) enters the running sum at s = (k + 1) // 2, or is F(2s) there
+        for k in (1, 2, 3, 40, 79, 80):
+            for delta in (1, -1):
+                cache = FibCache(80)
+                cache._corrupt_for_testing(k, delta)
+                assert even_sum_failure(cache, 40) == (k + 1) // 2
 
     def test_partial_sums_500(self):
         assert fib_partial_sum_ok(500)
@@ -224,6 +235,30 @@ class TestLogComplexBasics:
         for lm, ph in ((math.nan, 0.0), (LOG_ZERO, math.nan)):
             with pytest.raises(ParameterRangeError):
                 polar_parts(lm, ph)
+
+    def test_complex_parts_is_the_from_complex_rule(self):
+        assert complex_parts(0j) == complex_parts(complex(-0.0, -0.0)) == (LOG_ZERO, 0.0)
+        for z in (3 + 4j, complex(-1.0, -0.0), -2.5 + 0j, 1e-320j, complex(1e308, 1e308)):
+            parts = (math.log(abs(z)), normalize_phase(math.atan2(z.imag, z.real)))
+            assert complex_parts(z) == parts
+            w = LogComplex.from_complex(z)
+            assert (w.log_mag, w.phase) == parts
+        assert complex_parts(complex(-1.0, -0.0))[1] == math.pi
+        # a real value: log|x| with phase 0 or pi, the rule from_real always had
+        for x in (2.5, -2.5, 1e-320, -1e308, math.inf, -math.inf):
+            w = LogComplex.from_real(x)
+            assert (w.log_mag, w.phase) == (math.log(abs(x)), 0.0 if x > 0 else math.pi)
+        assert LogComplex.from_real(-0.0) == LogComplex.zero()
+        with pytest.raises(ParameterRangeError):
+            LogComplex.from_real(math.nan)
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, math.nan)])
+    def test_from_complex_rejects_nan(self, z):
+        with pytest.raises(ParameterRangeError):
+            LogComplex.from_complex(z)
+        with pytest.raises(ParameterRangeError):
+            complex_parts(z)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

@@ -105,6 +105,47 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("coord", [
+        {"num": "3", "den": "0"}, {"num": "1", "den": "2", "imnum": "1", "imden": "0"}])
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--operator", "mc_CN"],
+        ["orbit", "--operator", "mc_CN", "--rational"],
+        ["build", "--target", "delta_d"],
+    ])
+    def test_zero_denominator_is_input_error(self, argv, coord, tmp_path, capsys):
+        vec = {"space": "cn" if argv[0] == "orbit" else "hc", "param": 4,
+               "coords": [{"num": "1", "den": "2"}, coord]}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"vectors": [vec, vec]} if argv[0] == "orbit" else vec))
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--init", str(path), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coord", [
+        "1/2", {"den": "2"}, {"num": "x", "den": "2"}, [0.5], [math.inf, 0.0], None])
+    def test_malformed_rational_coordinate_is_input_error(self, coord, tmp_path, capsys):
+        # the exact reader maps bad entries to input errors, as the float one does
+        vec = {"space": "cn", "param": 4, "coords": [{"num": "1", "den": "2"}, coord]}
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps({"vectors": [vec, vec]}))
+        out = tmp_path / "report.json"
+        rc = main(["orbit", "--operator", "mc_CN", "--rational", "--init", str(path),
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "input error" in capsys.readouterr().err
+
+    def test_complex_fraction_orbit_runs_both_ways(self, tmp_path):
+        coords = [{"num": "1", "den": "2", "imnum": "1", "imden": "3"},
+                  {"num": "10" + "0" * 400, "den": "3", "imnum": "-7" + "0" * 399}]
+        vec = {"space": "cn", "param": 4, "coords": coords * 4}
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps({"vectors": [vec, vec]}))
+        for extra in ([], ["--rational"]):
+            rc, rep = run(["orbit", "--operator", "mc_CN", "--init", str(path),
+                           "--steps", "3"] + extra, tmp_path)
+            assert rc == 0 and rep["status"] == "pass"
+
     def test_bad_bracket_is_check_failure(self, tmp_path):
         d = tmp_path / "dir.json"
         write_vector(d, SeqVector.from_complex(L1, [1.0, 1.0, 0, 0, 0, 0]))

@@ -435,8 +435,9 @@ class TestTreeOrbit:
     def test_cap_aborts_with_partial_result(self):
         rng = np.random.default_rng(14)
         x, y = rand_vec(rng, L1, 12), rand_vec(rng, L1, 12)
-        tree = gk_tree(m_l1(), x, y, 5, q=1e-9, cap=30, check_containment=False)
+        tree = gk_tree(m_l1(), x, y, 5, q=1e-9, cap=30)
         assert tree.aborted_at_level is not None
+        assert tree.containment is None  # an aborted tree skips containment
 
     def test_sizes_respect_pre_dedup_bound(self):
         rng = np.random.default_rng(15)

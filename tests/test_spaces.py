@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from hyperorbit.spaces import (
     SeqVector,
     SpaceTag,
     WeightSeq,
-    _coord_from_json,
     backward_shift,
     derivative,
     derivative_at_zero,
@@ -418,6 +418,35 @@ class TestJsonFormat:
         assert v.to_complex()[0] == pytest.approx(0.75)
         assert v.to_complex()[1] == pytest.approx(-0.5)
 
+    def test_complex_fraction_keeps_both_parts(self):
+        big = 10**400
+        coords = [{"num": "1", "den": "2", "imnum": "1", "imden": "3"},
+                  {"num": "0", "den": "5", "imnum": "-2"},  # imden defaults to 1
+                  {"num": str(big), "den": "3", "imnum": str(-7 * big // 10)},
+                  {"num": "1", "den": str(big), "imnum": "1", "imden": str(big * big)}]
+        v = vector_from_json({"space": "l1", "coords": coords})
+        with mp.workprec(200):
+            exact = [mpc(mp.mpf(1) / 2, mp.mpf(1) / 3), mpc(0, -2),
+                     mpc(mp.mpf(big) / 3, -mp.mpf(7 * big // 10)),
+                     mpc(mp.mpf(1) / big, mp.mpf(1) / big**2)]
+            ref = [(float(mp.log(abs(z))), float(mp.arg(z))) for z in exact]
+        for i, (lm, ph) in enumerate(ref):
+            assert v.lm[i] == pytest.approx(lm, rel=1e-15, abs=1e-15)
+            assert v.phase[i] == pytest.approx(ph, rel=1e-15, abs=1e-300)
+        assert v.to_complex()[0] == pytest.approx(0.5 + 1j / 3, rel=1e-15)
+
+    @pytest.mark.parametrize("coord", [
+        {"num": "3", "den": "0"}, {"num": "1", "den": "2", "imnum": "1", "imden": "0"}])
+    def test_zero_denominator_is_rejected(self, coord):
+        with pytest.raises(ParameterRangeError):
+            vector_from_json({"space": "l1", "coords": [[1.0, 0.0], coord]})
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, math.nan)])
+    def test_from_complex_rejects_nan(self, z):
+        with pytest.raises(ParameterRangeError):
+            SeqVector.from_complex(L1, [1.0, z])
+
     def test_order_is_one_indexed(self):
         v = cvec([10, 20, 30])
         obj = vector_to_json(v)
@@ -460,8 +489,12 @@ class TestJsonFormat:
         def scalar(e):
             if isinstance(e, dict) and "log" in e:
                 return LogComplex.from_polar(float(e["log"]), float(e.get("phase", 0.0)))
-            if isinstance(e, dict):
-                return _coord_from_json(e)
+            if isinstance(e, dict):  # a real fraction: log|num| - log den, phase 0 or pi
+                q = Fraction(int(e["num"]), int(e["den"]))
+                if q == 0:
+                    return LogComplex.zero()
+                return LogComplex(math.log(abs(q.numerator)) - math.log(q.denominator),
+                                  0.0 if q > 0 else math.pi)
             return LogComplex.from_complex(complex(float(e[0]), float(e[1])))
 
         v = vector_from_json({"space": "HC", "param": 2, "coords": coords})
@@ -487,6 +520,64 @@ class TestJsonFormat:
         obj = {"space": "l1", "coords": [[1.0, 0.0], pair]}
         with pytest.raises(ParameterRangeError):
             vector_from_json(obj)
+
+
+def _assert_canonical_zeros(v):
+    """Every zero coordinate has ``lo`` and phase +0.0 (not -0.0)."""
+    zero = v.hi == LOG_ZERO
+    for a in (v.lo, v.phase):
+        assert np.all(a[zero] == 0.0) and not np.any(np.signbit(a[zero]))
+
+
+class TestCanonicalZero:
+    """Only the constructor sets ``lo`` and phase of zero coordinates; every
+    operation's result comes out canonical through it."""
+
+    def messy(self, rng, n, zeros):
+        lo = rng.normal(0.0, 1e-17, n)
+        ph = rng.uniform(-np.pi, np.pi, n)
+        hi = rng.uniform(-2.0, 2.0, n)
+        hi[list(zeros)] = LOG_ZERO
+        return hi, lo, ph
+
+    def test_constructor_canonicalizes_vectors_and_blocks(self):
+        rng = np.random.default_rng(31)
+        hi, lo, ph = self.messy(rng, 9, (0, 4, 8))
+        lo[[0, 4]], ph[[0, 4]], ph[8] = 5.0, -0.0, -2.5  # garbage, -0.0 included
+        v = SeqVector(L1, hi, lo, ph)
+        _assert_canonical_zeros(v)
+        live = hi != LOG_ZERO
+        assert v.lo[live].tobytes() == lo[live].tobytes()
+        assert v.phase[live].tobytes() == ph[live].tobytes()
+        block = SeqVector(L1, *(np.stack([a, a[::-1]]) for a in (hi, lo, ph)))
+        assert block.hi.shape == (2, 9)
+        _assert_canonical_zeros(block)
+
+    def test_operations_give_canonical_zeros(self):
+        rng = np.random.default_rng(32)
+        v = SeqVector(SpaceTag.hc(1), *self.messy(rng, 12, (2, 5, 6)))
+        w = WeightSeq.inv_squares()
+        block = shift_pow(v, w, np.array([0, 1, 3, 11, 12, 15]))
+        assert block.hi.shape == (6, 12)
+        outs = [block, shift_pow(v, w, 4), backward_shift(v, w), forward_shift(v, w),
+                forward_pow(v, w, 3), v.neg(), v.add(v.neg()), v.sub(v),
+                v.add(SeqVector.zeros(v.space, 15)), v.scale(LogComplex(0.5, 3.0))]
+        # log_matvec: a dead row, a cancelling row and a live one
+        T = np.array([[LOG_ZERO, LOG_ZERO], [0.0, 0.0], [0.0, -1.0]])
+        outs.append(log_matvec(T, np.array([0.3, 0.3 + np.pi]), L1))
+        for out in outs:
+            assert np.any(out.hi == LOG_ZERO)
+            _assert_canonical_zeros(out)
+
+    def test_closed_form_block_gives_canonical_zeros(self):
+        from hyperorbit.dynamics import closed_form_state, ledger, m_l1
+        rng = np.random.default_rng(33)
+        x = cvec(rng.uniform(0.5, 2.0, 20) * np.exp(1j * rng.uniform(-3, 3, 20)))
+        y = cvec(np.concatenate([[0.0], rng.uniform(0.5, 2.0, 15)]))
+        led = ledger(m_l1(), (x, y), 12)
+        block = closed_form_state(m_l1(), (x, y), led, np.arange(1, 13))
+        assert np.all(block.hi[:, -1] == LOG_ZERO)  # rows padded to the widest
+        _assert_canonical_zeros(block)
 
 
 class TestVectorAlgebra:
