@@ -21,8 +21,6 @@ from .conjugation import (
     FactorMap,
     HostBilinear,
     MarkushevichBasis,
-    basis_from_json,
-    basis_to_json,
     build_N,
     commutation_check,
     host_basis,

@@ -110,6 +110,26 @@ def _write_trace(path, orbit_states, rational=False) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
+def _exact_iteration_gap(exact_states, float_states) -> float:
+    """Worst ``|a - b| / max(1, |b|)`` over the coordinates of the float
+    states, ``a`` the exact state's log magnitude and ``b`` the float one's.
+
+    A coordinate that is exactly zero on one side only counts as ``inf``;
+    a NaN reaches the result, so the check fails on it.
+    """
+    gaps = [np.zeros(0)]
+    for q, f in zip(exact_states, float_states):
+        a = np.full(max(len(q), len(f)), LOG_ZERO)
+        b = a.copy()
+        a[: len(q)] = [c.polar_parts()[0] for c in q]
+        b[: len(f)] = f.lm
+        za, zb = a == LOG_ZERO, b == LOG_ZERO
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+        gaps.append(np.where(za | zb, np.where(za & zb, 0.0, np.inf), gap))
+    return float(np.max(np.concatenate(gaps), initial=0.0))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -151,20 +171,22 @@ def cmd_orbit(args) -> RunReport:
                          f"got {len(vectors)}")
     if args.rational and spec.name != "mc_CN":
         raise InputError("rational iteration is exact only for mc_CN")
-    read = q_vector_from_json if args.rational else vector_from_json
     try:
-        init = tuple(read(v) for v in vectors)
+        init = tuple(vector_from_json(v) for v in vectors)
+        exact = tuple(q_vector_from_json(v) for v in vectors) if args.rational else None
     except _VECTOR_ERRORS as exc:
         raise InputError(f"bad vector in init file: {exc}") from exc
+    orbit = iterate_bc(spec, init, args.steps)
     if args.rational:
-        states = q_iterate(len(init), init, args.steps)
-        rep.parameters["arity"] = len(init)
-        rep.add(check_flag("exact-iteration", True, "orbit-recursion"))
+        # read from this module, where a negative control can replace it
+        states = q_iterate(len(exact), exact, args.steps)
+        rep.parameters["arity"] = len(exact)
+        rep.add(check_leq("exact-iteration", _exact_iteration_gap(states, orbit.states),
+                          1e-9, "orbit-recursion"))
         if args.trace:
             _write_trace(args.trace, states, rational=True)
         return rep.finish()
 
-    orbit = iterate_bc(spec, init, args.steps)
     rep.parameters["states"] = len(orbit.states)
     if orbit.exhausted_at is not None:
         rep.parameters["window_exhausted_at"] = orbit.exhausted_at

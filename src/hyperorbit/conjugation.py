@@ -26,15 +26,14 @@ from .arith import LOG_ZERO, LogComplex
 from .dynamics import MultilinearSpec, apply, iterate_bc
 from .errors import ParameterRangeError
 from .spaces import (
+    _EXP_FLOOR,
     SeqVector,
     SpaceTag,
     WeightSeq,
-    backward_shift,
-    eval_functional,
-    log_matvec,
+    _coords_from_row_sums,
+    _dd_add,
+    _norm_phases,
     norm,
-    vector_from_json,
-    vector_to_json,
 )
 
 _L1 = SpaceTag.l1()
@@ -106,54 +105,65 @@ def host_basis(kind: str, N: int, scales=None, u: float = 0.3,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _log_polar(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log moduli (``-inf`` at zeros) and phases of a complex matrix."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(m)), np.angle(m)
+
+
 class _LogMatrix:
-    """A complex matrix as log moduli and phases, with the phases' cosine and
-    sine built once, for repeated :func:`~hyperorbit.spaces.log_matvec` calls."""
+    """A complex matrix held by its live entries: row, column, log modulus
+    and phase of each nonzero entry, sorted by row."""
 
-    log_abs: np.ndarray
-    phase: np.ndarray
-    cos: np.ndarray
-    sin: np.ndarray
-
-    @staticmethod
-    def from_complex(m: np.ndarray) -> "_LogMatrix":
-        with np.errstate(divide="ignore"):
-            log_abs = np.log(np.abs(m))
-        phase = np.angle(m)
-        return _LogMatrix(log_abs, phase, np.cos(phase), np.sin(phase))
-
-    def rows(self, start: int, stop: int | None = None) -> "_LogMatrix":
-        sl = slice(start, stop)
-        return _LogMatrix(self.log_abs[sl], self.phase[sl], self.cos[sl],
-                          self.sin[sl])
+    def __init__(self, log_abs: np.ndarray, phase: np.ndarray):
+        self.shape = log_abs.shape
+        self.row, self.col = np.nonzero(log_abs > LOG_ZERO)
+        self.log_abs = log_abs[self.row, self.col]
+        self.phase = phase[self.row, self.col]
+        self._live_rows, self._starts = np.unique(self.row, return_index=True)
 
     def matvec(self, v: SeqVector) -> SeqVector:
         """Log-domain ``M v`` on l1; ``v`` is zero-padded or cut to the width.
 
-        Rows with a single live term pass that term through directly, so
-        images of canonical vectors keep the matrix entries bit for bit.
+        The live-entry form of :func:`~hyperorbit.spaces.log_matvec`: row
+        maxima from one ``maximum.reduceat``, one ``exp`` over the live
+        entries, and the re, im and total sums from ``bincount``.  A row whose
+        scaled moduli sum to exactly 1 passes its largest term through
+        ``_dd_add``, ``lo`` included, so images of canonical vectors keep the
+        matrix entries bit for bit and the identity basis is exact.
         """
-        n_in = self.log_abs.shape[1]
+        n_out, n_in = self.shape
         v = v._padded(n_in)
-        return log_matvec(self.log_abs + v.lm[:n_in], v.phase[:n_in], _L1,
-                          entry_phase=(self.phase, self.cos, self.sin))
+        t = self.log_abs + v.lm[self.col]
+        rowmax = np.full(n_out, LOG_ZERO)
+        if t.size:
+            rowmax[self._live_rows] = np.maximum.reduceat(t, self._starts)
+        scaled = t - np.where(rowmax == LOG_ZERO, 0.0, rowmax)[self.row]
+        np.maximum(scaled, _EXP_FLOOR, out=scaled)
+        np.exp(scaled, out=scaled)
+        psi = self.phase + v.phase[self.col]
+        re = np.bincount(self.row, scaled * np.cos(psi), n_out)
+        im = np.bincount(self.row, scaled * np.sin(psi), n_out)
+        tot = np.bincount(self.row, scaled, n_out)
+        hi, ph = _coords_from_row_sums(rowmax, re, im)
+        lo = np.zeros(n_out)
+        single = tot == 1.0
+        if single.any():
+            k = np.flatnonzero(single[self.row] & (t == rowmax[self.row]))
+            r, c = self.row[k], self.col[k]
+            hi[r], lo[r] = _dd_add(v.hi[c], v.lo[c], self.log_abs[k])
+            ph[r] = _norm_phases(v.phase[c] + self.phase[k])
+        return SeqVector(_L1, hi, lo, ph)
 
 
 class FactorMap:
-    """``phi((a_n)) = sum_l a_l x_l``: dense-range factor onto the host.
-
-    The identity basis short-circuits to the identity map (bit-exact), since
-    host coordinates then coincide with source coordinates.
-    """
+    """``phi((a_n)) = sum_l a_l x_l``: dense-range factor onto the host."""
 
     def __init__(self, basis: MarkushevichBasis):
         self.basis = basis
-        self._cols = _LogMatrix.from_complex(basis.columns)
+        self._cols = _LogMatrix(*_log_polar(basis.columns))
 
     def __call__(self, v: SeqVector) -> SeqVector:
-        if self.basis.kind == "identity":
-            return v._padded(self.basis.size).retag(_L1)
         return self._cols.matvec(v)
 
 
@@ -164,78 +174,37 @@ class HostBilinear:
         self.basis = basis
         self.w = w or WeightSeq.inv_squares()
         N = basis.size
-        self._rows = _LogMatrix.from_complex(basis.rows)
-        # combined matrix for sum_l x_l*(u) w_{l-1} x_{l-1}:
-        # out = columns[:, l-2] scaled by w_{l-1} * (row_l . u), l = 2..N
-        wlog = self.w.logs(N - 1)
-        self._mix = (self.basis.columns[:, : N - 1]
-                     * np.exp(wlog)[np.newaxis, :])
-        self._mix_log = _LogMatrix.from_complex(self._mix)
+        rows_log, rows_phase = _log_polar(basis.rows)
+        self._first = _LogMatrix(rows_log[:1], rows_phase[:1])
+        self._rest = _LogMatrix(rows_log[1:], rows_phase[1:])
+        # combined matrix for sum_l x_l*(u) w_{l-1} x_{l-1}: column l-2 is
+        # x_{l-1} scaled by w_{l-1}, l = 2..N, the weight added to the log moduli
+        cols_log, cols_phase = _log_polar(basis.columns[:, : N - 1])
+        self._mix_log = _LogMatrix(cols_log + self.w.logs(N - 1), cols_phase)
 
     def functional(self, l: int, v: SeqVector) -> LogComplex:
         """``x_l*(v)`` in the log domain."""
-        return self._rows.rows(l - 1, l).matvec(v).coord(1)
+        if l == 1:
+            return self._first.matvec(v).coord(1)
+        return self._rest.matvec(v).coord(l - 1)
 
     def apply(self, u: SeqVector, v: SeqVector) -> SeqVector:
         """``N(u, v)`` in the log domain.
 
-        For the identity basis this is, coordinate for coordinate, the source
-        operator's own computation (functional times weighted shift), so the
-        push-forward comparison is exact there.
+        For the identity basis every row has one live term, so this is,
+        coordinate for coordinate, the source operator's own computation
+        (functional times weighted shift), and the push-forward comparison
+        is exact there.
         """
-        N = self.basis.size
-        if self.basis.kind == "identity":
-            out = backward_shift(u._padded(N), self.w).scale(
-                eval_functional(v._padded(N)))
-            return out._padded(N)
         s = self.functional(1, v)
         if s.is_zero:
-            return SeqVector.zeros(_L1, N)
-        coef = self._rows.rows(1).matvec(u)
-        return self._mix_log.matvec(coef).scale(s)
-
-    def apply_dense(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Plain complex evaluation (for tame magnitudes)."""
-        s = self.basis.rows[0] @ v
-        coef = self.basis.rows[1:] @ u
-        return s * (self._mix @ coef)
+            return SeqVector.zeros(_L1, self.basis.size)
+        return self._mix_log.matvec(self._rest.matvec(u)).scale(s)
 
 
 def build_N(basis: MarkushevichBasis, w: WeightSeq | None = None) -> HostBilinear:
     """The bilinear operator conjugated to the weighted-shift operator."""
     return HostBilinear(basis, w)
-
-
-# ---------------------------------------------------------------------------
-# basis interchange format
-# ---------------------------------------------------------------------------
-
-
-def basis_to_json(basis: MarkushevichBasis) -> dict:
-    """Serialize: one vector object per basis vector plus a functional-rows section."""
-
-    def enc(row):
-        return vector_to_json(SeqVector.from_complex(_L1, row))
-
-    return {
-        "kind": basis.kind,
-        "size": basis.size,
-        "eps": basis.eps,
-        "vectors": [enc(basis.columns[:, n]) for n in range(basis.size)],
-        "functionals": [enc(basis.rows[n]) for n in range(basis.size)],
-    }
-
-
-def basis_from_json(obj: dict) -> MarkushevichBasis:
-    size = int(obj["size"])
-    cols = np.zeros((size, size), dtype=complex)
-    rows = np.zeros((size, size), dtype=complex)
-    for n, entry in enumerate(obj["vectors"]):
-        cols[:, n] = vector_from_json(entry).to_complex()
-    for n, entry in enumerate(obj["functionals"]):
-        rows[n] = vector_from_json(entry).to_complex()
-    return MarkushevichBasis(str(obj["kind"]), size, cols, rows,
-                             float(obj.get("eps", 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +240,10 @@ def commutation_check(m_spec: MultilinearSpec, host_op: HostBilinear,
     X = basis.columns[:, :samples]
 
     # all basis pairs at once: N(x_k, x_j) = S_j * R[:, k] with
-    # S = x_1*(X) and R = mix @ (rows[1:] @ X);
+    # S = x_1*(X) and R = mix @ (rows[1:] @ X), mix[:, l-2] = w_{l-1} x_{l-1};
     # phi(M(e_k, e_j)) = [j == 1] w_{k-1} x_{k-1}
     S = basis.rows[0] @ X
-    R = host_op._mix @ (basis.rows[1:] @ X)
+    R = (basis.columns[:, : N - 1] * wvals) @ (basis.rows[1:] @ X)
     lhs = np.zeros((N, samples), dtype=complex)
     for k in range(2, samples + 1):
         lhs[:, k - 1] = wvals[k - 2] * basis.columns[:, k - 2]

@@ -668,17 +668,6 @@ class QBlocks:
     stages: list             # Q_1 .. Q_K as vectors (each extends the previous)
 
 
-def coefficient_constant(limit: int = 200) -> float:
-    """Log of the smallest C >= 1 with ``j**((F(k+1)-1)/F(k)) <= C 2**j`` for all j, k."""
-    cache = FibCache(limit + 1)
-    best = 0.0
-    for k in range(1, limit + 1):
-        e = (cache(k + 1) - 1) / cache(k)
-        for j in range(1, limit + 1):
-            best = max(best, e * math.log(j) - j * LN2)
-    return best
-
-
 def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
                 tol: float = 1e-8, raise_on_failure: bool = True) -> QBlocks:
     """Build K blocks of the universal function for evaluation-times-derivative.
@@ -691,6 +680,12 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
     through the two-term recursion, an independent route from the solver's
     direct exponent sums), and the solved coefficients obey
     ``|alpha_{j+1}| <= C 2**(n_j + 1)``, ``|beta_{j+1}| <= C 2**n_{j+1}``.
+
+    ``C`` is the smallest constant >= 1 with ``j**e_k <= C 2**j`` for all
+    ``j, k >= 1``, where ``e_k = (F(k+1) - 1) / F(k)``; it is exactly 1, so
+    ``C_log = 0``.  Proof: ``F(k+1) - phi F(k) = psi**k < 1`` gives
+    ``e_k < phi``, and ``phi ln j <= j ln 2`` for every ``j >= 1`` because
+    ``max_j (ln j) / j <= 1/e < ln 2 / phi``.
     """
     if K < 1:
         raise ParameterRangeError("need K >= 1 blocks")
@@ -768,7 +763,7 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
             c = led.c(ns[j] + off)
             worst = max(abs(c.log_mag), abs(c.phase))
             certs.append(check_leq("unit-weight", worst, tol, verifies, ns[j] + off))
-    C_log = max(0.0, coefficient_constant())
+    C_log = 0.0  # proved in the docstring
     for j in range(1, K):
         certs.append(check_leq("alpha-bound", alphas[j].log_mag,
                                C_log + (ns[j - 1] + 1) * LN2, verifies, j + 1))

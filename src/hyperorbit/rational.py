@@ -141,17 +141,25 @@ def _fraction(num, den) -> Fraction:
         raise ParameterRangeError(f"zero denominator in {num!r}/{den!r}") from None
 
 
+def _exact_double(x) -> Fraction:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ParameterRangeError(f"non-finite coordinate part {x!r}")
+    return Fraction(x)
+
+
 def q_coord_from_json(entry) -> QComplex:
     """The one reader of fraction coordinates ``{"num", "den"[, "imnum",
-    "imden"]}``; ``[re, im]`` pairs read as nearby fractions."""
+    "imden"]}``; an ``[re, im]`` pair reads as the exact values of its two
+    doubles, the numbers the float reader sees, and a non-finite part raises
+    :class:`ParameterRangeError`."""
     if isinstance(entry, dict) and "num" in entry:
         im = Fraction(0)
         if "imnum" in entry:
             im = _fraction(entry["imnum"], entry.get("imden", 1))
         return QComplex(_fraction(entry["num"], entry["den"]), im)
     if isinstance(entry, (list, tuple)):
-        return QComplex(Fraction(entry[0]).limit_denominator(10**15),
-                        Fraction(entry[1]).limit_denominator(10**15))
+        return QComplex(_exact_double(entry[0]), _exact_double(entry[1]))
     raise ParameterRangeError(f"unrecognized rational coordinate {entry!r}")
 
 

@@ -532,16 +532,34 @@ def derivative_at_zero(v: SeqVector, k: int) -> LogComplex:
 _EXP_FLOOR = -700.0
 
 
+def _coords_from_row_sums(rowmax, re, im, row_phase=None):
+    """``hi`` and phase of rows whose terms, scaled by ``exp(-rowmax)``, sum
+    to ``re + i im``: the row-sum step of both log-domain kernels.
+
+    A dead row (``rowmax = -inf``) or a sum whose modulus is below
+    ``CANCEL_SNAP`` times its largest term is canonical zero; the phase is
+    ``atan2(im, re)`` plus ``row_phase``, normalized.  Single-term rows are
+    each kernel's own.
+    """
+    smag = np.hypot(re, im)
+    zero = (rowmax == LOG_ZERO) | (smag < CANCEL_SNAP)
+    with np.errstate(divide="ignore"):
+        hi = np.where(zero, LOG_ZERO, rowmax + np.log(smag))
+    ang = np.arctan2(im, re)
+    if row_phase is not None:
+        ang = ang + row_phase
+    return hi, _norm_phases(ang)
+
+
 def log_matvec(T: np.ndarray, phase: np.ndarray, space: SpaceTag, *,
-               entry_phase=None, col_phase=None, row_phase=None) -> SeqVector:
+               col_phase=None, row_phase=None) -> SeqVector:
     """Log-domain ``out_j = sum_l exp(T[j, l]) * e^{i (phase_l + theta[j, l])}``.
 
     ``T[j, l] = A[j, l] + lm_l`` holds the log moduli of the terms of a
     matrix-vector product (``-inf`` for absent ones); the caller builds it
     and the kernel overwrites it as scratch.  The entry phase
-    ``theta[j, l]`` is ``col_phase[l] + row_phase[j]``, plus
-    ``entry_phase[0][j, l]`` when ``entry_phase = (theta, cos theta, sin theta)``
-    is given; each part is optional.
+    ``theta[j, l]`` is ``col_phase[l] + row_phase[j]``; each part is
+    optional.
 
     Row-max scaling: every row is shifted by its largest term before one
     in-place real ``exp`` of the whole matrix, so nothing overflows and the
@@ -552,11 +570,9 @@ def log_matvec(T: np.ndarray, phase: np.ndarray, space: SpaceTag, *,
     digit of a sum.  The complex sums then come from one BLAS product with
     the ``n_in x 3`` matrix ``[cos psi, sin psi, 1]``, where
     ``psi = phase + col_phase``: the phase is factored out per column, and
-    the third column gives each row's sum of scaled moduli.  An entry phase
-    costs two elementwise products with its cached cosine and sine matrices
-    instead (two ``n_out x n_in`` temporaries).
+    the third column gives each row's sum of scaled moduli.
 
-    Semantics, row by row:
+    Semantics, row by row (the first two are :func:`_coords_from_row_sums`):
 
     * no live (non ``-inf``) term: canonical zero (``hi = -inf``, ``lo = 0``,
       ``phase = 0``);
@@ -570,35 +586,19 @@ def log_matvec(T: np.ndarray, phase: np.ndarray, space: SpaceTag, *,
 
     Output ``lo`` parts are zero.  Callers keep their matrices across
     calls: :func:`translate_by` caches the log-binomial matrix and the
-    offsets ``max(l - j, 0)`` per window, and the conjugated operator builds
-    log moduli, phases, cosines and sines once per matrix; each costs
-    ``n**2 * 8`` bytes (627 kB at n = 280).
+    offsets ``max(l - j, 0)`` per window; each costs ``n**2 * 8`` bytes
+    (627 kB at n = 280).
     """
     rowmax = np.max(T, axis=1)
-    dead = rowmax == LOG_ZERO
-    T -= np.where(dead, 0.0, rowmax)[:, np.newaxis]
+    T -= np.where(rowmax == LOG_ZERO, 0.0, rowmax)[:, np.newaxis]
     np.maximum(T, _EXP_FLOOR, out=T)
     np.exp(T, out=T)
     psi = phase if col_phase is None else phase + col_phase
     X = np.ones((phase.size, 3))
     X[:, 0] = np.cos(psi)
     X[:, 1] = np.sin(psi)
-    if entry_phase is None:
-        re, im, tot = (T @ X).T
-    else:
-        _, cos_t, sin_t = entry_phase
-        P = (T * cos_t) @ X[:, :2]
-        Q = (T * sin_t) @ X[:, :2]
-        re, im = P[:, 0] - Q[:, 1], P[:, 1] + Q[:, 0]
-        tot = np.sum(T, axis=1)
-    smag = np.hypot(re, im)
-    zero = dead | (smag < CANCEL_SNAP)
-    with np.errstate(divide="ignore"):
-        hi = np.where(zero, LOG_ZERO, rowmax + np.log(smag))
-    ang = np.arctan2(im, re)
-    if row_phase is not None:
-        ang = ang + row_phase
-    ph = _norm_phases(ang)
+    re, im, tot = (T @ X).T
+    hi, ph = _coords_from_row_sums(rowmax, re, im, row_phase)
     rows = np.flatnonzero(tot == 1.0)
     if rows.size:
         cols = np.argmax(T[rows], axis=1)
@@ -607,8 +607,6 @@ def log_matvec(T: np.ndarray, phase: np.ndarray, space: SpaceTag, *,
             theta = theta + col_phase[cols]
         if row_phase is not None:
             theta = theta + row_phase[rows]
-        if entry_phase is not None:
-            theta = theta + entry_phase[0][rows, cols]
         hi[rows] = rowmax[rows]
         ph[rows] = _norm_phases(phase[cols] + theta)
     return SeqVector(space, hi, np.zeros(hi.size), ph)

@@ -7,10 +7,14 @@ import os
 import numpy as np
 import pytest
 
+from fractions import Fraction
+
+from hyperorbit import cli
 from hyperorbit.arith import ASeq
 from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x
 from hyperorbit import report
+from hyperorbit.rational import QComplex, q_coord_from_json, q_iterate
 from hyperorbit.report import Check, RunReport, check_flag, check_leq
 from hyperorbit.spaces import (
     SeqVector,
@@ -234,6 +238,55 @@ class TestOrbitCommand:
         rc = main(["orbit", "--operator", "m_l1", "--init", init_file,
                    "--rational"])
         assert rc == 2
+
+
+class TestExactIteration:
+    """``orbit --rational`` checks the exact states against the float orbit."""
+
+    @staticmethod
+    def pair_init(tmp_path, first=(0.1, 0.0)):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"vectors": [
+            {"space": "cn", "param": 4, "coords": [list(first)]},
+            {"space": "cn", "param": 4,
+             "coords": [[1e-20, 0.0], [0.1, -0.3], [3.0, 0.0], [0.0, 0.0], [0.7, 0.2]]}]}))
+        return str(path)
+
+    def test_pairs_read_as_exact_doubles(self):
+        assert q_coord_from_json([0.1, 0.0]) == QComplex(Fraction(0.1), Fraction(0))
+        assert not q_coord_from_json([1e-20, 0.0]).is_zero
+        assert q_coord_from_json([0.0, -0.3]).im == Fraction(-0.3)
+
+    def test_pair_orbit_agrees_with_float_orbit(self, tmp_path):
+        rc, rep = run(["orbit", "--operator", "mc_CN", "--init", self.pair_init(tmp_path),
+                       "--rational", "--steps", "4"], tmp_path)
+        (chk,) = [c for c in rep["checks"] if c["name"] == "exact-iteration"]
+        assert rc == 0 and chk["status"] == "pass"
+        assert 0.0 <= chk["measured"] <= 1e-9 and chk["bound"] == 1e-9
+
+    @pytest.mark.parametrize("part", [math.nan, math.inf])
+    def test_non_finite_pair_is_input_error(self, part, tmp_path, capsys):
+        rc = main(["orbit", "--operator", "mc_CN", "--rational", "--init",
+                   self.pair_init(tmp_path, (part, 0.0)),
+                   "--out", str(tmp_path / "report.json")])
+        assert rc == 2 and not (tmp_path / "report.json").exists()
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", ["scale", "zero"])
+    def test_perturbed_exact_state_fails(self, change, tmp_path, monkeypatch):
+        # negative control: one exact coordinate of one state changed
+        def perturbed(m, init, steps):
+            states = q_iterate(m, init, steps)
+            c = states[1][0]
+            states[1][0] = (QComplex.of(0) if change == "zero"
+                            else c * QComplex.of(Fraction(1000001, 1000000)))
+            return states
+
+        monkeypatch.setattr(cli, "q_iterate", perturbed)
+        rc, rep = run(["orbit", "--operator", "mc_CN", "--init", self.pair_init(tmp_path),
+                       "--rational", "--steps", "4"], tmp_path)
+        (chk,) = [c for c in rep["checks"] if c["name"] == "exact-iteration"]
+        assert rc == 1 and chk["status"] == "fail"
 
 
 class TestBuildCommand:

@@ -8,16 +8,24 @@ import pytest
 from hyperorbit.arith import LOG_ZERO
 from hyperorbit.conjugation import (
     FactorMap,
-    basis_from_json,
-    basis_to_json,
+    _log_polar,
+    _LogMatrix,
     build_N,
     commutation_check,
     host_basis,
     pushforward_orbit_check,
 )
-from hyperorbit.dynamics import apply, m_l1
+from hyperorbit.dynamics import apply, iterate_bc, m_l1
 from hyperorbit.errors import ParameterRangeError
-from hyperorbit.spaces import SeqVector, SpaceTag, norm
+from hyperorbit.spaces import (
+    SeqVector,
+    SpaceTag,
+    _dd_add,
+    _norm_phases,
+    backward_shift,
+    eval_functional,
+    norm,
+)
 
 L1 = SpaceTag.l1()
 
@@ -25,6 +33,14 @@ L1 = SpaceTag.l1()
 def rand_vec(rng, n, scale=1.0):
     return SeqVector.from_complex(
         L1, scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+
+
+def apply_dense(op, u, v):
+    """Dense reference for ``op.apply``: plain complex evaluation of
+    ``x_1*(v) * sum_{l >= 2} x_l*(u) w_{l-1} x_{l-1}`` (tame magnitudes)."""
+    basis, N = op.basis, op.basis.size
+    mix = basis.columns[:, : N - 1] * np.exp(op.w.logs(N - 1))
+    return (basis.rows[0] @ v) * (mix @ (basis.rows[1:] @ u))
 
 
 class TestBases:
@@ -65,12 +81,12 @@ class TestConjugatedOperator:
         u = rng.normal(size=20) + 1j * rng.normal(size=20)
         # N(e_k, e_1) = w_{k-1} e_{k-1}, zero for k = 1
         for k in (2, 5, 11):
-            out = op.apply_dense(np.eye(20)[k - 1].astype(complex),
+            out = apply_dense(op, np.eye(20)[k - 1].astype(complex),
                                  np.eye(20)[0].astype(complex))
             want = np.zeros(20, dtype=complex)
             want[k - 2] = 1.0 / (k - 1) ** 2
             assert np.allclose(out, want, atol=1e-15)
-        out = op.apply_dense(np.eye(20)[0].astype(complex),
+        out = apply_dense(op, np.eye(20)[0].astype(complex),
                              np.eye(20)[0].astype(complex))
         assert np.allclose(out, 0.0)
 
@@ -87,7 +103,7 @@ class TestConjugatedOperator:
         op = build_N(basis)
         # N(x_k, x_1) = x_{k-1} / (k-1)^2
         for k in (3, 7):
-            out = op.apply_dense(basis.columns[:, k - 1], basis.columns[:, 0])
+            out = apply_dense(op, basis.columns[:, k - 1], basis.columns[:, 0])
             want = basis.columns[:, k - 2] / (k - 1) ** 2
             assert np.allclose(out, want, atol=1e-15)
 
@@ -123,7 +139,7 @@ class TestLogMatvec:
         uc, vc = u.to_complex(), v.to_complex()
         want = basis.columns @ uc
         assert np.allclose(phi(u).to_complex(), want, rtol=1e-13, atol=0)
-        want = op.apply_dense(uc, vc)
+        want = apply_dense(op, uc, vc)
         got = op.apply(u, v).to_complex()
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         got = op.functional(3, v).to_complex()
@@ -203,15 +219,73 @@ class TestPushforward:
         assert rep.ok
 
 
-class TestBasisInterchange:
-    def test_roundtrip_all_kinds(self):
-        import json
-        for kind in ("identity", "diagonal", "banded"):
-            basis = host_basis(kind, 25)
-            obj = json.loads(json.dumps(basis_to_json(basis)))
-            assert len(obj["vectors"]) == 25
-            assert len(obj["functionals"]) == 25
-            back = basis_from_json(obj)
-            assert np.allclose(back.columns, basis.columns, atol=1e-15)
-            assert np.allclose(back.rows, basis.rows, atol=1e-15)
-            assert back.biorthogonality_residual() <= 1e-12
+class TestLiveEntryKernel:
+    """``_LogMatrix`` holds a matrix by its live entries."""
+
+    @staticmethod
+    def sparse_matrix(rng, n_out, n_in, density):
+        m = rng.normal(size=(n_out, n_in)) + 1j * rng.normal(size=(n_out, n_in))
+        m *= np.exp(rng.uniform(-5.0, 5.0, (n_out, n_in)))
+        m[rng.random((n_out, n_in)) > density] = 0.0
+        m[[2, 5]] = 0.0                        # rows with no entries
+        m[7] = 0.0
+        m[7, [0, 1]] = [1.5 - 0.5j, -1.5 + 0.5j]  # cancels on equal inputs
+        return m
+
+    @pytest.mark.parametrize("n_vec", [9, 30, 45])
+    def test_matches_dense_complex(self, n_vec):
+        rng = np.random.default_rng(41)
+        m = self.sparse_matrix(rng, 20, 30, 0.3)
+        m[9] = 0.0
+        m[9, 3] = 2.0                          # live only on a zero coordinate
+        mat = _LogMatrix(*_log_polar(m))
+        z = rng.normal(size=n_vec) + 1j * rng.normal(size=n_vec)
+        z[1] = z[0]
+        z[[3, 6]] = 0.0
+        got = mat.matvec(SeqVector.from_complex(L1, z))
+        zc = np.zeros(30, dtype=complex)
+        zc[: min(n_vec, 30)] = z[:30]
+        want = m @ zc
+        scale = np.abs(m) @ np.abs(zc)
+        assert len(got) == 20
+        assert np.all(np.abs(got.to_complex() - want) <= 1e-14 * scale)
+        for r in (2, 5, 7, 9):
+            assert (got.hi[r], got.lo[r], got.phase[r]) == (LOG_ZERO, 0.0, 0.0)
+
+    def test_single_terms_carry_lo_through_dd_add(self):
+        rng = np.random.default_rng(42)
+        n = 25
+        hi = rng.uniform(-50.0, 50.0, n)
+        lo = hi * rng.uniform(-1e-17, 1e-17, n)
+        v = SeqVector(L1, hi, lo, rng.uniform(-np.pi, np.pi, n))
+        assert np.all(v.lo != 0.0)
+        perm = rng.permutation(n)
+        m = np.zeros((n, n), dtype=complex)
+        m[np.arange(n), perm] = np.exp(rng.uniform(-30.0, 30.0, n)
+                                       + 1j * rng.uniform(-np.pi, np.pi, n))
+        log_abs, phase = _log_polar(m)
+        got = _LogMatrix(log_abs, phase).matvec(v)
+        live = log_abs[np.arange(n), perm]
+        want_hi, want_lo = _dd_add(v.hi[perm], v.lo[perm], live)
+        assert np.array_equal(got.hi, want_hi)
+        assert np.array_equal(got.lo, want_lo)
+        assert np.array_equal(got.phase, _norm_phases(
+            v.phase[perm] + phase[np.arange(n), perm]))
+
+    def test_identity_equals_the_source_operator_bit_for_bit(self):
+        # the expressions the identity basis once short-circuited to
+        N = 60
+        basis = host_basis("identity", N)
+        phi, op = FactorMap(basis), build_N(basis)
+        rng = np.random.default_rng(43)
+        init = (rand_vec(rng, N, 0.01), rand_vec(rng, N, 0.01))
+        states = list(init) + iterate_bc(m_l1(), init, 30).states
+        assert any(np.any(s.lo != 0.0) for s in states)
+        for u, v in zip(states, states[1:]):
+            for got, want in (
+                    (phi(v), v._padded(N).retag(L1)),
+                    (op.apply(u, v), backward_shift(u._padded(N), op.w).scale(
+                        eval_functional(v._padded(N)))._padded(N))):
+                assert np.array_equal(got.hi, want.hi)
+                assert np.array_equal(got.lo, want.lo)
+                assert np.array_equal(got.phase, want.phase)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hyperorbit.arith import LOG_ZERO, ASeq, LogComplex
+from hyperorbit.arith import LOG_ZERO, ASeq, FibCache, LogComplex
 from hyperorbit.constructions import (
     DenseTestSeq,
     classify_polynomial_ray,
@@ -373,6 +373,19 @@ class TestUniversalEntireFunction:
         for c in qb.certificates:
             if c.name in ("alpha-bound", "beta-bound"):
                 assert c.measured <= c.bound
+
+    def test_coefficient_constant_is_one(self):
+        # the scan the constant replaces: max over j, k of
+        # e_k ln j - j ln 2, floored at 0, with e_k = (F(k+1) - 1) / F(k)
+        limit = 400
+        cache = FibCache(limit + 1)
+        best = 0.0
+        for k in range(1, limit + 1):
+            e = (cache(k + 1) - 1) / cache(k)
+            for j in range(1, limit + 1):
+                best = max(best, e * math.log(j) - j * math.log(2.0))
+        assert best == 0.0
+        assert hc_Q_blocks(DenseTestSeq(), 2).C_log == 0.0
 
     def test_derivative_shift_identity(self):
         # with the first block's weights pinned to one, the weight of order n
