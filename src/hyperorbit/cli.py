@@ -41,7 +41,7 @@ from .dynamics import (
     iterate_bc,
     make_operator,
 )
-from .errors import BadBracketError, HyperorbitError, ParameterRangeError
+from .errors import BadBracketError, HyperorbitError, ParameterRangeError, WrongSpaceError
 from .rational import q_iterate, q_vector_from_json, q_vector_to_json
 from .report import Check, RunReport, check_flag, check_leq
 from .spaces import (
@@ -226,7 +226,7 @@ def _build_companion(args, rep: RunReport) -> None:
 def _build_universal(args, rep: RunReport) -> None:
     dense = DenseTestSeq()
     w = WeightSeq.inv_squares()
-    blocks = args.blocks or 3
+    blocks = 3 if args.blocks is None else args.blocks
     schedule = gap_schedule_search(dense, w, ASeq(10), blocks)
     rep.parameters["schedule"] = schedule.ns[1:]
     z, certs = universal_y_l1(schedule, dense, w, raise_on_failure=False)
@@ -252,7 +252,7 @@ def _build_delta_d(args, rep: RunReport) -> None:
 
 
 def _build_q_blocks(args, rep: RunReport) -> None:
-    K = args.blocks or 3
+    K = 3 if args.blocks is None else args.blocks
     qb = hc_Q_blocks(DenseTestSeq(), K, raise_on_failure=False)
     rep.parameters["block_tops"] = qb.ns
     write_vector(_emit_path(args.out, "q_universal.json"), qb.Q)
@@ -417,7 +417,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         rep = args.fn(args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, ParameterRangeError,
+            WrongSpaceError) as exc:
+        # unusable parameters or spaces; build has reported its own as checks
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BadBracketError as exc:

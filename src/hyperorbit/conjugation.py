@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import LOG_ZERO, LogComplex
+from .arith import LOG_ZERO
 from .dynamics import MultilinearSpec, apply, iterate_bc
 from .errors import ParameterRangeError
 from .spaces import (
@@ -182,12 +182,6 @@ class HostBilinear:
         cols_log, cols_phase = _log_polar(basis.columns[:, : N - 1])
         self._mix_log = _LogMatrix(cols_log + self.w.logs(N - 1), cols_phase)
 
-    def functional(self, l: int, v: SeqVector) -> LogComplex:
-        """``x_l*(v)`` in the log domain."""
-        if l == 1:
-            return self._first.matvec(v).coord(1)
-        return self._rest.matvec(v).coord(l - 1)
-
     def apply(self, u: SeqVector, v: SeqVector) -> SeqVector:
         """``N(u, v)`` in the log domain.
 
@@ -196,7 +190,7 @@ class HostBilinear:
         (functional times weighted shift), and the push-forward comparison
         is exact there.
         """
-        s = self.functional(1, v)
+        s = self._first.matvec(v).coord(1)  # x_1*(v)
         if s.is_zero:
             return SeqVector.zeros(_L1, self.basis.size)
         return self._mix_log.matvec(self._rest.matvec(u)).scale(s)

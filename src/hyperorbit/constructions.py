@@ -11,7 +11,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from mpmath import psi
@@ -217,25 +217,34 @@ def phi_map(y: SeqVector, a: ASeq) -> SeqVector:
 
 @dataclass
 class GapSchedule:
-    """Block boundaries n_j with the condition margins recorded per block.
+    """Block boundaries n_j, the condition margins per block, and the vector.
 
     ``ns[j]`` is n_j (``ns[1] = 0``); each record carries the evaluated
     log-domain margins at n_j (all <= 0), the violated margin at n_j - 1
-    (minimality), and the pi product feeding the next block's condition.
+    (minimality), and the monotonicity probes.  ``z`` is the universal vector
+    the blocks build, through coordinate ``n_J + J``.
     """
 
     ns: list
-    records: list = field(default_factory=list)
-    pi_logs: list = field(default_factory=list)
+    records: list
+    z: SeqVector
 
     def block_count(self) -> int:
         return len(self.ns) - 1
+
+
+SCAN_CAP = 10**6  # largest n a gap scan tries before giving up
 
 
 def _a_val(a: ASeq, n: int) -> int:
     # the constructor proves the cached prefix equals the closed form, so
     # indices beyond the cache may use it directly
     return a[n] if n <= a.N else ASeq.closed_form(n)
+
+
+def _block_scale(n: int) -> float:
+    """``log(2**n n!**2)``, the scale block j is placed with when ``n = n_j``."""
+    return n * LN2 + 2.0 * math.lgamma(n + 1.0)
 
 
 def _base_margin(n: int, a: ASeq) -> float:
@@ -246,8 +255,7 @@ def _base_margin(n: int, a: ASeq) -> float:
 
 def _cond3_margin(n: int, j: int, n_prev: int) -> float:
     """Log form of the gap-growth condition (strictly < 0)."""
-    return (n_prev * LN2 + 2.0 * math.lgamma(n_prev + 1.0)
-            + 2.0 * j * math.log(n + j) + 4.0 * math.log(j) - n * LN2)
+    return _block_scale(n_prev) + 2.0 * j * math.log(n + j) + 4.0 * math.log(j) - n * LN2
 
 
 def _cond4_margin(n: int, j: int, n_prev: int, pi_log: float, a: ASeq) -> float:
@@ -257,13 +265,33 @@ def _cond4_margin(n: int, j: int, n_prev: int, pi_log: float, a: ASeq) -> float:
             + n_prev * n * LN2 + j * n * LN2 + j * math.log(j))
 
 
+def _place_block(z: SeqVector, j: int, n_prev: int, n_j: int, dense: DenseTestSeq,
+                 w: WeightSeq) -> SeqVector:
+    """The universal vector ``z`` extended by block j.
+
+    Coordinates ``n_prev + j .. n_j`` get the fillers ``2**-n_prev / l**2``
+    and ``n_j + 1 .. n_j + j`` get ``S_w^{n_j}(z_j / (2**n_j n_j!**2))``;
+    block 1 (``n_1 = 0``) is ``z_1`` at coordinate 1.
+    """
+    z = z._padded(n_j + j)
+    hi, lo, ph = z.hi.copy(), z.lo.copy(), z.phase.copy()
+    for l in range(n_prev + j, n_j + 1):  # math.log: no bytes from numpy's SIMD kernels
+        hi[l - 1] = -n_prev * LN2 - 2.0 * math.log(l)
+    placed = forward_pow(dense.vector(j).scale(LogComplex(-_block_scale(n_j), 0.0)),
+                         w, n_j)
+    sl = slice(n_j, n_j + j)
+    hi[sl], lo[sl], ph[sl] = placed.hi[sl], placed.lo[sl], placed.phase[sl]
+    return SeqVector(z.space, hi, lo, ph)
+
+
 def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, a: ASeq,
-                        blocks: int, cap: int = 10**6) -> GapSchedule:
-    """Find minimal block boundaries n_2 < n_3 < ... satisfying the growth conditions.
+                        blocks: int) -> GapSchedule:
+    """Find minimal block boundaries n_2 < n_3 < ... and build the universal vector.
 
     n_2 is the least n passing the first-gap condition; later n_j are the
     least n past the previous gap passing both the gap-growth and the
-    summability condition.  Each condition is evaluated in the log domain; the
+    summability condition, whose pi product is read from the vector built
+    through block j - 1.  Each condition is evaluated in the log domain; the
     dominant term decays like -n^2/4, and a margin-monotonicity probe at
     n_j + 1 .. n_j + 10 plus a negative finite difference at n_j records that
     the condition keeps holding beyond the verified point.
@@ -272,16 +300,11 @@ def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, a: ASeq,
         raise ParameterRangeError("schedule needs at least 2 blocks")
     ns = [None, 0]
     records = []
-    pi_logs = [None]
-
-    # coordinate logs of the growing vector prefix, for the pi products
-    u_logs = [0.0] * 2  # 1-indexed; u_1 = first test value, modulus 1
-    u_logs[1] = math.log(abs(dense.value(1, 0)))
+    z = _place_block(SeqVector.zeros(SpaceTag.l1(), 0), 1, 0, 0, dense, w)
 
     for j in range(2, blocks + 1):
         n_prev = ns[j - 1]
-        pi_log = -sum(u_logs[1: n_prev + j - 1 + 1])
-        pi_logs.append(pi_log)
+        pi_log = -sum(z.lm[: n_prev + j - 1].tolist())
 
         def margins(n: int) -> tuple[float, float]:
             if j == 2:
@@ -291,8 +314,8 @@ def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, a: ASeq,
 
         n = n_prev + j + 1
         while True:
-            if n > cap:
-                raise SearchOverflowError(f"n_{j} exceeded the scan cap {cap}")
+            if n > SCAN_CAP:
+                raise SearchOverflowError(f"n_{j} exceeded the scan cap {SCAN_CAP}")
             m_main, m_gap = margins(n)
             if m_main <= 0.0 and m_gap < 0.0:
                 break
@@ -309,17 +332,8 @@ def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, a: ASeq,
             "tail_monotone": all(tail[t + 1] <= tail[t] + 1e-9 for t in range(10)),
             "derivative_negative": diff < 0.0,
         })
-
-        # extend the coordinate logs through this block
-        u_logs.extend([0.0] * (n + j + 1 - len(u_logs)))
-        for l in range(n_prev + j, n + 1):
-            u_logs[l] = -n_prev * LN2 - 2.0 * math.log(l)
-        cum = w.cum(n + j)
-        scale = -(n * LN2 + 2.0 * math.lgamma(n + 1.0))
-        for i in range(1, j + 1):
-            u_logs[i + n] = (math.log(abs(dense.value(j, i - 1))) + scale
-                             - (cum[i + n - 1] - cum[i - 1]))
-    return GapSchedule(ns, records, pi_logs)
+        z = _place_block(z, j, n_prev, n, dense, w)
+    return GapSchedule(ns, records, z)
 
 
 def _zeta2_tail(j: int) -> float:
@@ -330,11 +344,11 @@ def _zeta2_tail(j: int) -> float:
 def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
                    w: WeightSeq | None = None, a: ASeq | None = None,
                    raise_on_failure: bool = True):
-    """Assemble the block-built universal vector and certify its inequalities.
+    """Certify the block-built universal vector ``schedule.z``.
 
     The vector is ``z = z_1 + sum_j (fillers + S_w^{n_j}(z_j / (2**n_j n_j!**2)))``
-    with disjoint block supports.  Three families of certificates are checked
-    on the built prefix:
+    with disjoint block supports, as :func:`gap_schedule_search` builds it.
+    Three families of certificates are checked on the built prefix:
 
     * block norms: each placed block has l1 norm at most 1/j**2;
     * summability: ``Phi(z)_i <= 1/i**2`` for ``n_2 < i`` up to the built length;
@@ -344,45 +358,18 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
     Returns ``(z, certificates)``.
     """
     w = w or WeightSeq.inv_squares()
-    ns = schedule.ns
+    ns, z = schedule.ns, schedule.z
     J = schedule.block_count()
-    total = ns[J] + J
+    total = len(z)
     if a is None:
         a = ASeq(total + 1)
-
-    hi = np.full(total, LOG_ZERO)
-    lo = np.zeros(total)
-    ph = np.zeros(total)
-    tag = SpaceTag.l1()
-
-    # z_1 occupies coordinate 1
-    z1 = dense.vector(1, tag)
-    hi[0], lo[0], ph[0] = z1.hi[0], z1.lo[0], z1.phase[0]
-
-    block_scale = {1: 0.0}
-    blocks = {1: z1}
-    for j in range(2, J + 1):
-        n_prev, n_j = ns[j - 1], ns[j]
-        for l in range(n_prev + j, n_j + 1):
-            hi[l - 1] = -n_prev * LN2 - 2.0 * math.log(l)
-        s_log = n_j * LN2 + 2.0 * math.lgamma(n_j + 1.0)
-        block_scale[j] = s_log
-        zj = dense.vector(j, tag)
-        blocks[j] = zj
-        placed = forward_pow(zj.scale(LogComplex(-s_log, 0.0)), w, n_j)
-        sl = slice(n_j, n_j + j)
-        hi[sl] = placed.hi[n_j: n_j + j]
-        lo[sl] = placed.lo[n_j: n_j + j]
-        ph[sl] = placed.phase[n_j: n_j + j]
-
-    z = SeqVector(tag, hi, lo, ph)
     verifies = "universal-vector"
     certs: list[Check] = []
 
     # (a) block norms <= 1/j^2
     for j in range(1, J + 1):
-        n_j = ns[j]
-        seg = SeqVector(tag, hi[n_j: n_j + j], lo[n_j: n_j + j], ph[n_j: n_j + j])
+        sl = slice(ns[j], ns[j] + j)
+        seg = SeqVector(z.space, z.hi[sl], z.lo[sl], z.phase[sl])
         certs.append(check_leq("block-norm", norm(seg), -2.0 * math.log(j),
                                verifies, j))
 
@@ -396,8 +383,8 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
     # (c) universality residuals
     for j in range(1, J + 1):
         n_j = ns[j]
-        img = shift_pow(z, w, n_j).scale(LogComplex(block_scale[j], 0.0))
-        resid = norm(img.sub(blocks[j]))
+        img = shift_pow(z, w, n_j).scale(LogComplex(_block_scale(n_j), 0.0))
+        resid = norm(img.sub(dense.vector(j)))
         certs.append(check_leq("universality-residual", resid,
                                math.log(2.0 * _zeta2_tail(j)), verifies, j))
 
@@ -612,8 +599,7 @@ def primitive_gap_offset(n: int) -> int:
     return (n - 1) * (n + 2) // 2
 
 
-def stacked_primitive_g(dense: DenseTestSeq, blocks: int,
-                        seminorm_k: int = 1) -> SeqVector:
+def stacked_primitive_g(dense: DenseTestSeq, blocks: int) -> SeqVector:
     """The gap-stacked function ``g = sum_n I^{k_n}(P_n)`` plus spare-slot fillers.
 
     ``P_n`` is the n-th dense test polynomial with factorial-scaled
@@ -639,7 +625,7 @@ def stacked_primitive_g(dense: DenseTestSeq, blocks: int,
         if slot <= top:
             taylor[slot] = 1.0 / math.sqrt(2.0 * slot)
     coeffs = [taylor[i] / math.factorial(i) for i in range(top + 1)]
-    return SeqVector.from_complex(SpaceTag.hc(seminorm_k), coeffs)
+    return SeqVector.from_complex(SpaceTag.hc(1), coeffs)
 
 
 def primitive_block(dense: DenseTestSeq, nblk: int, seminorm_k: int = 1) -> SeqVector:
@@ -819,35 +805,35 @@ def symmetric_preimage(x0: SeqVector, lam: LogComplex,
 class JuliaProbe:
     """A certified bracket around a classification flip along a ray."""
 
-    direction: SeqVector
     t_lo: float
     t_hi: float
     class_lo: OrbitClass
     class_hi: OrbitClass
     bisection_steps: int
-    truncation: int
-    iteration_budget: int
 
     @property
     def width(self) -> float:
         return self.t_hi - self.t_lo
 
 
-def classify_polynomial_ray(v: SeqVector, t: float, w: WeightSeq | None = None,
-                            truncation: int = 200, iters: int = 500) -> OrbitClass:
+RAY_WINDOW = 200  # coordinates of the ray direction the classifier iterates
+
+
+def classify_polynomial_ray(v: SeqVector, t: float,
+                            w: WeightSeq | None = None) -> OrbitClass:
     """Classify the iteration of the induced square map ``P(x) = x_1 B_w(x)``
     along the ray point ``t * v``: converging after ``CONVERGENCE_RUN``
     non-increasing norms below 1e-12 in a row, escaping above 1e12.
+
+    Each squaring drops a coordinate: undecided once one of ``RAY_WINDOW`` is left.
     """
     w = w or WeightSeq.inv_squares()
     spec = replace(m_l1(), name="p_diag", weights=w)
-    s = v.truncate(truncation).scale(LogComplex.from_real(t))
+    s = v.truncate(RAY_WINDOW).scale(LogComplex.from_real(t))
     log_tol = math.log(1e-12)
     run = 0
     prev = math.inf
-    for _ in range(iters):
-        if len(s) <= 1:
-            return OrbitClass.UNDECIDED
+    while len(s) > 1:
         s = apply(spec, (s, s))
         ln = norm(s)
         if ln > -log_tol:
@@ -863,8 +849,7 @@ def classify_polynomial_ray(v: SeqVector, t: float, w: WeightSeq | None = None,
 
 
 def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
-                        tol: float = 1e-9, truncation: int = 200,
-                        iters: int = 500) -> JuliaProbe:
+                        tol: float = 1e-9) -> JuliaProbe:
     """Bisect a ray for the boundary of the zero basin of ``P(x) = x_1 B_w(x)``.
 
     Requires the low endpoint to classify as converging and the high endpoint
@@ -876,7 +861,7 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
         raise BadBracketError("need 0 <= t_lo < t_hi")
 
     def cls(t: float) -> OrbitClass:
-        return classify_polynomial_ray(v, t, w, truncation, iters)
+        return classify_polynomial_ray(v, t, w)
 
     c_lo, c_hi = cls(t_lo), cls(t_hi)
     if c_lo is not OrbitClass.CONVERGES_TO_ZERO:
@@ -896,7 +881,7 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
     c_lo, c_hi = cls(t_lo), cls(t_hi)
     if c_lo is not OrbitClass.CONVERGES_TO_ZERO or c_hi is OrbitClass.CONVERGES_TO_ZERO:
         raise BadBracketError("endpoint classifications did not survive re-verification")
-    return JuliaProbe(v, t_lo, t_hi, c_lo, c_hi, steps, truncation, iters)
+    return JuliaProbe(t_lo, t_hi, c_lo, c_hi, steps)
 
 
 def dominates(x: SeqVector, y: SeqVector) -> bool:
@@ -906,9 +891,9 @@ def dominates(x: SeqVector, y: SeqVector) -> bool:
     return bool(np.all((lx >= ly) | np.isneginf(ly)))
 
 
-def factorial_tail_direction(truncation: int = 200, head: float = 1.0) -> SeqVector:
-    """The ray direction with first coordinate ``head`` and tail ``1/(i-1)!**2``."""
+def factorial_tail_direction(truncation: int) -> SeqVector:
+    """The ray direction with first coordinate 1 and tail ``1/(i-1)!**2``."""
     i = np.arange(truncation, dtype=float)
     hi = -2.0 * np.array([math.lgamma(v + 1.0) for v in i])
-    hi[0] = math.log(head) if head > 0 else LOG_ZERO
+    hi[0] = 0.0  # log 1; the formula gives -0.0
     return SeqVector(SpaceTag.l1(), hi, np.zeros(truncation), np.zeros(truncation))

@@ -150,6 +150,28 @@ class TestExitCodes:
                            "--steps", "3"] + extra, tmp_path)
             assert rc == 0 and rep["status"] == "pass"
 
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--steps", "0"],
+        ["identities", "--max-n", "2"],
+        ["conjugate", "--size", "1"],
+        ["conjugate", "--basis", "banded", "--band-u", "0.7"],
+        ["orbit", "--operator", "m_l1", "--init", "c0_pair"],
+        ["julia", "--init", "c0_direction", "--bracket", "1", "20"],
+    ], ids=["steps-0", "max-n-2", "size-1", "band-u-0.7", "m_l1-on-c0", "julia-on-c0"])
+    def test_unusable_parameter_is_input_error(self, argv, tmp_path, capsys):
+        # a parameter out of range or a vector of the wrong space: exit 2 and
+        # no report, like unreadable input
+        vec = lambda space: {"space": space, "coords": [[1.0, 0.0], [0.2, 0.1], [0.1, 0.0]]}
+        files = {"l1_pair": {"vectors": [vec("l1")] * 2},
+                 "c0_pair": {"vectors": [vec("c0")] * 2}, "c0_direction": vec("c0")}
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--out", str(out)])
+        assert rc == 2 and not out.exists()
+        assert "input error" in capsys.readouterr().err
+
     def test_bad_bracket_is_check_failure(self, tmp_path):
         d = tmp_path / "dir.json"
         write_vector(d, SeqVector.from_complex(L1, [1.0, 1.0, 0, 0, 0, 0]))
@@ -354,6 +376,17 @@ class TestBuildCommand:
             del rep["wall_time"]
             reports.append(rep)
         assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("target, vector", [
+        ("q_blocks", "q_universal.json"), ("universal_l1", "universal_y.json")])
+    def test_zero_blocks_is_build_input_failure(self, target, vector, tmp_path):
+        # --blocks 0 reaches the builder's range check; it is not the default
+        rc, rep = run(["build", "--target", target, "--blocks", "0"], tmp_path)
+        assert rc == 1 and rep["status"] == "fail"
+        assert rep["parameters"]["blocks"] == 0
+        assert [(c["name"], c["verifies"]) for c in rep["checks"]] == [
+            ("ParameterRangeError", "build-input")]
+        assert not os.path.exists(tmp_path / vector)
 
     def test_unknown_target(self, tmp_path):
         rc = main(["build", "--target", "nope"])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperorbit import constructions
 from hyperorbit.arith import LOG_ZERO, ASeq, FibCache, LogComplex
 from hyperorbit.constructions import (
     DenseTestSeq,
@@ -29,7 +30,7 @@ from hyperorbit.constructions import (
     weight_identity_certificates,
     weight_identity_recursion_error,
 )
-from hyperorbit.dynamics import OrbitClass, apply, ledger, m_fg_prime, m_symmetric
+from hyperorbit.dynamics import LN2, OrbitClass, apply, ledger, m_fg_prime, m_symmetric
 from hyperorbit.errors import (
     BadBracketError,
     CertificateFailure,
@@ -43,6 +44,7 @@ from hyperorbit.spaces import (
     SpaceTag,
     WeightSeq,
     derivative_pow,
+    forward_pow,
     norm,
 )
 
@@ -165,6 +167,39 @@ def built():
     return sch, z, certs
 
 
+def reference_layout(ns, dense, w):
+    """The universal vector's coordinates by their fill rules, one block at a
+    time: z_1 at coordinate 1; for block j, the fillers 2**-n_{j-1} / l**2 at
+    l = n_{j-1} + j .. n_j, then S_w^{n_j}(z_j / (2**n_j n_j!**2))."""
+    J = len(ns) - 1
+    total = ns[J] + J
+    hi, lo, ph = np.full(total, LOG_ZERO), np.zeros(total), np.zeros(total)
+    z1 = dense.vector(1, L1)
+    hi[0], lo[0], ph[0] = z1.hi[0], z1.lo[0], z1.phase[0]
+    for j in range(2, J + 1):
+        n_prev, n_j = ns[j - 1], ns[j]
+        for l in range(n_prev + j, n_j + 1):
+            hi[l - 1] = -n_prev * LN2 - 2.0 * math.log(l)
+        s_log = n_j * LN2 + 2.0 * math.lgamma(n_j + 1.0)
+        placed = forward_pow(dense.vector(j, L1).scale(LogComplex(-s_log, 0.0)), w, n_j)
+        sl = slice(n_j, n_j + j)
+        hi[sl], lo[sl], ph[sl] = placed.hi[sl], placed.lo[sl], placed.phase[sl]
+    return hi, lo, ph
+
+
+class TestUniversalLayout:
+    @pytest.mark.parametrize("blocks", [2, 3, 4])
+    def test_schedule_vector_matches_fill_rules(self, blocks):
+        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
+        sch = gap_schedule_search(dense, w, ASeq(10), blocks)
+        assert sch.ns[2:] == [94, 1132, 20969][: blocks - 1]
+        want = reference_layout(sch.ns, dense, w)
+        for got, ref in zip((sch.z.hi, sch.z.lo, sch.z.phase), want):
+            assert got.tobytes() == ref.tobytes()
+        z, _ = universal_y_l1(sch, dense, w)
+        assert z is sch.z
+
+
 class TestUniversalVector:
 
     def test_all_certificates_pass(self, built):
@@ -228,6 +263,25 @@ class TestCertificateFailures:
         _, certs = delta_d_pair(g, tol=tol, raise_on_failure=False)
         exc = self.first_failure(certs, lambda: delta_d_pair(g, tol=tol))
         assert exc.name == "even-weight-unity" and exc.bound == tol
+
+    @pytest.mark.parametrize("idx, measured", [
+        (1, 1.0e-6), (5, 1.674e-6), (20, 1.461e-5), (43, 3.775e-5)])
+    def test_delta_d_pair_perturbed_f(self, idx, measured, monkeypatch):
+        # log |f^(idx)(0)| of the built f off by 1e-6 (relative beyond 1): at
+        # the default tolerance the value route fails first at 2 idx
+        build = constructions._dd_cumsum_neg
+
+        def perturbed(hi, lo):
+            oh, ol = build(hi, lo)
+            oh[idx] += 1e-6 * max(1.0, abs(oh[idx]))
+            return oh, ol
+
+        monkeypatch.setattr(constructions, "_dd_cumsum_neg", perturbed)
+        g = stacked_primitive_g(DenseTestSeq(), 8)
+        _, certs = delta_d_pair(g, raise_on_failure=False)
+        exc = self.first_failure(certs, lambda: delta_d_pair(g))
+        assert (exc.name, exc.index, exc.bound) == ("even-weight-unity", 2 * idx, 1e-9)
+        assert exc.measured == pytest.approx(measured, rel=1e-3)
 
     def test_hc_q_blocks_tol_below_worst(self):
         dense = DenseTestSeq()
