@@ -101,7 +101,11 @@ def _dd_add(hi, lo, w):
 
 
 def _norm_phases(p):
+    """Phases reduced to (-pi, pi].  With every phase already there, ``p``
+    itself is returned: callers pass arrays they own and hand on unchanged."""
     inside = (p > -np.pi) & (p <= np.pi)
+    if inside.all():
+        return p
     q = np.mod(p + np.pi, 2.0 * np.pi) - np.pi
     q = np.where(q <= -np.pi, np.pi, q)
     return np.where(inside, p, q)  # already-normalized phases pass through bitwise

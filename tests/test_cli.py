@@ -15,7 +15,7 @@ from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x
 from hyperorbit import report
 from hyperorbit.rational import QComplex, q_coord_from_json, q_iterate
-from hyperorbit.report import Check, RunReport, check_flag, check_leq
+from hyperorbit.report import Check, CheckFamily, RunReport, check_flag, check_leq
 from hyperorbit.spaces import (
     SeqVector,
     SpaceTag,
@@ -476,6 +476,47 @@ class TestReportLayout:
         for line, check in zip(body, rep.to_json()["checks"]):
             assert line.startswith("    {")
             assert json.loads(line.strip().rstrip(",")) == check
+
+    FAMILY = CheckFamily(
+        "col", "c", np.array([0, 1, 2, 3, 4, 5, 7]),
+        np.array([math.nan, -math.inf, 2.0, 3.5, -1e-300, 0.1 + 0.2, math.inf]),
+        np.array([1.0, 0.0, math.inf, 3.0, 0.0, 0.3, math.inf]))
+
+    @pytest.mark.parametrize("per_call", [1024, 2])
+    def test_family_writes_the_bytes_of_its_rows(self, per_call, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "_CHECKS_PER_CALL", per_call)
+        fam = self.FAMILY
+        rows = [check_leq(fam.name, m, b, fam.verifies, i)
+                for i, m, b in zip(fam.index.tolist(), fam.measured, fam.bound)]
+        # NaN fails; inf <= inf passes, with a NaN margin
+        assert [c.status for c in rows] == ["fail", "pass", "pass", "fail", "pass",
+                                            "fail", "pass"]
+        head, tail = self.AWKWARD[:2], self.AWKWARD[2:]
+        as_rows = _report_with_checks(head + rows + tail)
+        as_family = _report_with_checks(head)
+        as_family.extend(fam)
+        as_family.extend(tail)
+        texts = []
+        for rep in (as_rows, as_family):
+            rep.wall_time = 1.25
+            rep.write(tmp_path / "r.json")
+            texts.append((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+        assert (as_family.ok, as_family.status) == (as_rows.ok, as_rows.status)
+        # repr: NaN != NaN, and a numpy scalar would show its type
+        assert repr(list(fam)) == repr(rows)
+        assert repr(list(as_family.checks)) == repr(list(as_rows.checks))
+        assert len(as_family.checks) == len(as_rows.checks)
+        assert json.loads(texts[1]) == as_family.to_json()
+
+    def test_family_alone_decides_status(self):
+        ok = CheckFamily("f", "v", np.arange(3), np.zeros(3), np.ones(3))
+        rep = _report_with_checks([check_flag("flag", True, "f")])
+        rep.extend(ok)
+        assert rep.ok and rep.status == "pass"
+        rep.extend(CheckFamily("g", "v", np.arange(2), np.array([0.0, math.nan]),
+                               np.ones(2)))
+        assert not rep.ok and rep.status == "fail"
 
     def test_nan_measurement_fails_and_stays_strict_json(self, tmp_path):
         rep = _report_with_checks([check_leq("nan", math.nan, 1e-9, "p"),

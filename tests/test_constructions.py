@@ -35,6 +35,7 @@ from hyperorbit.errors import (
     BadBracketError,
     CertificateFailure,
     ParameterRangeError,
+    SearchOverflowError,
     ZeroCoordinateError,
 )
 from hyperorbit.rational import QComplex, q_iterate, qvec
@@ -63,11 +64,9 @@ class TestDenseTestSeq:
             assert dense.constraint_ok(k)
 
     def test_vector_support(self):
-        dense = DenseTestSeq()
-        v = dense.vector(4, L1, length=9)
-        lm = v.lm
-        assert np.all(~np.isneginf(lm[:4]))
-        assert np.all(np.isneginf(lm[4:]))
+        v = DenseTestSeq().vector(4, L1)
+        assert len(v) == 4
+        assert np.all(~np.isneginf(v.lm))
 
     def test_unit_band_for_first_object(self):
         dense = DenseTestSeq()
@@ -156,6 +155,91 @@ class TestGapSchedule:
         for rec in sch.records:
             assert rec["margin_main"] <= 0.0
             assert rec["margin_gap"] < 0.0
+
+
+def scalar_gap_scan(dense, w, a, blocks):
+    """The gap scan one n at a time, as it ran before the array scan: the
+    reference for :func:`gap_schedule_search`'s ``ns`` and records."""
+    ns, records = [None, 0], []
+    z = constructions._place_block(SeqVector.zeros(L1, 0), 1, 0, 0, dense, w)
+    for j in range(2, blocks + 1):
+        n_prev = ns[j - 1]
+        pi_log = -sum(z.lm[: n_prev + j - 1].tolist())
+
+        def margins(n):
+            if j == 2:
+                return (constructions._base_margin(n, a),
+                        constructions._cond3_margin(n, j, n_prev))
+            return (constructions._cond4_margin(n, j, n_prev, pi_log, a),
+                    constructions._cond3_margin(n, j, n_prev))
+
+        n = n_prev + j + 1
+        while True:
+            if n > constructions.SCAN_CAP:
+                raise SearchOverflowError(f"n_{j} exceeded the scan cap")
+            m_main, m_gap = margins(n)
+            if m_main <= 0.0 and m_gap < 0.0:
+                break
+            n += 1
+        ns.append(n)
+        prev_main, prev_gap = margins(n - 1)
+        tail = [max(margins(n + t)) for t in range(0, 11)]
+        diff = margins(n + 1)[0] - margins(n)[0]
+        records.append({
+            "j": j, "n_j": n,
+            "margin_main": m_main, "margin_gap": m_gap,
+            "violated_at_prev": max(prev_main, prev_gap) if n > n_prev + j + 1 else None,
+            "tail_monotone": all(tail[t + 1] <= tail[t] + 1e-9 for t in range(10)),
+            "derivative_negative": diff < 0.0,
+        })
+        z = constructions._place_block(z, j, n_prev, n, dense, w)
+    return ns, records
+
+
+class TestGapScanOracle:
+    @pytest.mark.parametrize("blocks", [2, 3, 4])
+    def test_schedule_and_records_match_scalar_scan(self, blocks):
+        dense, w, a = DenseTestSeq(), WeightSeq.inv_squares(), ASeq(10)
+        sch = gap_schedule_search(dense, w, a, blocks)
+        ns, records = scalar_gap_scan(dense, w, a, blocks)
+        assert sch.ns == ns
+        assert repr(sch.records) == repr(records)  # types as well as values
+
+    def test_array_margins_are_bitwise_scalar(self):
+        dense, w, a = DenseTestSeq(), WeightSeq.inv_squares(), ASeq(10)
+        sch = gap_schedule_search(dense, w, a, 4)
+        for j in range(2, 5):
+            n_prev = sch.ns[j - 1]
+            pi_log = -sum(sch.z.lm[: n_prev + j - 1].tolist())
+            # every n the scan tried, and the probes past the hit
+            n = np.arange(n_prev + j + 1, sch.ns[j] + 12, dtype=np.int64)
+            vec = [constructions._cond3_margin(n, j, n_prev)]
+            ref = [[constructions._cond3_margin(int(k), j, n_prev) for k in n]]
+            if j == 2:
+                vec.append(constructions._base_margin(n, a))
+                ref.append([constructions._base_margin(int(k), a) for k in n])
+            else:
+                vec.append(constructions._cond4_margin(n, j, n_prev, pi_log, a))
+                ref.append([constructions._cond4_margin(int(k), j, n_prev, pi_log, a)
+                            for k in n])
+            for got, want in zip(vec, ref):
+                assert got.dtype == np.float64
+                assert got.tobytes() == np.array(want).tobytes()
+
+    # n_2 = 94 and n_3 = 1132: caps below, at and above each
+    @pytest.mark.parametrize("cap", [93, 94, 500, 1131, 1132, 1200])
+    def test_scan_cap_overflows_at_the_same_block(self, cap, monkeypatch):
+        monkeypatch.setattr(constructions, "SCAN_CAP", cap)
+        dense, w, a = DenseTestSeq(), WeightSeq.inv_squares(), ASeq(10)
+
+        def outcome(search):
+            try:
+                out = search(dense, w, a, 3)
+            except SearchOverflowError as exc:
+                return "overflow", str(exc).split()[0]  # "n_j"
+            return "ns", out[0] if isinstance(out, tuple) else out.ns
+
+        assert outcome(gap_schedule_search) == outcome(scalar_gap_scan)
 
 
 @pytest.fixture(scope="module")
@@ -395,7 +479,7 @@ class TestReciprocalPair:
             prev = None
             for nblk in range(2, blocks):
                 resid = norm(derivative_pow(gk, primitive_gap_offset(nblk)).sub(
-                    primitive_block(dense, nblk, k)))
+                    primitive_block(dense, nblk).retag(SpaceTag.hc(k))))
                 if prev is not None:
                     assert resid < prev
                 prev = resid

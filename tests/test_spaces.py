@@ -17,6 +17,7 @@ from hyperorbit.spaces import (
     SeqVector,
     SpaceTag,
     WeightSeq,
+    _norm_phases,
     backward_shift,
     derivative,
     derivative_at_zero,
@@ -58,6 +59,44 @@ def _vector_to_json_loop(v):
     if v.space.param is not None:
         obj["param"] = v.space.param
     return obj
+
+
+def _norm_phases_three_step(p):
+    """Reference: the reduction applied to every element, as before the
+    all-inside return."""
+    inside = (p > -np.pi) & (p <= np.pi)
+    q = np.mod(p + np.pi, 2.0 * np.pi) - np.pi
+    q = np.where(q <= -np.pi, np.pi, q)
+    return np.where(inside, p, q)
+
+
+class TestNormPhases:
+    EDGES = [np.pi, -np.pi, np.nextafter(np.pi, 4.0), np.nextafter(np.pi, 0.0),
+             np.nextafter(-np.pi, -4.0), np.nextafter(-np.pi, 0.0), 3 * np.pi,
+             -7 * np.pi, 0.0, -0.0]
+
+    def inputs(self):
+        rng = np.random.default_rng(17)
+        inside = rng.uniform(-np.pi, np.pi, 500)
+        inside = inside[inside > -np.pi]
+        edges_inside = np.array([np.pi, np.nextafter(np.pi, 0.0),
+                                 np.nextafter(-np.pi, 0.0), 0.0, -0.0])
+        yield np.concatenate([inside, edges_inside])            # all inside
+        yield np.concatenate([rng.uniform(-40.0, 40.0, 500), self.EDGES])  # mixed
+        yield np.array(self.EDGES)
+        yield np.empty(0)
+
+    def test_bitwise_equal_to_three_step_reduction(self):
+        for p in self.inputs():
+            got = _norm_phases(p.copy())
+            assert got.tobytes() == _norm_phases_three_step(p).tobytes()
+            assert np.all((got > -np.pi) & (got <= np.pi))
+
+    def test_inside_phases_come_back_as_the_same_array(self):
+        p = np.array([0.5, -np.pi + 1e-9, np.pi])
+        assert _norm_phases(p) is p
+        q = np.array([0.5, -np.pi])
+        assert _norm_phases(q) is not q
 
 
 class TestSpaceTag:
