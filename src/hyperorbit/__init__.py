@@ -15,7 +15,6 @@ from .arith import (
     fib,
     logc_add,
     logc_mul,
-    logc_root,
 )
 from .conjugation import (
     FactorMap,
@@ -63,7 +62,6 @@ from .errors import (
     CertificateFailure,
     DegreeCapError,
     HyperorbitError,
-    HypothesisViolation,
     ParameterRangeError,
     SearchOverflowError,
     UnsupportedFormError,

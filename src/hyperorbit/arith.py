@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import sub
+from itertools import zip_longest
 
 from mpmath import mp
 
@@ -233,10 +233,6 @@ def logc_add(a: LogComplex, b: LogComplex) -> LogComplex:
     return a.add(b)
 
 
-def logc_root(a: LogComplex, n: int) -> LogComplex:
-    return a.root(n)
-
-
 def logc_prod(factors) -> LogComplex:
     out = LogComplex.one()
     for f in factors:
@@ -304,12 +300,14 @@ def even_sum_failure(cache: FibCache, s_max: int) -> int | None:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of an exhaustive exact identity check."""
+    """Outcome of an exact identity audit: ``checked`` instances certified,
+    ``computed`` of them (and of the cache checks) evaluated."""
 
     ok: bool
     checked: int
     first_failure: tuple | None = None
     detail: str = ""
+    computed: int = 0
 
 
 def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityReport:
@@ -319,43 +317,60 @@ def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityRepor
     * Vajda: ``F(m+i)F(m+j) - F(m)F(m+i+j) = (-1)^m F(i)F(j)`` for all
       ``m, i, j >= 1`` with ``m + i + j <= N``.
 
-    All arithmetic is exact big-integer; the report carries the first failing
-    index combination, if any.  Passing a cache makes the scan audit that
-    cache's values (a corrupted entry is reported as a failure).
+    All arithmetic is exact big-integer.  Passing a cache makes the audit
+    check that cache's values: a corrupted entry is a failure, and the report
+    carries the first failing case, ``("recurrence", n)`` (the first entry
+    ``F(n)`` that is not ``F(0) = 0``, ``F(1) = F(2) = 1`` or
+    ``F(n-1) + F(n-2)``), ``("even-sum", n)`` or ``("vajda", m, i, j)``.
 
-    Every Vajda product is ``F(a) F(b)`` with ``a, b <= N``, so the products
-    are computed once, as the table ``H[a][b]``, and each ``(m, i)`` compares
-    a whole row of ``j`` values at C level; ``j`` is located only on a
-    mismatch.  The big-integer multiplies are the cost, not the loop.
+    The Vajda instances are certified by their recurrence, not one by one.
+    Once ``F(k+2) = F(k+1) + F(k)`` holds for ``k + 2 <= N``, fix ``m`` and
+    ``i`` and let ``D_j = F(m+i)F(m+j) - F(m)F(m+i+j) - (-1)^m F(i)F(j)`` for
+    ``1 <= j <= N-m-i``.  Each term is a constant times ``F(m+j)``,
+    ``F(m+i+j)`` or ``F(j)``, and every index ``D_{j+2}`` reads is at most N,
+    so ``D_{j+2} = D_{j+1} + D_j``.  By induction the row is identically 0
+    exactly when ``D_1 = D_2 = 0``; only those are computed (``D_1`` alone on
+    a row of length 1).  ``checked`` counts the instances certified (the
+    ``N // 2`` sums and every Vajda instance covered), ``computed`` the cache
+    entries, sums and Vajda instances evaluated; on a failure both stop at
+    the last stage that passed.  The exhaustive scan is kept in the tests as
+    the oracle.
     """
     if N < 3:
         raise ParameterRangeError("identity check needs N >= 3")
     if cache is None:
         cache = FibCache(N)
-    cache.ensure(N)
     F = cache.prefix(N)
+    for n, f in enumerate(F):
+        if f != (F[n - 1] + F[n - 2] if n > 2 else (0, 1, 1)[n]):
+            return IdentityReport(False, 0, ("recurrence", n),
+                                  "F(n) != F(n-1) + F(n-2) or a wrong seed")
+    computed = N + 1
     n = even_sum_failure(cache, N // 2)
     if n is not None:
-        return IdentityReport(False, n, ("even-sum", n),
-                              "F(2n) != sum of odd-index terms")
+        return IdentityReport(False, 0, ("even-sum", n),
+                              "F(2n) != sum of odd-index terms", computed)
     checked = N // 2
+    computed += checked
 
-    H = [list(map(fa.__mul__, F)) for fa in F]
+    f1, f2 = F[1], F[2]
     for m in range(1, N - 1):
-        Hm = H[m]
-        for i in range(1, N - m):
-            # rows over j = 1 .. N-m-i of F(m+i)F(m+j), F(m)F(m+i+j) and
-            # F(i)F(j); for odd m the left side flips sign instead of the right
-            a, b = H[m + i][m + 1:N - i + 1], Hm[m + i + 1:N + 1]
-            lhs = list(map(sub, a, b) if m % 2 == 0 else map(sub, b, a))
-            rhs = H[i][1:N - m - i + 1]
-            if lhs != rhs:
-                j = next(k for k, (x, y) in enumerate(zip(lhs, rhs), 1) if x != y)
-                return IdentityReport(False, checked + j - 1, ("vajda", m, i, j),
-                                      "Vajda identity failed")
-            checked += len(rhs)
+        fm, fm1, fm2 = F[m], F[m + 1], F[m + 2]
+        s1, s2 = (f1, f2) if m % 2 == 0 else (-f1, -f2)
+        # D_1 of the rows i = 1 .. N-m-1, D_2 of all but the last (length 1)
+        d1 = [a * fm1 - fm * b - c * s1
+              for a, b, c in zip(F[m + 1:N], F[m + 2:N + 1], F[1:N - m])]
+        d2 = [a * fm2 - fm * b - c * s2
+              for a, b, c in zip(F[m + 1:N - 1], F[m + 3:N + 1], F[1:N - m - 1])]
+        if any(d1) or any(d2):
+            i, j = next((i, j) for i, d in enumerate(zip_longest(d1, d2, fillvalue=0), 1)
+                        for j in (1, 2) if d[j - 1])
+            return IdentityReport(False, checked, ("vajda", m, i, j),
+                                  "Vajda identity failed", computed)
+        computed += len(d1) + len(d2)
+        checked += (N - m) * (N - m - 1) // 2
 
-    return IdentityReport(True, checked)
+    return IdentityReport(True, checked, computed=computed)
 
 
 def fib_partial_sum_ok(N: int) -> bool:

@@ -142,7 +142,8 @@ def cmd_identities(args) -> RunReport:
     if args.corrupt_cache:
         cache._corrupt_for_testing(max(3, args.max_n // 2))
     idrep = check_fib_identities(args.max_n, cache)
-    rep.parameters["identity_instances"] = idrep.checked
+    rep.parameters["identity_instances_covered"] = idrep.checked
+    rep.parameters["identity_instances_computed"] = idrep.computed
     rep.add(check_flag("fib-identities", idrep.ok, "fib-even-sum-and-vajda"))
     rep.add(check_flag("fib-partial-sums", fib_partial_sum_ok(min(args.max_n, 500)),
                        "fib-partial-sum"))

@@ -845,23 +845,25 @@ class JuliaProbe:
 RAY_WINDOW = 200  # coordinates of the ray direction the classifier iterates
 
 
-def classify_polynomial_ray(v: SeqVector, t: float,
-                            w: WeightSeq | None = None) -> OrbitClass:
-    """Classify the iteration of the induced square map ``P(x) = x_1 B_w(x)``
-    along the ray point ``t * v``: converging after ``CONVERGENCE_RUN``
-    non-increasing norms below 1e-12 in a row, escaping above 1e12.
-
-    Each squaring drops a coordinate: undecided once one of ``RAY_WINDOW`` is left.
-    """
-    w = w or WeightSeq.inv_squares()
+def _ray_norm_logs(v: SeqVector, t: float, w: WeightSeq):
+    """Norm logs of ``P^n(t v)``, n = 1, 2, ..., for the square map
+    ``P(x) = x_1 B_w(x)`` on the first ``RAY_WINDOW`` coordinates of ``v``;
+    each squaring drops a coordinate, so the stream ends when one is left."""
     spec = replace(m_l1(), name="p_diag", weights=w)
     s = v.truncate(RAY_WINDOW).scale(LogComplex.from_real(t))
+    while len(s) > 1:
+        s = apply(spec, (s, s))
+        yield norm(s)
+
+
+def _ray_class(norm_logs) -> OrbitClass:
+    """The ray rule on a stream of norm logs: converging after
+    ``CONVERGENCE_RUN`` non-increasing norms below 1e-12 in a row, escaping
+    above 1e12, undecided when the stream ends first."""
     log_tol = math.log(1e-12)
     run = 0
     prev = math.inf
-    while len(s) > 1:
-        s = apply(spec, (s, s))
-        ln = norm(s)
+    for ln in norm_logs:
         if ln > -log_tol:
             return OrbitClass.ESCAPING
         if ln < log_tol and ln <= prev:
@@ -874,15 +876,43 @@ def classify_polynomial_ray(v: SeqVector, t: float,
     return OrbitClass.UNDECIDED
 
 
+def classify_polynomial_ray(v: SeqVector, t: float,
+                            w: WeightSeq | None = None) -> OrbitClass:
+    """Classify the iteration of the induced square map ``P(x) = x_1 B_w(x)``
+    along the ray point ``t * v`` by iterating it (:func:`_ray_class` on
+    :func:`_ray_norm_logs`)."""
+    return _ray_class(_ray_norm_logs(v, t, w or WeightSeq.inv_squares()))
+
+
+def _classify_scaled(unit_logs: list[float], t: float) -> OrbitClass:
+    """:func:`classify_polynomial_ray` at ``t`` from the norm logs ``L_n`` of
+    the orbit of ``v`` itself (``t = 1``).
+
+    ``P`` is homogeneous of degree 2 and every norm of degree 1, so
+    ``P^n(t v) = t^(2^n) P^n(v)`` and its norm log is ``L_n + 2^n log t``; an
+    exactly zero state (``L_n = -inf``) stays zero.  ``t`` is finite and >= 0.
+    """
+    log_t = math.log(t) if t > 0 else LOG_ZERO
+    return _ray_class(ln + math.ldexp(log_t, n) for n, ln in enumerate(unit_logs, 1))
+
+
 def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
                         tol: float = 1e-9) -> JuliaProbe:
     """Bisect a ray for the boundary of the zero basin of ``P(x) = x_1 B_w(x)``.
 
-    Requires the low endpoint to classify as converging and the high endpoint
-    as not converging; narrows the bracket to ``tol`` and re-verifies both
-    endpoint classifications.  The returned bracket is a numerical certificate
-    of proximity to the basin boundary along the ray, nothing stronger.
+    Requires finite endpoints, a finite ``tol > 0``, the low endpoint to
+    classify as converging and the high endpoint as not converging; narrows
+    the bracket to ``tol`` and re-verifies both endpoint classifications.
+    The endpoints are classified by their own orbits
+    (:func:`classify_polynomial_ray`), the midpoints from one orbit of ``v``
+    (:func:`_classify_scaled`).  The returned bracket is a numerical
+    certificate of proximity to the basin boundary along the ray, nothing
+    stronger.
     """
+    if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
+        raise ParameterRangeError("bracket ends must be finite")
+    if not 0 < tol < math.inf:
+        raise ParameterRangeError("tol must be finite and > 0")
     if not (0 <= t_lo < t_hi):
         raise BadBracketError("need 0 <= t_lo < t_hi")
 
@@ -894,10 +924,11 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
         raise BadBracketError(f"low endpoint classifies {c_lo.value}")
     if c_hi is OrbitClass.CONVERGES_TO_ZERO:
         raise BadBracketError("high endpoint also converges to zero")
+    unit_logs = list(_ray_norm_logs(v, 1.0, w))
     steps = 0
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
-        if cls(mid) is OrbitClass.CONVERGES_TO_ZERO:
+        if _classify_scaled(unit_logs, mid) is OrbitClass.CONVERGES_TO_ZERO:
             t_lo = mid
         else:
             t_hi = mid

@@ -50,7 +50,3 @@ class CertificateFailure(HyperorbitError):
 
 class BadBracketError(HyperorbitError):
     """Bisection endpoints do not classify differently."""
-
-
-class HypothesisViolation(HyperorbitError):
-    """Inputs violate the preconditions of a verified inequality."""

@@ -1,6 +1,7 @@
 """Exact integer machinery and log-domain scalar arithmetic."""
 
 import math
+from operator import sub
 
 import pytest
 from hypothesis import given, settings
@@ -22,13 +23,43 @@ from hyperorbit.arith import (
     fib_partial_sum_ok,
     logc_add,
     logc_mul,
-    logc_root,
     normalize_phase,
     phase_times_int,
     polar_parts,
 )
 from hyperorbit.errors import ParameterRangeError
 from hyperorbit.spaces import SeqVector, SpaceTag
+
+
+def _identities_table_scan(N, cache):
+    """Oracle: every Vajda instance computed, one product table ``H[a][b]``
+    and one row of ``j`` values compared at a time."""
+    F = cache.prefix(N)
+    n = even_sum_failure(cache, N // 2)
+    if n is not None:
+        return IdentityReport(False, n, ("even-sum", n),
+                              "F(2n) != sum of odd-index terms")
+    checked = N // 2
+    H = [list(map(fa.__mul__, F)) for fa in F]
+    for m in range(1, N - 1):
+        Hm = H[m]
+        for i in range(1, N - m):
+            # rows over j = 1 .. N-m-i of F(m+i)F(m+j), F(m)F(m+i+j) and
+            # F(i)F(j); for odd m the left side flips sign instead of the right
+            a, b = H[m + i][m + 1:N - i + 1], Hm[m + i + 1:N + 1]
+            lhs = list(map(sub, a, b) if m % 2 == 0 else map(sub, b, a))
+            rhs = H[i][1:N - m - i + 1]
+            if lhs != rhs:
+                j = next(k for k, (x, y) in enumerate(zip(lhs, rhs), 1) if x != y)
+                return IdentityReport(False, checked + j - 1, ("vajda", m, i, j),
+                                      "Vajda identity failed")
+            checked += len(rhs)
+    return IdentityReport(True, checked)
+
+
+def _instances(N):
+    """The even-index sums and Vajda instances (m + i + j <= N) up to N."""
+    return N // 2 + math.comb(N, 3)
 
 
 def _identities_triple_loop(N, cache):
@@ -96,14 +127,55 @@ class TestFibonacci:
 
     @pytest.mark.parametrize("N", [3, 4, 10, 57, 200])
     def test_identity_report_matches_triple_loop(self, N):
-        # clean cache, then +-1 at the indices that reach both loops' failure paths
+        # clean cache, then +-1 at the indices that reach both loops' failure
+        # paths; the audit by recurrence passes and fails with the oracles
         cases = [(None, 0)] + [(k, d) for k in sorted({1, 2, 3, N // 2, N}) for d in (1, -1)]
         for index, delta in cases:
-            caches = FibCache(N), FibCache(N)
+            caches = FibCache(N), FibCache(N), FibCache(N)
             if index is not None:
                 for c in caches:
                     c._corrupt_for_testing(index, delta)
-            assert check_fib_identities(N, caches[0]) == _identities_triple_loop(N, caches[1])
+            oracle = _identities_table_scan(N, caches[0])
+            assert oracle == _identities_triple_loop(N, caches[1])
+            assert check_fib_identities(N, caches[2]).ok == oracle.ok
+
+    def test_audit_and_scan_pass_for_every_N(self):
+        for N in range(3, 201):
+            rep, oracle = check_fib_identities(N), _identities_table_scan(N, FibCache(N))
+            assert rep.ok and oracle.ok
+            assert rep.checked == oracle.checked == _instances(N)
+        # the rows j = 1, 2 of every (m, i), the even sums and the N + 1 entries
+        assert rep.computed == 39204 + 100 + 201
+
+    def test_audit_and_scan_fail_on_every_single_entry(self):
+        for k in range(1, 201):
+            caches = FibCache(200), FibCache(200)
+            for c in caches:
+                c._corrupt_for_testing(k)
+            assert not _identities_table_scan(200, caches[0]).ok
+            assert check_fib_identities(200, caches[1]).first_failure == ("recurrence", k)
+        # no Vajda instance or even sum reads F(0); the recurrence does
+        caches = FibCache(200), FibCache(200)
+        for c in caches:
+            c._corrupt_for_testing(0)
+        assert _identities_table_scan(200, caches[0]).ok
+        assert check_fib_identities(200, caches[1]).first_failure == ("recurrence", 0)
+
+    @pytest.mark.parametrize("seeds, first_bad", [((2, 1), 0), ((0, 2), 1)],
+                             ids=["lucas", "doubled"])
+    def test_wrong_seed_fails_though_the_recurrence_holds(self, seeds, first_bad):
+        cache = FibCache(200)
+        F = cache._values
+        F[0], F[1] = seeds
+        for n in range(2, len(F)):
+            F[n] = F[n - 1] + F[n - 2]
+        rep = check_fib_identities(200, cache)
+        assert not rep.ok and rep.first_failure == ("recurrence", first_bad)
+        assert rep.checked == 0
+
+    def test_audit_to_600(self):
+        rep = check_fib_identities(600)
+        assert rep.ok and rep.checked == _instances(600)
 
     def test_cache_growth(self):
         cache = FibCache(4)
@@ -168,16 +240,16 @@ class TestLogComplexBasics:
         assert s.phase == pytest.approx(math.atan2(4, 3), abs=1e-14)
 
     def test_root_of_minus_one(self):
-        r = logc_root(LogComplex(0.0, math.pi), 2)
+        r = LogComplex(0.0, math.pi).root(2)
         assert r.log_mag == 0.0
         assert r.phase == pytest.approx(math.pi / 2, abs=0)
 
     def test_root_identity(self):
         a = LogComplex(1.25, 0.5)
-        assert logc_root(a, 1) is a
+        assert a.root(1) is a
 
     def test_root_components(self):
-        r = logc_root(LogComplex(math.log(8), 0.9), 3)
+        r = LogComplex(math.log(8), 0.9).root(3)
         assert r.log_mag == pytest.approx(math.log(2), rel=1e-15)
         assert r.phase == pytest.approx(0.3, rel=1e-15)
 

@@ -49,6 +49,11 @@ class TestExitCodes:
     def test_identities_pass(self, tmp_path):
         rc, rep = run(["identities", "--max-n", "60"], tmp_path)
         assert rc == 0 and rep["status"] == "pass"
+        # 30 even sums and C(60, 3) Vajda instances covered; the 61 cache
+        # entries, the 30 sums and j = 1, 2 of every row (m, i) computed
+        rows = sum(min(2, 60 - m - i) for m in range(1, 59) for i in range(1, 60 - m))
+        assert rep["parameters"]["identity_instances_covered"] == 30 + math.comb(60, 3)
+        assert rep["parameters"]["identity_instances_computed"] == 61 + 30 + rows
 
     def test_minimal_range(self, tmp_path):
         rc, rep = run(["identities", "--max-n", "3", "--a-max", "5"], tmp_path)
@@ -157,13 +162,23 @@ class TestExitCodes:
         ["conjugate", "--basis", "banded", "--band-u", "0.7"],
         ["orbit", "--operator", "m_l1", "--init", "c0_pair"],
         ["julia", "--init", "c0_direction", "--bracket", "1", "20"],
-    ], ids=["steps-0", "max-n-2", "size-1", "band-u-0.7", "m_l1-on-c0", "julia-on-c0"])
+        ["julia", "--init", "l1_direction", "--bracket", "1", "inf"],
+        ["julia", "--init", "l1_direction", "--bracket", "nan", "20"],
+        ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "0"],
+        ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "-1"],
+        ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "inf"],
+        ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "nan"],
+    ], ids=["steps-0", "max-n-2", "size-1", "band-u-0.7", "m_l1-on-c0", "julia-on-c0",
+            "julia-bracket-inf", "julia-bracket-nan", "julia-tol-0", "julia-tol-neg",
+            "julia-tol-inf", "julia-tol-nan"])
     def test_unusable_parameter_is_input_error(self, argv, tmp_path, capsys):
         # a parameter out of range or a vector of the wrong space: exit 2 and
         # no report, like unreadable input
         vec = lambda space: {"space": space, "coords": [[1.0, 0.0], [0.2, 0.1], [0.1, 0.0]]}
         files = {"l1_pair": {"vectors": [vec("l1")] * 2},
-                 "c0_pair": {"vectors": [vec("c0")] * 2}, "c0_direction": vec("c0")}
+                 "c0_pair": {"vectors": [vec("c0")] * 2}, "c0_direction": vec("c0"),
+                 "l1_direction": {"space": "l1", "coords": [
+                     [1.0 / math.factorial(i) ** 2, 0.0] for i in range(60)]}}
         for name, obj in files.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(obj))
         argv = [str(tmp_path / f"{a}.json") if a in files else a for a in argv]

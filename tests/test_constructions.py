@@ -582,6 +582,60 @@ class TestSymmetricPreimage:
         assert np.allclose(out.to_complex()[:3], [1.0, -2.0, 0.25], atol=1e-13)
 
 
+def _ray_direction(seed):
+    """A ray direction like the benchmark's: first coordinate in [0.8, 1.25],
+    tail ``U(0.5, 2) / (i!)**2``, 60 coordinates."""
+    rng = np.random.default_rng(seed)
+    tail = rng.uniform(0.5, 2.0, 59) / np.array([math.factorial(i) ** 2 for i in range(1, 60)],
+                                                 dtype=float)
+    return cvec([rng.uniform(0.8, 1.25)] + list(tail))
+
+
+class TestOneOrbitClassifier:
+    """The midpoint classes from one orbit of v against the direct classifier."""
+
+    W = WeightSeq.inv_squares()
+
+    def _replay(self, v, t_lo, t_hi, tol):
+        # julia_ray_bisection's loop with the direct classifier at every midpoint
+        unit_logs = list(constructions._ray_norm_logs(v, 1.0, self.W))
+        steps = 0
+        while t_hi - t_lo > tol:
+            mid = 0.5 * (t_lo + t_hi)
+            direct = classify_polynomial_ray(v, mid, self.W)
+            assert constructions._classify_scaled(unit_logs, mid) is direct, mid
+            if direct is OrbitClass.CONVERGES_TO_ZERO:
+                t_lo = mid
+            else:
+                t_hi = mid
+            steps += 1
+        return t_lo, t_hi, steps
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bench_like_direction(self, seed):
+        v = _ray_direction(seed)
+        unit_logs = list(constructions._ray_norm_logs(v, 1.0, self.W))
+        assert len(unit_logs) == 59  # one coordinate dropped per squaring
+        assert (constructions._classify_scaled(unit_logs, 0.0)
+                is classify_polynomial_ray(v, 0.0, self.W) is OrbitClass.CONVERGES_TO_ZERO)
+        probe = julia_ray_bisection(self.W, v, 1.0, 20.0, tol=1e-9)
+        assert (probe.t_lo, probe.t_hi, probe.bisection_steps) == self._replay(v, 1.0, 20.0, 1e-9)
+
+    def test_orbit_reaching_exact_zero(self):
+        # support of 20 coordinates: P^20(t v) = 0 for every t, and t >= 1
+        # escapes before that step, so t = 0 must not read as t = 1
+        v = cvec([10.0] * 20 + [0.0] * 20)
+        unit_logs = list(constructions._ray_norm_logs(v, 1.0, self.W))
+        assert unit_logs[18] > LOG_ZERO and set(unit_logs[19:]) == {LOG_ZERO}
+        for t in (0.0, 0.5, 1.0, 7.0, 1e6):
+            assert (constructions._classify_scaled(unit_logs, t)
+                    is classify_polynomial_ray(v, t, self.W))
+        assert classify_polynomial_ray(v, 1.0, self.W) is OrbitClass.ESCAPING
+        probe = julia_ray_bisection(self.W, v, 0.0, 1e6, tol=1e-9)
+        assert probe.class_hi is OrbitClass.ESCAPING
+        assert (probe.t_lo, probe.t_hi, probe.bisection_steps) == self._replay(v, 0.0, 1e6, 1e-9)
+
+
 class TestRayBisection:
     def test_whole_ray_attracted_is_bad_bracket(self):
         v = cvec([1.0, 1.0] + [0.0] * 6)
