@@ -8,7 +8,6 @@ boundaries come from a log-domain predicate scan; each boundary is minimal.
 """
 
 from hyperorbit import (
-    ASeq,
     DenseTestSeq,
     WeightSeq,
     gap_schedule_search,
@@ -18,7 +17,7 @@ from hyperorbit import (
 dense = DenseTestSeq()
 w = WeightSeq.inv_squares()
 
-schedule = gap_schedule_search(dense, w, ASeq(100), blocks=4)
+schedule = gap_schedule_search(dense, w, blocks=4)
 print("block boundaries:", schedule.ns[1:])
 for rec in schedule.records:
     print(f"  j={rec['j']}: n_j={rec['n_j']}, margins "

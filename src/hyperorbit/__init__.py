@@ -6,11 +6,9 @@ for universal vectors, steering preimages, and conjugated operators.
 """
 
 from .arith import (
-    ASeq,
     FibCache,
     IdentityReport,
     LogComplex,
-    a_seq,
     check_fib_identities,
     fib,
     logc_add,

@@ -390,54 +390,44 @@ def fib_partial_sum_ok(N: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class ASeq:
-    """The integer sequence ``a_1 = 1``, ``a_n = n - sum_{j=1..n-1} a_{n-j} F(2j+1)``.
+def a_closed(n):
+    """``a_n = 1 - n(n-1)/2``, the one rule for the exponent sequence; ``n`` is
+    an int or an int64 array.
 
-    The defining convolution is maintained incrementally: with
-    ``P_n = sum_j a_{n-j} F(2j)`` and ``Q_n = sum_j a_{n-j} F(2j+1)``, the
-    Fibonacci recurrence gives
+    The sequence is defined by ``sum_{j=0..n-1} a_{n-j} F(2j+1) = n``.  With
+    ``G(x) = sum_{j>=0} F(2j+1) x^j = (1-x)/(1-3x+x^2)`` the definition reads
+    ``A(x) G(x) = x/(1-x)^2``, so ``A(x) = x(1-3x+x^2)/(1-x)^3`` and
+    ``a_n = C(n+1,2) - 3C(n,2) + C(n-1,2) = 1 - n(n-1)/2`` for every
+    ``n >= 1``.  On an int the value is exact.  The builders reach n up to the
+    gap scan's cap ``SCAN_CAP = 10**6`` and their vectors' lengths; while
+    ``n(n-1)/2 < 2**53`` (n below 1.3e8) the int64 form is exact and so is
+    its float.  :func:`a_recursion` computes the sequence from its
+    definition, as the certificate of this formula.
+    """
+    return 1 - n * (n - 1) // 2
+
+
+def a_recursion(N: int) -> list[int]:
+    """``[0, a_1, ..., a_N]`` (index = subscript) from the defining convolution.
+
+    With ``P_n = sum_j a_{n-j} F(2j)`` and ``Q_n = sum_j a_{n-j} F(2j+1)``,
+    the Fibonacci recurrence gives
 
         ``P_{n+1} = a_n + P_n + Q_n``,
         ``Q_{n+1} = 2 a_n + P_n + 2 Q_n``,
 
     so each a_n costs O(1) exact integer operations instead of an O(n)
-    big-integer sum.  Every entry is cross-checked against the closed form
-    ``a_n = 1 - n(n-1)/2`` at construction time.
+    big-integer sum.  ``identities`` compares it with :func:`a_closed`.
     """
-
-    def __init__(self, N: int):
-        if N < 1:
-            raise ParameterRangeError("ASeq needs N >= 1")
-        vals = [0, 1]  # 1-indexed
-        P, Q = 0, 0
-        for n in range(1, N):
-            an = vals[n]
-            P, Q = an + Q + P, 2 * an + P + 2 * Q
-            vals.append(n + 1 - Q)
-        for n in range(1, N + 1):
-            expected = 1 - n * (n - 1) // 2
-            if vals[n] != expected:
-                raise AssertionError(
-                    f"a_{n} recursion value {vals[n]} != closed form {expected}")
-        self._values = vals
-        self.N = N
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.N:
-            raise IndexError(f"a_n cached only for 1 <= n <= {self.N}")
-        return self._values[n]
-
-    def __len__(self) -> int:
-        return self.N
-
-    @staticmethod
-    def closed_form(n: int) -> int:
-        return 1 - n * (n - 1) // 2
-
-
-def a_seq(N: int) -> ASeq:
-    """Build the exponent sequence up to ``a_N`` (exact, closed-form checked)."""
-    return ASeq(N)
+    if N < 1:
+        raise ParameterRangeError("the a-sequence needs N >= 1")
+    vals = [0, 1]
+    P, Q = 0, 0
+    for n in range(1, N):
+        an = vals[n]
+        P, Q = an + Q + P, 2 * an + P + 2 * Q
+        vals.append(n + 1 - Q)
+    return vals
 
 
 def a_naive(N: int, cache: FibCache | None = None) -> list[int]:

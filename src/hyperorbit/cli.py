@@ -18,7 +18,8 @@ import sys
 
 import numpy as np
 
-from .arith import ASeq, FibCache, LogComplex, check_fib_identities, fib_partial_sum_ok
+from .arith import (FibCache, LogComplex, a_closed, a_recursion, check_fib_identities,
+                    fib_partial_sum_ok)
 from .constructions import (
     DenseTestSeq,
     companion_x,
@@ -147,11 +148,12 @@ def cmd_identities(args) -> RunReport:
     rep.add(check_flag("fib-identities", idrep.ok, "fib-even-sum-and-vajda"))
     rep.add(check_flag("fib-partial-sums", fib_partial_sum_ok(min(args.max_n, 500)),
                        "fib-partial-sum"))
-    try:
-        ASeq(args.a_max)
-        rep.add(check_flag("a-seq-closed-form", True, "a-seq-closed-form"))
-    except AssertionError:
-        rep.add(check_flag("a-seq-closed-form", False, "a-seq-closed-form"))
+    # the closed form is read from this module, where a negative control can
+    # replace it
+    a = a_recursion(args.a_max)
+    rep.add(check_flag("a-seq-closed-form",
+                       all(a[n] == a_closed(n) for n in range(1, args.a_max + 1)),
+                       "a-seq-closed-form"))
     return rep.finish()
 
 
@@ -209,16 +211,14 @@ def _build_companion(args, rep: RunReport) -> None:
     if not args.init:
         raise InputError("companion build needs --init with the base vector")
     y = _read_vector_input(args.init)
-    a = ASeq(len(y) + 2)
     w = WeightSeq.inv_squares()
-    x = companion_x(y, w, a)
+    x = companion_x(y, w)
     write_vector(_emit_path(args.out, "companion_x.json"), x)
     n_exact = min(200, len(y) - 1)
-    rep.extend(weight_identity_certificates(n_exact, w, ASeq(n_exact),
-                                            raise_on_failure=False))
+    rep.extend(weight_identity_certificates(n_exact, w, raise_on_failure=False))
     n_rec = min(15, (len(y) - 1) // 2)
     if n_rec >= 1:
-        for n, dlog, dph in weight_identity_recursion_error(y, w, a, n_rec):
+        for n, dlog, dph in weight_identity_recursion_error(y, w, n_rec):
             target = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
             rep.add(check_leq("recursion-identity", max(dlog, dph),
                               1e-8 * max(1.0, target), "companion-weight-identity", n))
@@ -228,7 +228,7 @@ def _build_universal(args, rep: RunReport) -> None:
     dense = DenseTestSeq()
     w = WeightSeq.inv_squares()
     blocks = 3 if args.blocks is None else args.blocks
-    schedule = gap_schedule_search(dense, w, ASeq(10), blocks)
+    schedule = gap_schedule_search(dense, w, blocks)
     rep.parameters["schedule"] = schedule.ns[1:]
     z, certs = universal_y_l1(schedule, dense, w, raise_on_failure=False)
     write_vector(_emit_path(args.out, "universal_y.json"), z)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from mpmath import psi
 
-from .arith import (LOG_ZERO, ASeq, FibCache, LogComplex, even_sum_failure, normalize_phase,
-                    phase_times_int)
+from .arith import (LOG_ZERO, FibCache, LogComplex, a_closed, even_sum_failure,
+                    normalize_phase, phase_times_int)
 from .dynamics import (
     CONVERGENCE_RUN,
     LN2,
@@ -66,7 +66,7 @@ class DenseTestSeq:
     """Deterministic stand-in for a dense test sequence.
 
     The k-th sequence vector has support exactly [1, k] with moduli in
-    [1/k, k]; the k-th polynomial has degree k with monomial coefficients in
+    [1/k, 1]; the k-th polynomial has degree k with monomial coefficients in
     the same band.  Density of the abstract sequence plays no role in any
     finite-block certificate, so a reproducible generator is preferred over a
     sampled one.
@@ -83,18 +83,13 @@ class DenseTestSeq:
         return SeqVector.from_complex(space or SpaceTag.l1(),
                                       [self.value(k, i) for i in range(k)])
 
-    def constraint_ok(self, k: int) -> bool:
-        lo, hi = 1.0 / k, float(k)
-        return all(lo - 1e-15 <= abs(self.value(k, i)) <= hi + 1e-15
-                   for i in range(k + 1))
-
 
 # ---------------------------------------------------------------------------
 # companion vector and the summability map
 # ---------------------------------------------------------------------------
 
 
-def companion_x(y: SeqVector, w: WeightSeq, a: ASeq) -> SeqVector:
+def companion_x(y: SeqVector, w: WeightSeq) -> SeqVector:
     """The vector cancelling the orbit weights of ``y``:
 
     ``x_{i+1} = 2**a_i / w_i * prod_{j<=i} 1/(y_j w_j)``, with ``x_1 = 0``
@@ -109,7 +104,7 @@ def companion_x(y: SeqVector, w: WeightSeq, a: ASeq) -> SeqVector:
     cum_w = w.cum(n)
     pref_y = np.cumsum(lm)
     pref_ph = np.cumsum(y.phase)
-    a_ln2 = np.array([a[i] for i in range(1, n)], dtype=float) * LN2
+    a_ln2 = a_closed(np.arange(1, n, dtype=np.int64)) * LN2
     hi = np.empty(n)
     ph = np.zeros(n)
     hi[0] = LOG_ZERO
@@ -120,7 +115,7 @@ def companion_x(y: SeqVector, w: WeightSeq, a: ASeq) -> SeqVector:
 
 
 def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
-                                 a: ASeq | None = None, tol: float = 1e-8,
+                                 tol: float = 1e-8,
                                  raise_on_failure: bool = True) -> list[Check]:
     """Certify ``c_{2n} d_{2n} = 2**n n!**2`` for the companion pair, n <= n_max.
 
@@ -133,16 +128,16 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
       is independent of y, as the construction promises);
     * the exponent of every ``log w_l`` telescopes to exactly -1;
     * the exponent of ``log 2`` equals exactly n (the defining property of
-      the a-sequence);
+      the a-sequence, tested against its closed form :func:`a_closed`);
     * the surviving value ``n log 2 - sum_l log w_l`` matches
       ``n log 2 + 2 log n!`` within ``tol`` relative.
 
     The float-recursion ledger is a separate route and is only meaningful for
     small n; see :func:`weight_identity_recursion_error`.
     """
+    if n_max < 1:
+        raise ParameterRangeError("weight identities need n_max >= 1")
     w = w or WeightSeq.inv_squares()
-    if a is None:
-        a = ASeq(n_max)
     cache = FibCache(2 * n_max + 3)
     # exponent of log y_j: F(2(n-j+1)) - sum_{i=j..n} F(2(n-i)+1), zero for
     # every j <= n exactly when the even-index sum identity holds up to n
@@ -159,7 +154,7 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
             for l in range(1, n + 1))
         certs.append(check_flag("w-exponent-is-minus-one", w_ok, verifies, n))
         # exponent of log 2
-        e2 = sum(a[i] * cache(2 * (n - i) + 1) for i in range(1, n + 1))
+        e2 = sum(a_closed(i) * cache(2 * (n - i) + 1) for i in range(1, n + 1))
         certs.append(check_flag("two-exponent-is-n", e2 == n, verifies, n))
         # surviving value vs the closed form
         value = n * LN2 - float(np.sum(w.logs(n)))
@@ -171,8 +166,7 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
     return certs
 
 
-def weight_identity_recursion_error(y: SeqVector, w: WeightSeq, a: ASeq,
-                                    n_max: int):
+def weight_identity_recursion_error(y: SeqVector, w: WeightSeq, n_max: int):
     """Deviation of the float-recursion ledger from ``2**n n!**2``, per n.
 
     Returns ``[(n, |d log|, |phase|)]`` for the companion pair built from y.
@@ -180,7 +174,7 @@ def weight_identity_recursion_error(y: SeqVector, w: WeightSeq, a: ASeq,
     Fibonacci weight and swamps the identity beyond n of a few dozen.
     """
     spec = replace(m_l1(), space=y.space, weights=w)
-    x = companion_x(y, w, a)
+    x = companion_x(y, w)
     led = ledger(spec, (x, y), 2 * n_max)
     out = []
     for n in range(1, n_max + 1):
@@ -190,7 +184,7 @@ def weight_identity_recursion_error(y: SeqVector, w: WeightSeq, a: ASeq,
     return out
 
 
-def phi_map(y: SeqVector, a: ASeq) -> SeqVector:
+def phi_map(y: SeqVector) -> SeqVector:
     """The summability witness ``[Phi(y)]_i = 2**a_i i**2 i!**2 prod_{l<=i} 1/|y_l|``.
 
     Finite l1 norm of this vector certifies that the companion construction
@@ -200,10 +194,9 @@ def phi_map(y: SeqVector, a: ASeq) -> SeqVector:
     lm = y.lm
     if np.any(np.isneginf(lm)):
         raise ZeroCoordinateError("phi map needs nonzero coordinates")
-    i = np.arange(1, n + 1, dtype=float)
-    a_ln2 = np.array([a[j] for j in range(1, n + 1)], dtype=float) * LN2
-    lgf = np.array([math.lgamma(v + 1.0) for v in i])
-    hi = a_ln2 + 2.0 * np.log(i) + 2.0 * lgf - np.cumsum(lm)
+    i = np.arange(1, n + 1, dtype=np.int64)
+    hi = (a_closed(i) * LN2 + 2.0 * np.log(i) + 2.0 * _lgamma(i + 1.0)
+          - np.cumsum(lm))
     return SeqVector(SpaceTag.l1(), hi, np.zeros(n), np.zeros(n))
 
 
@@ -248,15 +241,6 @@ def _lgamma(x):
     return math.lgamma(x)
 
 
-def _a_val(a: ASeq, n):
-    # the constructor proves the cached prefix equals the closed form, so
-    # indices beyond the cache (and int64 arrays of n <= SCAN_CAP, where
-    # n(n-1)/2 is exact) may use it directly
-    if isinstance(n, np.ndarray) or n > a.N:
-        return ASeq.closed_form(n)
-    return a[n]
-
-
 def _block_scale(n: int) -> float:
     """``log(2**n n!**2)``, the scale block j is placed with when ``n = n_j``."""
     return n * LN2 + 2.0 * math.lgamma(n + 1.0)
@@ -267,10 +251,10 @@ def _block_scale(n: int) -> float:
 # order.
 
 
-def _base_margin(n, a: ASeq):
+def _base_margin(n):
     """Log form of the first-gap condition (must be <= 0)."""
     return ((n * n / 4.0) * LN2 + 4.0 * _ln(n) + 4.0 * _lgamma(n + 1.0)
-            + (2.0 * n + 2.0) * LN2 + _a_val(a, n) * LN2)
+            + (2.0 * n + 2.0) * LN2 + a_closed(n) * LN2)
 
 
 def _cond3_margin(n, j: int, n_prev: int):
@@ -278,10 +262,10 @@ def _cond3_margin(n, j: int, n_prev: int):
     return _block_scale(n_prev) + 2.0 * j * _ln(n + j) + 4.0 * math.log(j) - n * LN2
 
 
-def _cond4_margin(n, j: int, n_prev: int, pi_log: float, a: ASeq):
+def _cond4_margin(n, j: int, n_prev: int, pi_log: float):
     """Log form of the summability condition (must be <= 0)."""
     return (4.0 * _ln(n + j) + (n * n / 4.0) * LN2
-            + 4.0 * _lgamma(n + 1.0) + _a_val(a, n) * LN2 + pi_log
+            + 4.0 * _lgamma(n + 1.0) + a_closed(n) * LN2 + pi_log
             + n_prev * n * LN2 + j * n * LN2 + j * math.log(j))
 
 
@@ -318,8 +302,7 @@ def _place_block(z: SeqVector, j: int, n_prev: int, n_j: int, dense: DenseTestSe
     return SeqVector(z.space, hi, lo, ph)
 
 
-def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, a: ASeq,
-                        blocks: int) -> GapSchedule:
+def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, blocks: int) -> GapSchedule:
     """Find minimal block boundaries n_2 < n_3 < ... and build the universal vector.
 
     n_2 is the least n passing the first-gap condition; later n_j are the
@@ -342,8 +325,8 @@ def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, a: ASeq,
 
         def margins(n):
             if j == 2:
-                return _base_margin(n, a), _cond3_margin(n, j, n_prev)
-            return (_cond4_margin(n, j, n_prev, pi_log, a),
+                return _base_margin(n), _cond3_margin(n, j, n_prev)
+            return (_cond4_margin(n, j, n_prev, pi_log),
                     _cond3_margin(n, j, n_prev))
 
         n = _first_passing(margins, n_prev + j + 1, j)
@@ -370,8 +353,7 @@ def _zeta2_tail(j: int) -> float:
 
 
 def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
-                   w: WeightSeq | None = None, a: ASeq | None = None,
-                   raise_on_failure: bool = True):
+                   w: WeightSeq | None = None, raise_on_failure: bool = True):
     """Certify the block-built universal vector ``schedule.z``.
 
     The vector is ``z = z_1 + sum_j (fillers + S_w^{n_j}(z_j / (2**n_j n_j!**2)))``
@@ -389,8 +371,6 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
     ns, z = schedule.ns, schedule.z
     J = schedule.block_count()
     total = len(z)
-    if a is None:
-        a = ASeq(total + 1)
     verifies = "universal-vector"
     certs = CheckList()
 
@@ -403,7 +383,7 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
 
     # (b) Phi bound beyond the first gap
     idx = np.arange(ns[2] + 1, total + 1)
-    certs.extend(CheckFamily("phi-bound", verifies, idx, phi_map(z, a).lm[ns[2]:],
+    certs.extend(CheckFamily("phi-bound", verifies, idx, phi_map(z).lm[ns[2]:],
                              -2.0 * _ln(idx)))
 
     # (c) universality residuals
@@ -580,7 +560,7 @@ def delta_d_pair(g: SeqVector, tol: float = 1e-9, raise_on_failure: bool = True)
     lm = g.lm
     if np.any(np.isneginf(lm)):
         raise ZeroCoordinateError("pair construction needs nonzero coefficients")
-    lgf = np.array([math.lgamma(i + 1.0) for i in range(n)])
+    lgf = _lgamma(np.arange(n) + 1.0)
     a_hi, a_lo = _two_sum(lm, lgf)  # log |g^(i)(0)| as dd pairs
     a_ph = g.phase.copy()
 
@@ -902,7 +882,9 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
 
     Requires finite endpoints, a finite ``tol > 0``, the low endpoint to
     classify as converging and the high endpoint as not converging; narrows
-    the bracket to ``tol`` and re-verifies both endpoint classifications.
+    the bracket to ``tol``, or to two adjacent doubles when ``tol`` is below
+    their spacing, and re-verifies both endpoint classifications, returning
+    the narrowest bracket of the bisection that keeps them.
     The endpoints are classified by their own orbits
     (:func:`classify_polynomial_ray`), the midpoints from one orbit of ``v``
     (:func:`_classify_scaled`).  The returned bracket is a numerical
@@ -925,20 +907,25 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
     if c_hi is OrbitClass.CONVERGES_TO_ZERO:
         raise BadBracketError("high endpoint also converges to zero")
     unit_logs = list(_ray_norm_logs(v, 1.0, w))
-    steps = 0
+    brackets = [(t_lo, t_hi)]
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
+        if mid in (t_lo, t_hi):  # adjacent doubles: no narrower bracket exists
+            break
         if _classify_scaled(unit_logs, mid) is OrbitClass.CONVERGES_TO_ZERO:
             t_lo = mid
         else:
             t_hi = mid
-        steps += 1
-        if steps > 200:
+        brackets.append((t_lo, t_hi))
+        if len(brackets) > 201:
             raise BadBracketError("bisection failed to narrow the bracket")
-    c_lo, c_hi = cls(t_lo), cls(t_hi)
-    if c_lo is not OrbitClass.CONVERGES_TO_ZERO or c_hi is OrbitClass.CONVERGES_TO_ZERO:
-        raise BadBracketError("endpoint classifications did not survive re-verification")
-    return JuliaProbe(t_lo, t_hi, c_lo, c_hi, steps)
+    # the narrowest bracket whose ends keep their classes by their own orbits:
+    # a few ulps from the boundary the window leaves the direct orbit undecided
+    for t_lo, t_hi in reversed(brackets):
+        c_lo, c_hi = cls(t_lo), cls(t_hi)
+        if c_lo is OrbitClass.CONVERGES_TO_ZERO and c_hi is not OrbitClass.CONVERGES_TO_ZERO:
+            return JuliaProbe(t_lo, t_hi, c_lo, c_hi, len(brackets) - 1)
+    raise BadBracketError("endpoint classifications did not survive re-verification")
 
 
 def dominates(x: SeqVector, y: SeqVector) -> bool:
@@ -951,6 +938,6 @@ def dominates(x: SeqVector, y: SeqVector) -> bool:
 def factorial_tail_direction(truncation: int) -> SeqVector:
     """The ray direction with first coordinate 1 and tail ``1/(i-1)!**2``."""
     i = np.arange(truncation, dtype=float)
-    hi = -2.0 * np.array([math.lgamma(v + 1.0) for v in i])
+    hi = -2.0 * _lgamma(i + 1.0)
     hi[0] = 0.0  # log 1; the formula gives -0.0
     return SeqVector(SpaceTag.l1(), hi, np.zeros(truncation), np.zeros(truncation))

@@ -227,9 +227,6 @@ class WeightSeq:
         """``log w_i`` (1-indexed)."""
         return float(self.logs(i)[i - 1])
 
-    def value_at(self, i: int) -> float:
-        return math.exp(self.log_at(i))
-
 
 # ---------------------------------------------------------------------------
 # vectors

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from hyperorbit.arith import ASeq, LogComplex, check_fib_identities
+from hyperorbit.arith import LogComplex, a_closed, a_recursion, check_fib_identities
 from hyperorbit.conjugation import (
     build_N,
     commutation_check,
@@ -72,8 +72,8 @@ def test_01_integer_identity_suite():
 
 def test_02_exponent_sequence_closed_form():
     t0 = time.perf_counter()
-    a = ASeq(10**4)
-    ok = all(a[n] == 1 - n * (n - 1) // 2 for n in range(1, 10**4 + 1))
+    a = a_recursion(10**4)
+    ok = a[1:] == [a_closed(n) for n in range(1, 10**4 + 1)]
     dt = time.perf_counter() - t0
     _report(2, ok, "a_n recursion == closed form for n <= 1e4", dt, 1.0)
 
@@ -102,7 +102,7 @@ def test_03_closed_form_vs_direct_orbit():
 def test_04_weight_identity_to_200():
     t0 = time.perf_counter()
     w = WeightSeq.inv_squares()
-    certs = weight_identity_certificates(200, w, ASeq(200), tol=1e-8,
+    certs = weight_identity_certificates(200, w, tol=1e-8,
                                          raise_on_failure=False)
     ok = all(c.ok for c in certs)
     # recursion route on a literally built companion pair (its noise grows
@@ -110,7 +110,7 @@ def test_04_weight_identity_to_200():
     rng = np.random.default_rng(1004)
     y = SeqVector.from_complex(L1, rng.uniform(0.4, 2.5, 402)
                                * np.exp(1j * rng.uniform(-np.pi, np.pi, 402)))
-    for n, dlog, dph in weight_identity_recursion_error(y, w, ASeq(404), 15):
+    for n, dlog, dph in weight_identity_recursion_error(y, w, 15):
         target = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
         ok = ok and max(dlog, dph) <= 1e-8 * max(1.0, target)
     dt = time.perf_counter() - t0
@@ -121,7 +121,7 @@ def test_05_universal_vector_certificates():
     t0 = time.perf_counter()
     dense = DenseTestSeq()
     w = WeightSeq.inv_squares()
-    sch = gap_schedule_search(dense, w, ASeq(100), 4)
+    sch = gap_schedule_search(dense, w, 4)
     z, certs = universal_y_l1(sch, dense, w, raise_on_failure=False)
     ok = all(c.ok for c in certs)
     dt = time.perf_counter() - t0

@@ -3,6 +3,7 @@
 import math
 from operator import sub
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,12 @@ from mpmath import mp
 
 from hyperorbit.arith import (
     LOG_ZERO,
-    ASeq,
     FibCache,
     IdentityReport,
     LogComplex,
+    a_closed,
     a_naive,
-    a_seq,
+    a_recursion,
     check_fib_identities,
     complex_parts,
     even_sum_failure,
@@ -184,30 +185,35 @@ class TestFibonacci:
 
 class TestASeq:
     def test_base_case(self):
-        assert a_seq(1)[1] == 1
+        assert a_recursion(1) == [0, 1] and a_closed(1) == 1
 
     def test_a4_by_recursion(self):
         # a_4 = 4 - (a_3 F(3) + a_2 F(5) + a_1 F(7)) = 4 - (-4 + 0 + 13) = -5
-        a = a_seq(4)
+        a = a_recursion(4)
         assert a[3] == -2 and a[2] == 0
         assert 4 - (a[3] * fib(3) + a[2] * fib(5) + a[1] * fib(7)) == -5
         assert a[4] == -5
 
     def test_a4_closed_form(self):
-        assert ASeq.closed_form(4) == 1 - 4 * 3 // 2 == -5
+        assert a_closed(4) == 1 - 4 * 3 // 2 == -5
 
     def test_matches_naive_oracle(self):
         # literal O(n^2) evaluation of the defining sum
-        assert a_naive(300) == a_seq(300)._values
+        assert a_naive(300) == a_recursion(300)
 
     def test_closed_form_everywhere(self):
-        a = a_seq(2000)
-        for n in range(1, 2001):
-            assert a[n] == 1 - n * (n - 1) // 2
+        # the recursion, the int rule and the int64 rule agree; the int64
+        # values stay exact up to the gap scan's cap
+        a = a_recursion(2000)
+        n = np.arange(1, 2001, dtype=np.int64)
+        assert a[1:] == [a_closed(k) for k in range(1, 2001)] == a_closed(n).tolist()
+        cap = np.array([10**6], dtype=np.int64)
+        assert a_closed(cap).tolist() == [a_closed(10**6)] == [1 - 10**6 * (10**6 - 1) // 2]
+        assert float(a_closed(cap)[0]) == a_closed(10**6)
 
     def test_range_errors(self):
         with pytest.raises(ParameterRangeError):
-            a_seq(0)
+            a_recursion(0)
 
 
 class TestLogComplexBasics:

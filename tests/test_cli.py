@@ -9,10 +9,10 @@ import pytest
 
 from fractions import Fraction
 
-from hyperorbit import cli
-from hyperorbit.arith import ASeq
+from hyperorbit import cli, constructions
+from hyperorbit.arith import a_naive
 from hyperorbit.cli import main
-from hyperorbit.constructions import companion_x
+from hyperorbit.constructions import companion_x, factorial_tail_direction, phi_map
 from hyperorbit import report
 from hyperorbit.rational import QComplex, q_coord_from_json, q_iterate
 from hyperorbit.report import Check, CheckFamily, RunReport, check_flag, check_leq
@@ -62,6 +62,15 @@ class TestExitCodes:
     def test_corrupted_cache_fails(self, tmp_path):
         rc, rep = run(["identities", "--max-n", "60", "--corrupt-cache"], tmp_path)
         assert rc == 1 and rep["status"] == "fail"
+
+    def test_wrong_closed_form_fails(self, tmp_path, monkeypatch):
+        # negative control: a closed form off by one at a single n
+        exact = cli.a_closed
+        monkeypatch.setattr(cli, "a_closed", lambda n: exact(n) + (n == 37))
+        rc, rep = run(["identities", "--max-n", "60", "--a-max", "50"], tmp_path)
+        assert rc == 1
+        assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
+            "a-seq-closed-form"]
 
     def test_unknown_operator_is_input_error(self, init_file, tmp_path):
         rc = main(["orbit", "--operator", "nope", "--init", init_file])
@@ -158,6 +167,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--steps", "0"],
         ["identities", "--max-n", "2"],
+        ["identities", "--a-max", "0"],
         ["conjugate", "--size", "1"],
         ["conjugate", "--basis", "banded", "--band-u", "0.7"],
         ["orbit", "--operator", "m_l1", "--init", "c0_pair"],
@@ -168,7 +178,7 @@ class TestExitCodes:
         ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "-1"],
         ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "inf"],
         ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "nan"],
-    ], ids=["steps-0", "max-n-2", "size-1", "band-u-0.7", "m_l1-on-c0", "julia-on-c0",
+    ], ids=["steps-0", "max-n-2", "a-max-0", "size-1", "band-u-0.7", "m_l1-on-c0", "julia-on-c0",
             "julia-bracket-inf", "julia-bracket-nan", "julia-tol-0", "julia-tol-neg",
             "julia-tol-inf", "julia-tol-nan"])
     def test_unusable_parameter_is_input_error(self, argv, tmp_path, capsys):
@@ -236,7 +246,7 @@ class TestOrbitCommand:
         rng = np.random.default_rng(21)
         y = SeqVector.from_complex(L1, rng.uniform(0.5, 2.0, 40))
         w = WeightSeq.inv_squares()
-        x = companion_x(y, w, ASeq(42))
+        x = companion_x(y, w)
         init = tmp_path / "pair.json"
         from hyperorbit.spaces import vector_to_json
         init.write_text(json.dumps({"vectors": [vector_to_json(x),
@@ -408,6 +418,38 @@ class TestBuildCommand:
         assert rc == 2
 
 
+class TestClosedFormOracle:
+    """The builders read a_n from ``a_closed``; with the values of the literal
+    defining sum (``a_naive``) in its place their outputs keep every byte."""
+
+    N = 4200  # past n = 4193, the largest the 3-block gap scan evaluates
+
+    @pytest.fixture(scope="class")
+    def naive(self):
+        values = a_naive(self.N)
+        table = np.array(values, dtype=np.int64)
+        return lambda n: table[n] if isinstance(n, np.ndarray) else values[n]
+
+    @staticmethod
+    def outputs(tmp_path):
+        rng = np.random.default_rng(23)
+        y = SeqVector.from_complex(L1, rng.uniform(0.4, 2.5, 120)
+                                   * np.exp(1j * rng.uniform(-3, 3, 120)))
+        vecs = [companion_x(y, WeightSeq.inv_squares()), phi_map(y)]
+        tmp_path.mkdir()
+        rc, _ = run(["build", "--target", "universal_l1", "--blocks", "3"], tmp_path)
+        assert rc == 0
+        lines = (tmp_path / "report.json").read_bytes().splitlines(True)
+        return ([b"".join(a.tobytes() for a in (v.hi, v.lo, v.phase)) for v in vecs],
+                b"".join(l for l in lines if b'"wall_time"' not in l),
+                (tmp_path / "universal_y.json").read_bytes())
+
+    def test_outputs_byte_equal(self, naive, tmp_path, monkeypatch):
+        want = self.outputs(tmp_path / "closed")
+        monkeypatch.setattr(constructions, "a_closed", naive)
+        assert self.outputs(tmp_path / "naive") == want
+
+
 class TestConjugateCommand:
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "banded"])
     def test_all_bases_pass(self, kind, tmp_path):
@@ -433,6 +475,24 @@ class TestJuliaCommand:
         assert rep["parameters"]["classifications"][0] == "converges_to_zero"
         width = [c for c in rep["checks"] if c["name"] == "bracket-width"][0]
         assert width["measured"] <= 1e-6
+
+    @pytest.mark.parametrize("tol", ["1e-300", "5e-324"])
+    def test_tol_below_float_spacing_fails_on_width(self, tol, tmp_path, capsys):
+        # the boundary sits near t = 7.62, where doubles are 8.9e-16 apart: no
+        # bracket meets tol, so the width check fails on the narrowest
+        # bracket whose ends re-verify, and the run is not a bad bracket
+        d = tmp_path / "dir.json"
+        write_vector(d, factorial_tail_direction(60))
+        rc, rep = run(["julia", "--init", str(d), "--bracket", "1.0", "20.0",
+                       "--tol", tol], tmp_path)
+        assert rc == 1 and rep["status"] == "fail"
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert checks["bracket-width"]["status"] == "fail"
+        assert checks["endpoint-flip"]["status"] == "pass"
+        lo, hi = rep["parameters"]["bracket_final"]
+        assert 7.0 < lo < hi < 8.0 and hi - lo == checks["bracket-width"]["measured"] < 1e-14
+        assert rep["parameters"]["classifications"][0] == "converges_to_zero"
+        assert "bad-bracket" not in capsys.readouterr().err
 
 
 class TestReportContract:

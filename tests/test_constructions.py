@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hyperorbit import constructions
-from hyperorbit.arith import LOG_ZERO, ASeq, FibCache, LogComplex
+from hyperorbit.arith import LOG_ZERO, FibCache, LogComplex
 from hyperorbit.constructions import (
     DenseTestSeq,
     classify_polynomial_ray,
@@ -59,9 +59,12 @@ def cvec(values, space=L1):
 
 class TestDenseTestSeq:
     def test_band_constraint(self):
+        # the k-th vector: support exactly [1, k], moduli in [1/k, 1]
         dense = DenseTestSeq()
         for k in range(1, 21):
-            assert dense.constraint_ok(k)
+            v = dense.vector(k)
+            assert len(v) == k
+            assert np.all(v.lm >= -math.log(k) - 1e-15) and np.all(v.lm <= 1e-15)
 
     def test_vector_support(self):
         v = DenseTestSeq().vector(4, L1)
@@ -76,19 +79,19 @@ class TestDenseTestSeq:
 class TestCompanion:
     def test_first_coordinate_free_and_zero(self):
         y = cvec([1.0, 1.0, 1.0])
-        x = companion_x(y, WeightSeq.ones(), ASeq(5))
+        x = companion_x(y, WeightSeq.ones())
         assert x.coord(1).is_zero
 
     def test_unit_case_x2(self):
         # y_1 = 1, w_1 = 1: x_2 = 2**a_1 = 2 and c_2 d_2 = 2
         y = cvec([1.0, 1.0, 1.0])
-        x = companion_x(y, WeightSeq.ones(), ASeq(5))
+        x = companion_x(y, WeightSeq.ones())
         assert x.coord(2).to_complex() == pytest.approx(2.0)
 
     def test_trivial_products_give_pure_powers(self):
         # y = 1, w = 1: x_{i+1} = 2**(1 - i(i-1)/2)
         y = cvec([1.0] * 8)
-        x = companion_x(y, WeightSeq.ones(), ASeq(10))
+        x = companion_x(y, WeightSeq.ones())
         for i in range(1, 8):
             want = (1 - i * (i - 1) // 2) * math.log(2.0)
             assert x.coord(i + 1).log_mag == pytest.approx(want, rel=1e-14)
@@ -96,13 +99,12 @@ class TestCompanion:
     def test_zero_coordinate_rejected(self):
         y = cvec([1.0, 0.0, 1.0, 1.0])
         with pytest.raises(ZeroCoordinateError):
-            companion_x(y, WeightSeq.inv_squares(), ASeq(6))
+            companion_x(y, WeightSeq.inv_squares())
 
     def test_recursion_route_small_n(self):
         rng = np.random.default_rng(30)
         y = cvec(rng.uniform(0.4, 2.5, 50) * np.exp(1j * rng.uniform(-3, 3, 50)))
-        errs = weight_identity_recursion_error(y, WeightSeq.inv_squares(),
-                                               ASeq(60), 15)
+        errs = weight_identity_recursion_error(y, WeightSeq.inv_squares(), 15)
         for n, dlog, dph in errs:
             target = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
             assert max(dlog, dph) <= 1e-8 * max(1.0, target)
@@ -111,31 +113,42 @@ class TestCompanion:
         certs = weight_identity_certificates(60)
         assert all(c.ok for c in certs)
 
+    def test_closed_form_off_by_one_fails_two_exponent(self, monkeypatch):
+        # negative control: a_37 one too large breaks sum_i a_i F(2(n-i)+1) = n
+        # from n = 37 on, and that is the first certificate to fail
+        exact = constructions.a_closed
+        monkeypatch.setattr(constructions, "a_closed", lambda n: exact(n) + (n == 37))
+        certs = weight_identity_certificates(60, raise_on_failure=False)
+        first = next(c for c in certs if not c.ok)
+        assert (first.name, first.index) == ("two-exponent-is-n", 37)
+        assert [c.index for c in certs
+                if c.name == "two-exponent-is-n" and not c.ok] == list(range(37, 61))
+
 
 class TestPhiMap:
     def test_unit_vector(self):
         y = cvec([1.0, 1.0])
-        phi = phi_map(y, ASeq(4))
+        phi = phi_map(y)
         assert phi.coord(1).to_complex() == pytest.approx(2.0)  # 2**a_1 * 1 * 1
 
     def test_scaling_divides_geometrically(self):
         rng = np.random.default_rng(31)
         y = cvec(rng.uniform(0.5, 2, 10))
         y2 = y.scale(LogComplex.from_real(2.0))
-        p1, p2 = phi_map(y, ASeq(12)), phi_map(y2, ASeq(12))
+        p1, p2 = phi_map(y), phi_map(y2)
         for i in range(1, 11):
             assert p2.coord(i).log_mag - p1.coord(i).log_mag == pytest.approx(
                 -i * math.log(2.0), abs=1e-9)
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ZeroCoordinateError):
-            phi_map(cvec([1.0, 0.0]), ASeq(4))
+            phi_map(cvec([1.0, 0.0]))
 
 
 class TestGapSchedule:
     def test_first_boundary_and_minimality(self):
         dense = DenseTestSeq()
-        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), ASeq(200), 2)
+        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), 2)
         n2 = sch.ns[2]
         rec = sch.records[0]
         assert rec["margin_main"] <= 0.0
@@ -145,19 +158,19 @@ class TestGapSchedule:
 
     def test_gaps_nonempty(self):
         dense = DenseTestSeq()
-        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), ASeq(2000), 3)
+        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), 3)
         for j in range(2, 4):
             assert sch.ns[j] > sch.ns[j - 1] + j
 
     def test_margins_all_satisfied(self):
         dense = DenseTestSeq()
-        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), ASeq(2000), 3)
+        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), 3)
         for rec in sch.records:
             assert rec["margin_main"] <= 0.0
             assert rec["margin_gap"] < 0.0
 
 
-def scalar_gap_scan(dense, w, a, blocks):
+def scalar_gap_scan(dense, w, blocks):
     """The gap scan one n at a time, as it ran before the array scan: the
     reference for :func:`gap_schedule_search`'s ``ns`` and records."""
     ns, records = [None, 0], []
@@ -168,9 +181,9 @@ def scalar_gap_scan(dense, w, a, blocks):
 
         def margins(n):
             if j == 2:
-                return (constructions._base_margin(n, a),
+                return (constructions._base_margin(n),
                         constructions._cond3_margin(n, j, n_prev))
-            return (constructions._cond4_margin(n, j, n_prev, pi_log, a),
+            return (constructions._cond4_margin(n, j, n_prev, pi_log),
                     constructions._cond3_margin(n, j, n_prev))
 
         n = n_prev + j + 1
@@ -199,15 +212,15 @@ def scalar_gap_scan(dense, w, a, blocks):
 class TestGapScanOracle:
     @pytest.mark.parametrize("blocks", [2, 3, 4])
     def test_schedule_and_records_match_scalar_scan(self, blocks):
-        dense, w, a = DenseTestSeq(), WeightSeq.inv_squares(), ASeq(10)
-        sch = gap_schedule_search(dense, w, a, blocks)
-        ns, records = scalar_gap_scan(dense, w, a, blocks)
+        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
+        sch = gap_schedule_search(dense, w, blocks)
+        ns, records = scalar_gap_scan(dense, w, blocks)
         assert sch.ns == ns
         assert repr(sch.records) == repr(records)  # types as well as values
 
     def test_array_margins_are_bitwise_scalar(self):
-        dense, w, a = DenseTestSeq(), WeightSeq.inv_squares(), ASeq(10)
-        sch = gap_schedule_search(dense, w, a, 4)
+        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
+        sch = gap_schedule_search(dense, w, 4)
         for j in range(2, 5):
             n_prev = sch.ns[j - 1]
             pi_log = -sum(sch.z.lm[: n_prev + j - 1].tolist())
@@ -216,11 +229,11 @@ class TestGapScanOracle:
             vec = [constructions._cond3_margin(n, j, n_prev)]
             ref = [[constructions._cond3_margin(int(k), j, n_prev) for k in n]]
             if j == 2:
-                vec.append(constructions._base_margin(n, a))
-                ref.append([constructions._base_margin(int(k), a) for k in n])
+                vec.append(constructions._base_margin(n))
+                ref.append([constructions._base_margin(int(k)) for k in n])
             else:
-                vec.append(constructions._cond4_margin(n, j, n_prev, pi_log, a))
-                ref.append([constructions._cond4_margin(int(k), j, n_prev, pi_log, a)
+                vec.append(constructions._cond4_margin(n, j, n_prev, pi_log))
+                ref.append([constructions._cond4_margin(int(k), j, n_prev, pi_log)
                             for k in n])
             for got, want in zip(vec, ref):
                 assert got.dtype == np.float64
@@ -230,11 +243,11 @@ class TestGapScanOracle:
     @pytest.mark.parametrize("cap", [93, 94, 500, 1131, 1132, 1200])
     def test_scan_cap_overflows_at_the_same_block(self, cap, monkeypatch):
         monkeypatch.setattr(constructions, "SCAN_CAP", cap)
-        dense, w, a = DenseTestSeq(), WeightSeq.inv_squares(), ASeq(10)
+        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
 
         def outcome(search):
             try:
-                out = search(dense, w, a, 3)
+                out = search(dense, w, 3)
             except SearchOverflowError as exc:
                 return "overflow", str(exc).split()[0]  # "n_j"
             return "ns", out[0] if isinstance(out, tuple) else out.ns
@@ -246,7 +259,7 @@ class TestGapScanOracle:
 def built():
     dense = DenseTestSeq()
     w = WeightSeq.inv_squares()
-    sch = gap_schedule_search(dense, w, ASeq(2000), 3)
+    sch = gap_schedule_search(dense, w, 3)
     z, certs = universal_y_l1(sch, dense, w)
     return sch, z, certs
 
@@ -275,7 +288,7 @@ class TestUniversalLayout:
     @pytest.mark.parametrize("blocks", [2, 3, 4])
     def test_schedule_vector_matches_fill_rules(self, blocks):
         dense, w = DenseTestSeq(), WeightSeq.inv_squares()
-        sch = gap_schedule_search(dense, w, ASeq(10), blocks)
+        sch = gap_schedule_search(dense, w, blocks)
         assert sch.ns[2:] == [94, 1132, 20969][: blocks - 1]
         want = reference_layout(sch.ns, dense, w)
         for got, ref in zip((sch.z.hi, sch.z.lo, sch.z.phase), want):

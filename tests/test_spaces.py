@@ -634,7 +634,7 @@ class TestVectorAlgebra:
 
     def test_weight_generator_reproduces(self):
         w = WeightSeq.inv_squares()
-        assert w.value_at(3) == pytest.approx(1 / 9, rel=1e-15)
+        assert np.exp(w.logs(3)) == pytest.approx([1.0, 1 / 4, 1 / 9], rel=1e-15)
         assert w.log_at(2) == -2 * math.log(2)
         with pytest.raises(ParameterRangeError):
             WeightSeq("custom", [1.0, -2.0])
