@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report format, traces, determinism."""
 
+import cmath
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 
 from fractions import Fraction
 
-from hyperorbit import cli, constructions
+from hyperorbit import cli, constructions, spaces
 from hyperorbit.arith import a_naive
 from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x, factorial_tail_direction, phi_map
@@ -20,7 +21,10 @@ from hyperorbit.spaces import (
     SeqVector,
     SpaceTag,
     WeightSeq,
+    read_vector,
     shift_pow,
+    vector_from_json,
+    vector_to_json,
     write_vector,
 )
 
@@ -402,6 +406,17 @@ class TestBuildCommand:
             reports.append(rep)
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("target, space", [
+        ("companion", {"space": "l1"}), ("delta_d", {"space": "hc", "param": 1})])
+    def test_empty_vector_is_build_input_failure(self, target, space, tmp_path):
+        # a vector with no coordinates reaches the builder's range check
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps(dict(space, coords=[])))
+        rc, rep = run(["build", "--target", target, "--init", str(path)], tmp_path)
+        assert rc == 1 and rep["status"] == "fail"
+        assert [(c["name"], c["verifies"]) for c in rep["checks"]] == [
+            ("ParameterRangeError", "build-input")]
+
     @pytest.mark.parametrize("target, vector", [
         ("q_blocks", "q_universal.json"), ("universal_l1", "universal_y.json")])
     def test_zero_blocks_is_build_input_failure(self, target, vector, tmp_path):
@@ -416,6 +431,177 @@ class TestBuildCommand:
     def test_unknown_target(self, tmp_path):
         rc = main(["build", "--target", "nope"])
         assert rc == 2
+
+
+def _edit_coord(path, k, factor):
+    """Multiply coordinate k (0-based) of a written ``[re, im]`` vector file."""
+    obj = json.loads(path.read_text())
+    z = complex(*obj["coords"][k]) * factor
+    obj["coords"][k] = [z.real, z.imag]
+    path.write_text(json.dumps(obj))
+
+
+class TestDeltaDFile:
+    """The written ``delta_d_f.json`` is the f that ``reciprocal-coefficient``
+    certifies."""
+
+    @pytest.fixture()
+    def written(self, tmp_path):
+        rc, _ = run(["build", "--target", "delta_d"], tmp_path)
+        assert rc == 0
+        g = constructions.stacked_primitive_g(constructions.DenseTestSeq(), 8)
+        return g, tmp_path / "delta_d_f.json"
+
+    def test_file_is_certified_vector(self, written):
+        g, path = written
+        f, _ = constructions.delta_d_pair(g)
+        certified = vector_from_json(vector_to_json(f))
+        on_disk = read_vector(path)
+        for part in ("hi", "lo", "phase"):
+            assert (getattr(on_disk, part).tobytes()
+                    == getattr(certified, part).tobytes())
+
+    @pytest.mark.parametrize("k, factor, measured", [
+        (1, 1.0 + 1e-6, 1.0e-6), (5, 1.0 + 1e-6, 3.0e-7), (20, 1.0 + 1e-6, 3.4e-8),
+        (43, 1.0 + 1e-6, 1.3e-8), (20, cmath.exp(1e-6j), 1.0e-6)])
+    def test_edited_file_fails_at_that_index(self, written, k, factor, measured):
+        # f^(k)(0) off by relative 1e-6 moves its log by 1e-6, which the log
+        # residual divides by the sum of the log moduli of row k; turned by
+        # 1e-6 rad, it moves the phase residual by 1e-6
+        g, path = written
+        _edit_coord(path, k, factor)
+        certs = constructions.reciprocal_coefficient_checks(g, read_vector(path), 1e-9)
+        assert [(c.name, c.index) for c in certs if not c.ok] == [
+            ("reciprocal-coefficient", k)]
+        assert certs[k - 1].measured == pytest.approx(measured, rel=0.05)
+
+
+def _corrupt_cache(monkeypatch):
+    """F(3) one too large in every Fibonacci cache the builders make."""
+    class Cache(constructions.FibCache):
+        def __init__(self, prefill):
+            super().__init__(prefill)
+            self._corrupt_for_testing(3)
+
+    monkeypatch.setattr(constructions, "FibCache", Cache)
+
+
+def _edit_written_f(monkeypatch):
+    """The vector writer puts coordinate 20 off by relative 1e-6: the file,
+    and the read-back that ``delta_d_pair`` certifies, hold the edit."""
+    write = spaces.vector_to_json
+
+    def faulty(v):
+        obj = write(v)
+        z = complex(*obj["coords"][20]) * (1.0 + 1e-6)
+        obj["coords"][20] = [z.real, z.imag]
+        return obj
+
+    monkeypatch.setattr(spaces, "vector_to_json", faulty)
+    monkeypatch.setattr(constructions, "vector_to_json", faulty)
+
+
+def _edit_built_x(monkeypatch):
+    """x_6 of the built companion vector off by relative 1e-6."""
+    build = constructions.companion_x
+
+    def perturbed(y, w):
+        x = build(y, w)
+        hi = x.hi.copy()
+        hi[5] += 1e-6
+        return SeqVector(x.space, hi, x.lo, x.phase)
+
+    monkeypatch.setattr(constructions, "companion_x", perturbed)
+    monkeypatch.setattr(cli, "companion_x", perturbed)
+
+
+def _wrong_weights(monkeypatch):
+    """The builder and its certificates get w_l = l instead of 1 / l^2."""
+    monkeypatch.setattr(WeightSeq, "inv_squares", staticmethod(WeightSeq.linear))
+
+
+def _no_coordinates(path):
+    """The input vector file with its coordinates removed."""
+    obj = json.loads(path.read_text())
+    obj["coords"] = []
+    path.write_text(json.dumps(obj))
+
+
+def _zero_coordinate(path):
+    """The input vector file with its second coordinate set to zero."""
+    _edit_coord(path, 1, 0.0)
+
+
+# every check name the two targets emit -> a mutation that fails a check of
+# that name; the mutation either patches the build (monkeypatch) or writes the
+# input file.  The exponent families never read g, f, y or x: only a damaged
+# Fibonacci cache fails them (see test_object_edits_pass_exponent_families)
+MUTATIONS = {
+    "delta_d": {
+        "reciprocal-exponent-telescopes": _corrupt_cache,
+        "reciprocal-coefficient": _edit_written_f,
+        "ParameterRangeError": _no_coordinates,
+        "ZeroCoordinateError": _zero_coordinate,
+    },
+    "companion": {
+        "y-exponent-telescopes": _corrupt_cache,
+        "w-exponent-is-minus-one": _corrupt_cache,
+        "two-exponent-is-n": _corrupt_cache,
+        "weight-identity-value": _wrong_weights,
+        "recursion-identity": _edit_built_x,
+        "ParameterRangeError": _no_coordinates,
+        "ZeroCoordinateError": _zero_coordinate,
+    },
+}
+EXPONENT_FAMILIES = {"reciprocal-exponent-telescopes", "y-exponent-telescopes",
+                     "w-exponent-is-minus-one", "two-exponent-is-n"}
+
+
+class TestMutationTable:
+    """A check name that no mutation of its input or build fails shows nothing."""
+
+    @staticmethod
+    def build(target, tmp_path, monkeypatch, mutate=None):
+        if target == "delta_d":
+            path = tmp_path / "g.json"
+            g = constructions.stacked_primitive_g(constructions.DenseTestSeq(), 8)
+            path.write_text(json.dumps(vector_to_json(g)))
+        else:
+            path = tmp_path / "y.json"
+            rng = np.random.default_rng(22)
+            path.write_text(json.dumps(vector_to_json(
+                SeqVector.from_complex(L1, rng.uniform(0.5, 2.0, 40)))))
+        if mutate in (_no_coordinates, _zero_coordinate):
+            mutate(path)
+        elif mutate is not None:
+            mutate(monkeypatch)
+        rc, rep = run(["build", "--target", target, "--init", str(path)], tmp_path)
+        return rc, {(c["name"].split("[")[0], c["status"]) for c in rep["checks"]}
+
+    @pytest.mark.parametrize("target", sorted(MUTATIONS))
+    def test_table_covers_every_emitted_name(self, target, tmp_path, monkeypatch):
+        rc, rows = self.build(target, tmp_path, monkeypatch)
+        assert rc == 0
+        errors = {"ParameterRangeError", "ZeroCoordinateError"}
+        assert {name for name, _ in rows} | errors == set(MUTATIONS[target])
+
+    @pytest.mark.parametrize("target, name", [
+        (t, n) for t in sorted(MUTATIONS) for n in sorted(MUTATIONS[t])])
+    def test_mutation_fails_its_name(self, target, name, tmp_path, monkeypatch):
+        rc, rows = self.build(target, tmp_path, monkeypatch, MUTATIONS[target][name])
+        assert rc == 1 and (name, "fail") in rows
+
+    @pytest.mark.parametrize("target, mutate", [
+        ("delta_d", _edit_written_f), ("companion", _edit_built_x),
+        ("companion", _wrong_weights)])
+    def test_object_edits_pass_exponent_families(self, target, mutate, tmp_path,
+                                                 monkeypatch):
+        # a finding kept as a test: the exponent families certify the
+        # Fibonacci arithmetic of the construction, not the built vector
+        rc, rows = self.build(target, tmp_path, monkeypatch, mutate)
+        assert rc == 1
+        assert not {name for name, status in rows
+                    if status == "fail"} & EXPONENT_FAMILIES
 
 
 class TestClosedFormOracle:

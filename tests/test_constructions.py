@@ -113,6 +113,27 @@ class TestCompanion:
         certs = weight_identity_certificates(60)
         assert all(c.ok for c in certs)
 
+    @pytest.mark.parametrize("corrupt", [None, 1, 2, 3, 200, 401])
+    def test_w_exponent_rows_match_nested_oracle(self, corrupt, monkeypatch):
+        # the per-(n, l) expression, O(n_max^2), is the oracle of the one-pass
+        # scan over k = n - l, on the clean cache and with one entry off by one
+        class Cache(FibCache):
+            def __init__(self, prefill):
+                super().__init__(prefill)
+                if corrupt is not None:
+                    self._corrupt_for_testing(corrupt)
+
+        monkeypatch.setattr(constructions, "FibCache", Cache)
+        n_max = 200
+        cache = Cache(2 * n_max + 3)
+        oracle = [all(cache(2 * n + 3 - 2 * l) - 1 - cache(2 * (n - l + 1))
+                      - cache(2 * (n - l) + 1) == -1 for l in range(1, n + 1))
+                  for n in range(1, n_max + 1)]
+        certs = weight_identity_certificates(n_max, raise_on_failure=False)
+        rows = [(c.index, c.ok) for c in certs if c.name == "w-exponent-is-minus-one"]
+        assert rows == list(zip(range(1, n_max + 1), oracle))
+        assert all(oracle) == (corrupt is None)
+
     def test_closed_form_off_by_one_fails_two_exponent(self, monkeypatch):
         # negative control: a_37 one too large breaks sum_i a_i F(2(n-i)+1) = n
         # from n = 37 on, and that is the first certificate to fail
@@ -356,16 +377,19 @@ class TestCertificateFailures:
     def test_delta_d_pair_tol_below_worst(self):
         g = stacked_primitive_g(DenseTestSeq(), 8)
         _, certs = delta_d_pair(g, raise_on_failure=False)
-        tol = max(c.measured for c in certs if c.name == "even-weight-unity") - 1e-12
+        worst = max(c.measured for c in certs if c.name == "reciprocal-coefficient")
+        assert worst > 0.0  # a positive tolerance below it exists
+        tol = 0.5 * worst
         _, certs = delta_d_pair(g, tol=tol, raise_on_failure=False)
         exc = self.first_failure(certs, lambda: delta_d_pair(g, tol=tol))
-        assert exc.name == "even-weight-unity" and exc.bound == tol
+        assert exc.name == "reciprocal-coefficient" and exc.bound == tol
 
     @pytest.mark.parametrize("idx, measured", [
-        (1, 1.0e-6), (5, 1.674e-6), (20, 1.461e-5), (43, 3.775e-5)])
+        (1, 1.0e-6), (5, 5.0e-7), (20, 5.0e-7), (43, 5.0e-7)])
     def test_delta_d_pair_perturbed_f(self, idx, measured, monkeypatch):
         # log |f^(idx)(0)| of the built f off by 1e-6 (relative beyond 1): at
-        # the default tolerance the value route fails first at 2 idx
+        # the default tolerance the per-index relation fails at idx alone,
+        # scaled by the sum of the log moduli it adds up
         build = constructions._dd_cumsum_neg
 
         def perturbed(hi, lo):
@@ -377,8 +401,9 @@ class TestCertificateFailures:
         g = stacked_primitive_g(DenseTestSeq(), 8)
         _, certs = delta_d_pair(g, raise_on_failure=False)
         exc = self.first_failure(certs, lambda: delta_d_pair(g))
-        assert (exc.name, exc.index, exc.bound) == ("even-weight-unity", 2 * idx, 1e-9)
+        assert (exc.name, exc.index, exc.bound) == ("reciprocal-coefficient", idx, 1e-9)
         assert exc.measured == pytest.approx(measured, rel=1e-3)
+        assert [c.index for c in certs if not c.ok] == [idx]
 
     def test_hc_q_blocks_tol_below_worst(self):
         dense = DenseTestSeq()
@@ -482,6 +507,13 @@ class TestReciprocalPair:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ZeroCoordinateError):
             delta_d_pair(cvec([1.0, 0.0, 1.0], HC))
+
+    def test_single_coefficient(self):
+        # f = 1 and no coefficient to relate; the one exponent row still runs
+        f, certs = delta_d_pair(cvec([2.0], HC))
+        assert f.coord(1).to_complex() == 1.0
+        assert [(c.name, c.index) for c in certs] == [
+            ("reciprocal-exponent-telescopes", 2)]
 
     def test_stacked_primitive_residual_decreases(self):
         dense = DenseTestSeq()
