@@ -28,6 +28,7 @@ from .constructions import (
     GapSchedule,
     JuliaProbe,
     QBlocks,
+    companion_pair,
     companion_x,
     delta_d_pair,
     gap_schedule_search,
@@ -57,7 +58,6 @@ from .dynamics import (
 )
 from .errors import (
     BadBracketError,
-    CertificateFailure,
     DegreeCapError,
     HyperorbitError,
     ParameterRangeError,

@@ -407,25 +407,33 @@ def a_closed(n):
     return 1 - n * (n - 1) // 2
 
 
-def a_recursion(N: int) -> list[int]:
-    """``[0, a_1, ..., a_N]`` (index = subscript) from the defining convolution.
+def a_convolution_step(an: int, P: int, Q: int) -> tuple[int, int]:
+    """``(P_{n+1}, Q_{n+1})`` from ``a_n``, ``P_n`` and ``Q_n``.
 
-    With ``P_n = sum_j a_{n-j} F(2j)`` and ``Q_n = sum_j a_{n-j} F(2j+1)``,
-    the Fibonacci recurrence gives
+    With ``P_n = sum_{j=1..n-1} a_{n-j} F(2j)`` and
+    ``Q_n = sum_{j=1..n-1} a_{n-j} F(2j+1)`` (``P_1 = Q_1 = 0``), the
+    Fibonacci recurrence gives
 
         ``P_{n+1} = a_n + P_n + Q_n``,
         ``Q_{n+1} = 2 a_n + P_n + 2 Q_n``,
 
-    so each a_n costs O(1) exact integer operations instead of an O(n)
-    big-integer sum.  ``identities`` compares it with :func:`a_closed`.
+    so the defining sum ``sum_{j=0..n-1} a_{n-j} F(2j+1) = a_n + Q_n`` costs
+    O(1) exact integer operations per n instead of an O(n) big-integer sum.
+    """
+    return an + P + Q, 2 * an + P + 2 * Q
+
+
+def a_recursion(N: int) -> list[int]:
+    """``[0, a_1, ..., a_N]`` (index = subscript) from the defining convolution,
+    ``a_n = n - Q_n``, one :func:`a_convolution_step` per n.  ``identities``
+    compares it with :func:`a_closed`.
     """
     if N < 1:
         raise ParameterRangeError("the a-sequence needs N >= 1")
     vals = [0, 1]
     P, Q = 0, 0
     for n in range(1, N):
-        an = vals[n]
-        P, Q = an + Q + P, 2 * an + P + 2 * Q
+        P, Q = a_convolution_step(vals[n], P, Q)
         vals.append(n + 1 - Q)
     return vals
 

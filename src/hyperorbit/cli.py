@@ -12,26 +12,22 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .arith import (FibCache, LogComplex, a_closed, a_recursion, check_fib_identities,
-                    fib_partial_sum_ok)
+from .arith import FibCache, a_closed, a_recursion, check_fib_identities, fib_partial_sum_ok
 from .constructions import (
     DenseTestSeq,
-    companion_x,
+    companion_pair,
     delta_d_pair,
     gap_schedule_search,
     hc_Q_blocks,
     julia_ray_bisection,
     stacked_primitive_g,
-    symmetric_preimage,
+    symmetric_preimage_certificates,
     universal_y_l1,
-    weight_identity_certificates,
-    weight_identity_recursion_error,
 )
 from .conjugation import build_N, commutation_check, host_basis, pushforward_orbit_check
 from .dynamics import (
@@ -210,36 +206,19 @@ def cmd_orbit(args) -> RunReport:
 def _build_companion(args, rep: RunReport) -> None:
     if not args.init:
         raise InputError("companion build needs --init with the base vector")
-    y = _read_vector_input(args.init)
-    w = WeightSeq.inv_squares()
-    x = companion_x(y, w)
+    x, certs = companion_pair(_read_vector_input(args.init), WeightSeq.inv_squares())
     write_vector(_emit_path(args.out, "companion_x.json"), x)
-    n_exact = min(200, len(y) - 1)
-    rep.extend(weight_identity_certificates(n_exact, w, raise_on_failure=False))
-    n_rec = min(15, (len(y) - 1) // 2)
-    if n_rec >= 1:
-        for n, dlog, dph in weight_identity_recursion_error(y, w, n_rec):
-            target = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
-            rep.add(check_leq("recursion-identity", max(dlog, dph),
-                              1e-8 * max(1.0, target), "companion-weight-identity", n))
+    rep.extend(certs)
 
 
 def _build_universal(args, rep: RunReport) -> None:
     dense = DenseTestSeq()
     w = WeightSeq.inv_squares()
-    blocks = 3 if args.blocks is None else args.blocks
-    schedule = gap_schedule_search(dense, w, blocks)
+    schedule = gap_schedule_search(dense, w, 3 if args.blocks is None else args.blocks)
     rep.parameters["schedule"] = schedule.ns[1:]
-    z, certs = universal_y_l1(schedule, dense, w, raise_on_failure=False)
-    write_vector(_emit_path(args.out, "universal_y.json"), z)
+    certs = universal_y_l1(schedule, dense, w)
+    write_vector(_emit_path(args.out, "universal_y.json"), schedule.z)
     rep.extend(certs)
-    for r in schedule.records:
-        rep.add(check_flag("gap-minimality",
-                           r["violated_at_prev"] is None or r["violated_at_prev"] > 0,
-                           "gap-schedule", r["j"]))
-        rep.add(check_flag("gap-monotone",
-                           r["tail_monotone"] and r["derivative_negative"],
-                           "gap-schedule", r["j"]))
 
 
 def _build_delta_d(args, rep: RunReport) -> None:
@@ -247,14 +226,13 @@ def _build_delta_d(args, rep: RunReport) -> None:
         g = _read_vector_input(args.init)
     else:
         g = stacked_primitive_g(DenseTestSeq(), blocks=8)
-    f, certs = delta_d_pair(g, raise_on_failure=False)
+    f, certs = delta_d_pair(g)
     write_vector(_emit_path(args.out, "delta_d_f.json"), f)
     rep.extend(certs)
 
 
 def _build_q_blocks(args, rep: RunReport) -> None:
-    K = 3 if args.blocks is None else args.blocks
-    qb = hc_Q_blocks(DenseTestSeq(), K, raise_on_failure=False)
+    qb = hc_Q_blocks(DenseTestSeq(), 3 if args.blocks is None else args.blocks)
     rep.parameters["block_tops"] = qb.ns
     write_vector(_emit_path(args.out, "q_universal.json"), qb.Q)
     rep.extend(qb.certificates)
@@ -263,20 +241,11 @@ def _build_q_blocks(args, rep: RunReport) -> None:
 def _build_symmetric(args, rep: RunReport) -> None:
     if not args.init:
         raise InputError("symmetric_preimage needs --init with the target vector")
-    x0 = _read_vector_input(args.init)
-    rng = np.random.default_rng(args.seed)
-    w = WeightSeq.inv_squares()
-    base = norm(x0)
-    for t in range(20):
-        lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
-                                              * np.exp(1j * rng.uniform(-np.pi, np.pi))))
-        x, y, resid = symmetric_preimage(x0, lam, w)
-        rel = resid - base if base > LOG_ZERO else resid
-        rep.add(check_leq("preimage-residual", rel if rel > LOG_ZERO else -1e9,
-                          math.log(1e-12), "symmetric-preimage", t))
-        if t == 0:
-            write_vector(_emit_path(args.out, "preimage_x.json"), x)
-            write_vector(_emit_path(args.out, "preimage_y.json"), y)
+    x, y, certs = symmetric_preimage_certificates(_read_vector_input(args.init),
+                                                  np.random.default_rng(args.seed))
+    write_vector(_emit_path(args.out, "preimage_x.json"), x)
+    write_vector(_emit_path(args.out, "preimage_y.json"), y)
+    rep.extend(certs)
 
 
 _BUILDERS = {

@@ -208,7 +208,6 @@ def build_N(basis: MarkushevichBasis, w: WeightSeq | None = None) -> HostBilinea
 
 @dataclass
 class CommutationReport:
-    basis_kind: str
     samples: int
     max_basis_residual: float       # linear scale, over all basis pairs
     max_random_residual: float      # linear scale, over random log-domain pairs
@@ -259,12 +258,11 @@ def commutation_check(m_spec: MultilinearSpec, host_op: HostBilinear,
         rhs_v = host_op.apply(phi(uu), phi(vv))
         r = norm(lhs_v.sub(rhs_v))
         max_rand = max(max_rand, math.exp(min(r, 50.0)) if r > LOG_ZERO else 0.0)
-    return CommutationReport(basis.kind, samples, basis_resid, max_rand)
+    return CommutationReport(samples, basis_resid, max_rand)
 
 
 @dataclass
 class PushforwardReport:
-    basis_kind: str
     steps: int
     residual_logs: list      # per step: log ||phi(x_n) - h_n|| on the shared window
     bound_logs: list         # per step: log(tol * (1 + ||h_n||))
@@ -297,5 +295,4 @@ def pushforward_orbit_check(m_spec: MultilinearSpec, host_op: HostBilinear,
         bound_logs.append(bound)
         if r > bound:
             ok = False
-    return PushforwardReport(basis.kind, len(resid_logs), resid_logs,
-                             bound_logs, ok)
+    return PushforwardReport(len(resid_logs), resid_logs, bound_logs, ok)

@@ -2,9 +2,12 @@
 
 Each builder returns its object together with *certificates*
 (:class:`~hyperorbit.report.Check` records): the explicit inequalities the
-construction promises, re-evaluated in the log domain on the built prefix.  A
-failed certificate raises :class:`CertificateFailure`; the certificate list is
-the machine-checkable record that the finite truncation actually realizes the
+construction promises, re-evaluated in the log domain on the built prefix.
+This module alone decides what a ``build`` target certifies.  A failed
+certificate is a failing row, never an exception; a builder raises only on
+input it cannot build from (:class:`ParameterRangeError`,
+:class:`ZeroCoordinateError`, ...).  The certificate list is the
+machine-checkable record that the finite truncation actually realizes the
 construction.
 """
 
@@ -16,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from mpmath import psi
 
-from .arith import (LOG_ZERO, FibCache, LogComplex, a_closed, even_sum_failure,
-                    normalize_phase, phase_times_int)
+from .arith import (LOG_ZERO, FibCache, LogComplex, a_closed, a_convolution_step,
+                    even_sum_failure, normalize_phase, phase_times_int)
 from .dynamics import (
     CONVERGENCE_RUN,
     LN2,
@@ -29,13 +32,8 @@ from .dynamics import (
     m_symmetric,
     n_delta_d,
 )
-from .errors import (
-    BadBracketError,
-    CertificateFailure,
-    ParameterRangeError,
-    SearchOverflowError,
-    ZeroCoordinateError,
-)
+from .errors import (BadBracketError, ParameterRangeError, SearchOverflowError,
+                     ZeroCoordinateError)
 from .rational import QComplex, QVector, q_equal, q_forward_shift, q_iterate, q_scale
 from .report import Check, CheckFamily, CheckList, check_flag, check_leq
 from .spaces import (
@@ -51,12 +49,6 @@ from .spaces import (
     vector_from_json,
     vector_to_json,
 )
-
-
-def _raise_if_failed(certs) -> None:
-    for c in certs:
-        if not c.ok:
-            raise CertificateFailure(c.name, c.index, c.measured, c.bound)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +111,7 @@ def companion_x(y: SeqVector, w: WeightSeq) -> SeqVector:
 
 
 def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
-                                 tol: float = 1e-8,
-                                 raise_on_failure: bool = True) -> list[Check]:
+                                 tol: float = 1e-8) -> list[Check]:
     """Certify ``c_{2n} d_{2n} = 2**n n!**2`` for the companion pair, n <= n_max.
 
     The two-term recursion amplifies float noise with Fibonacci weight, so at
@@ -131,8 +122,9 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
     * the exponent of every ``log y_j`` telescopes to exactly 0 (so the value
       is independent of y, as the construction promises);
     * the exponent of every ``log w_l`` telescopes to exactly -1;
-    * the exponent of ``log 2`` equals exactly n (the defining property of
-      the a-sequence, tested against its closed form :func:`a_closed`);
+    * the exponent of ``log 2``, ``sum_{i<=n} a_i F(2(n-i)+1)`` with a_i from
+      its closed form :func:`a_closed`, equals exactly n (the defining
+      property of the a-sequence);
     * the surviving value ``n log 2 - sum_l log w_l`` matches
       ``n log 2 + 2 log n!`` within ``tol`` relative.
 
@@ -153,40 +145,63 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
                    if F[2 * k + 3] - 1 - F[2 * k + 2] - F[2 * k + 1] != -1), None)
     verifies = "companion-weight-identity"
     certs: list[Check] = []
+    P = Q = 0
     for n in range(1, n_max + 1):
         y_ok = y_fail is None or n < y_fail
         certs.append(check_flag("y-exponent-telescopes", y_ok, verifies, n))
         w_ok = w_fail is None or n <= w_fail
         certs.append(check_flag("w-exponent-is-minus-one", w_ok, verifies, n))
-        # exponent of log 2
-        e2 = sum(a_closed(i) * cache(2 * (n - i) + 1) for i in range(1, n + 1))
-        certs.append(check_flag("two-exponent-is-n", e2 == n, verifies, n))
+        # exponent of log 2: sum_{i<=n} a_i F(2(n-i)+1) = a_n + Q_n
+        an = a_closed(n)
+        certs.append(check_flag("two-exponent-is-n", an + Q == n, verifies, n))
+        P, Q = a_convolution_step(an, P, Q)
         # surviving value vs the closed form
         value = n * LN2 - float(np.sum(w.logs(n)))
-        target = n * LN2 + 2.0 * math.lgamma(n + 1.0)
+        target = _block_scale(n)
         rel = abs(value - target) / max(1.0, abs(target))
         certs.append(check_leq("weight-identity-value", rel, tol, verifies, n))
-    if raise_on_failure:
-        _raise_if_failed(certs)
     return certs
 
 
-def weight_identity_recursion_error(y: SeqVector, w: WeightSeq, n_max: int):
-    """Deviation of the float-recursion ledger from ``2**n n!**2``, per n.
+def weight_identity_recursion_error(x: SeqVector, y: SeqVector, w: WeightSeq,
+                                    n_max: int) -> list[Check]:
+    """``recursion-identity[n]``, n <= n_max: the float-recursion ledger of the
+    pair (x, y) against ``2**n n!**2``.
 
-    Returns ``[(n, |d log|, |phase|)]`` for the companion pair built from y.
-    Useful only for small n: the recursion's rounding noise grows with
-    Fibonacci weight and swamps the identity beyond n of a few dozen.
+    Row n measures ``max(|d log|, |phase|)`` of ``c_{2n} d_{2n}`` and passes
+    below ``1e-8 max(1, n log 2 + 2 log n!)``.  Useful only for small n: the
+    recursion's rounding noise grows with Fibonacci weight and swamps the
+    identity beyond n of a few dozen.
     """
     spec = replace(m_l1(), space=y.space, weights=w)
-    x = companion_x(y, w)
     led = ledger(spec, (x, y), 2 * n_max)
-    out = []
+    certs = []
     for n in range(1, n_max + 1):
         cd = led.cd(2 * n)
         target = n * LN2 - float(np.sum(w.logs(n)))
-        out.append((n, abs(cd.log_mag - target), abs(cd.phase)))
-    return out
+        certs.append(check_leq("recursion-identity",
+                               max(abs(cd.log_mag - target), abs(cd.phase)),
+                               1e-8 * max(1.0, _block_scale(n)),
+                               "companion-weight-identity", n))
+    return certs
+
+
+def companion_pair(y: SeqVector, w: WeightSeq):
+    """Build the companion vector of ``y`` and certify the pair.
+
+    Returns ``(x, certificates)``: :func:`weight_identity_certificates` for
+    n <= min(200, len(y) - 1), then :func:`weight_identity_recursion_error`
+    for n <= min(15, (len(y) - 1) // 2) on
+    ``vector_from_json(vector_to_json(x))``, which is what the written vector
+    file holds.
+    """
+    x = companion_x(y, w)
+    certs = weight_identity_certificates(min(200, len(y) - 1), w)
+    n_rec = min(15, (len(y) - 1) // 2)
+    if n_rec >= 1:
+        certs += weight_identity_recursion_error(
+            vector_from_json(vector_to_json(x)), y, w, n_rec)
+    return x, certs
 
 
 def phi_map(y: SeqVector) -> SeqVector:
@@ -358,7 +373,7 @@ def _zeta2_tail(j: int) -> float:
 
 
 def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
-                   w: WeightSeq | None = None, raise_on_failure: bool = True):
+                   w: WeightSeq | None = None) -> CheckList:
     """Certify the block-built universal vector ``schedule.z``.
 
     The vector is ``z = z_1 + sum_j (fillers + S_w^{n_j}(z_j / (2**n_j n_j!**2)))``
@@ -370,7 +385,9 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
     * universality residuals: ``||2**n_j n_j!**2 B_w^{n_j}(z) - z_j||_1``
       is at most ``2 sum_{l >= j} 1/l**2`` for every built block.
 
-    Returns ``(z, certificates)``.
+    Then the total l1 norm, and per searched block j the schedule's records:
+    ``gap-minimality[j]`` (the margin at n_j - 1 was violated) and
+    ``gap-monotone[j]`` (the margins keep decreasing past n_j).
     """
     w = w or WeightSeq.inv_squares()
     ns, z = schedule.ns, schedule.z
@@ -403,9 +420,14 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
     certs.append(check_leq("l1-norm", norm(z),
                            math.log(1.0 + 2.0 * _zeta2_tail(1)), verifies))
 
-    if raise_on_failure and not certs.ok:  # rows are made only to name the failure
-        _raise_if_failed(certs)
-    return z, certs
+    for r in schedule.records:
+        certs.append(check_flag("gap-minimality",
+                                r["violated_at_prev"] is None or r["violated_at_prev"] > 0,
+                                "gap-schedule", r["j"]))
+        certs.append(check_flag("gap-monotone",
+                                r["tail_monotone"] and r["derivative_negative"],
+                                "gap-schedule", r["j"]))
+    return certs
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +546,7 @@ def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector, tol: float) -> lis
             for i, r in enumerate(resid.tolist(), 1)]
 
 
-def delta_d_pair(g: SeqVector, tol: float = 1e-9, raise_on_failure: bool = True):
+def delta_d_pair(g: SeqVector, tol: float = 1e-9):
     """Build f with ``f^(n)(0) = prod_{i<n} 1/g^(i)(0)`` and certify it.
 
     g is given by monomial coefficients; it needs at least one, and every
@@ -576,8 +598,6 @@ def delta_d_pair(g: SeqVector, tol: float = 1e-9, raise_on_failure: bool = True)
     certs = [check_flag("reciprocal-exponent-telescopes", fail is None or m < fail,
                         "even-weight-unity", 2 * m) for m in range(1, N // 2 + 1)]
     certs += reciprocal_coefficient_checks(g, vector_from_json(vector_to_json(f)), tol)
-    if raise_on_failure:
-        _raise_if_failed(certs)
     return f, certs
 
 
@@ -638,11 +658,10 @@ class QBlocks:
     betas: list
     C_log: float             # log of the uniform constant in the coefficient bounds
     certificates: list
-    stages: list             # Q_1 .. Q_K as vectors (each extends the previous)
 
 
 def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
-                tol: float = 1e-8, raise_on_failure: bool = True) -> QBlocks:
+                tol: float = 1e-8) -> QBlocks:
     """Build K blocks of the universal function for evaluation-times-derivative.
 
     Block 1 fixes degree 3; each later block appends a free low coefficient,
@@ -715,7 +734,7 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
         alphas.append(alpha)
         betas.append(beta)
 
-    # assemble monomial coefficients and the per-block stages
+    # assemble monomial coefficients
     top = ns[-1]
     coeffs = []
     for i in range(top + 1):
@@ -723,7 +742,6 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
         coeffs.append(LogComplex.zero() if t.is_zero else
                       LogComplex(t.log_mag - math.lgamma(i + 1.0), t.phase))
     Q = SeqVector.from_logc(SpaceTag.hc(1), coeffs)
-    stages = [Q.truncate(ns[j] + 1) for j in range(K)]
 
     # certificates via the two-term recursion (independent of the solver path)
     spec = m_fg_prime(1)
@@ -742,9 +760,7 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
                                C_log + (ns[j - 1] + 1) * LN2, verifies, j + 1))
         certs.append(check_leq("beta-bound", betas[j].log_mag,
                                C_log + ns[j] * LN2, verifies, j + 1))
-    if raise_on_failure:
-        _raise_if_failed(certs)
-    return QBlocks(Q, ns, alphas, betas, C_log, certs, stages)
+    return QBlocks(Q, ns, alphas, betas, C_log, certs)
 
 
 # ---------------------------------------------------------------------------
@@ -781,6 +797,30 @@ def symmetric_preimage(x0: SeqVector, lam: LogComplex,
     out = apply(m_symmetric(), (x, y))
     resid = norm(out.sub(x0._padded(len(out))))
     return x, y, resid
+
+
+def symmetric_preimage_certificates(x0: SeqVector, rng):
+    """Preimage pairs of ``x0`` for 20 random lam, each certified.
+
+    lam has modulus uniform in [0.5, 8] and phase uniform in [-pi, pi], drawn
+    from ``rng`` in that order.  Row t, ``preimage-residual[t]``, is the
+    residual of :func:`symmetric_preimage` relative to ``||x0||`` (absolute
+    for a zero x0; an exactly zero residual reads -1e9), bounded by
+    ``log 1e-12``.  Returns ``(x, y, certificates)`` with the pair of the
+    first lam.
+    """
+    base = norm(x0)
+    certs = []
+    for t in range(20):
+        lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
+                                              * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+        x, y, resid = symmetric_preimage(x0, lam)
+        rel = resid - base if base > LOG_ZERO else resid
+        certs.append(check_leq("preimage-residual", rel if rel > LOG_ZERO else -1e9,
+                               math.log(1e-12), "symmetric-preimage", t))
+        if t == 0:
+            pair = x, y
+    return (*pair, certs)
 
 
 # ---------------------------------------------------------------------------

@@ -29,24 +29,5 @@ class SearchOverflowError(HyperorbitError):
     """A predicate scan exceeded its configured index cap."""
 
 
-class CertificateFailure(HyperorbitError):
-    """A construction certificate (a checked inequality) failed.
-
-    Carries the name of the violated inequality and the offending index.
-    """
-
-    def __init__(self, name: str, index=None, measured=None, bound=None):
-        self.name = name
-        self.index = index
-        self.measured = measured
-        self.bound = bound
-        detail = f"certificate {name!r} violated"
-        if index is not None:
-            detail += f" at index {index}"
-        if measured is not None and bound is not None:
-            detail += f" (measured {measured!r}, bound {bound!r})"
-        super().__init__(detail)
-
-
 class BadBracketError(HyperorbitError):
     """Bisection endpoints do not classify differently."""

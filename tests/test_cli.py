@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report format, traces, determinism."""
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -476,7 +477,7 @@ class TestDeltaDFile:
         assert certs[k - 1].measured == pytest.approx(measured, rel=0.05)
 
 
-def _corrupt_cache(monkeypatch):
+def _corrupt_cache(monkeypatch, path, args):
     """F(3) one too large in every Fibonacci cache the builders make."""
     class Cache(constructions.FibCache):
         def __init__(self, prefill):
@@ -486,22 +487,38 @@ def _corrupt_cache(monkeypatch):
     monkeypatch.setattr(constructions, "FibCache", Cache)
 
 
-def _edit_written_f(monkeypatch):
-    """The vector writer puts coordinate 20 off by relative 1e-6: the file,
-    and the read-back that ``delta_d_pair`` certifies, hold the edit."""
+def _wrong_closed_form(monkeypatch, path, args):
+    """a_37 one too large in the closed form the builders read."""
+    exact = constructions.a_closed
+    monkeypatch.setattr(constructions, "a_closed", lambda n: exact(n) + (n == 37))
+
+
+def _faulty_writer(monkeypatch, k, factor):
+    """The vector writer puts coordinate k (0-based) off by ``factor``: the
+    file, and a read-back the builder certifies, hold the edit."""
     write = spaces.vector_to_json
 
     def faulty(v):
         obj = write(v)
-        z = complex(*obj["coords"][20]) * (1.0 + 1e-6)
-        obj["coords"][20] = [z.real, z.imag]
+        z = complex(*obj["coords"][k]) * factor
+        obj["coords"][k] = [z.real, z.imag]
         return obj
 
     monkeypatch.setattr(spaces, "vector_to_json", faulty)
     monkeypatch.setattr(constructions, "vector_to_json", faulty)
 
 
-def _edit_built_x(monkeypatch):
+def _edit_written_f(monkeypatch, path, args):
+    """Coordinate 20 of ``delta_d_f.json`` off by relative 1e-6."""
+    _faulty_writer(monkeypatch, 20, 1.0 + 1e-6)
+
+
+def _edit_written_x(monkeypatch, path, args):
+    """x_6 of ``companion_x.json`` off by 1 %."""
+    _faulty_writer(monkeypatch, 5, 1.01)
+
+
+def _edit_built_x(monkeypatch, path, args):
     """x_6 of the built companion vector off by relative 1e-6."""
     build = constructions.companion_x
 
@@ -512,30 +529,114 @@ def _edit_built_x(monkeypatch):
         return SeqVector(x.space, hi, x.lo, x.phase)
 
     monkeypatch.setattr(constructions, "companion_x", perturbed)
-    monkeypatch.setattr(cli, "companion_x", perturbed)
 
 
-def _wrong_weights(monkeypatch):
+def _wrong_weights(monkeypatch, path, args):
     """The builder and its certificates get w_l = l instead of 1 / l^2."""
     monkeypatch.setattr(WeightSeq, "inv_squares", staticmethod(WeightSeq.linear))
 
 
-def _no_coordinates(path):
+def _edit_universal_z(monkeypatch, k, new_hi):
+    """Coordinate k (0-based) of the searched universal vector gets log
+    modulus ``new_hi(old)``; the certificates and the file see the edit."""
+    search = constructions.gap_schedule_search
+
+    def edited(dense, w, blocks):
+        sch = search(dense, w, blocks)
+        hi = sch.z.hi.copy()
+        hi[k] = new_hi(hi[k])
+        return dataclasses.replace(sch, z=SeqVector(sch.z.space, hi, sch.z.lo, sch.z.phase))
+
+    monkeypatch.setattr(cli, "gap_schedule_search", edited)
+
+
+# the 3-block schedule is n = [0, 94, 1132]: block 2 sits at 0-based 94, 95
+def _unit_block_coordinate(monkeypatch, path, args):
+    """z_95, the first coordinate of block 2, set to modulus 1."""
+    _edit_universal_z(monkeypatch, 94, lambda h: 0.0)
+
+
+def _scaled_block_coordinate(monkeypatch, path, args):
+    """z_95 multiplied by 10."""
+    _edit_universal_z(monkeypatch, 94, lambda h: h + math.log(10.0))
+
+
+def _shrunk_filler(monkeypatch, path, args):
+    """The filler z_101 divided by e^2000 (Phi(z) has margins near -1430)."""
+    _edit_universal_z(monkeypatch, 100, lambda h: h - 2000.0)
+
+
+def _large_filler(monkeypatch, path, args):
+    """The filler z_201 set to modulus 10."""
+    _edit_universal_z(monkeypatch, 200, lambda h: math.log(10.0))
+
+
+def _search_past_first(monkeypatch, path, args):
+    """The gap scan returns one past the least passing n."""
+    first = constructions._first_passing
+    monkeypatch.setattr(constructions, "_first_passing",
+                        lambda margins, start, j: first(margins, start, j) + 1)
+
+
+def _flat_base_margin(monkeypatch, path, args):
+    """The first-gap margin is a constant -1, so it stops decreasing."""
+    monkeypatch.setattr(constructions, "_base_margin", lambda n: 0.0 * n - 1.0)
+
+
+def _small_scan_cap(monkeypatch, path, args):
+    """The gap scan stops at n = 50, before n_2 = 94."""
+    monkeypatch.setattr(constructions, "SCAN_CAP", 50)
+
+
+def _one_block(monkeypatch, path, args):
+    """``--blocks 1``."""
+    args[args.index("--blocks") + 1] = "1"
+
+
+def _shift_twice(monkeypatch, path, args):
+    """The preimage builder shifts x0 twice instead of once."""
+    shift = constructions.forward_pow
+    monkeypatch.setattr(constructions, "forward_pow", lambda v, w, k: shift(v, w, k + 1))
+
+
+def _no_coordinates(monkeypatch, path, args):
     """The input vector file with its coordinates removed."""
     obj = json.loads(path.read_text())
     obj["coords"] = []
     path.write_text(json.dumps(obj))
 
 
-def _zero_coordinate(path):
+def _zero_coordinate(monkeypatch, path, args):
     """The input vector file with its second coordinate set to zero."""
     _edit_coord(path, 1, 0.0)
 
 
-# every check name the two targets emit -> a mutation that fails a check of
-# that name; the mutation either patches the build (monkeypatch) or writes the
-# input file.  The exponent families never read g, f, y or x: only a damaged
-# Fibonacci cache fails them (see test_object_edits_pass_exponent_families)
+def _hc_target(monkeypatch, path, args):
+    """The input vector file tagged as an entire function."""
+    obj = json.loads(path.read_text())
+    obj.update(space="hc", param=1)
+    path.write_text(json.dumps(obj))
+
+
+def _target_input(target, path):
+    """Write the input file of ``target`` at ``path``; return the CLI arguments."""
+    if target == "universal_l1":
+        return ["--blocks", "3"]
+    if target == "delta_d":
+        v = constructions.stacked_primitive_g(constructions.DenseTestSeq(), 8)
+    elif target == "companion":
+        v = SeqVector.from_complex(L1, np.random.default_rng(22).uniform(0.5, 2.0, 40))
+    else:
+        v = SeqVector.from_complex(L1, [3.0, -1.0 + 0.5j, 0.25])
+    path.write_text(json.dumps(vector_to_json(v)))
+    return ["--init", str(path)]
+
+
+# every check name the four targets emit -> a mutation that fails a check of
+# that name; the mutation patches the build (monkeypatch), writes the input
+# file or edits the arguments.  The exponent families never read g, f, y or
+# x: only a damaged Fibonacci cache or, for two-exponent-is-n, a wrong closed
+# form fails them (see test_object_edits_pass_exponent_families)
 MUTATIONS = {
     "delta_d": {
         "reciprocal-exponent-telescopes": _corrupt_cache,
@@ -546,11 +647,25 @@ MUTATIONS = {
     "companion": {
         "y-exponent-telescopes": _corrupt_cache,
         "w-exponent-is-minus-one": _corrupt_cache,
-        "two-exponent-is-n": _corrupt_cache,
+        "two-exponent-is-n": _wrong_closed_form,
         "weight-identity-value": _wrong_weights,
-        "recursion-identity": _edit_built_x,
+        "recursion-identity": _edit_written_x,
         "ParameterRangeError": _no_coordinates,
         "ZeroCoordinateError": _zero_coordinate,
+    },
+    "universal_l1": {
+        "block-norm": _unit_block_coordinate,
+        "phi-bound": _shrunk_filler,
+        "universality-residual": _scaled_block_coordinate,
+        "l1-norm": _large_filler,
+        "gap-minimality": _search_past_first,
+        "gap-monotone": _flat_base_margin,
+        "ParameterRangeError": _one_block,
+        "SearchOverflowError": _small_scan_cap,
+    },
+    "symmetric_preimage": {
+        "preimage-residual": _shift_twice,
+        "ParameterRangeError": _hc_target,
     },
 }
 EXPONENT_FAMILIES = {"reciprocal-exponent-telescopes", "y-exponent-telescopes",
@@ -562,27 +677,18 @@ class TestMutationTable:
 
     @staticmethod
     def build(target, tmp_path, monkeypatch, mutate=None):
-        if target == "delta_d":
-            path = tmp_path / "g.json"
-            g = constructions.stacked_primitive_g(constructions.DenseTestSeq(), 8)
-            path.write_text(json.dumps(vector_to_json(g)))
-        else:
-            path = tmp_path / "y.json"
-            rng = np.random.default_rng(22)
-            path.write_text(json.dumps(vector_to_json(
-                SeqVector.from_complex(L1, rng.uniform(0.5, 2.0, 40)))))
-        if mutate in (_no_coordinates, _zero_coordinate):
-            mutate(path)
-        elif mutate is not None:
-            mutate(monkeypatch)
-        rc, rep = run(["build", "--target", target, "--init", str(path)], tmp_path)
+        path = tmp_path / "input.json"
+        args = _target_input(target, path)
+        if mutate is not None:
+            mutate(monkeypatch, path, args)
+        rc, rep = run(["build", "--target", target] + args, tmp_path)
         return rc, {(c["name"].split("[")[0], c["status"]) for c in rep["checks"]}
 
     @pytest.mark.parametrize("target", sorted(MUTATIONS))
     def test_table_covers_every_emitted_name(self, target, tmp_path, monkeypatch):
         rc, rows = self.build(target, tmp_path, monkeypatch)
         assert rc == 0
-        errors = {"ParameterRangeError", "ZeroCoordinateError"}
+        errors = {name for name in MUTATIONS[target] if name.endswith("Error")}
         assert {name for name, _ in rows} | errors == set(MUTATIONS[target])
 
     @pytest.mark.parametrize("target, name", [
@@ -591,9 +697,20 @@ class TestMutationTable:
         rc, rows = self.build(target, tmp_path, monkeypatch, MUTATIONS[target][name])
         assert rc == 1 and (name, "fail") in rows
 
+    def test_written_x_fails_recursion_identity(self, tmp_path, monkeypatch):
+        # the recursion rows read x as companion_x.json holds it: with x_6
+        # off by 1 % there, every row from n = 5 on fails, and nothing else
+        path = tmp_path / "input.json"
+        args = _target_input("companion", path)
+        _edit_written_x(monkeypatch, path, args)
+        rc, rep = run(["build", "--target", "companion"] + args, tmp_path)
+        assert rc == 1
+        assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
+            f"recursion-identity[{n}]" for n in range(5, 16)]
+
     @pytest.mark.parametrize("target, mutate", [
         ("delta_d", _edit_written_f), ("companion", _edit_built_x),
-        ("companion", _wrong_weights)])
+        ("companion", _edit_written_x), ("companion", _wrong_weights)])
     def test_object_edits_pass_exponent_families(self, target, mutate, tmp_path,
                                                  monkeypatch):
         # a finding kept as a test: the exponent families certify the

@@ -26,6 +26,7 @@ from hyperorbit.constructions import (
     steering_exact,
     steering_weight,
     symmetric_preimage,
+    symmetric_preimage_certificates,
     universal_y_l1,
     weight_identity_certificates,
     weight_identity_recursion_error,
@@ -33,7 +34,6 @@ from hyperorbit.constructions import (
 from hyperorbit.dynamics import LN2, OrbitClass, apply, ledger, m_fg_prime, m_symmetric
 from hyperorbit.errors import (
     BadBracketError,
-    CertificateFailure,
     ParameterRangeError,
     SearchOverflowError,
     ZeroCoordinateError,
@@ -104,10 +104,11 @@ class TestCompanion:
     def test_recursion_route_small_n(self):
         rng = np.random.default_rng(30)
         y = cvec(rng.uniform(0.4, 2.5, 50) * np.exp(1j * rng.uniform(-3, 3, 50)))
-        errs = weight_identity_recursion_error(y, WeightSeq.inv_squares(), 15)
-        for n, dlog, dph in errs:
-            target = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
-            assert max(dlog, dph) <= 1e-8 * max(1.0, target)
+        w = WeightSeq.inv_squares()
+        certs = weight_identity_recursion_error(companion_x(y, w), y, w, 15)
+        assert [(c.name, c.index) for c in certs] == [
+            ("recursion-identity", n) for n in range(1, 16)]
+        assert all(c.ok for c in certs)
 
     def test_exact_route_certificates(self):
         certs = weight_identity_certificates(60)
@@ -129,17 +130,34 @@ class TestCompanion:
         oracle = [all(cache(2 * n + 3 - 2 * l) - 1 - cache(2 * (n - l + 1))
                       - cache(2 * (n - l) + 1) == -1 for l in range(1, n + 1))
                   for n in range(1, n_max + 1)]
-        certs = weight_identity_certificates(n_max, raise_on_failure=False)
+        certs = weight_identity_certificates(n_max)
         rows = [(c.index, c.ok) for c in certs if c.name == "w-exponent-is-minus-one"]
         assert rows == list(zip(range(1, n_max + 1), oracle))
         assert all(oracle) == (corrupt is None)
+
+    @pytest.mark.parametrize("off_at", [None, 1, 37, 200])
+    def test_two_exponent_rows_match_sum_oracle(self, off_at, monkeypatch):
+        # the O(n_max^2) sum over i <= n of a_i F(2(n-i)+1) is the oracle of
+        # the one-step P/Q update, on the closed form and with a_{off_at} one
+        # too large
+        exact = constructions.a_closed
+        monkeypatch.setattr(constructions, "a_closed", lambda n: exact(n) + (n == off_at))
+        n_max = 200
+        cache = FibCache(2 * n_max + 1)
+        a = constructions.a_closed
+        oracle = [sum(a(i) * cache(2 * (n - i) + 1) for i in range(1, n + 1)) == n
+                  for n in range(1, n_max + 1)]
+        rows = [(c.index, c.ok) for c in weight_identity_certificates(n_max)
+                if c.name == "two-exponent-is-n"]
+        assert rows == list(zip(range(1, n_max + 1), oracle))
+        assert all(oracle) == (off_at is None)
 
     def test_closed_form_off_by_one_fails_two_exponent(self, monkeypatch):
         # negative control: a_37 one too large breaks sum_i a_i F(2(n-i)+1) = n
         # from n = 37 on, and that is the first certificate to fail
         exact = constructions.a_closed
         monkeypatch.setattr(constructions, "a_closed", lambda n: exact(n) + (n == 37))
-        certs = weight_identity_certificates(60, raise_on_failure=False)
+        certs = weight_identity_certificates(60)
         first = next(c for c in certs if not c.ok)
         assert (first.name, first.index) == ("two-exponent-is-n", 37)
         assert [c.index for c in certs
@@ -281,8 +299,7 @@ def built():
     dense = DenseTestSeq()
     w = WeightSeq.inv_squares()
     sch = gap_schedule_search(dense, w, 3)
-    z, certs = universal_y_l1(sch, dense, w)
-    return sch, z, certs
+    return sch, sch.z, universal_y_l1(sch, dense, w)
 
 
 def reference_layout(ns, dense, w):
@@ -314,8 +331,6 @@ class TestUniversalLayout:
         want = reference_layout(sch.ns, dense, w)
         for got, ref in zip((sch.z.hi, sch.z.lo, sch.z.phase), want):
             assert got.tobytes() == ref.tobytes()
-        z, _ = universal_y_l1(sch, dense, w)
-        assert z is sch.z
 
 
 class TestUniversalVector:
@@ -344,45 +359,36 @@ class TestUniversalVector:
 
 
 class TestCertificateFailures:
-    """Negative controls: each certificate family fails on a broken input, and
-    the raising call reports the first failing check."""
+    """Negative controls: each certificate family fails on a broken input as a
+    failing row, with the name, index, measured value and bound of the first
+    failure; the builder does not raise."""
 
     @staticmethod
-    def first_failure(certs, build):
-        with pytest.raises(CertificateFailure) as info:
-            build()
-        exc = info.value
-        first = next(c for c in certs if not c.ok)
-        assert (exc.name, exc.index, exc.measured, exc.bound) == (
-            first.name, first.index, first.measured, first.bound)
-        return exc
+    def first_failure(certs):
+        return next(c for c in certs if not c.ok)
 
     def test_weight_identity_wrong_weights(self):
-        w = WeightSeq.linear()
-        certs = weight_identity_certificates(20, w=w, raise_on_failure=False)
-        exc = self.first_failure(certs, lambda: weight_identity_certificates(20, w=w))
-        assert (exc.name, exc.index, exc.bound) == ("weight-identity-value", 2, 1e-8)
+        first = self.first_failure(weight_identity_certificates(20, w=WeightSeq.linear()))
+        assert (first.name, first.index, first.bound) == ("weight-identity-value", 2, 1e-8)
         # w_l = l: the surviving value is log 2 against the closed form 4 log 2
-        assert exc.measured == pytest.approx(0.75, rel=1e-12)
+        assert first.measured == pytest.approx(0.75, rel=1e-12)
 
     def test_universal_vector_wrong_weights(self, built):
         sch = built[0]
-        dense, w = DenseTestSeq(), WeightSeq.ones()
-        _, certs = universal_y_l1(sch, dense, w, raise_on_failure=False)
-        exc = self.first_failure(certs, lambda: universal_y_l1(sch, dense, w))
-        assert (exc.name, exc.index) == ("universality-residual", 2)
-        assert exc.bound == pytest.approx(math.log(2.0 * (math.pi ** 2 / 6 - 1.0)))
-        assert exc.measured > exc.bound
+        first = self.first_failure(universal_y_l1(sch, DenseTestSeq(), WeightSeq.ones()))
+        assert (first.name, first.index) == ("universality-residual", 2)
+        assert first.bound == pytest.approx(math.log(2.0 * (math.pi ** 2 / 6 - 1.0)))
+        assert first.measured > first.bound
 
     def test_delta_d_pair_tol_below_worst(self):
         g = stacked_primitive_g(DenseTestSeq(), 8)
-        _, certs = delta_d_pair(g, raise_on_failure=False)
+        _, certs = delta_d_pair(g)
         worst = max(c.measured for c in certs if c.name == "reciprocal-coefficient")
         assert worst > 0.0  # a positive tolerance below it exists
         tol = 0.5 * worst
-        _, certs = delta_d_pair(g, tol=tol, raise_on_failure=False)
-        exc = self.first_failure(certs, lambda: delta_d_pair(g, tol=tol))
-        assert exc.name == "reciprocal-coefficient" and exc.bound == tol
+        _, certs = delta_d_pair(g, tol=tol)
+        first = self.first_failure(certs)
+        assert first.name == "reciprocal-coefficient" and first.bound == tol
 
     @pytest.mark.parametrize("idx, measured", [
         (1, 1.0e-6), (5, 5.0e-7), (20, 5.0e-7), (43, 5.0e-7)])
@@ -399,19 +405,18 @@ class TestCertificateFailures:
 
         monkeypatch.setattr(constructions, "_dd_cumsum_neg", perturbed)
         g = stacked_primitive_g(DenseTestSeq(), 8)
-        _, certs = delta_d_pair(g, raise_on_failure=False)
-        exc = self.first_failure(certs, lambda: delta_d_pair(g))
-        assert (exc.name, exc.index, exc.bound) == ("reciprocal-coefficient", idx, 1e-9)
-        assert exc.measured == pytest.approx(measured, rel=1e-3)
+        _, certs = delta_d_pair(g)
+        first = self.first_failure(certs)
+        assert (first.name, first.index, first.bound) == ("reciprocal-coefficient", idx, 1e-9)
+        assert first.measured == pytest.approx(measured, rel=1e-3)
         assert [c.index for c in certs if not c.ok] == [idx]
 
     def test_hc_q_blocks_tol_below_worst(self):
         dense = DenseTestSeq()
-        qb = hc_Q_blocks(dense, 3, raise_on_failure=False)
+        qb = hc_Q_blocks(dense, 3)
         tol = 0.5 * max(c.measured for c in qb.certificates if c.name == "unit-weight")
-        certs = hc_Q_blocks(dense, 3, tol=tol, raise_on_failure=False).certificates
-        exc = self.first_failure(certs, lambda: hc_Q_blocks(dense, 3, tol=tol))
-        assert exc.name == "unit-weight" and exc.bound == tol
+        first = self.first_failure(hc_Q_blocks(dense, 3, tol=tol).certificates)
+        assert first.name == "unit-weight" and first.bound == tol
 
 
 class TestCheck:
@@ -574,8 +579,8 @@ class TestUniversalEntireFunction:
         # with the first block's weights pinned to one, the weight of order n
         # equals the weight of order n-4 of the 4-th derivative
         qb = hc_Q_blocks(DenseTestSeq(), 2)
-        q2 = qb.stages[1]
         n2 = qb.ns[1]
+        q2 = qb.Q.truncate(n2 + 1)
         spec = m_fg_prime(1)
         one_fn = cvec([1.0], HC)
         led_q = ledger(spec, (one_fn, q2), n2 + 2)
@@ -619,6 +624,21 @@ class TestSymmetricPreimage:
                 complex(rng.uniform(0.5, 8.0) * np.exp(1j * rng.uniform(-3, 3))))
             _, _, resid = symmetric_preimage(x0, lam)
             assert resid - base <= math.log(1e-12)
+
+    def test_certificates_rows_and_first_pair(self):
+        # 20 rows, one per lam; the returned pair is the first lam's
+        x0 = cvec([1.0, -2.0, 0.25])
+        x, y, certs = symmetric_preimage_certificates(x0, np.random.default_rng(35))
+        assert [(c.name, c.index, c.verifies) for c in certs] == [
+            ("preimage-residual", t, "symmetric-preimage") for t in range(20)]
+        assert all(c.ok for c in certs)
+        rng = np.random.default_rng(35)
+        lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
+                                              * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+        x1, y1, _ = symmetric_preimage(x0, lam)
+        for got, want in ((x, x1), (y, y1)):
+            assert got.hi.tobytes() == want.hi.tobytes()
+            assert got.phase.tobytes() == want.phase.tobytes()
 
     def test_pair_lands_back_exactly_on_first_coords(self):
         x0 = cvec([1.0, -2.0, 0.25])
