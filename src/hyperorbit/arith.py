@@ -8,9 +8,10 @@ is therefore carried in log-polar form: a natural-log magnitude plus a phase in
 canonical phase ``0``), produced structurally by shifts and functionals, never
 by underflow.
 
-Phase reduction under a big-integer exponent is done at extended working
-precision (the exponent's bit length plus a guard band), so that e.g. the phase
-of ``z**F(200)`` is still accurate to near machine epsilon.
+Phase reduction under a big-integer exponent is exact integer arithmetic
+against a fixed-point 2*pi with the exponent's bit length plus a guard band, so
+that e.g. the phase of ``z**F(200)`` is still correctly rounded.  This module
+owns pi: :func:`pi_fixed` sums Machin's formula as an integer series.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-
-from mpmath import mp
 
 from .errors import ParameterRangeError
 
@@ -69,20 +68,69 @@ def complex_parts(z: complex) -> tuple[float, float]:
     return math.log(abs(z)), normalize_phase(math.atan2(z.imag, z.real))
 
 
+_GUARD = 64  # bits the reduced phase keeps above its error bound
+
+_PI = (0, 0)  # (bits, pi_fixed(bits)) at the largest bits asked so far
+
+
+def _atan_inv(k: int, bits: int) -> int:
+    """``atan(1/k) * 2**bits`` by its Taylor series, each term truncated: within
+    one unit per term of the true value."""
+    power = total = (1 << bits) // k
+    k2, d, sign = k * k, 1, 1
+    while power:
+        power //= k2
+        d += 2
+        sign = -sign
+        total += sign * (power // d)
+    return total
+
+
+def pi_fixed(bits: int) -> int:
+    """``pi * 2**bits`` as an integer, within about one unit of the true value.
+
+    ``pi = 16 atan(1/5) - 4 atan(1/239)`` (Machin), summed at ``bits + 32``
+    bits with each term off by less than one unit; the 32 guard bits are then
+    dropped.  One value is cached at the largest precision asked so far; lower
+    precisions read it by right shift, and a higher one re-sums the series at
+    twice the cached precision or more.
+    """
+    global _PI
+    have, pi = _PI
+    if bits > have:
+        have = max(bits, 2 * have)
+        g = have + 32
+        pi = (16 * _atan_inv(5, g) - 4 * _atan_inv(239, g)) >> 32
+        _PI = (have, pi)  # one tuple, so a reader never sees a torn pair
+    return pi >> (have - bits)
+
+
 def phase_times_int(phase: float, n: int) -> float:
     """Reduce ``n * phase`` mod 2*pi into ``(-pi, pi]`` for arbitrarily large ``n``.
 
     Naive float multiplication destroys all phase accuracy once ``n*phase``
-    exceeds ~2**52; the reduction is performed at a working precision matched
-    to the exponent's bit length (the product of an exact integer and an exact
-    double, reduced against pi at that precision).
+    exceeds ~2**52.  Here the double is ``m / 2**e`` exactly and ``x = m*n`` is
+    an exact integer; ``x / 2**e`` is reduced with floored ``%`` against
+    ``2*pi*2**P`` (:func:`pi_fixed`), ``P = e + bits(x) + 64``.  Each unit of
+    the quotient ``q`` adds about one unit ``2**-P`` of error, so a remainder
+    within ``2**64 (|q| + 1)`` units of a multiple of 2*pi is redone at twice
+    the precision.  The value in ``[0, 2*pi)`` is rounded to a double once,
+    by int / int true division, which rounds correctly at any scale
+    (subnormal results included), and reduced by :func:`normalize_phase`.
     """
     if phase == 0.0 or n == 0:
         return 0.0
-    with mp.workprec(abs(n).bit_length() + 80):
-        v = mp.fmod(mp.mpf(n) * mp.mpf(phase), 2 * mp.pi)
-        out = float(v)
-    return normalize_phase(out)
+    m, d = phase.as_integer_ratio()
+    e = d.bit_length() - 1
+    x = m * n
+    p = e + x.bit_length() + _GUARD
+    while True:
+        two_pi = pi_fixed(p + 1)
+        q, r = divmod(x << (p - e), two_pi)
+        if min(r, two_pi - r) >> _GUARD > abs(q):
+            break
+        p *= 2
+    return normalize_phase(r / (1 << p))
 
 
 @dataclass(frozen=True, slots=True)

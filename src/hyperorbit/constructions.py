@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
-from mpmath import psi
 
 from .arith import (LOG_ZERO, FibCache, LogComplex, a_closed, a_convolution_step,
-                    even_sum_failure, normalize_phase, phase_times_int)
+                    even_sum_failure, normalize_phase, phase_times_int, pi_fixed)
 from .dynamics import (
     CONVERGENCE_RUN,
     LN2,
@@ -368,8 +368,13 @@ def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, blocks: int) -> GapSc
 
 
 def _zeta2_tail(j: int) -> float:
-    """``sum_{l >= j} 1/l**2`` (trigamma)."""
-    return float(psi(1, j))
+    """``sum_{l >= j} 1/l**2``: ``pi**2/6`` minus the exact head
+    ``sum_{l<j} 1/l**2``, rounded once.  pi carries ``128 + bits(j)`` bits, so
+    the cancellation against a tail near ``1/j`` leaves over 100 of them."""
+    bits = 128 + j.bit_length()
+    pi = pi_fixed(bits)
+    head = sum(Fraction(1, l * l) for l in range(1, j))
+    return float(Fraction(pi * pi, 6 << 2 * bits) - head)
 
 
 def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
@@ -669,8 +674,9 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
     coefficient, then solves the two monomial equations making the next two
     orbit weights equal to one (principal root branch).  Certified per block:
     the two weights are 1 to ``tol`` in log magnitude and phase (checked
-    through the two-term recursion, an independent route from the solver's
-    direct exponent sums), and the solved coefficients obey
+    through the two-term recursion on ``vector_from_json(vector_to_json(Q))``,
+    which is what the written vector file holds: an independent route from the
+    solver's direct exponent sums), and the solved coefficients obey
     ``|alpha_{j+1}| <= C 2**(n_j + 1)``, ``|beta_{j+1}| <= C 2**n_{j+1}``.
 
     ``C`` is the smallest constant >= 1 with ``j**e_k <= C 2**j`` for all
@@ -743,10 +749,11 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
                       LogComplex(t.log_mag - math.lgamma(i + 1.0), t.phase))
     Q = SeqVector.from_logc(SpaceTag.hc(1), coeffs)
 
-    # certificates via the two-term recursion (independent of the solver path)
+    # certificates via the two-term recursion (independent of the solver path),
+    # on Q as the written vector file holds it
     spec = m_fg_prime(1)
     one_fn = SeqVector.from_complex(SpaceTag.hc(1), [1.0])
-    led = ledger(spec, (one_fn, Q), ns[-1] + 2)
+    led = ledger(spec, (one_fn, vector_from_json(vector_to_json(Q))), ns[-1] + 2)
     verifies = "unit-weight-blocks"
     certs = []
     for j in range(K):
@@ -794,9 +801,14 @@ def symmetric_preimage(x0: SeqVector, lam: LogComplex,
     x = e1.add(s_x0.scale(lam)).add(tail)
     y = e1.add(s_x0.scale(lam_m2).neg()).add(tail.neg())
 
+    return x, y, _preimage_residual(x0, x, y)
+
+
+def _preimage_residual(x0: SeqVector, x: SeqVector, y: SeqVector) -> float:
+    """The log l1 distance of ``M(x, y)`` from ``x0``, M the symmetrized shift
+    operator."""
     out = apply(m_symmetric(), (x, y))
-    resid = norm(out.sub(x0._padded(len(out))))
-    return x, y, resid
+    return norm(out.sub(x0._padded(len(out))))
 
 
 def symmetric_preimage_certificates(x0: SeqVector, rng):
@@ -807,7 +819,9 @@ def symmetric_preimage_certificates(x0: SeqVector, rng):
     residual of :func:`symmetric_preimage` relative to ``||x0||`` (absolute
     for a zero x0; an exactly zero residual reads -1e9), bounded by
     ``log 1e-12``.  Returns ``(x, y, certificates)`` with the pair of the
-    first lam.
+    first lam; row 0 reads that pair as
+    ``vector_from_json(vector_to_json(.))``, which is what the written vector
+    files hold.
     """
     base = norm(x0)
     certs = []
@@ -815,11 +829,13 @@ def symmetric_preimage_certificates(x0: SeqVector, rng):
         lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
                                               * np.exp(1j * rng.uniform(-np.pi, np.pi))))
         x, y, resid = symmetric_preimage(x0, lam)
+        if t == 0:
+            pair = x, y
+            resid = _preimage_residual(x0, *(vector_from_json(vector_to_json(v))
+                                            for v in pair))
         rel = resid - base if base > LOG_ZERO else resid
         certs.append(check_leq("preimage-residual", rel if rel > LOG_ZERO else -1e9,
                                math.log(1e-12), "symmetric-preimage", t))
-        if t == 0:
-            pair = x, y
     return (*pair, certs)
 
 

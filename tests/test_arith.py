@@ -1,14 +1,20 @@
 """Exact integer machinery and log-domain scalar arithmetic."""
 
 import math
+import os
+import random
+import subprocess
+import sys
 from operator import sub
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import mp, psi
 
+import hyperorbit
+from hyperorbit import arith
 from hyperorbit.arith import (
     LOG_ZERO,
     FibCache,
@@ -26,8 +32,10 @@ from hyperorbit.arith import (
     logc_mul,
     normalize_phase,
     phase_times_int,
+    pi_fixed,
     polar_parts,
 )
+from hyperorbit.constructions import _zeta2_tail
 from hyperorbit.errors import ParameterRangeError
 from hyperorbit.spaces import SeqVector, SpaceTag
 
@@ -343,6 +351,21 @@ class TestLogComplexBasics:
             LogComplex.one().div(LogComplex.zero())
 
 
+def _pi_convergent_numerators(depths):
+    """Numerators p_k of the continued-fraction convergents of pi: ``2 p_k``
+    lies within about ``2 / q_k`` of a multiple of 2*pi."""
+    with mp.workprec(4000):
+        x = mp.pi
+        p_prev, p = 1, int(mp.floor(x))
+        out = []
+        for k in range(1, max(depths) + 1):
+            x = 1 / (x - mp.floor(x))
+            p_prev, p = p, int(mp.floor(x)) * p + p_prev
+            if k in depths:
+                out.append(p)
+    return out
+
+
 class TestPhaseReduction:
     @given(st.floats(-math.pi, math.pi, allow_nan=False), st.integers(1, 300))
     @settings(max_examples=60, deadline=None)
@@ -355,10 +378,60 @@ class TestPhaseReduction:
         assert abs(math.remainder(got - want, 2 * math.pi)) < 1e-12
         assert -math.pi < got <= math.pi
 
+    def test_bit_equal_to_wide_fmod(self):
+        # the reference reduces with mpmath at >= 400 bits; one rounding to a
+        # double separates both sides, so they agree bit for bit.  (-pi, 2)
+        # and (pi, -2) leave about 2.4e-16: an mpmath reduction at the
+        # exponent's bits plus 80 loses digits there (2.449293605908662e-16)
+        rng = random.Random(20)
+        phases = [5e-324, -5e-324, 1e-310, -3e-320, math.pi, -math.pi,
+                  math.nextafter(math.pi, 0.0), 2.0, -2.0, 0.5, 1e-300, 1.0]
+        phases += [rng.uniform(-math.pi, math.pi) for _ in range(40)]
+        # with the phases 2.0 and -2.0, the convergents of pi leave remainders
+        # far below the first pass's error bound, on either side of a multiple
+        # of 2*pi, so the reduction is redone wider
+        exponents = [1, 2, -1, -2, fib(300), fib(899), 10**400, -(10**400)]
+        exponents += _pi_convergent_numerators((40, 41, 150, 151))
+        exponents += [rng.getrandbits(rng.randint(1, 3000)) * rng.choice((1, -1))
+                      for _ in range(16)]
+        for phase in phases:
+            for n in exponents:
+                with mp.workprec(max(400, abs(n).bit_length() + 400)):
+                    want = normalize_phase(float(mp.fmod(mp.mpf(n) * mp.mpf(phase),
+                                                         2 * mp.pi)))
+                assert phase_times_int(phase, n) == want, (phase, n)
+        assert phase_times_int(-math.pi, 2) == phase_times_int(math.pi, -2) == (
+            2.4492935982947064e-16)
+
+    def test_pi_fixed_within_one_unit_at_any_cached_precision(self, monkeypatch):
+        # from an empty cache: 2000 and 5000 bits sum the series, the others
+        # read the cache by right shift
+        monkeypatch.setattr(arith, "_PI", (0, 0))
+        for bits in (2000, 64, 300, 1999, 5000, 100):
+            with mp.workprec(bits + 64):
+                err = mp.mpf(pi_fixed(bits)) - mp.pi * mp.mpf(2) ** bits
+            assert abs(err) <= 1
+
     @given(st.floats(-1e6, 1e6, allow_nan=False))
     def test_normalize_range(self, p):
         q = normalize_phase(p)
         assert -math.pi < q <= math.pi
+
+
+def test_zeta2_tail_is_trigamma():
+    assert [_zeta2_tail(j) for j in range(1, 301)] == [
+        float(psi(1, j)) for j in range(1, 301)]
+
+
+def test_import_leaves_mpmath_out():
+    # a fresh interpreter: mpmath is a test oracle, not a runtime dependency
+    src = os.path.dirname(os.path.dirname(hyperorbit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, hyperorbit.cli; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # magnitudes away from over/underflow so the complex-double reference exists

@@ -599,6 +599,42 @@ def _shift_twice(monkeypatch, path, args):
     monkeypatch.setattr(constructions, "forward_pow", lambda v, w, k: shift(v, w, k + 1))
 
 
+def _zero_blocks(monkeypatch, path, args):
+    """``--blocks 0``."""
+    args[args.index("--blocks") + 1] = "0"
+
+
+def _turned_phase(monkeypatch, path, args):
+    """Every phase reduction of the q_blocks solver turned by 1e-6 rad."""
+    reduce = constructions.phase_times_int
+    monkeypatch.setattr(constructions, "phase_times_int",
+                        lambda phase, n: reduce(phase, n) + 1e-6)
+
+
+def _scaled_dense(monkeypatch, factors):
+    """Dense test value ``(k, i)`` multiplied by ``factors[(k, i)]``."""
+    value = constructions.DenseTestSeq.value
+    monkeypatch.setattr(constructions.DenseTestSeq, "value",
+                        lambda self, k, i: value(self, k, i) * factors.get((k, i), 1.0))
+
+
+def _small_block_coefficient(monkeypatch, path, args):
+    """The first test coefficient of block 2 divided by 1e100 (alpha_2 grows
+    to about e^143, past 2^(n_1 + 1) = 16)."""
+    _scaled_dense(monkeypatch, {(2, 0): 1e-100})
+
+
+def _large_block_coefficients(monkeypatch, path, args):
+    """The first and third test coefficients of block 2 times 1e300 (beta_2
+    grows to about e^14.4, past 2^(n_2) = 2^16)."""
+    _scaled_dense(monkeypatch, {(2, 0): 1e300, (2, 2): 1e300})
+
+
+def _zero_block_coefficient(monkeypatch, path, args):
+    """The third test coefficient of block 2 set to zero."""
+    _scaled_dense(monkeypatch, {(2, 2): 0.0})
+
+
 def _no_coordinates(monkeypatch, path, args):
     """The input vector file with its coordinates removed."""
     obj = json.loads(path.read_text())
@@ -620,7 +656,7 @@ def _hc_target(monkeypatch, path, args):
 
 def _target_input(target, path):
     """Write the input file of ``target`` at ``path``; return the CLI arguments."""
-    if target == "universal_l1":
+    if target in ("universal_l1", "q_blocks"):
         return ["--blocks", "3"]
     if target == "delta_d":
         v = constructions.stacked_primitive_g(constructions.DenseTestSeq(), 8)
@@ -632,7 +668,7 @@ def _target_input(target, path):
     return ["--init", str(path)]
 
 
-# every check name the four targets emit -> a mutation that fails a check of
+# every check name the five targets emit -> a mutation that fails a check of
 # that name; the mutation patches the build (monkeypatch), writes the input
 # file or edits the arguments.  The exponent families never read g, f, y or
 # x: only a damaged Fibonacci cache or, for two-exponent-is-n, a wrong closed
@@ -666,6 +702,13 @@ MUTATIONS = {
     "symmetric_preimage": {
         "preimage-residual": _shift_twice,
         "ParameterRangeError": _hc_target,
+    },
+    "q_blocks": {
+        "unit-weight": _turned_phase,
+        "alpha-bound": _small_block_coefficient,
+        "beta-bound": _large_block_coefficients,
+        "ParameterRangeError": _zero_blocks,
+        "ZeroCoordinateError": _zero_block_coefficient,
     },
 }
 EXPONENT_FAMILIES = {"reciprocal-exponent-telescopes", "y-exponent-telescopes",
@@ -707,6 +750,21 @@ class TestMutationTable:
         assert rc == 1
         assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
             f"recursion-identity[{n}]" for n in range(5, 16)]
+
+    @pytest.mark.parametrize("target, failing", [
+        ("q_blocks", [f"unit-weight[{n}]" for n in (4, 5, 17, 18, 31, 32)]),
+        ("symmetric_preimage", ["preimage-residual[0]"])])
+    def test_written_vector_off_by_half_fails(self, target, failing, tmp_path,
+                                              monkeypatch):
+        # the rows read the vectors as the files hold them: with coordinate 2
+        # of q_universal.json off by 50 %, every unit weight fails; with it off
+        # in preimage_x.json and preimage_y.json, the row of the written pair
+        path = tmp_path / "input.json"
+        args = _target_input(target, path)
+        _faulty_writer(monkeypatch, 2, 1.5)
+        rc, rep = run(["build", "--target", target] + args, tmp_path)
+        assert rc == 1
+        assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == failing
 
     @pytest.mark.parametrize("target, mutate", [
         ("delta_d", _edit_written_f), ("companion", _edit_built_x),
