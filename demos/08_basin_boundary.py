@@ -18,7 +18,7 @@ w = WeightSeq.inv_squares()
 # a two-coordinate direction dies in two steps for every t: no flip to find
 flat = SeqVector.from_complex(SpaceTag.l1(), [1.0, 1.0, 0, 0, 0, 0])
 try:
-    julia_ray_bisection(w, flat, 0.5, 50.0)
+    julia_ray_bisection(w, flat, 0.5, 50.0, 1e-9)
 except BadBracketError as exc:
     print("sparse direction:", exc)
 

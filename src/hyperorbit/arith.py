@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .errors import ParameterRangeError
+from .report import Check, check_flag
 
 LOG_ZERO = float("-inf")
 
@@ -354,20 +355,19 @@ class IdentityReport:
     ok: bool
     checked: int
     first_failure: tuple | None = None
-    detail: str = ""
     computed: int = 0
 
 
-def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityReport:
+def check_fib_identities(N: int, cache: FibCache) -> IdentityReport:
     """Verify two classical Fibonacci identities exactly for all indices <= N.
 
     * even-index sum: ``F(2n) = sum_{j=1..n} F(2j-1)`` for all ``2n <= N``;
     * Vajda: ``F(m+i)F(m+j) - F(m)F(m+i+j) = (-1)^m F(i)F(j)`` for all
       ``m, i, j >= 1`` with ``m + i + j <= N``.
 
-    All arithmetic is exact big-integer.  Passing a cache makes the audit
-    check that cache's values: a corrupted entry is a failure, and the report
-    carries the first failing case, ``("recurrence", n)`` (the first entry
+    All arithmetic is exact big-integer, on the values ``cache`` holds: a
+    corrupted entry is a failure, and the report carries the first failing
+    case, ``("recurrence", n)`` (the first entry
     ``F(n)`` that is not ``F(0) = 0``, ``F(1) = F(2) = 1`` or
     ``F(n-1) + F(n-2)``), ``("even-sum", n)`` or ``("vajda", m, i, j)``.
 
@@ -386,18 +386,14 @@ def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityRepor
     """
     if N < 3:
         raise ParameterRangeError("identity check needs N >= 3")
-    if cache is None:
-        cache = FibCache(N)
     F = cache.prefix(N)
     for n, f in enumerate(F):
         if f != (F[n - 1] + F[n - 2] if n > 2 else (0, 1, 1)[n]):
-            return IdentityReport(False, 0, ("recurrence", n),
-                                  "F(n) != F(n-1) + F(n-2) or a wrong seed")
+            return IdentityReport(False, 0, ("recurrence", n))
     computed = N + 1
     n = even_sum_failure(cache, N // 2)
     if n is not None:
-        return IdentityReport(False, 0, ("even-sum", n),
-                              "F(2n) != sum of odd-index terms", computed)
+        return IdentityReport(False, 0, ("even-sum", n), computed)
     checked = N // 2
     computed += checked
 
@@ -413,17 +409,15 @@ def check_fib_identities(N: int, cache: FibCache | None = None) -> IdentityRepor
         if any(d1) or any(d2):
             i, j = next((i, j) for i, d in enumerate(zip_longest(d1, d2, fillvalue=0), 1)
                         for j in (1, 2) if d[j - 1])
-            return IdentityReport(False, checked, ("vajda", m, i, j),
-                                  "Vajda identity failed", computed)
+            return IdentityReport(False, checked, ("vajda", m, i, j), computed)
         computed += len(d1) + len(d2)
         checked += (N - m) * (N - m - 1) // 2
 
     return IdentityReport(True, checked, computed=computed)
 
 
-def fib_partial_sum_ok(N: int) -> bool:
-    """Exact check of ``sum_{l=1..n} F(l) = F(n+2) - 1`` for all n <= N."""
-    cache = FibCache(N + 2)
+def fib_partial_sum_ok(N: int, cache: FibCache) -> bool:
+    """Exact check of ``sum_{l=1..n} F(l) = F(n+2) - 1`` in ``cache``, n <= N."""
     F = cache.prefix(N + 2)
     acc = 0
     for n in range(1, N + 1):
@@ -486,13 +480,15 @@ def a_recursion(N: int) -> list[int]:
     return vals
 
 
-def a_naive(N: int, cache: FibCache | None = None) -> list[int]:
-    """Literal O(N^2) evaluation of the defining sum (independent oracle)."""
-    if cache is None:
-        cache = FibCache(2 * N + 1)
-    F = cache.prefix(2 * N + 1)
-    vals = [0, 1]
-    for n in range(2, N + 1):
-        s = sum(vals[n - j] * F[2 * j + 1] for j in range(1, n))
-        vals.append(n - s)
-    return vals
+def identity_checks(max_n: int, a_max: int, cache: FibCache) -> tuple[list[Check], dict]:
+    """The rows of ``identities`` and the audit's two instance counts: the
+    audit and the partial sums read the same ``cache`` to ``max_n``, so a
+    damaged entry fails both; :func:`a_recursion` certifies :func:`a_closed`."""
+    idrep = check_fib_identities(max_n, cache)
+    rows = [check_flag("fib-identities", idrep.ok, "fib-even-sum-and-vajda"),
+            check_flag("fib-partial-sums", fib_partial_sum_ok(max_n, cache), "fib-partial-sum")]
+    a = a_recursion(a_max)
+    rows.append(check_flag("a-seq-closed-form", all(a[n] == a_closed(n) for n in range(1, a_max + 1)),
+                           "a-seq-closed-form"))
+    return rows, {"identity_instances_covered": idrep.checked,
+                  "identity_instances_computed": idrep.computed}

@@ -1,6 +1,10 @@
 """Command-line front end: run verifications, build constructions, emit reports.
 
 Subcommands: ``identities``, ``orbit``, ``build``, ``conjugate``, ``julia``.
+Each one reads its inputs, calls the library module that decides its rows
+(``arith``, ``dynamics`` and ``rational``, ``constructions``,
+``conjugation``), writes what it built and reports; the only row made here is
+the ``build-input`` row of a rejected build.
 Every run produces a single JSON report (to ``--out`` or stdout).  Exit codes:
 0 all checks pass, 1 at least one check failed, 2 input error.  The only
 randomness (sample vectors) is seeded; reports are deterministic for fixed
@@ -17,34 +21,32 @@ import sys
 
 import numpy as np
 
-from .arith import FibCache, a_closed, a_recursion, check_fib_identities, fib_partial_sum_ok
+from .arith import FibCache, identity_checks
 from .constructions import (
     DenseTestSeq,
     companion_pair,
     delta_d_pair,
     gap_schedule_search,
     hc_Q_blocks,
-    julia_ray_bisection,
+    julia_bracket,
     stacked_primitive_g,
     symmetric_preimage_certificates,
     universal_y_l1,
 )
-from .conjugation import build_N, commutation_check, host_basis, pushforward_orbit_check
+from .conjugation import conjugation_checks, host_basis
 from .dynamics import (
     OPERATORS,
     classify_orbit,
-    closed_form_agreement,
+    closed_form_checks,
     closed_form_state,
     iterate_bc,
     make_operator,
 )
 from .errors import BadBracketError, HyperorbitError, ParameterRangeError, WrongSpaceError
-from .rational import q_iterate, q_vector_from_json, q_vector_to_json
-from .report import Check, RunReport, check_flag, check_leq
+from .rational import exact_orbit_checks, q_vector_from_json, q_vector_to_json
+from .report import Check, RunReport
 from .spaces import (
     LOG_ZERO,
-    SeqVector,
-    SpaceTag,
     WeightSeq,
     norm,
     read_vector,
@@ -107,26 +109,6 @@ def _write_trace(path, orbit_states, rational=False) -> None:
             fh.write(json.dumps(rec) + "\n")
 
 
-def _exact_iteration_gap(exact_states, float_states) -> float:
-    """Worst ``|a - b| / max(1, |b|)`` over the coordinates of the float
-    states, ``a`` the exact state's log magnitude and ``b`` the float one's.
-
-    A coordinate that is exactly zero on one side only counts as ``inf``;
-    a NaN reaches the result, so the check fails on it.
-    """
-    gaps = [np.zeros(0)]
-    for q, f in zip(exact_states, float_states):
-        a = np.full(max(len(q), len(f)), LOG_ZERO)
-        b = a.copy()
-        a[: len(q)] = [c.polar_parts()[0] for c in q]
-        b[: len(f)] = f.lm
-        za, zb = a == LOG_ZERO, b == LOG_ZERO
-        with np.errstate(invalid="ignore"):
-            gap = np.abs(a - b) / np.maximum(1.0, np.abs(b))
-        gaps.append(np.where(za | zb, np.where(za & zb, 0.0, np.inf), gap))
-    return float(np.max(np.concatenate(gaps), initial=0.0))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -138,18 +120,9 @@ def cmd_identities(args) -> RunReport:
     cache = FibCache(args.max_n)
     if args.corrupt_cache:
         cache._corrupt_for_testing(max(3, args.max_n // 2))
-    idrep = check_fib_identities(args.max_n, cache)
-    rep.parameters["identity_instances_covered"] = idrep.checked
-    rep.parameters["identity_instances_computed"] = idrep.computed
-    rep.add(check_flag("fib-identities", idrep.ok, "fib-even-sum-and-vajda"))
-    rep.add(check_flag("fib-partial-sums", fib_partial_sum_ok(min(args.max_n, 500)),
-                       "fib-partial-sum"))
-    # the closed form is read from this module, where a negative control can
-    # replace it
-    a = a_recursion(args.a_max)
-    rep.add(check_flag("a-seq-closed-form",
-                       all(a[n] == a_closed(n) for n in range(1, args.a_max + 1)),
-                       "a-seq-closed-form"))
+    rows, counts = identity_checks(args.max_n, args.a_max, cache)
+    rep.parameters.update(counts)
+    rep.extend(rows)
     return rep.finish()
 
 
@@ -177,11 +150,9 @@ def cmd_orbit(args) -> RunReport:
         raise InputError(f"bad vector in init file: {exc}") from exc
     orbit = iterate_bc(spec, init, args.steps)
     if args.rational:
-        # read from this module, where a negative control can replace it
-        states = q_iterate(len(exact), exact, args.steps)
+        states, rows = exact_orbit_checks(exact, orbit.states, args.steps)
         rep.parameters["arity"] = len(exact)
-        rep.add(check_leq("exact-iteration", _exact_iteration_gap(states, orbit.states),
-                          1e-9, "orbit-recursion"))
+        rep.extend(rows)
         if args.trace:
             _write_trace(args.trace, states, rational=True)
         return rep.finish()
@@ -189,15 +160,10 @@ def cmd_orbit(args) -> RunReport:
     rep.parameters["states"] = len(orbit.states)
     if orbit.exhausted_at is not None:
         rep.parameters["window_exhausted_at"] = orbit.exhausted_at
-
-    if spec.has_closed_form and orbit.states:
-        # the closed form is read from this module, where a negative control
-        # can replace it
-        worst = closed_form_agreement(orbit, closed_form_state)
-        rep.add(check_leq("closed-form-agreement", worst, 1e-9,
-                          "orbit-closed-form"))
-    cls = classify_orbit(orbit, tol=args.tol)
-    rep.parameters["classification"] = cls.value
+    # the closed form is read from this module, where a negative control can
+    # replace it
+    rep.extend(closed_form_checks(orbit, closed_form_state))
+    rep.parameters["classification"] = classify_orbit(orbit, tol=args.tol).value
     if args.trace:
         _write_trace(args.trace, orbit.states)
     return rep.finish()
@@ -277,23 +243,7 @@ def cmd_conjugate(args) -> RunReport:
                                   "samples": args.samples, "band_u": args.band_u,
                                   "seed": args.seed})
     basis = host_basis(args.basis, args.size, u=args.band_u)
-    rep.add(check_leq("biorthogonality", basis.biorthogonality_residual(),
-                      1e-12, "basis-biorthogonality"))
-    rep.add(check_leq("basis-bound", basis.bound(), 1.0 + basis.eps,
-                      "basis-boundedness"))
-    op = build_N(basis)
-    spec = make_operator("m_l1")
-    rng = np.random.default_rng(args.seed)
-    com = commutation_check(spec, op, basis, args.samples, rng)
-    rep.add(check_leq("commutation", com.max_residual, 1e-10,
-                      "factor-commutation"))
-    mk = lambda: SeqVector.from_complex(
-        SpaceTag.l1(), 0.002 * rng.uniform(0.2, 1.0, args.size)
-        * np.exp(1j * rng.uniform(-np.pi, np.pi, args.size)))
-    push = pushforward_orbit_check(spec, op, basis, (mk(), mk()), 50)
-    worst = max((r - b for r, b in zip(push.residual_logs, push.bound_logs)),
-                default=-1.0)
-    rep.add(check_leq("pushforward", worst, 0.0, "orbit-pushforward"))
+    rep.extend(conjugation_checks(basis, args.samples, np.random.default_rng(args.seed)))
     return rep.finish()
 
 
@@ -301,17 +251,11 @@ def cmd_julia(args) -> RunReport:
     rep = RunReport("julia", {"init": args.init, "bracket": args.bracket,
                               "tol": args.tol})
     v = _read_vector_input(args.init)
-    t_lo, t_hi = args.bracket
-    probe = julia_ray_bisection(WeightSeq.inv_squares(), v, t_lo, t_hi,
-                                tol=args.tol)
+    probe, rows = julia_bracket(WeightSeq.inv_squares(), v, *args.bracket, args.tol)
     rep.parameters["bracket_final"] = [probe.t_lo, probe.t_hi]
     rep.parameters["classifications"] = [probe.class_lo.value, probe.class_hi.value]
     rep.parameters["bisection_steps"] = probe.bisection_steps
-    rep.add(check_leq("bracket-width", probe.width, args.tol, "basin-boundary-bracket"))
-    rep.add(check_flag("endpoint-flip",
-                       probe.class_lo.value == "converges_to_zero"
-                       and probe.class_hi.value != "converges_to_zero",
-                       "basin-boundary-bracket"))
+    rep.extend(rows)
     return rep.finish()
 
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import LOG_ZERO
-from .dynamics import MultilinearSpec, apply, iterate_bc
+from .dynamics import MultilinearSpec, apply, iterate_bc, m_l1
 from .errors import ParameterRangeError
+from .report import Check, check_leq
 from .spaces import (
     _EXP_FLOOR,
     SeqVector,
@@ -43,15 +44,9 @@ _L1 = SpaceTag.l1()
 class MarkushevichBasis:
     """Truncated biorthogonal system: vectors as columns, functionals as rows."""
 
-    kind: str
     size: int
     columns: np.ndarray     # complex, size x size; column n is x_{n+1}
     rows: np.ndarray        # complex, size x size; row n is x_{n+1}*
-    eps: float
-
-    def vector(self, n: int) -> SeqVector:
-        """Basis vector x_n (1-indexed) as a log-domain vector."""
-        return SeqVector.from_complex(_L1, self.columns[:, n - 1])
 
     def biorthogonality_residual(self) -> float:
         g = self.rows @ self.columns
@@ -64,8 +59,7 @@ class MarkushevichBasis:
         return float(np.max(col_norms * row_norms))
 
 
-def host_basis(kind: str, N: int, scales=None, u: float = 0.3,
-               eps: float = 0.5) -> MarkushevichBasis:
+def host_basis(kind: str, N: int, scales=None, u: float = 0.3) -> MarkushevichBasis:
     """Concrete biorthogonal systems on a truncated host.
 
     ``identity``: the canonical system.  ``diagonal``: x_n = s_n e_n with
@@ -77,14 +71,14 @@ def host_basis(kind: str, N: int, scales=None, u: float = 0.3,
         raise ParameterRangeError("basis needs N >= 2")
     if kind == "identity":
         eye = np.eye(N, dtype=complex)
-        return MarkushevichBasis(kind, N, eye, eye.copy(), eps)
+        return MarkushevichBasis(N, eye, eye.copy())
     if kind == "diagonal":
         if scales is None:
             scales = 1.0 + 1.0 / (2.0 * np.arange(1, N + 1))
         s = np.asarray(scales, dtype=complex)
         if s.size != N or np.any(np.abs(s) < 0.5) or np.any(np.abs(s) > 2.0):
             raise ParameterRangeError("diagonal scales must lie in [1/2, 2]")
-        return MarkushevichBasis(kind, N, np.diag(s), np.diag(1.0 / s), eps)
+        return MarkushevichBasis(N, np.diag(s), np.diag(1.0 / s))
     if kind == "banded":
         if abs(u) >= 0.5:
             raise ParameterRangeError("band parameter needs |u| < 1/2")
@@ -96,7 +90,7 @@ def host_basis(kind: str, N: int, scales=None, u: float = 0.3,
         for n in range(1, N):
             rows[n, :n] = -sub[n - 1] * rows[n - 1, :n]
             # row n starts as e_n; subtract sub * previous row recursively
-        return MarkushevichBasis(kind, N, cols, rows, eps)
+        return MarkushevichBasis(N, cols, rows)
     raise ParameterRangeError(f"unknown basis kind {kind!r}")
 
 
@@ -170,9 +164,9 @@ class FactorMap:
 class HostBilinear:
     """The conjugated bilinear operator acting in host coordinates."""
 
-    def __init__(self, basis: MarkushevichBasis, w: WeightSeq | None = None):
+    def __init__(self, basis: MarkushevichBasis, w: WeightSeq):
         self.basis = basis
-        self.w = w or WeightSeq.inv_squares()
+        self.w = w
         N = basis.size
         rows_log, rows_phase = _log_polar(basis.rows)
         self._first = _LogMatrix(rows_log[:1], rows_phase[:1])
@@ -196,9 +190,10 @@ class HostBilinear:
         return self._mix_log.matvec(self._rest.matvec(u)).scale(s)
 
 
-def build_N(basis: MarkushevichBasis, w: WeightSeq | None = None) -> HostBilinear:
-    """The bilinear operator conjugated to the weighted-shift operator."""
-    return HostBilinear(basis, w)
+def build_N(basis: MarkushevichBasis) -> HostBilinear:
+    """The bilinear operator conjugated to the weighted-shift operator
+    ``m_l1`` (weights ``1/i^2``)."""
+    return HostBilinear(basis, WeightSeq.inv_squares())
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +203,6 @@ def build_N(basis: MarkushevichBasis, w: WeightSeq | None = None) -> HostBilinea
 
 @dataclass
 class CommutationReport:
-    samples: int
     max_basis_residual: float       # linear scale, over all basis pairs
     max_random_residual: float      # linear scale, over random log-domain pairs
 
@@ -219,12 +213,12 @@ class CommutationReport:
 
 def commutation_check(m_spec: MultilinearSpec, host_op: HostBilinear,
                       basis: MarkushevichBasis, samples: int,
-                      rng=None) -> CommutationReport:
+                      rng: np.random.Generator) -> CommutationReport:
     """Residual of ``phi(M(u, v)) = N(phi(u), phi(v))``.
 
     Checked densely on all canonical pairs (k, j <= samples) in plain complex
-    arithmetic (magnitudes are tame there) and on random log-domain vectors
-    through the log-domain operator path.
+    arithmetic (magnitudes are tame there) and on random log-domain vectors,
+    drawn from ``rng``, through the log-domain operator path.
     """
     N = basis.size
     samples = min(samples, N)
@@ -248,7 +242,6 @@ def commutation_check(m_spec: MultilinearSpec, host_op: HostBilinear,
         resid_rest = 0.0
     basis_resid = max(resid_j1, resid_rest)
 
-    rng = rng or np.random.default_rng(0)
     phi = FactorMap(basis)
     max_rand = 0.0
     for _ in range(max(1, samples // 5)):
@@ -258,7 +251,7 @@ def commutation_check(m_spec: MultilinearSpec, host_op: HostBilinear,
         rhs_v = host_op.apply(phi(uu), phi(vv))
         r = norm(lhs_v.sub(rhs_v))
         max_rand = max(max_rand, math.exp(min(r, 50.0)) if r > LOG_ZERO else 0.0)
-    return CommutationReport(samples, basis_resid, max_rand)
+    return CommutationReport(basis_resid, max_rand)
 
 
 @dataclass
@@ -270,19 +263,17 @@ class PushforwardReport:
 
 
 def pushforward_orbit_check(m_spec: MultilinearSpec, host_op: HostBilinear,
-                            basis: MarkushevichBasis, init, steps: int,
-                            tol: float = 1e-9) -> PushforwardReport:
+                            basis: MarkushevichBasis, init, steps: int) -> PushforwardReport:
     """Iterate both orbits and compare ``phi(source state)`` with the host state.
 
     The source window shrinks with each shift, so states are compared on the
-    coordinates the source window still represents.  The per-step bound scales
-    with the host state's norm.
+    coordinates the source window still represents.  The per-step bound,
+    1e-9 relative, scales with the host state's norm.
     """
     phi = FactorMap(basis)
     orbit = iterate_bc(m_spec, init, steps)
     h_prev2, h_prev1 = phi(init[0]), phi(init[1])
     resid_logs, bound_logs = [], []
-    ok = True
     for n in range(1, len(orbit.states) + 1):
         h = host_op.apply(h_prev2, h_prev1)
         h_prev2, h_prev1 = h_prev1, h
@@ -290,9 +281,28 @@ def pushforward_orbit_check(m_spec: MultilinearSpec, host_op: HostBilinear,
         L = len(src)
         r = norm(phi(src).truncate(L).sub(h.truncate(L)))
         hn = norm(h)
-        bound = math.log(tol) + float(np.logaddexp(0.0, hn))
+        bound = math.log(1e-9) + float(np.logaddexp(0.0, hn))
         resid_logs.append(r)
         bound_logs.append(bound)
-        if r > bound:
-            ok = False
+    ok = not any(r > b for r, b in zip(resid_logs, bound_logs))
     return PushforwardReport(len(resid_logs), resid_logs, bound_logs, ok)
+
+
+def conjugation_checks(basis: MarkushevichBasis, samples: int, rng) -> list[Check]:
+    """The rows of ``conjugate``: the basis is biorthogonal to 1e-12 and
+    bounded by 1 + 1/2; ``m_l1`` and :func:`build_N` commute through it to
+    1e-10; and a pair drawn from ``rng`` in the contraction ball pushes
+    forward for 50 steps, its worst log margin at most 0."""
+    rows = [check_leq("biorthogonality", basis.biorthogonality_residual(), 1e-12,
+                      "basis-biorthogonality"),
+            check_leq("basis-bound", basis.bound(), 1.5, "basis-boundedness")]
+    spec, op, n = m_l1(), build_N(basis), basis.size
+    com = commutation_check(spec, op, basis, samples, rng)
+    rows.append(check_leq("commutation", com.max_residual, 1e-10, "factor-commutation"))
+    init = tuple(SeqVector.from_complex(
+        _L1, 0.002 * rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+        for _ in range(2))
+    push = pushforward_orbit_check(spec, op, basis, init, 50)
+    worst = max((r - b for r, b in zip(push.residual_logs, push.bound_logs)), default=-1.0)
+    rows.append(check_leq("pushforward", worst, 0.0, "orbit-pushforward"))
+    return rows

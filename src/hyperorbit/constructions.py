@@ -30,11 +30,10 @@ from .dynamics import (
     m_fg_prime,
     m_l1,
     m_symmetric,
-    n_delta_d,
 )
 from .errors import (BadBracketError, ParameterRangeError, SearchOverflowError,
                      ZeroCoordinateError)
-from .rational import QComplex, QVector, q_equal, q_forward_shift, q_iterate, q_scale
+from .rational import QComplex, QVector, q_forward_shift, q_scale
 from .report import Check, CheckFamily, CheckList, check_flag, check_leq
 from .spaces import (
     SeqVector,
@@ -499,13 +498,6 @@ def steer_target_CN(m: int, init, target: QVector, k: int):
     return tuple(init[: m - 1] + [steered])
 
 
-def steering_exact(m: int, init, target: QVector, k: int) -> bool:
-    """Oracle: iterate the steered tuple and compare state k with the target."""
-    steered = steer_target_CN(m, init, target, k)
-    states = q_iterate(m, list(steered), k)
-    return q_equal(states[k - 1], list(target))
-
-
 # ---------------------------------------------------------------------------
 # the reciprocal-coefficient pair on entire functions
 # ---------------------------------------------------------------------------
@@ -637,14 +629,6 @@ def stacked_primitive_g(dense: DenseTestSeq, blocks: int) -> SeqVector:
         if slot <= top:
             taylor[slot] = 1.0 / math.sqrt(2.0 * slot)
     coeffs = [taylor[i] / math.factorial(i) for i in range(top + 1)]
-    return SeqVector.from_complex(SpaceTag.hc(1), coeffs)
-
-
-def primitive_block(dense: DenseTestSeq, nblk: int) -> SeqVector:
-    """``P_n`` alone, as monomial coefficients (degree n, no constant term)."""
-    coeffs = [0.0] * (nblk + 1)
-    for j in range(1, nblk + 1):
-        coeffs[j] = abs(dense.value(nblk, j - 1)) / math.factorial(j)
     return SeqVector.from_complex(SpaceTag.hc(1), coeffs)
 
 
@@ -893,12 +877,11 @@ def _ray_class(norm_logs) -> OrbitClass:
     return OrbitClass.UNDECIDED
 
 
-def classify_polynomial_ray(v: SeqVector, t: float,
-                            w: WeightSeq | None = None) -> OrbitClass:
+def classify_polynomial_ray(v: SeqVector, t: float, w: WeightSeq) -> OrbitClass:
     """Classify the iteration of the induced square map ``P(x) = x_1 B_w(x)``
     along the ray point ``t * v`` by iterating it (:func:`_ray_class` on
     :func:`_ray_norm_logs`)."""
-    return _ray_class(_ray_norm_logs(v, t, w or WeightSeq.inv_squares()))
+    return _ray_class(_ray_norm_logs(v, t, w))
 
 
 def _classify_scaled(unit_logs: list[float], t: float) -> OrbitClass:
@@ -914,14 +897,15 @@ def _classify_scaled(unit_logs: list[float], t: float) -> OrbitClass:
 
 
 def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
-                        tol: float = 1e-9) -> JuliaProbe:
+                        tol: float) -> JuliaProbe:
     """Bisect a ray for the boundary of the zero basin of ``P(x) = x_1 B_w(x)``.
 
     Requires finite endpoints, a finite ``tol > 0``, the low endpoint to
     classify as converging and the high endpoint as not converging; narrows
     the bracket to ``tol``, or to two adjacent doubles when ``tol`` is below
     their spacing, and re-verifies both endpoint classifications, returning
-    the narrowest bracket of the bisection that keeps them.
+    the narrowest bracket of the bisection that keeps them: the input bracket,
+    whose ends were classified first, when no narrower one does.
     The endpoints are classified by their own orbits
     (:func:`classify_polynomial_ray`), the midpoints from one orbit of ``v``
     (:func:`_classify_scaled`).  The returned bracket is a numerical
@@ -943,6 +927,7 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
         raise BadBracketError(f"low endpoint classifies {c_lo.value}")
     if c_hi is OrbitClass.CONVERGES_TO_ZERO:
         raise BadBracketError("high endpoint also converges to zero")
+    entry = (t_lo, t_hi, c_lo, c_hi)  # the input bracket and its classes
     unit_logs = list(_ray_norm_logs(v, 1.0, w))
     brackets = [(t_lo, t_hi)]
     while t_hi - t_lo > tol:
@@ -958,11 +943,19 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
             raise BadBracketError("bisection failed to narrow the bracket")
     # the narrowest bracket whose ends keep their classes by their own orbits:
     # a few ulps from the boundary the window leaves the direct orbit undecided
-    for t_lo, t_hi in reversed(brackets):
+    for t_lo, t_hi in reversed(brackets[1:]):
         c_lo, c_hi = cls(t_lo), cls(t_hi)
         if c_lo is OrbitClass.CONVERGES_TO_ZERO and c_hi is not OrbitClass.CONVERGES_TO_ZERO:
             return JuliaProbe(t_lo, t_hi, c_lo, c_hi, len(brackets) - 1)
-    raise BadBracketError("endpoint classifications did not survive re-verification")
+    return JuliaProbe(*entry, len(brackets) - 1)
+
+
+def julia_bracket(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
+                  tol: float) -> tuple[JuliaProbe, list[Check]]:
+    """:func:`julia_ray_bisection` and its ``bracket-width`` row, at most ``tol``.
+    Its ends' classes flip by construction, so they are reported, not checked."""
+    probe = julia_ray_bisection(w, v, t_lo, t_hi, tol)
+    return probe, [check_leq("bracket-width", probe.width, tol, "basin-boundary-bracket")]
 
 
 def dominates(x: SeqVector, y: SeqVector) -> bool:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .arith import LOG_ZERO, FibCache, LogComplex, logc_prod
 from .errors import ParameterRangeError, UnsupportedFormError, WrongSpaceError
+from .report import Check, check_leq
 from .spaces import (
     SeqVector,
     SpaceTag,
@@ -475,19 +476,18 @@ def closed_form_state(spec: MultilinearSpec, init, ledg: WeightLedger,
     return SeqVector(space, hi, lo, ph)
 
 
-def closed_form_agreement(orbit: OrbitBC, closed_form=None) -> float:
+def closed_form_agreement(orbit: OrbitBC, closed_form) -> float:
     """Worst relative log-magnitude gap between direct states and closed forms.
 
     The largest ``|cf - direct| / max(1, |direct|)`` over the live
     coordinates of every direct state, with ``cf`` recomputed independently
-    by ``closed_form`` (default :func:`closed_form_state`, same signature;
-    a negative control passes a perturbed one) in one call for the steps
+    by ``closed_form`` (:func:`closed_form_state`, or a perturbed one with
+    its signature for a negative control) in one call for the steps
     ``1..N``.  The direct states are padded as wide as that block and
     reduced with one masked ``np.max``, so a NaN anywhere in the compared
     coordinates gives NaN, which fails any bound.  0.0 when no state has a
     live coordinate.
     """
-    closed_form = closed_form or closed_form_state
     spec, init, states = orbit.spec, orbit.initial, orbit.states
     # ledger entries do not depend on its length, which must be at least 2
     led = ledger(spec, init, max(2, len(states)))
@@ -499,6 +499,15 @@ def closed_form_agreement(orbit: OrbitBC, closed_form=None) -> float:
     d = direct[live]
     rel = np.abs(cf[live] - d) / np.maximum(1.0, np.abs(d))
     return float(np.max(rel, initial=0.0))
+
+
+def closed_form_checks(orbit: OrbitBC, closed_form) -> list[Check]:
+    """The ``closed-form-agreement`` row, :func:`closed_form_agreement` with
+    ``closed_form`` at most 1e-9; none without a closed form or a state."""
+    if not (orbit.spec.has_closed_form and orbit.states):
+        return []
+    return [check_leq("closed-form-agreement", closed_form_agreement(orbit, closed_form),
+                      1e-9, "orbit-closed-form")]
 
 
 # ---------------------------------------------------------------------------

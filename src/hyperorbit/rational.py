@@ -12,8 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .arith import LOG_ZERO, complex_parts
 from .errors import ParameterRangeError
+from .report import Check, check_leq
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,18 +90,6 @@ def q_scale(v: QVector, s: QComplex) -> QVector:
     return [s * c for c in v]
 
 
-def q_equal(a: QVector, b: QVector) -> bool:
-    """Exact equality as elements of c00 (trailing zeros ignored)."""
-    n = max(len(a), len(b))
-    z = QComplex.of(0)
-    for i in range(n):
-        x = a[i] if i < len(a) else z
-        y = b[i] if i < len(b) else z
-        if x.re != y.re or x.im != y.im:
-            return False
-    return True
-
-
 def q_apply_product_shift(m: int, args: list) -> QVector:
     """One step of the m-linear unweighted product-shift map.
 
@@ -122,6 +113,27 @@ def q_iterate(m: int, init: list, steps: int) -> list:
         states.append(nxt)
         window.append(nxt)
     return states
+
+
+def exact_orbit_checks(init, float_states, steps: int) -> tuple[list, list[Check]]:
+    """The exact states 1..steps of the product-shift orbit of ``init`` and
+    their ``exact-iteration`` row: the worst ``|a - b| / max(1, |b|)`` over
+    the float states' coordinates, ``a`` the exact log magnitude and ``b`` the
+    float one, is at most 1e-9.  A coordinate exactly zero on one side only
+    counts as ``inf``, and a NaN reaches the row: either fails it."""
+    states = q_iterate(len(init), init, steps)
+    gaps = [np.zeros(0)]
+    for q, f in zip(states, float_states):
+        a = np.full(max(len(q), len(f)), LOG_ZERO)
+        b = a.copy()
+        a[: len(q)] = [c.polar_parts()[0] for c in q]
+        b[: len(f)] = f.lm
+        za, zb = a == LOG_ZERO, b == LOG_ZERO
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(a - b) / np.maximum(1.0, np.abs(b))
+        gaps.append(np.where(za | zb, np.where(za & zb, 0.0, np.inf), gap))
+    worst = float(np.max(np.concatenate(gaps), initial=0.0))
+    return states, [check_leq("exact-iteration", worst, 1e-9, "orbit-recursion")]
 
 
 # -- JSON interchange for the rational mode ---------------------------------

@@ -314,9 +314,6 @@ class SeqVector:
             r = np.exp(self.lm)
         return r * np.exp(1j * self.phase)
 
-    def retag(self, space: SpaceTag) -> "SeqVector":
-        return SeqVector(space, self.hi, self.lo, self.phase)
-
     def truncate(self, n: int) -> "SeqVector":
         return SeqVector(self.space, self.hi[:n], self.lo[:n], self.phase[:n])
 

@@ -1,0 +1,52 @@
+"""Reference computations that only the tests use: slow literal evaluations
+and small helpers the library has no caller for."""
+
+import math
+
+from hyperorbit.arith import FibCache
+from hyperorbit.constructions import DenseTestSeq, steer_target_CN
+from hyperorbit.rational import QComplex, QVector, q_iterate
+from hyperorbit.spaces import SeqVector, SpaceTag
+
+
+def a_naive(N: int) -> list[int]:
+    """``[0, a_1, ..., a_N]`` by the literal O(N^2) defining sum
+    ``sum_{j=0..n-1} a_{n-j} F(2j+1) = n``."""
+    F = FibCache(2 * N + 1).prefix(2 * N + 1)
+    vals = [0, 1]
+    for n in range(2, N + 1):
+        s = sum(vals[n - j] * F[2 * j + 1] for j in range(1, n))
+        vals.append(n - s)
+    return vals
+
+
+def q_equal(a: QVector, b: QVector) -> bool:
+    """Exact equality as elements of c00 (trailing zeros ignored)."""
+    n = max(len(a), len(b))
+    z = QComplex.of(0)
+    for i in range(n):
+        x = a[i] if i < len(a) else z
+        y = b[i] if i < len(b) else z
+        if x.re != y.re or x.im != y.im:
+            return False
+    return True
+
+
+def steering_exact(m: int, init, target: QVector, k: int) -> bool:
+    """Iterate the steered tuple exactly and compare state k with the target."""
+    steered = steer_target_CN(m, init, target, k)
+    states = q_iterate(m, list(steered), k)
+    return q_equal(states[k - 1], list(target))
+
+
+def primitive_block(dense: DenseTestSeq, nblk: int) -> SeqVector:
+    """``P_n`` alone, as monomial coefficients (degree n, no constant term)."""
+    coeffs = [0.0] * (nblk + 1)
+    for j in range(1, nblk + 1):
+        coeffs[j] = abs(dense.value(nblk, j - 1)) / math.factorial(j)
+    return SeqVector.from_complex(SpaceTag.hc(1), coeffs)
+
+
+def retag(v: SeqVector, space: SpaceTag) -> SeqVector:
+    """``v``'s coordinates, bit for bit, tagged with ``space``."""
+    return SeqVector(space, v.hi, v.lo, v.phase)

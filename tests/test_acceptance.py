@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from hyperorbit.arith import LogComplex, a_closed, a_recursion, check_fib_identities
+from hyperorbit.arith import FibCache, LogComplex, a_closed, a_recursion, check_fib_identities
 from hyperorbit.conjugation import (
     build_N,
     commutation_check,
@@ -22,7 +22,6 @@ from hyperorbit.constructions import (
     delta_d_pair,
     gap_schedule_search,
     hc_Q_blocks,
-    steering_exact,
     symmetric_preimage_certificates,
     universal_y_l1,
 )
@@ -31,6 +30,7 @@ from hyperorbit.dynamics import (
     b_translate,
     classify_orbit,
     closed_form_agreement,
+    closed_form_state,
     collapse_constant,
     gk_tree,
     iterate_bc,
@@ -42,6 +42,7 @@ from hyperorbit.dynamics import (
 )
 from hyperorbit.rational import qvec
 from hyperorbit.spaces import SeqVector, SpaceTag, WeightSeq
+from oracles import steering_exact
 
 L1 = SpaceTag.l1()
 HC = SpaceTag.hc(1)
@@ -62,7 +63,7 @@ def rand_vec(rng, space, n, lo=0.5, hi=2.0):
 
 def test_01_integer_identity_suite():
     t0 = time.perf_counter()
-    rep = check_fib_identities(200)
+    rep = check_fib_identities(200, FibCache(200))
     dt = time.perf_counter() - t0
     _report(1, rep.ok, f"{rep.checked} exact identity instances covered, "
                        f"{rep.computed} computed", dt, 5.0)
@@ -90,7 +91,7 @@ def test_03_closed_form_vs_direct_orbit():
             steps = int(rng.integers(10, 41))
             orbit = iterate_bc(spec, init, steps)
             # np.maximum lets a NaN agreement through, so that it fails
-            worst = np.maximum(worst, closed_form_agreement(orbit))
+            worst = np.maximum(worst, closed_form_agreement(orbit, closed_form_state))
     dt = time.perf_counter() - t0
     _report(3, worst <= 1e-9,
             f"5 operators x 100 inits, worst log-magnitude rel {worst:.2e}",

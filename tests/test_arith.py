@@ -21,7 +21,6 @@ from hyperorbit.arith import (
     IdentityReport,
     LogComplex,
     a_closed,
-    a_naive,
     a_recursion,
     check_fib_identities,
     complex_parts,
@@ -38,6 +37,7 @@ from hyperorbit.arith import (
 from hyperorbit.constructions import _zeta2_tail
 from hyperorbit.errors import ParameterRangeError
 from hyperorbit.spaces import SeqVector, SpaceTag
+from oracles import a_naive
 
 
 def _identities_table_scan(N, cache):
@@ -46,8 +46,7 @@ def _identities_table_scan(N, cache):
     F = cache.prefix(N)
     n = even_sum_failure(cache, N // 2)
     if n is not None:
-        return IdentityReport(False, n, ("even-sum", n),
-                              "F(2n) != sum of odd-index terms")
+        return IdentityReport(False, n, ("even-sum", n))
     checked = N // 2
     H = [list(map(fa.__mul__, F)) for fa in F]
     for m in range(1, N - 1):
@@ -60,8 +59,7 @@ def _identities_table_scan(N, cache):
             rhs = H[i][1:N - m - i + 1]
             if lhs != rhs:
                 j = next(k for k, (x, y) in enumerate(zip(lhs, rhs), 1) if x != y)
-                return IdentityReport(False, checked + j - 1, ("vajda", m, i, j),
-                                      "Vajda identity failed")
+                return IdentityReport(False, checked + j - 1, ("vajda", m, i, j))
             checked += len(rhs)
     return IdentityReport(True, checked)
 
@@ -80,15 +78,13 @@ def _identities_triple_loop(N, cache):
         acc += F[2 * n - 1]
         checked += 1
         if F[2 * n] != acc:
-            return IdentityReport(False, checked, ("even-sum", n),
-                                  "F(2n) != sum of odd-index terms")
+            return IdentityReport(False, checked, ("even-sum", n))
     for m in range(1, N - 1):
         sign = 1 if m % 2 == 0 else -1
         for i in range(1, N - m):
             for j in range(1, N - m - i + 1):
                 if F[m + i] * F[m + j] - F[m] * F[m + i + j] != sign * F[i] * F[j]:
-                    return IdentityReport(False, checked, ("vajda", m, i, j),
-                                          "Vajda identity failed")
+                    return IdentityReport(False, checked, ("vajda", m, i, j))
                 checked += 1
     return IdentityReport(True, checked)
 
@@ -111,7 +107,7 @@ class TestFibonacci:
         assert fib(3) ** 2 - fib(2) * fib(4) == fib(1) * fib(1) == 1
 
     def test_identities_exhaustive_200(self):
-        rep = check_fib_identities(200)
+        rep = check_fib_identities(200, FibCache(200))
         assert rep.ok
         assert rep.checked > 10**6
 
@@ -132,7 +128,13 @@ class TestFibonacci:
                 assert even_sum_failure(cache, 40) == (k + 1) // 2
 
     def test_partial_sums_500(self):
-        assert fib_partial_sum_ok(500)
+        assert fib_partial_sum_ok(500, FibCache(502))
+
+    @pytest.mark.parametrize("k", [1, 3, 30, 62])
+    def test_partial_sums_read_the_cache(self, k):
+        cache = FibCache(62)
+        cache._corrupt_for_testing(k)
+        assert not fib_partial_sum_ok(60, cache)
 
     @pytest.mark.parametrize("N", [3, 4, 10, 57, 200])
     def test_identity_report_matches_triple_loop(self, N):
@@ -150,7 +152,8 @@ class TestFibonacci:
 
     def test_audit_and_scan_pass_for_every_N(self):
         for N in range(3, 201):
-            rep, oracle = check_fib_identities(N), _identities_table_scan(N, FibCache(N))
+            rep = check_fib_identities(N, FibCache(N))
+            oracle = _identities_table_scan(N, FibCache(N))
             assert rep.ok and oracle.ok
             assert rep.checked == oracle.checked == _instances(N)
         # the rows j = 1, 2 of every (m, i), the even sums and the N + 1 entries
@@ -183,7 +186,7 @@ class TestFibonacci:
         assert rep.checked == 0
 
     def test_audit_to_600(self):
-        rep = check_fib_identities(600)
+        rep = check_fib_identities(600, FibCache(600))
         assert rep.ok and rep.checked == _instances(600)
 
     def test_cache_growth(self):

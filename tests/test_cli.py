@@ -11,8 +11,8 @@ import pytest
 
 from fractions import Fraction
 
-from hyperorbit import cli, constructions, spaces
-from hyperorbit.arith import a_naive
+from hyperorbit import arith, cli, conjugation, constructions, rational, spaces
+from hyperorbit.arith import LogComplex
 from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x, factorial_tail_direction, phi_map
 from hyperorbit import report
@@ -28,6 +28,7 @@ from hyperorbit.spaces import (
     vector_to_json,
     write_vector,
 )
+from oracles import a_naive
 
 L1 = SpaceTag.l1()
 
@@ -68,10 +69,19 @@ class TestExitCodes:
         rc, rep = run(["identities", "--max-n", "60", "--corrupt-cache"], tmp_path)
         assert rc == 1 and rep["status"] == "fail"
 
+    @pytest.mark.parametrize("max_n", [200, 1200])
+    def test_corrupted_cache_fails_both_fibonacci_rows(self, max_n, tmp_path):
+        # the partial sums read the cache the audit checked, to the same index
+        rc, rep = run(["identities", "--max-n", str(max_n), "--a-max", "50",
+                       "--corrupt-cache"], tmp_path)
+        assert rc == 1
+        assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
+            "fib-identities", "fib-partial-sums"]
+
     def test_wrong_closed_form_fails(self, tmp_path, monkeypatch):
         # negative control: a closed form off by one at a single n
-        exact = cli.a_closed
-        monkeypatch.setattr(cli, "a_closed", lambda n: exact(n) + (n == 37))
+        exact = arith.a_closed
+        monkeypatch.setattr(arith, "a_closed", lambda n: exact(n) + (n == 37))
         rc, rep = run(["identities", "--max-n", "60", "--a-max", "50"], tmp_path)
         assert rc == 1
         assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
@@ -334,7 +344,7 @@ class TestExactIteration:
                             else c * QComplex.of(Fraction(1000001, 1000000)))
             return states
 
-        monkeypatch.setattr(cli, "q_iterate", perturbed)
+        monkeypatch.setattr(rational, "q_iterate", perturbed)
         rc, rep = run(["orbit", "--operator", "mc_CN", "--init", self.pair_init(tmp_path),
                        "--rational", "--steps", "4"], tmp_path)
         (chk,) = [c for c in rep["checks"] if c["name"] == "exact-iteration"]
@@ -668,12 +678,139 @@ def _target_input(target, path):
     return ["--init", str(path)]
 
 
-# every check name the five targets emit -> a mutation that fails a check of
-# that name; the mutation patches the build (monkeypatch), writes the input
-# file or edits the arguments.  The exponent families never read g, f, y or
-# x: only a damaged Fibonacci cache or, for two-exponent-is-n, a wrong closed
-# form fails them (see test_object_edits_pass_exponent_families)
+def _corrupt_cache_arg(monkeypatch, path, args):
+    """``--corrupt-cache``: F(30) one too large in the cache both Fibonacci
+    rows read."""
+    args.append("--corrupt-cache")
+
+
+def _wrong_a_closed(monkeypatch, path, args):
+    """a_37 one too large in the closed form ``identities`` compares."""
+    exact = arith.a_closed
+    monkeypatch.setattr(arith, "a_closed", lambda n: exact(n) + (n == 37))
+
+
+def _perturbed_closed_form(monkeypatch, path, args):
+    """Every closed-form state ``orbit`` reads scaled by e^(1e-6)."""
+    exact = cli.closed_form_state
+    monkeypatch.setattr(cli, "closed_form_state", lambda spec, init, led, n: exact(
+        spec, init, led, n).scale(LogComplex(1e-6, 0.0)))
+
+
+def _perturbed_exact_state(monkeypatch, path, args):
+    """Coordinate 1 of exact state 2 multiplied by 1 + 1e-6."""
+    exact = rational.q_iterate
+
+    def perturbed(m, init, steps):
+        states = exact(m, init, steps)
+        states[1][0] = states[1][0] * QComplex.of(Fraction(1000001, 1000000))
+        return states
+
+    monkeypatch.setattr(rational, "q_iterate", perturbed)
+
+
+def _edited_basis(monkeypatch, edit):
+    """The host basis ``conjugate`` builds, with ``edit`` applied to it."""
+    build = cli.host_basis
+
+    def edited(kind, N, u):
+        basis = build(kind, N, u=u)
+        edit(basis)
+        return basis
+
+    monkeypatch.setattr(cli, "host_basis", edited)
+
+
+def _off_functional(monkeypatch, path, args):
+    """The functional x_1* reads x_2 with weight 1e-9: no longer biorthogonal."""
+    _edited_basis(monkeypatch, lambda b: b.rows.__setitem__((0, 1), 1e-9))
+
+
+def _doubled_vector(monkeypatch, path, args):
+    """x_1 doubled: ||x_1|| ||x_1*|| = 2, past the bound 1.5."""
+    _edited_basis(monkeypatch, lambda b: b.columns.__setitem__((0, 0), 2.0))
+
+
+def _scaled_host_operator(monkeypatch, path, args):
+    """Every value of the host operator N scaled by e^(1e-3)."""
+    apply_n = conjugation.HostBilinear.apply
+    monkeypatch.setattr(conjugation.HostBilinear, "apply", lambda self, u, v: apply_n(
+        self, u, v).scale(LogComplex(1e-3, 0.0)))
+
+
+def _tol_below_spacing(monkeypatch, path, args):
+    """``--tol 1e-300``, below the spacing of doubles at the boundary."""
+    args[args.index("--tol") + 1] = "1e-300"
+
+
+def _orbit_argv(path):
+    path.write_text(json.dumps({"vectors": [
+        {"space": "l1", "coords": [[0.002, 0.0005]] * 60},
+        {"space": "l1", "coords": [[0.003, -0.001]] * 60}]}))
+    return ["orbit", "--operator", "m_l1", "--init", str(path), "--steps", "20"]
+
+
+def _rational_orbit_argv(path):
+    path.write_text(json.dumps({"vectors": [
+        {"space": "cn", "param": 4, "coords": [[0.1, 0.0]]},
+        {"space": "cn", "param": 4,
+         "coords": [[1e-20, 0.0], [0.1, -0.3], [3.0, 0.0], [0.0, 0.0], [0.7, 0.2]]}]}))
+    return ["orbit", "--operator", "mc_CN", "--init", str(path), "--rational",
+            "--steps", "4"]
+
+
+def _julia_argv(path):
+    write_vector(path, factorial_tail_direction(60))
+    return ["julia", "--init", str(path), "--bracket", "1.0", "20.0", "--tol", "1e-6"]
+
+
+# the subcommands other than build: each writes its input file at the path and
+# returns its arguments
+SUBCOMMANDS = {
+    "identities": lambda path: ["identities", "--max-n", "60", "--a-max", "50"],
+    "orbit": _orbit_argv,
+    "orbit-rational": _rational_orbit_argv,
+    "conjugate": lambda path: ["conjugate", "--basis", "identity", "--size", "60",
+                               "--samples", "20"],
+    "julia": _julia_argv,
+}
+
+
+def _command(target, path):
+    """The arguments that run ``target``, a key of ``SUBCOMMANDS`` or a build
+    target, with its input file written at ``path``."""
+    if target in SUBCOMMANDS:
+        return SUBCOMMANDS[target](path)
+    return ["build", "--target", target] + _target_input(target, path)
+
+
+# every check name each subcommand and each of the five build targets emits
+# -> a mutation that fails a check of that name; the mutation patches the
+# library (monkeypatch), writes the input file or edits the arguments.  The
+# exponent families never read g, f, y or x: only a damaged Fibonacci cache
+# or, for two-exponent-is-n, a wrong closed form fails them (see
+# test_object_edits_pass_exponent_families)
 MUTATIONS = {
+    "identities": {
+        "fib-identities": _corrupt_cache_arg,
+        "fib-partial-sums": _corrupt_cache_arg,
+        "a-seq-closed-form": _wrong_a_closed,
+    },
+    "orbit": {
+        "closed-form-agreement": _perturbed_closed_form,
+    },
+    "orbit-rational": {
+        "exact-iteration": _perturbed_exact_state,
+    },
+    "conjugate": {
+        "biorthogonality": _off_functional,
+        "basis-bound": _doubled_vector,
+        "commutation": _scaled_host_operator,
+        "pushforward": _scaled_host_operator,
+    },
+    "julia": {
+        "bracket-width": _tol_below_spacing,
+    },
     "delta_d": {
         "reciprocal-exponent-telescopes": _corrupt_cache,
         "reciprocal-coefficient": _edit_written_f,
@@ -721,10 +858,10 @@ class TestMutationTable:
     @staticmethod
     def build(target, tmp_path, monkeypatch, mutate=None):
         path = tmp_path / "input.json"
-        args = _target_input(target, path)
+        args = _command(target, path)
         if mutate is not None:
             mutate(monkeypatch, path, args)
-        rc, rep = run(["build", "--target", target] + args, tmp_path)
+        rc, rep = run(args, tmp_path)
         return rc, {(c["name"].split("[")[0], c["status"]) for c in rep["checks"]}
 
     @pytest.mark.parametrize("target", sorted(MUTATIONS))
@@ -848,11 +985,11 @@ class TestJuliaCommand:
                        "--tol", tol], tmp_path)
         assert rc == 1 and rep["status"] == "fail"
         checks = {c["name"]: c for c in rep["checks"]}
-        assert checks["bracket-width"]["status"] == "fail"
-        assert checks["endpoint-flip"]["status"] == "pass"
+        assert list(checks) == ["bracket-width"] and checks["bracket-width"]["status"] == "fail"
         lo, hi = rep["parameters"]["bracket_final"]
         assert 7.0 < lo < hi < 8.0 and hi - lo == checks["bracket-width"]["measured"] < 1e-14
-        assert rep["parameters"]["classifications"][0] == "converges_to_zero"
+        c_lo, c_hi = rep["parameters"]["classifications"]
+        assert c_lo == "converges_to_zero" != c_hi
         assert "bad-bracket" not in capsys.readouterr().err
 
 

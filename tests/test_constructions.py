@@ -19,11 +19,9 @@ from hyperorbit.constructions import (
     hc_Q_blocks,
     julia_ray_bisection,
     phi_map,
-    primitive_block,
     primitive_gap_offset,
     stacked_primitive_g,
     steer_target_CN,
-    steering_exact,
     steering_weight,
     symmetric_preimage,
     symmetric_preimage_certificates,
@@ -48,6 +46,7 @@ from hyperorbit.spaces import (
     forward_pow,
     norm,
 )
+from oracles import primitive_block, retag, steering_exact
 
 L1 = SpaceTag.l1()
 HC = SpaceTag.hc(1)
@@ -525,11 +524,11 @@ class TestReciprocalPair:
         blocks = 9
         g = stacked_primitive_g(dense, blocks)
         for k in (1, 2, 3):
-            gk = g.retag(SpaceTag.hc(k))
+            gk = retag(g, SpaceTag.hc(k))
             prev = None
             for nblk in range(2, blocks):
                 resid = norm(derivative_pow(gk, primitive_gap_offset(nblk)).sub(
-                    primitive_block(dense, nblk).retag(SpaceTag.hc(k))))
+                    retag(primitive_block(dense, nblk), SpaceTag.hc(k))))
                 if prev is not None:
                     assert resid < prev
                 prev = resid
@@ -705,12 +704,31 @@ class TestRayBisection:
     def test_whole_ray_attracted_is_bad_bracket(self):
         v = cvec([1.0, 1.0] + [0.0] * 6)
         with pytest.raises(BadBracketError):
-            julia_ray_bisection(WeightSeq.inv_squares(), v, 0.5, 50.0)
+            julia_ray_bisection(WeightSeq.inv_squares(), v, 0.5, 50.0, 1e-9)
 
     def test_inverted_bracket(self):
         v = factorial_tail_direction(60)
         with pytest.raises(BadBracketError):
-            julia_ray_bisection(WeightSeq.inv_squares(), v, 20.0, 1.0)
+            julia_ray_bisection(WeightSeq.inv_squares(), v, 20.0, 1.0, 1e-9)
+
+    def test_input_bracket_when_no_narrower_one_reverifies(self, monkeypatch):
+        # past the two entry classifications the direct classifier answers
+        # undecided, so no bisected bracket re-verifies: the input bracket
+        # comes back with the classes its ends were given at entry, and the
+        # walk back classifies each bisected bracket once and the input not again
+        v = factorial_tail_direction(60)
+        direct, calls = constructions.classify_polynomial_ray, []
+
+        def entry_only(v, t, w):
+            calls.append(t)
+            return direct(v, t, w) if len(calls) <= 2 else OrbitClass.UNDECIDED
+
+        monkeypatch.setattr(constructions, "classify_polynomial_ray", entry_only)
+        probe = julia_ray_bisection(WeightSeq.inv_squares(), v, 1.0, 20.0, 1e-6)
+        assert (probe.t_lo, probe.t_hi) == (1.0, 20.0)
+        assert probe.class_lo is OrbitClass.CONVERGES_TO_ZERO
+        assert probe.class_hi is direct(v, 20.0, WeightSeq.inv_squares())
+        assert probe.bisection_steps > 0 and len(calls) == 2 + 2 * probe.bisection_steps
 
     def test_factorial_tail_flip(self):
         v = factorial_tail_direction(200)
@@ -730,5 +748,5 @@ class TestRayBisection:
         y_edge = v.scale(LogComplex.from_real(probe.t_hi))
         x_big = v.scale(LogComplex.from_real(1.5 * probe.t_hi))
         assert dominates(x_big, y_edge)
-        cls = classify_polynomial_ray(v, 1.5 * probe.t_hi)
+        cls = classify_polynomial_ray(v, 1.5 * probe.t_hi, WeightSeq.inv_squares())
         assert cls is not OrbitClass.CONVERGES_TO_ZERO

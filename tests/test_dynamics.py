@@ -279,7 +279,7 @@ class TestClosedFormAgreement:
         init = (rand_vec(rng, HC, window), rand_vec(rng, HC, window))
         orbit = iterate_bc(spec, init, 30)
         assert len(orbit.states) == 30
-        assert closed_form_agreement(orbit) <= 1e-9
+        assert closed_form_agreement(orbit, closed_form_state) <= 1e-9
 
     def test_unsupported_for_symmetrized(self):
         rng = np.random.default_rng(10)
@@ -382,7 +382,7 @@ class TestClosedFormBlock:
             def perturbed(spec, init, led, n):
                 return closed_form_state(spec, init, led, n).scale(LogComplex(1e-6, 0.0))
 
-            assert closed_form_agreement(orbit) <= 1e-9, name
+            assert closed_form_agreement(orbit, closed_form_state) <= 1e-9, name
             assert closed_form_agreement(orbit, perturbed) > 1e-9, name
 
     def test_nan_state_fails_the_agreement(self):
@@ -393,7 +393,7 @@ class TestClosedFormBlock:
         hi = s.hi.copy()
         hi[3] = np.nan
         orbit.states[4] = SeqVector(s.space, hi, s.lo, s.phase)
-        worst = closed_form_agreement(orbit)
+        worst = closed_form_agreement(orbit, closed_form_state)
         assert math.isnan(worst)
         assert not check_leq("closed-form-agreement", worst, 1e-9).ok
 
