@@ -11,18 +11,17 @@ proved closed form a_n = 1 - n(n-1)/2, and the recursion certifies it.
 
 import numpy as np
 
-from hyperorbit import SeqVector, SpaceTag, WeightSeq, companion_pair, phi_map
+from hyperorbit import SeqVector, SpaceTag, companion_pair, phi_map
 from hyperorbit.arith import a_closed, a_recursion
 
 rng = np.random.default_rng(1)
 y = SeqVector.from_complex(SpaceTag.l1(),
                            rng.uniform(0.4, 2.5, 60) * np.exp(1j * rng.uniform(-3, 3, 60)))
-w = WeightSeq.inv_squares()
 print("recursion == closed form for n <= 80:",
       a_recursion(80)[1:] == [a_closed(n) for n in range(1, 81)])
 
 # the builder returns x with its certificates; a failed one is a failing row
-x, certs = companion_pair(y, w)
+x, certs = companion_pair(y)
 print("x_1 is free and set to zero:", x.coord(1).is_zero)
 print("log|x_21| =", round(x.coord(21).log_mag, 2),
       " (the 2^{a_i} factor decays like -i^2/2 log 2)")

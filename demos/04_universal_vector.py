@@ -7,17 +7,9 @@ shift power recovers the test vector up to an explicit tail bound.  The block
 boundaries come from a log-domain predicate scan; each boundary is minimal.
 """
 
-from hyperorbit import (
-    DenseTestSeq,
-    WeightSeq,
-    gap_schedule_search,
-    universal_y_l1,
-)
+from hyperorbit import gap_schedule_search, universal_y_l1
 
-dense = DenseTestSeq()
-w = WeightSeq.inv_squares()
-
-schedule = gap_schedule_search(dense, w, blocks=4)
+schedule = gap_schedule_search(blocks=4)
 print("block boundaries:", schedule.ns[1:])
 for rec in schedule.records:
     print(f"  j={rec['j']}: n_j={rec['n_j']}, margins "
@@ -25,7 +17,7 @@ for rec in schedule.records:
 
 # the certificates, the schedule's minimality and monotonicity among them; a
 # failed one is a failing row
-certs = universal_y_l1(schedule, dense, w)
+certs = universal_y_l1(schedule)
 print("\nbuilt window:", len(schedule.z), "coordinates;", len(certs), "certificates,",
       "all pass:", certs.ok)
 

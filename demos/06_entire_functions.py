@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from hyperorbit import (
-    DenseTestSeq,
     LogComplex,
     SeqVector,
     SpaceTag,
@@ -29,7 +28,7 @@ HC = SpaceTag.hc(1)
 # every even orbit weight of (f, g) exactly one: the exponents telescope
 # exactly, and the relation f^(n)(0) prod_{i<n} g^(i)(0) = 1 is checked per
 # index on f as its vector file holds it
-g = stacked_primitive_g(DenseTestSeq(), blocks=8)
+g = stacked_primitive_g(blocks=8)
 f, certs = delta_d_pair(g)
 telescopes = [c for c in certs if c.name == "reciprocal-exponent-telescopes"]
 relation = [c for c in certs if c.name == "reciprocal-coefficient"]
@@ -41,18 +40,11 @@ print("all certificates pass:", all(c.ok for c in certs))
 # --- the block-built universal function ------------------------------------
 # each block solves two monomial equations to pin two consecutive weights to
 # one on the principal root branch
-qb = hc_Q_blocks(DenseTestSeq(), K=3)
+qb = hc_Q_blocks(K=3)
 print("\nblock tops:", qb.ns)
 print("|alpha| per block:", [round(math.exp(a.log_mag), 6) for a in qb.alphas])
 print("|beta| per block: ", [round(math.exp(b.log_mag), 6) for b in qb.betas])
 print("all certificates pass:", all(c.ok for c in qb.certificates))
-
-# the top coefficient's modulus approaches one as the gap grows
-print("\n|beta_2| -> 1 as the second gap widens:")
-for pad in (2, 10, 20, 30):
-    qq = hc_Q_blocks(DenseTestSeq(), K=2, pad=pad)
-    print(f"  gap to {qq.ns[1]:3d}: ||beta|-1| = "
-          f"{abs(math.exp(qq.betas[1].log_mag) - 1):.2e}")
 
 # --- the weight collapse ----------------------------------------------------
 # with |f(0)| below the threshold and g's coefficients at most one in modulus,

@@ -9,25 +9,23 @@ through sparse vectors can be absorbed entirely (the shift annihilates the
 first basis vector), which the bracket checker reports instead of bisecting.
 """
 
-from hyperorbit import SeqVector, SpaceTag, WeightSeq, julia_ray_bisection
+from hyperorbit import SeqVector, SpaceTag, julia_ray_bisection
 from hyperorbit.constructions import classify_polynomial_ray, factorial_tail_direction
 from hyperorbit.errors import BadBracketError
-
-w = WeightSeq.inv_squares()
 
 # a two-coordinate direction dies in two steps for every t: no flip to find
 flat = SeqVector.from_complex(SpaceTag.l1(), [1.0, 1.0, 0, 0, 0, 0])
 try:
-    julia_ray_bisection(w, flat, 0.5, 50.0, 1e-9)
+    julia_ray_bisection(flat, 0.5, 50.0, 1e-9)
 except BadBracketError as exc:
     print("sparse direction:", exc)
 
 # the factorial-tail direction has a genuine basin boundary on its ray
 v = factorial_tail_direction(200)
 for t in (1.0, 4.0, 8.0, 16.0):
-    print(f"  classify t = {t:5.1f}:", classify_polynomial_ray(v, t, w).value)
+    print(f"  classify t = {t:5.1f}:", classify_polynomial_ray(v, t).value)
 
-probe = julia_ray_bisection(w, v, 1.0, 20.0, tol=1e-9)
+probe = julia_ray_bisection(v, 1.0, 20.0, tol=1e-9)
 print(f"\nflip bracketed in [{probe.t_lo:.12f}, {probe.t_hi:.12f}]")
 print(f"width {probe.width:.1e} after {probe.bisection_steps} bisections")
 print("endpoint classifications:",

@@ -24,7 +24,6 @@ from .conjugation import (
     pushforward_orbit_check,
 )
 from .constructions import (
-    DenseTestSeq,
     GapSchedule,
     JuliaProbe,
     QBlocks,

@@ -23,7 +23,6 @@ import numpy as np
 
 from .arith import FibCache, identity_checks
 from .constructions import (
-    DenseTestSeq,
     companion_pair,
     delta_d_pair,
     gap_schedule_search,
@@ -47,7 +46,6 @@ from .rational import exact_orbit_checks, q_vector_from_json, q_vector_to_json
 from .report import Check, RunReport
 from .spaces import (
     LOG_ZERO,
-    WeightSeq,
     norm,
     read_vector,
     vector_from_json,
@@ -130,7 +128,7 @@ def cmd_orbit(args) -> RunReport:
     vectors = _load_init(args.init)
     rep = RunReport("orbit", {"operator": args.operator, "init": args.init,
                               "steps": args.steps, "rational": bool(args.rational),
-                              "tol": args.tol, "seed": args.seed})
+                              "tol": args.tol})
     if args.operator not in OPERATORS:
         raise InputError(f"unknown operator {args.operator!r}; "
                          f"registered: {sorted(OPERATORS)}")
@@ -172,17 +170,15 @@ def cmd_orbit(args) -> RunReport:
 def _build_companion(args, rep: RunReport) -> None:
     if not args.init:
         raise InputError("companion build needs --init with the base vector")
-    x, certs = companion_pair(_read_vector_input(args.init), WeightSeq.inv_squares())
+    x, certs = companion_pair(_read_vector_input(args.init))
     write_vector(_emit_path(args.out, "companion_x.json"), x)
     rep.extend(certs)
 
 
 def _build_universal(args, rep: RunReport) -> None:
-    dense = DenseTestSeq()
-    w = WeightSeq.inv_squares()
-    schedule = gap_schedule_search(dense, w, 3 if args.blocks is None else args.blocks)
+    schedule = gap_schedule_search(3 if args.blocks is None else args.blocks)
     rep.parameters["schedule"] = schedule.ns[1:]
-    certs = universal_y_l1(schedule, dense, w)
+    certs = universal_y_l1(schedule)
     write_vector(_emit_path(args.out, "universal_y.json"), schedule.z)
     rep.extend(certs)
 
@@ -191,14 +187,14 @@ def _build_delta_d(args, rep: RunReport) -> None:
     if args.init:
         g = _read_vector_input(args.init)
     else:
-        g = stacked_primitive_g(DenseTestSeq(), blocks=8)
+        g = stacked_primitive_g(8)
     f, certs = delta_d_pair(g)
     write_vector(_emit_path(args.out, "delta_d_f.json"), f)
     rep.extend(certs)
 
 
 def _build_q_blocks(args, rep: RunReport) -> None:
-    qb = hc_Q_blocks(DenseTestSeq(), 3 if args.blocks is None else args.blocks)
+    qb = hc_Q_blocks(3 if args.blocks is None else args.blocks)
     rep.parameters["block_tops"] = qb.ns
     write_vector(_emit_path(args.out, "q_universal.json"), qb.Q)
     rep.extend(qb.certificates)
@@ -251,7 +247,7 @@ def cmd_julia(args) -> RunReport:
     rep = RunReport("julia", {"init": args.init, "bracket": args.bracket,
                               "tol": args.tol})
     v = _read_vector_input(args.init)
-    probe, rows = julia_bracket(WeightSeq.inv_squares(), v, *args.bracket, args.tol)
+    probe, rows = julia_bracket(v, *args.bracket, args.tol)
     rep.parameters["bracket_final"] = [probe.t_lo, probe.t_hi]
     rep.parameters["classifications"] = [probe.class_lo.value, probe.class_hi.value]
     rep.parameters["bisection_steps"] = probe.bisection_steps
@@ -271,19 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "hypercyclic dynamics at desk scale")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="write the JSON report here (default stdout)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled vectors (default 0)")
-        sp.add_argument("--tol", type=float, default=1e-12,
-                        help="tolerance where the command takes one")
-
     sp = sub.add_parser("identities", help="exact integer identity suite")
     sp.add_argument("--max-n", type=int, default=200)
     sp.add_argument("--a-max", type=int, default=10000)
     sp.add_argument("--corrupt-cache", action="store_true",
                     help="negative control: damage the cache; the run must fail")
-    common(sp)
     sp.set_defaults(fn=cmd_identities)
 
     sp = sub.add_parser("orbit", help="iterate an operator and cross-check")
@@ -293,14 +281,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trace", help="write a JSON-lines state trace here")
     sp.add_argument("--rational", action="store_true",
                     help="exact rational iteration (mc_CN only)")
-    common(sp)
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="classification threshold (default 1e-12)")
     sp.set_defaults(fn=cmd_orbit)
 
     sp = sub.add_parser("build", help="run a construction and certify it")
     sp.add_argument("--target", required=True)
     sp.add_argument("--init", help="input vector file (target-dependent)")
     sp.add_argument("--blocks", type=int, help="blocks for universal_l1/q_blocks")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the symmetric_preimage scales (default 0)")
     sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("conjugate", help="host-basis commutation and push-forward")
@@ -309,15 +299,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--size", type=int, default=200)
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--band-u", type=float, default=0.3)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0,
+                    help="seed for the sampled vectors (default 0)")
     sp.set_defaults(fn=cmd_conjugate)
 
     sp = sub.add_parser("julia", help="bisect a ray toward the zero-basin boundary")
     sp.add_argument("--init", required=True, help="direction vector file")
     sp.add_argument("--bracket", type=float, nargs=2, required=True,
                     metavar=("LO", "HI"))
-    common(sp)
+    sp.add_argument("--tol", type=float, default=1e-12,
+                    help="largest bracket width (default 1e-12)")
     sp.set_defaults(fn=cmd_julia)
+    for sp in sub.choices.values():
+        sp.add_argument("--out", help="write the JSON report here (default stdout)")
     return p
 
 

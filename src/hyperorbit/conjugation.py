@@ -23,14 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import LOG_ZERO
-from .dynamics import MultilinearSpec, apply, iterate_bc, m_l1
+from .dynamics import apply, iterate_bc, m_l1
 from .errors import ParameterRangeError
 from .report import Check, check_leq
 from .spaces import (
     _EXP_FLOOR,
     SeqVector,
     SpaceTag,
-    WeightSeq,
     _coords_from_row_sums,
     _dd_add,
     _norm_phases,
@@ -59,11 +58,11 @@ class MarkushevichBasis:
         return float(np.max(col_norms * row_norms))
 
 
-def host_basis(kind: str, N: int, scales=None, u: float = 0.3) -> MarkushevichBasis:
+def host_basis(kind: str, N: int, u: float = 0.3) -> MarkushevichBasis:
     """Concrete biorthogonal systems on a truncated host.
 
     ``identity``: the canonical system.  ``diagonal``: x_n = s_n e_n with
-    scales in [1/2, 2] (default ``1 + 1/(2n)``).  ``banded``: x_n = e_n +
+    ``s_n = 1 + 1/(2n)``.  ``banded``: x_n = e_n +
     u 2**(-n) e_{n+1} with |u| < 1/2; functionals come from the exact inverse
     of the unit-triangular band matrix.
     """
@@ -73,11 +72,7 @@ def host_basis(kind: str, N: int, scales=None, u: float = 0.3) -> MarkushevichBa
         eye = np.eye(N, dtype=complex)
         return MarkushevichBasis(N, eye, eye.copy())
     if kind == "diagonal":
-        if scales is None:
-            scales = 1.0 + 1.0 / (2.0 * np.arange(1, N + 1))
-        s = np.asarray(scales, dtype=complex)
-        if s.size != N or np.any(np.abs(s) < 0.5) or np.any(np.abs(s) > 2.0):
-            raise ParameterRangeError("diagonal scales must lie in [1/2, 2]")
+        s = (1.0 + 1.0 / (2.0 * np.arange(1, N + 1))).astype(complex)
         return MarkushevichBasis(N, np.diag(s), np.diag(1.0 / s))
     if kind == "banded":
         if abs(u) >= 0.5:
@@ -162,11 +157,11 @@ class FactorMap:
 
 
 class HostBilinear:
-    """The conjugated bilinear operator acting in host coordinates."""
+    """The bilinear operator conjugated to ``m_l1`` (weights ``1/i^2``),
+    acting in host coordinates."""
 
-    def __init__(self, basis: MarkushevichBasis, w: WeightSeq):
+    def __init__(self, basis: MarkushevichBasis):
         self.basis = basis
-        self.w = w
         N = basis.size
         rows_log, rows_phase = _log_polar(basis.rows)
         self._first = _LogMatrix(rows_log[:1], rows_phase[:1])
@@ -174,7 +169,7 @@ class HostBilinear:
         # combined matrix for sum_l x_l*(u) w_{l-1} x_{l-1}: column l-2 is
         # x_{l-1} scaled by w_{l-1}, l = 2..N, the weight added to the log moduli
         cols_log, cols_phase = _log_polar(basis.columns[:, : N - 1])
-        self._mix_log = _LogMatrix(cols_log + self.w.logs(N - 1), cols_phase)
+        self._mix_log = _LogMatrix(cols_log + m_l1().weights.logs(N - 1), cols_phase)
 
     def apply(self, u: SeqVector, v: SeqVector) -> SeqVector:
         """``N(u, v)`` in the log domain.
@@ -192,8 +187,8 @@ class HostBilinear:
 
 def build_N(basis: MarkushevichBasis) -> HostBilinear:
     """The bilinear operator conjugated to the weighted-shift operator
-    ``m_l1`` (weights ``1/i^2``)."""
-    return HostBilinear(basis, WeightSeq.inv_squares())
+    ``m_l1`` through ``basis``."""
+    return HostBilinear(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +206,19 @@ class CommutationReport:
         return max(self.max_basis_residual, self.max_random_residual)
 
 
-def commutation_check(m_spec: MultilinearSpec, host_op: HostBilinear,
-                      basis: MarkushevichBasis, samples: int,
+def commutation_check(basis: MarkushevichBasis, samples: int,
                       rng: np.random.Generator) -> CommutationReport:
-    """Residual of ``phi(M(u, v)) = N(phi(u), phi(v))``.
+    """Residual of ``phi(M(u, v)) = N(phi(u), phi(v))`` for M = ``m_l1`` and
+    N = :func:`build_N` of ``basis``.
 
     Checked densely on all canonical pairs (k, j <= samples) in plain complex
     arithmetic (magnitudes are tame there) and on random log-domain vectors,
-    drawn from ``rng``, through the log-domain operator path.
+    drawn from ``rng``, through the log-domain operator path.  ``samples``
+    must be at least 1.
     """
+    if samples < 1:
+        raise ParameterRangeError("commutation needs samples >= 1")
+    m_spec, host_op = m_l1(), build_N(basis)
     N = basis.size
     samples = min(samples, N)
     w = m_spec.weights
@@ -262,16 +261,16 @@ class PushforwardReport:
     ok: bool
 
 
-def pushforward_orbit_check(m_spec: MultilinearSpec, host_op: HostBilinear,
-                            basis: MarkushevichBasis, init, steps: int) -> PushforwardReport:
-    """Iterate both orbits and compare ``phi(source state)`` with the host state.
+def pushforward_orbit_check(basis: MarkushevichBasis, init, steps: int) -> PushforwardReport:
+    """Iterate the orbits of ``m_l1`` and of :func:`build_N` of ``basis`` and
+    compare ``phi(source state)`` with the host state.
 
     The source window shrinks with each shift, so states are compared on the
     coordinates the source window still represents.  The per-step bound,
     1e-9 relative, scales with the host state's norm.
     """
-    phi = FactorMap(basis)
-    orbit = iterate_bc(m_spec, init, steps)
+    phi, host_op = FactorMap(basis), build_N(basis)
+    orbit = iterate_bc(m_l1(), init, steps)
     h_prev2, h_prev1 = phi(init[0]), phi(init[1])
     resid_logs, bound_logs = [], []
     for n in range(1, len(orbit.states) + 1):
@@ -296,13 +295,13 @@ def conjugation_checks(basis: MarkushevichBasis, samples: int, rng) -> list[Chec
     rows = [check_leq("biorthogonality", basis.biorthogonality_residual(), 1e-12,
                       "basis-biorthogonality"),
             check_leq("basis-bound", basis.bound(), 1.5, "basis-boundedness")]
-    spec, op, n = m_l1(), build_N(basis), basis.size
-    com = commutation_check(spec, op, basis, samples, rng)
+    com = commutation_check(basis, samples, rng)
     rows.append(check_leq("commutation", com.max_residual, 1e-10, "factor-commutation"))
+    n = basis.size
     init = tuple(SeqVector.from_complex(
         _L1, 0.002 * rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
         for _ in range(2))
-    push = pushforward_orbit_check(spec, op, basis, init, 50)
+    push = pushforward_orbit_check(basis, init, 50)
     worst = max((r - b for r, b in zip(push.residual_logs, push.bound_logs)), default=-1.0)
     rows.append(check_leq("pushforward", worst, 0.0, "orbit-pushforward"))
     return rows

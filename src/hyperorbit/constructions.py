@@ -14,7 +14,7 @@ construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,26 +55,23 @@ from .spaces import (
 # ---------------------------------------------------------------------------
 
 
-class DenseTestSeq:
-    """Deterministic stand-in for a dense test sequence.
+# A deterministic stand-in for a dense test sequence.  The k-th sequence
+# vector has support exactly [1, k] with moduli in [1/k, 1]; the k-th
+# polynomial has degree k with monomial coefficients in the same band.
+# Density of the abstract sequence plays no role in any finite-block
+# certificate, so a reproducible generator is preferred over a sampled one.
 
-    The k-th sequence vector has support exactly [1, k] with moduli in
-    [1/k, 1]; the k-th polynomial has degree k with monomial coefficients in
-    the same band.  Density of the abstract sequence plays no role in any
-    finite-block certificate, so a reproducible generator is preferred over a
-    sampled one.
-    """
 
-    def value(self, k: int, i: int) -> float:
-        """Coefficient i (0-based) of the k-th test object; ±(1/k .. 1)."""
-        mag = (1.0 / k) * (1.0 + ((i % k) * (k - 1.0)) / k)
-        sign = -1.0 if (i * (k - 1)) % 2 else 1.0
-        return sign * mag
+def dense_value(k: int, i: int) -> float:
+    """Coefficient i (0-based) of the k-th test object; ±(1/k .. 1)."""
+    mag = (1.0 / k) * (1.0 + ((i % k) * (k - 1.0)) / k)
+    sign = -1.0 if (i * (k - 1)) % 2 else 1.0
+    return sign * mag
 
-    def vector(self, k: int, space: SpaceTag | None = None) -> SeqVector:
-        """The k-th test vector, support [1, k]."""
-        return SeqVector.from_complex(space or SpaceTag.l1(),
-                                      [self.value(k, i) for i in range(k)])
+
+def dense_vector(k: int) -> SeqVector:
+    """The k-th test vector on l1, support [1, k]."""
+    return SeqVector.from_complex(SpaceTag.l1(), [dense_value(k, i) for i in range(k)])
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +79,12 @@ class DenseTestSeq:
 # ---------------------------------------------------------------------------
 
 
-def companion_x(y: SeqVector, w: WeightSeq) -> SeqVector:
+def companion_x(y: SeqVector) -> SeqVector:
     """The vector cancelling the orbit weights of ``y``:
 
     ``x_{i+1} = 2**a_i / w_i * prod_{j<=i} 1/(y_j w_j)``, with ``x_1 = 0``
-    (the formula leaves the first coordinate free).  Together with ``y`` it
-    makes ``c_{2n} d_{2n} = 2**n n!**2`` exactly.
+    (the formula leaves the first coordinate free) and ``w_i = 1/i**2``.
+    Together with ``y`` it makes ``c_{2n} d_{2n} = 2**n n!**2`` exactly.
     """
     n = len(y)
     if n == 0:
@@ -95,6 +92,7 @@ def companion_x(y: SeqVector, w: WeightSeq) -> SeqVector:
     lm = y.lm
     if np.any(np.isneginf(lm[: n - 1])):
         raise ZeroCoordinateError("companion vector needs nonzero y_1..y_{N-1}")
+    w = WeightSeq.inv_squares()
     logs_w = w.logs(n)
     cum_w = w.cum(n)
     pref_y = np.cumsum(lm)
@@ -109,8 +107,7 @@ def companion_x(y: SeqVector, w: WeightSeq) -> SeqVector:
     return SeqVector(y.space, hi, np.zeros(n), _norm_phases(ph))
 
 
-def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
-                                 tol: float = 1e-8) -> list[Check]:
+def weight_identity_certificates(n_max: int) -> list[Check]:
     """Certify ``c_{2n} d_{2n} = 2**n n!**2`` for the companion pair, n <= n_max.
 
     The two-term recursion amplifies float noise with Fibonacci weight, so at
@@ -124,15 +121,15 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
     * the exponent of ``log 2``, ``sum_{i<=n} a_i F(2(n-i)+1)`` with a_i from
       its closed form :func:`a_closed`, equals exactly n (the defining
       property of the a-sequence);
-    * the surviving value ``n log 2 - sum_l log w_l`` matches
-      ``n log 2 + 2 log n!`` within ``tol`` relative.
+    * the surviving value ``n log 2 - sum_l log w_l``, with the weights
+      ``w_l = 1/l**2``, matches ``n log 2 + 2 log n!`` within 1e-8 relative.
 
     The float-recursion ledger is a separate route and is only meaningful for
     small n; see :func:`weight_identity_recursion_error`.
     """
     if n_max < 1:
         raise ParameterRangeError("weight identities need n_max >= 1")
-    w = w or WeightSeq.inv_squares()
+    logs_w = WeightSeq.inv_squares().logs(n_max)
     cache = FibCache(2 * n_max + 3)
     # exponent of log y_j: F(2(n-j+1)) - sum_{i=j..n} F(2(n-i)+1), zero for
     # every j <= n exactly when the even-index sum identity holds up to n
@@ -155,14 +152,14 @@ def weight_identity_certificates(n_max: int, w: WeightSeq | None = None,
         certs.append(check_flag("two-exponent-is-n", an + Q == n, verifies, n))
         P, Q = a_convolution_step(an, P, Q)
         # surviving value vs the closed form
-        value = n * LN2 - float(np.sum(w.logs(n)))
+        value = n * LN2 - float(np.sum(logs_w[:n]))
         target = _block_scale(n)
         rel = abs(value - target) / max(1.0, abs(target))
-        certs.append(check_leq("weight-identity-value", rel, tol, verifies, n))
+        certs.append(check_leq("weight-identity-value", rel, 1e-8, verifies, n))
     return certs
 
 
-def weight_identity_recursion_error(x: SeqVector, y: SeqVector, w: WeightSeq,
+def weight_identity_recursion_error(x: SeqVector, y: SeqVector,
                                     n_max: int) -> list[Check]:
     """``recursion-identity[n]``, n <= n_max: the float-recursion ledger of the
     pair (x, y) against ``2**n n!**2``.
@@ -172,12 +169,12 @@ def weight_identity_recursion_error(x: SeqVector, y: SeqVector, w: WeightSeq,
     recursion's rounding noise grows with Fibonacci weight and swamps the
     identity beyond n of a few dozen.
     """
-    spec = replace(m_l1(), space=y.space, weights=w)
+    spec = m_l1()
     led = ledger(spec, (x, y), 2 * n_max)
     certs = []
     for n in range(1, n_max + 1):
         cd = led.cd(2 * n)
-        target = n * LN2 - float(np.sum(w.logs(n)))
+        target = n * LN2 - float(np.sum(spec.weights.logs(n)))
         certs.append(check_leq("recursion-identity",
                                max(abs(cd.log_mag - target), abs(cd.phase)),
                                1e-8 * max(1.0, _block_scale(n)),
@@ -185,7 +182,7 @@ def weight_identity_recursion_error(x: SeqVector, y: SeqVector, w: WeightSeq,
     return certs
 
 
-def companion_pair(y: SeqVector, w: WeightSeq):
+def companion_pair(y: SeqVector):
     """Build the companion vector of ``y`` and certify the pair.
 
     Returns ``(x, certificates)``: :func:`weight_identity_certificates` for
@@ -194,12 +191,12 @@ def companion_pair(y: SeqVector, w: WeightSeq):
     ``vector_from_json(vector_to_json(x))``, which is what the written vector
     file holds.
     """
-    x = companion_x(y, w)
-    certs = weight_identity_certificates(min(200, len(y) - 1), w)
+    x = companion_x(y)
+    certs = weight_identity_certificates(min(200, len(y) - 1))
     n_rec = min(15, (len(y) - 1) // 2)
     if n_rec >= 1:
         certs += weight_identity_recursion_error(
-            vector_from_json(vector_to_json(x)), y, w, n_rec)
+            vector_from_json(vector_to_json(x)), y, n_rec)
     return x, certs
 
 
@@ -303,8 +300,7 @@ def _first_passing(margins, start: int, j: int) -> int:
     raise SearchOverflowError(f"n_{j} exceeded the scan cap {SCAN_CAP}")
 
 
-def _place_block(z: SeqVector, j: int, n_prev: int, n_j: int, dense: DenseTestSeq,
-                 w: WeightSeq) -> SeqVector:
+def _place_block(z: SeqVector, j: int, n_prev: int, n_j: int) -> SeqVector:
     """The universal vector ``z`` extended by block j.
 
     Coordinates ``n_prev + j .. n_j`` get the fillers ``2**-n_prev / l**2``
@@ -314,14 +310,14 @@ def _place_block(z: SeqVector, j: int, n_prev: int, n_j: int, dense: DenseTestSe
     z = z._padded(n_j + j)
     hi, lo, ph = z.hi.copy(), z.lo.copy(), z.phase.copy()
     hi[n_prev + j - 1: n_j] = -n_prev * LN2 - 2.0 * _ln(np.arange(n_prev + j, n_j + 1))
-    placed = forward_pow(dense.vector(j).scale(LogComplex(-_block_scale(n_j), 0.0)),
-                         w, n_j)
+    placed = forward_pow(dense_vector(j).scale(LogComplex(-_block_scale(n_j), 0.0)),
+                         WeightSeq.inv_squares(), n_j)
     sl = slice(n_j, n_j + j)
     hi[sl], lo[sl], ph[sl] = placed.hi[sl], placed.lo[sl], placed.phase[sl]
     return SeqVector(z.space, hi, lo, ph)
 
 
-def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, blocks: int) -> GapSchedule:
+def gap_schedule_search(blocks: int) -> GapSchedule:
     """Find minimal block boundaries n_2 < n_3 < ... and build the universal vector.
 
     n_2 is the least n passing the first-gap condition; later n_j are the
@@ -336,7 +332,7 @@ def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, blocks: int) -> GapSc
         raise ParameterRangeError("schedule needs at least 2 blocks")
     ns = [None, 0]
     records = []
-    z = _place_block(SeqVector.zeros(SpaceTag.l1(), 0), 1, 0, 0, dense, w)
+    z = _place_block(SeqVector.zeros(SpaceTag.l1(), 0), 1, 0, 0)
 
     for j in range(2, blocks + 1):
         n_prev = ns[j - 1]
@@ -362,7 +358,7 @@ def gap_schedule_search(dense: DenseTestSeq, w: WeightSeq, blocks: int) -> GapSc
             "tail_monotone": all(tail[t + 1] <= tail[t] + 1e-9 for t in range(10)),
             "derivative_negative": diff < 0.0,
         })
-        z = _place_block(z, j, n_prev, n, dense, w)
+        z = _place_block(z, j, n_prev, n)
     return GapSchedule(ns, records, z)
 
 
@@ -376,8 +372,7 @@ def _zeta2_tail(j: int) -> float:
     return float(Fraction(pi * pi, 6 << 2 * bits) - head)
 
 
-def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
-                   w: WeightSeq | None = None) -> CheckList:
+def universal_y_l1(schedule: GapSchedule) -> CheckList:
     """Certify the block-built universal vector ``schedule.z``.
 
     The vector is ``z = z_1 + sum_j (fillers + S_w^{n_j}(z_j / (2**n_j n_j!**2)))``
@@ -393,7 +388,7 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
     ``gap-minimality[j]`` (the margin at n_j - 1 was violated) and
     ``gap-monotone[j]`` (the margins keep decreasing past n_j).
     """
-    w = w or WeightSeq.inv_squares()
+    w = WeightSeq.inv_squares()
     ns, z = schedule.ns, schedule.z
     J = schedule.block_count()
     total = len(z)
@@ -416,7 +411,7 @@ def universal_y_l1(schedule: GapSchedule, dense: DenseTestSeq,
     for j in range(1, J + 1):
         n_j = ns[j]
         img = shift_pow(z, w, n_j).scale(LogComplex(_block_scale(n_j), 0.0))
-        resid = norm(img.sub(dense.vector(j)))
+        resid = norm(img.sub(dense_vector(j)))
         certs.append(check_leq("universality-residual", resid,
                                math.log(2.0 * _zeta2_tail(j)), verifies, j))
 
@@ -522,10 +517,10 @@ def _dd_cumsum_neg(hi, lo):
     return oh, ol
 
 
-def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector, tol: float) -> list[Check]:
+def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector) -> list[Check]:
     """Certify ``f^(n)(0) prod_{i<n} g^(i)(0) = 1`` for n = 1 .. len(f) - 1.
 
-    Row n passes when two residuals are at most ``tol``: the log residual
+    Row n passes when two residuals are at most 1e-9: the log residual
     ``|log|f^(n)(0)| + sum_{i<n} log|g^(i)(0)||`` over ``max(1, |log|f^(n)(0)||
     + sum_{i<n} |log|g^(i)(0)||)``, the scale its rounding error follows, and
     the phase residual ``arg f^(n)(0) + sum_{i<n} arg g^(i)(0)`` reduced to
@@ -539,11 +534,11 @@ def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector, tol: float) -> lis
     scale = np.maximum(1.0, np.abs(log_f) + np.cumsum(np.abs(log_g)))
     ph_res = np.abs(_norm_phases(f.phase[1:] + np.cumsum(g.phase[: n - 1])))
     resid = np.maximum(log_res / scale, ph_res)
-    return [check_leq("reciprocal-coefficient", r, tol, "even-weight-unity", i)
+    return [check_leq("reciprocal-coefficient", r, 1e-9, "even-weight-unity", i)
             for i, r in enumerate(resid.tolist(), 1)]
 
 
-def delta_d_pair(g: SeqVector, tol: float = 1e-9):
+def delta_d_pair(g: SeqVector):
     """Build f with ``f^(n)(0) = prod_{i<n} 1/g^(i)(0)`` and certify it.
 
     g is given by monomial coefficients; it needs at least one, and every
@@ -561,7 +556,7 @@ def delta_d_pair(g: SeqVector, tol: float = 1e-9):
       ``vector_from_json(vector_to_json(f))``, which is what the written
       vector file holds.
 
-    Together they prove that the written f is, index by index to ``tol``,
+    Together they prove that the written f is, index by index to 1e-9,
     the f whose even weights ``c_{2n}`` are identically one.  They do not
     bound ``c_{2n}`` of the rounded file itself: there each per-index
     residual enters with a Fibonacci-sized exponent.
@@ -594,7 +589,7 @@ def delta_d_pair(g: SeqVector, tol: float = 1e-9):
     fail = even_sum_failure(FibCache(N + 2), N // 2)
     certs = [check_flag("reciprocal-exponent-telescopes", fail is None or m < fail,
                         "even-weight-unity", 2 * m) for m in range(1, N // 2 + 1)]
-    certs += reciprocal_coefficient_checks(g, vector_from_json(vector_to_json(f)), tol)
+    certs += reciprocal_coefficient_checks(g, vector_from_json(vector_to_json(f)))
     return f, certs
 
 
@@ -603,7 +598,7 @@ def primitive_gap_offset(n: int) -> int:
     return (n - 1) * (n + 2) // 2
 
 
-def stacked_primitive_g(dense: DenseTestSeq, blocks: int) -> SeqVector:
+def stacked_primitive_g(blocks: int) -> SeqVector:
     """The gap-stacked function ``g = sum_n I^{k_n}(P_n)`` plus spare-slot fillers.
 
     ``P_n`` is the n-th dense test polynomial with factorial-scaled
@@ -624,7 +619,7 @@ def stacked_primitive_g(dense: DenseTestSeq, blocks: int) -> SeqVector:
     for nblk in range(1, blocks + 1):
         kn = primitive_gap_offset(nblk)
         for j in range(1, nblk + 1):
-            taylor[kn + j] = abs(dense.value(nblk, j - 1))
+            taylor[kn + j] = abs(dense_value(nblk, j - 1))
         slot = kn + nblk + 1
         if slot <= top:
             taylor[slot] = 1.0 / math.sqrt(2.0 * slot)
@@ -649,15 +644,17 @@ class QBlocks:
     certificates: list
 
 
-def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
-                tol: float = 1e-8) -> QBlocks:
+Q_PAD = 8  # ones between a block's test polynomial and its free top coefficient
+
+
+def hc_Q_blocks(K: int) -> QBlocks:
     """Build K blocks of the universal function for evaluation-times-derivative.
 
     Block 1 fixes degree 3; each later block appends a free low coefficient,
-    the factorial-scaled test polynomial, a stretch of ones, and a free top
+    the factorial-scaled test polynomial, :data:`Q_PAD` ones, and a free top
     coefficient, then solves the two monomial equations making the next two
     orbit weights equal to one (principal root branch).  Certified per block:
-    the two weights are 1 to ``tol`` in log magnitude and phase (checked
+    the two weights are 1 to 1e-8 in log magnitude and phase (checked
     through the two-term recursion on ``vector_from_json(vector_to_json(Q))``,
     which is what the written vector file holds: an independent route from the
     solver's direct exponent sums), and the solved coefficients obey
@@ -671,14 +668,12 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
     """
     if K < 1:
         raise ParameterRangeError("need K >= 1 blocks")
-    if pad < 0:
-        raise ParameterRangeError("pad must be >= 0")
     ns = [3]
     taylor: dict[int, LogComplex] = {}
 
     # block 1: indices 0..3 hold alpha_1, a_{0,1}, a_{1,1}, beta_1
-    a01 = LogComplex.from_real(dense.value(1, 0))
-    a11 = LogComplex.from_real(dense.value(1, 1))
+    a01 = LogComplex.from_real(dense_value(1, 0))
+    a11 = LogComplex.from_real(dense_value(1, 1))
     alpha1 = a01.mul(a11).inv().root(2)
     beta1 = alpha1.pow_int(3).mul(a01.pow_int(2)).mul(a11).inv()
     taylor[0], taylor[1], taylor[2], taylor[3] = alpha1, a01, a11, beta1
@@ -704,11 +699,11 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
 
     for j in range(1, K):
         nj = ns[-1]
-        nj1 = nj + j + 4 + pad
+        nj1 = nj + j + 4 + Q_PAD
         ns.append(nj1)
         for i in range(0, j + 2):
             taylor[nj + 2 + i] = LogComplex.from_real(
-                math.factorial(i) * dense.value(j + 1, i))
+                math.factorial(i) * dense_value(j + 1, i))
         for l in range(nj + j + 4, nj1):
             taylor[l] = LogComplex.one()
         # alpha: exponent F(gap) at index nj+1 in the weight of order nj1+1
@@ -735,7 +730,7 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
 
     # certificates via the two-term recursion (independent of the solver path),
     # on Q as the written vector file holds it
-    spec = m_fg_prime(1)
+    spec = m_fg_prime()
     one_fn = SeqVector.from_complex(SpaceTag.hc(1), [1.0])
     led = ledger(spec, (one_fn, vector_from_json(vector_to_json(Q))), ns[-1] + 2)
     verifies = "unit-weight-blocks"
@@ -744,7 +739,7 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
         for off in (1, 2):
             c = led.c(ns[j] + off)
             worst = max(abs(c.log_mag), abs(c.phase))
-            certs.append(check_leq("unit-weight", worst, tol, verifies, ns[j] + off))
+            certs.append(check_leq("unit-weight", worst, 1e-8, verifies, ns[j] + off))
     C_log = 0.0  # proved in the docstring
     for j in range(1, K):
         certs.append(check_leq("alpha-bound", alphas[j].log_mag,
@@ -759,17 +754,16 @@ def hc_Q_blocks(dense: DenseTestSeq, K: int, pad: int = 8,
 # ---------------------------------------------------------------------------
 
 
-def symmetric_preimage(x0: SeqVector, lam: LogComplex,
-                       w: WeightSeq | None = None):
+def symmetric_preimage(x0: SeqVector, lam: LogComplex):
     """Preimage pair for the symmetrized shift operator: ``M(x, y) = x0`` for any lam.
 
     ``x = e_1 + lam * S_w(x0) + sum_{i>=2} e_i / i**2`` and
-    ``y = e_1 - (lam - 2) * S_w(x0) - sum_{i>=2} e_i / i**2``; both first
+    ``y = e_1 - (lam - 2) * S_w(x0) - sum_{i>=2} e_i / i**2``, with
+    ``w_i = 1/i**2``; both first
     coordinates are 1 and the shifted parts average back to ``S_w(x0)``, so
     the dependence on lam cancels identically.  Returns ``(x, y, residual)``
     with the residual the log l1 distance of ``M(x, y)`` from ``x0``.
     """
-    w = w or WeightSeq.inv_squares()
     if x0.space.kind != "l1":
         raise ParameterRangeError("preimage construction lives on l1")
     L = len(x0) + 2
@@ -780,7 +774,7 @@ def symmetric_preimage(x0: SeqVector, lam: LogComplex,
     tail = SeqVector(tag, tail_hi, np.zeros(L), np.zeros(L))
     e1 = SeqVector.basis(tag, L, 1)
 
-    s_x0 = forward_pow(x0, w, 1)._padded(L)
+    s_x0 = forward_pow(x0, WeightSeq.inv_squares(), 1)._padded(L)
     lam_m2 = lam.add(LogComplex.from_real(-2.0))
     x = e1.add(s_x0.scale(lam)).add(tail)
     y = e1.add(s_x0.scale(lam_m2).neg()).add(tail.neg())
@@ -846,11 +840,12 @@ class JuliaProbe:
 RAY_WINDOW = 200  # coordinates of the ray direction the classifier iterates
 
 
-def _ray_norm_logs(v: SeqVector, t: float, w: WeightSeq):
+def _ray_norm_logs(v: SeqVector, t: float):
     """Norm logs of ``P^n(t v)``, n = 1, 2, ..., for the square map
-    ``P(x) = x_1 B_w(x)`` on the first ``RAY_WINDOW`` coordinates of ``v``;
-    each squaring drops a coordinate, so the stream ends when one is left."""
-    spec = replace(m_l1(), name="p_diag", weights=w)
+    ``P(x) = m_l1(x, x) = x_1 B_w(x)`` on the first ``RAY_WINDOW`` coordinates
+    of ``v``; each squaring drops a coordinate, so the stream ends when one is
+    left."""
+    spec = m_l1()
     s = v.truncate(RAY_WINDOW).scale(LogComplex.from_real(t))
     while len(s) > 1:
         s = apply(spec, (s, s))
@@ -877,11 +872,11 @@ def _ray_class(norm_logs) -> OrbitClass:
     return OrbitClass.UNDECIDED
 
 
-def classify_polynomial_ray(v: SeqVector, t: float, w: WeightSeq) -> OrbitClass:
+def classify_polynomial_ray(v: SeqVector, t: float) -> OrbitClass:
     """Classify the iteration of the induced square map ``P(x) = x_1 B_w(x)``
     along the ray point ``t * v`` by iterating it (:func:`_ray_class` on
     :func:`_ray_norm_logs`)."""
-    return _ray_class(_ray_norm_logs(v, t, w))
+    return _ray_class(_ray_norm_logs(v, t))
 
 
 def _classify_scaled(unit_logs: list[float], t: float) -> OrbitClass:
@@ -896,8 +891,7 @@ def _classify_scaled(unit_logs: list[float], t: float) -> OrbitClass:
     return _ray_class(ln + math.ldexp(log_t, n) for n, ln in enumerate(unit_logs, 1))
 
 
-def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
-                        tol: float) -> JuliaProbe:
+def julia_ray_bisection(v: SeqVector, t_lo: float, t_hi: float, tol: float) -> JuliaProbe:
     """Bisect a ray for the boundary of the zero basin of ``P(x) = x_1 B_w(x)``.
 
     Requires finite endpoints, a finite ``tol > 0``, the low endpoint to
@@ -920,7 +914,7 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
         raise BadBracketError("need 0 <= t_lo < t_hi")
 
     def cls(t: float) -> OrbitClass:
-        return classify_polynomial_ray(v, t, w)
+        return classify_polynomial_ray(v, t)
 
     c_lo, c_hi = cls(t_lo), cls(t_hi)
     if c_lo is not OrbitClass.CONVERGES_TO_ZERO:
@@ -928,7 +922,7 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
     if c_hi is OrbitClass.CONVERGES_TO_ZERO:
         raise BadBracketError("high endpoint also converges to zero")
     entry = (t_lo, t_hi, c_lo, c_hi)  # the input bracket and its classes
-    unit_logs = list(_ray_norm_logs(v, 1.0, w))
+    unit_logs = list(_ray_norm_logs(v, 1.0))
     brackets = [(t_lo, t_hi)]
     while t_hi - t_lo > tol:
         mid = 0.5 * (t_lo + t_hi)
@@ -950,11 +944,11 @@ def julia_ray_bisection(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
     return JuliaProbe(*entry, len(brackets) - 1)
 
 
-def julia_bracket(w: WeightSeq, v: SeqVector, t_lo: float, t_hi: float,
+def julia_bracket(v: SeqVector, t_lo: float, t_hi: float,
                   tol: float) -> tuple[JuliaProbe, list[Check]]:
     """:func:`julia_ray_bisection` and its ``bracket-width`` row, at most ``tol``.
     Its ends' classes flip by construction, so they are reported, not checked."""
-    probe = julia_ray_bisection(w, v, t_lo, t_hi, tol)
+    probe = julia_ray_bisection(v, t_lo, t_hi, tol)
     return probe, [check_leq("bracket-width", probe.width, tol, "basin-boundary-bracket")]
 
 

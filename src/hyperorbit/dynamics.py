@@ -122,7 +122,7 @@ class MultilinearSpec:
         return SeqVector(v.space, hi, lo, ph)
 
 
-def mc_CN(m: int = 2, k: int = 4) -> MultilinearSpec:
+def mc_CN(m: int = 2) -> MultilinearSpec:
     """m-linear product of first-coordinate functionals with one unweighted shift.
 
     Acts on the seminormed full sequence space; functionals read the first
@@ -131,7 +131,7 @@ def mc_CN(m: int = 2, k: int = 4) -> MultilinearSpec:
     return MultilinearSpec(
         name="mc_CN", arity=m,
         functional_slots=tuple(range(1, m)), shift_slot=m,
-        linear="shift", space=SpaceTag.cn(k), weights=WeightSeq.ones())
+        linear="shift", space=SpaceTag.cn(4), weights=WeightSeq.ones())
 
 
 def m_l1() -> MultilinearSpec:
@@ -141,8 +141,8 @@ def m_l1() -> MultilinearSpec:
         linear="shift", space=SpaceTag.l1(), weights=WeightSeq.inv_squares())
 
 
-def n_transpose(space: SpaceTag | None = None) -> MultilinearSpec:
-    """Bilinear ``(x, y) -> y_1 * B(x)`` with unit weights on lp or c0.
+def n_transpose() -> MultilinearSpec:
+    """Bilinear ``(x, y) -> y_1 * B(x)`` with unit weights on c0.
 
     The sequence-space twin of the evaluation-times-derivative operator: the
     unweighted backward shift plays the role the differentiation operator
@@ -150,28 +150,28 @@ def n_transpose(space: SpaceTag | None = None) -> MultilinearSpec:
     """
     return MultilinearSpec(
         name="n_transpose", arity=2, functional_slots=(2,), shift_slot=1,
-        linear="shift", space=space or SpaceTag.c0(), weights=WeightSeq.ones())
+        linear="shift", space=SpaceTag.c0(), weights=WeightSeq.ones())
 
 
-def m_fg_prime(k: int = 1) -> MultilinearSpec:
+def m_fg_prime() -> MultilinearSpec:
     """Bilinear ``(f, g) -> f(0) * g'`` on entire functions."""
     return MultilinearSpec(
         name="m_fg_prime", arity=2, functional_slots=(1,), shift_slot=2,
-        linear="derivative", space=SpaceTag.hc(k))
+        linear="derivative", space=SpaceTag.hc(1))
 
 
-def n_delta_d(k: int = 1) -> MultilinearSpec:
+def n_delta_d() -> MultilinearSpec:
     """Bilinear ``(f, g) -> g(0) * f'`` on entire functions."""
     return MultilinearSpec(
         name="n_delta_d", arity=2, functional_slots=(2,), shift_slot=1,
-        linear="derivative", space=SpaceTag.hc(k))
+        linear="derivative", space=SpaceTag.hc(1))
 
 
-def b_translate(k: int = 1) -> MultilinearSpec:
+def b_translate() -> MultilinearSpec:
     """Bilinear ``(g, f) -> g(0) * f(z + 1)`` on entire functions."""
     return MultilinearSpec(
         name="b_translate", arity=2, functional_slots=(1,), shift_slot=2,
-        linear="translate", space=SpaceTag.hc(k))
+        linear="translate", space=SpaceTag.hc(1))
 
 
 def m_symmetric() -> MultilinearSpec:
@@ -770,8 +770,10 @@ def classify_orbit(orbit: OrbitBC, tol: float = 1e-12) -> OrbitClass:
     Convergence requires the last stretch of at least ``CONVERGENCE_RUN``
     norms to sit below ``tol`` and be monotone non-increasing through the
     last state (a transient dip is not convergence).  Any norm above
-    ``1/tol`` classifies as escaping.
+    ``1/tol`` classifies as escaping.  ``tol`` must be finite and > 0.
     """
+    if not 0 < tol < math.inf:
+        raise ParameterRangeError("tol must be finite and > 0")
     norms = [norm(s) for s in orbit.states]
     if not norms:
         return OrbitClass.UNDECIDED

@@ -17,8 +17,9 @@ class ParameterRangeError(HyperorbitError):
     """A parameter is outside its documented range."""
 
 
-class DegreeCapError(HyperorbitError):
-    """A coefficient operation exceeded its configured degree cap."""
+class DegreeCapError(ParameterRangeError):
+    """A coefficient operation exceeded its degree cap: the input vector is
+    longer than the operation supports."""
 
 
 class UnsupportedFormError(HyperorbitError):
@@ -26,7 +27,7 @@ class UnsupportedFormError(HyperorbitError):
 
 
 class SearchOverflowError(HyperorbitError):
-    """A predicate scan exceeded its configured index cap."""
+    """A predicate scan exceeded its index cap."""
 
 
 class BadBracketError(HyperorbitError):

@@ -4,7 +4,7 @@ and small helpers the library has no caller for."""
 import math
 
 from hyperorbit.arith import FibCache
-from hyperorbit.constructions import DenseTestSeq, steer_target_CN
+from hyperorbit.constructions import dense_value, steer_target_CN
 from hyperorbit.rational import QComplex, QVector, q_iterate
 from hyperorbit.spaces import SeqVector, SpaceTag
 
@@ -39,11 +39,11 @@ def steering_exact(m: int, init, target: QVector, k: int) -> bool:
     return q_equal(states[k - 1], list(target))
 
 
-def primitive_block(dense: DenseTestSeq, nblk: int) -> SeqVector:
+def primitive_block(nblk: int) -> SeqVector:
     """``P_n`` alone, as monomial coefficients (degree n, no constant term)."""
     coeffs = [0.0] * (nblk + 1)
     for j in range(1, nblk + 1):
-        coeffs[j] = abs(dense.value(nblk, j - 1)) / math.factorial(j)
+        coeffs[j] = abs(dense_value(nblk, j - 1)) / math.factorial(j)
     return SeqVector.from_complex(SpaceTag.hc(1), coeffs)
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report format, traces, determinism."""
 
+import argparse
 import cmath
 import dataclasses
 import json
@@ -193,15 +194,25 @@ class TestExitCodes:
         ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "-1"],
         ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "inf"],
         ["julia", "--init", "l1_direction", "--bracket", "1", "20", "--tol", "nan"],
+        ["conjugate", "--size", "20", "--samples", "0"],
+        ["conjugate", "--size", "20", "--samples", "-3"],
+        ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--tol", "0"],
+        ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--tol", "-1"],
+        ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--tol", "inf"],
+        ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--tol", "nan"],
+        ["orbit", "--operator", "b_translate", "--init", "hc_pair_600", "--steps", "2"],
     ], ids=["steps-0", "max-n-2", "a-max-0", "size-1", "band-u-0.7", "m_l1-on-c0", "julia-on-c0",
             "julia-bracket-inf", "julia-bracket-nan", "julia-tol-0", "julia-tol-neg",
-            "julia-tol-inf", "julia-tol-nan"])
+            "julia-tol-inf", "julia-tol-nan", "samples-0", "samples-neg", "orbit-tol-0",
+            "orbit-tol-neg", "orbit-tol-inf", "orbit-tol-nan", "translate-past-degree-cap"])
     def test_unusable_parameter_is_input_error(self, argv, tmp_path, capsys):
         # a parameter out of range or a vector of the wrong space: exit 2 and
         # no report, like unreadable input
         vec = lambda space: {"space": space, "coords": [[1.0, 0.0], [0.2, 0.1], [0.1, 0.0]]}
         files = {"l1_pair": {"vectors": [vec("l1")] * 2},
                  "c0_pair": {"vectors": [vec("c0")] * 2}, "c0_direction": vec("c0"),
+                 "hc_pair_600": {"vectors": [{"space": "hc", "param": 1,
+                                              "coords": [[0.5, 0.0]] * 600}] * 2},
                  "l1_direction": {"space": "l1", "coords": [
                      [1.0 / math.factorial(i) ** 2, 0.0] for i in range(60)]}}
         for name, obj in files.items():
@@ -261,7 +272,7 @@ class TestOrbitCommand:
         rng = np.random.default_rng(21)
         y = SeqVector.from_complex(L1, rng.uniform(0.5, 2.0, 40))
         w = WeightSeq.inv_squares()
-        x = companion_x(y, w)
+        x = companion_x(y)
         init = tmp_path / "pair.json"
         from hyperorbit.spaces import vector_to_json
         init.write_text(json.dumps({"vectors": [vector_to_json(x),
@@ -460,7 +471,7 @@ class TestDeltaDFile:
     def written(self, tmp_path):
         rc, _ = run(["build", "--target", "delta_d"], tmp_path)
         assert rc == 0
-        g = constructions.stacked_primitive_g(constructions.DenseTestSeq(), 8)
+        g = constructions.stacked_primitive_g(8)
         return g, tmp_path / "delta_d_f.json"
 
     def test_file_is_certified_vector(self, written):
@@ -481,7 +492,7 @@ class TestDeltaDFile:
         # 1e-6 rad, it moves the phase residual by 1e-6
         g, path = written
         _edit_coord(path, k, factor)
-        certs = constructions.reciprocal_coefficient_checks(g, read_vector(path), 1e-9)
+        certs = constructions.reciprocal_coefficient_checks(g, read_vector(path))
         assert [(c.name, c.index) for c in certs if not c.ok] == [
             ("reciprocal-coefficient", k)]
         assert certs[k - 1].measured == pytest.approx(measured, rel=0.05)
@@ -532,8 +543,8 @@ def _edit_built_x(monkeypatch, path, args):
     """x_6 of the built companion vector off by relative 1e-6."""
     build = constructions.companion_x
 
-    def perturbed(y, w):
-        x = build(y, w)
+    def perturbed(y):
+        x = build(y)
         hi = x.hi.copy()
         hi[5] += 1e-6
         return SeqVector(x.space, hi, x.lo, x.phase)
@@ -551,8 +562,8 @@ def _edit_universal_z(monkeypatch, k, new_hi):
     modulus ``new_hi(old)``; the certificates and the file see the edit."""
     search = constructions.gap_schedule_search
 
-    def edited(dense, w, blocks):
-        sch = search(dense, w, blocks)
+    def edited(blocks):
+        sch = search(blocks)
         hi = sch.z.hi.copy()
         hi[k] = new_hi(hi[k])
         return dataclasses.replace(sch, z=SeqVector(sch.z.space, hi, sch.z.lo, sch.z.phase))
@@ -623,9 +634,9 @@ def _turned_phase(monkeypatch, path, args):
 
 def _scaled_dense(monkeypatch, factors):
     """Dense test value ``(k, i)`` multiplied by ``factors[(k, i)]``."""
-    value = constructions.DenseTestSeq.value
-    monkeypatch.setattr(constructions.DenseTestSeq, "value",
-                        lambda self, k, i: value(self, k, i) * factors.get((k, i), 1.0))
+    value = constructions.dense_value
+    monkeypatch.setattr(constructions, "dense_value",
+                        lambda k, i: value(k, i) * factors.get((k, i), 1.0))
 
 
 def _small_block_coefficient(monkeypatch, path, args):
@@ -669,7 +680,7 @@ def _target_input(target, path):
     if target in ("universal_l1", "q_blocks"):
         return ["--blocks", "3"]
     if target == "delta_d":
-        v = constructions.stacked_primitive_g(constructions.DenseTestSeq(), 8)
+        v = constructions.stacked_primitive_g(8)
     elif target == "companion":
         v = SeqVector.from_complex(L1, np.random.default_rng(22).uniform(0.5, 2.0, 40))
     else:
@@ -933,7 +944,7 @@ class TestClosedFormOracle:
         rng = np.random.default_rng(23)
         y = SeqVector.from_complex(L1, rng.uniform(0.4, 2.5, 120)
                                    * np.exp(1j * rng.uniform(-3, 3, 120)))
-        vecs = [companion_x(y, WeightSeq.inv_squares()), phi_map(y)]
+        vecs = [companion_x(y), phi_map(y)]
         tmp_path.mkdir()
         rc, _ = run(["build", "--target", "universal_l1", "--blocks", "3"], tmp_path)
         assert rc == 0
@@ -1003,11 +1014,29 @@ class TestReportContract:
 
     def test_deterministic_reports(self, init_file, tmp_path):
         rc1, rep1 = run(["orbit", "--operator", "m_l1", "--init", init_file,
-                         "--steps", "20", "--seed", "7"], tmp_path, "a.json")
+                         "--steps", "20"], tmp_path, "a.json")
         rc2, rep2 = run(["orbit", "--operator", "m_l1", "--init", init_file,
-                         "--steps", "20", "--seed", "7"], tmp_path, "b.json")
+                         "--steps", "20"], tmp_path, "b.json")
         rep1.pop("wall_time"), rep2.pop("wall_time")
         assert rep1 == rep2
+
+    def test_report_records_every_option(self, tmp_path):
+        # each option other than --out and --trace is a key of the report's
+        # parameters: an option the report does not record is one nothing reads
+        runs = {"build": _command("q_blocks", tmp_path / "q.json")}
+        runs.update((name, SUBCOMMANDS[name](tmp_path / f"{name}.json"))
+                    for name in ("identities", "orbit", "conjugate", "julia"))
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(runs)
+        missing = {}
+        for name, argv in runs.items():
+            rc, rep = run(argv, tmp_path, f"{name}_report.json")
+            assert rc == 0
+            options = {a.dest for a in sub.choices[name]._actions
+                       if a.option_strings and a.dest not in ("help", "out", "trace")}
+            missing[name] = sorted(options - set(rep["parameters"]))
+        assert missing == dict.fromkeys(runs, [])
 
     def test_parser_reuse_keeps_calls_independent(self, tmp_path):
         rc1, rep1 = run(["identities", "--max-n", "30", "--corrupt-cache"], tmp_path, "a.json")

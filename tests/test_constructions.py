@@ -9,10 +9,11 @@ import pytest
 from hyperorbit import constructions
 from hyperorbit.arith import LOG_ZERO, FibCache, LogComplex
 from hyperorbit.constructions import (
-    DenseTestSeq,
     classify_polynomial_ray,
     companion_x,
     delta_d_pair,
+    dense_value,
+    dense_vector,
     dominates,
     factorial_tail_direction,
     gap_schedule_search,
@@ -59,38 +60,43 @@ def cvec(values, space=L1):
 class TestDenseTestSeq:
     def test_band_constraint(self):
         # the k-th vector: support exactly [1, k], moduli in [1/k, 1]
-        dense = DenseTestSeq()
         for k in range(1, 21):
-            v = dense.vector(k)
+            v = dense_vector(k)
             assert len(v) == k
             assert np.all(v.lm >= -math.log(k) - 1e-15) and np.all(v.lm <= 1e-15)
 
     def test_vector_support(self):
-        v = DenseTestSeq().vector(4, L1)
-        assert len(v) == 4
+        v = dense_vector(4)
+        assert len(v) == 4 and v.space == L1
         assert np.all(~np.isneginf(v.lm))
 
     def test_unit_band_for_first_object(self):
-        dense = DenseTestSeq()
-        assert abs(dense.value(1, 0)) == 1.0
+        assert abs(dense_value(1, 0)) == 1.0
+
+
+def _unit_weights(monkeypatch):
+    """The builders read w_i = 1 where they read the weights 1/i**2."""
+    monkeypatch.setattr(WeightSeq, "inv_squares", staticmethod(WeightSeq.ones))
 
 
 class TestCompanion:
     def test_first_coordinate_free_and_zero(self):
         y = cvec([1.0, 1.0, 1.0])
-        x = companion_x(y, WeightSeq.ones())
+        x = companion_x(y)
         assert x.coord(1).is_zero
 
-    def test_unit_case_x2(self):
+    def test_unit_case_x2(self, monkeypatch):
         # y_1 = 1, w_1 = 1: x_2 = 2**a_1 = 2 and c_2 d_2 = 2
+        _unit_weights(monkeypatch)
         y = cvec([1.0, 1.0, 1.0])
-        x = companion_x(y, WeightSeq.ones())
+        x = companion_x(y)
         assert x.coord(2).to_complex() == pytest.approx(2.0)
 
-    def test_trivial_products_give_pure_powers(self):
+    def test_trivial_products_give_pure_powers(self, monkeypatch):
         # y = 1, w = 1: x_{i+1} = 2**(1 - i(i-1)/2)
+        _unit_weights(monkeypatch)
         y = cvec([1.0] * 8)
-        x = companion_x(y, WeightSeq.ones())
+        x = companion_x(y)
         for i in range(1, 8):
             want = (1 - i * (i - 1) // 2) * math.log(2.0)
             assert x.coord(i + 1).log_mag == pytest.approx(want, rel=1e-14)
@@ -98,13 +104,12 @@ class TestCompanion:
     def test_zero_coordinate_rejected(self):
         y = cvec([1.0, 0.0, 1.0, 1.0])
         with pytest.raises(ZeroCoordinateError):
-            companion_x(y, WeightSeq.inv_squares())
+            companion_x(y)
 
     def test_recursion_route_small_n(self):
         rng = np.random.default_rng(30)
         y = cvec(rng.uniform(0.4, 2.5, 50) * np.exp(1j * rng.uniform(-3, 3, 50)))
-        w = WeightSeq.inv_squares()
-        certs = weight_identity_recursion_error(companion_x(y, w), y, w, 15)
+        certs = weight_identity_recursion_error(companion_x(y), y, 15)
         assert [(c.name, c.index) for c in certs] == [
             ("recursion-identity", n) for n in range(1, 16)]
         assert all(c.ok for c in certs)
@@ -185,8 +190,7 @@ class TestPhiMap:
 
 class TestGapSchedule:
     def test_first_boundary_and_minimality(self):
-        dense = DenseTestSeq()
-        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), 2)
+        sch = gap_schedule_search(2)
         n2 = sch.ns[2]
         rec = sch.records[0]
         assert rec["margin_main"] <= 0.0
@@ -195,24 +199,22 @@ class TestGapSchedule:
         assert n2 > 0 + 2  # nonempty gap
 
     def test_gaps_nonempty(self):
-        dense = DenseTestSeq()
-        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), 3)
+        sch = gap_schedule_search(3)
         for j in range(2, 4):
             assert sch.ns[j] > sch.ns[j - 1] + j
 
     def test_margins_all_satisfied(self):
-        dense = DenseTestSeq()
-        sch = gap_schedule_search(dense, WeightSeq.inv_squares(), 3)
+        sch = gap_schedule_search(3)
         for rec in sch.records:
             assert rec["margin_main"] <= 0.0
             assert rec["margin_gap"] < 0.0
 
 
-def scalar_gap_scan(dense, w, blocks):
+def scalar_gap_scan(blocks):
     """The gap scan one n at a time, as it ran before the array scan: the
     reference for :func:`gap_schedule_search`'s ``ns`` and records."""
     ns, records = [None, 0], []
-    z = constructions._place_block(SeqVector.zeros(L1, 0), 1, 0, 0, dense, w)
+    z = constructions._place_block(SeqVector.zeros(L1, 0), 1, 0, 0)
     for j in range(2, blocks + 1):
         n_prev = ns[j - 1]
         pi_log = -sum(z.lm[: n_prev + j - 1].tolist())
@@ -243,22 +245,20 @@ def scalar_gap_scan(dense, w, blocks):
             "tail_monotone": all(tail[t + 1] <= tail[t] + 1e-9 for t in range(10)),
             "derivative_negative": diff < 0.0,
         })
-        z = constructions._place_block(z, j, n_prev, n, dense, w)
+        z = constructions._place_block(z, j, n_prev, n)
     return ns, records
 
 
 class TestGapScanOracle:
     @pytest.mark.parametrize("blocks", [2, 3, 4])
     def test_schedule_and_records_match_scalar_scan(self, blocks):
-        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
-        sch = gap_schedule_search(dense, w, blocks)
-        ns, records = scalar_gap_scan(dense, w, blocks)
+        sch = gap_schedule_search(blocks)
+        ns, records = scalar_gap_scan(blocks)
         assert sch.ns == ns
         assert repr(sch.records) == repr(records)  # types as well as values
 
     def test_array_margins_are_bitwise_scalar(self):
-        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
-        sch = gap_schedule_search(dense, w, 4)
+        sch = gap_schedule_search(4)
         for j in range(2, 5):
             n_prev = sch.ns[j - 1]
             pi_log = -sum(sch.z.lm[: n_prev + j - 1].tolist())
@@ -281,11 +281,10 @@ class TestGapScanOracle:
     @pytest.mark.parametrize("cap", [93, 94, 500, 1131, 1132, 1200])
     def test_scan_cap_overflows_at_the_same_block(self, cap, monkeypatch):
         monkeypatch.setattr(constructions, "SCAN_CAP", cap)
-        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
 
         def outcome(search):
             try:
-                out = search(dense, w, 3)
+                out = search(3)
             except SearchOverflowError as exc:
                 return "overflow", str(exc).split()[0]  # "n_j"
             return "ns", out[0] if isinstance(out, tuple) else out.ns
@@ -295,27 +294,26 @@ class TestGapScanOracle:
 
 @pytest.fixture(scope="module")
 def built():
-    dense = DenseTestSeq()
-    w = WeightSeq.inv_squares()
-    sch = gap_schedule_search(dense, w, 3)
-    return sch, sch.z, universal_y_l1(sch, dense, w)
+    sch = gap_schedule_search(3)
+    return sch, sch.z, universal_y_l1(sch)
 
 
-def reference_layout(ns, dense, w):
+def reference_layout(ns):
     """The universal vector's coordinates by their fill rules, one block at a
     time: z_1 at coordinate 1; for block j, the fillers 2**-n_{j-1} / l**2 at
     l = n_{j-1} + j .. n_j, then S_w^{n_j}(z_j / (2**n_j n_j!**2))."""
     J = len(ns) - 1
     total = ns[J] + J
     hi, lo, ph = np.full(total, LOG_ZERO), np.zeros(total), np.zeros(total)
-    z1 = dense.vector(1, L1)
+    w = WeightSeq.inv_squares()
+    z1 = dense_vector(1)
     hi[0], lo[0], ph[0] = z1.hi[0], z1.lo[0], z1.phase[0]
     for j in range(2, J + 1):
         n_prev, n_j = ns[j - 1], ns[j]
         for l in range(n_prev + j, n_j + 1):
             hi[l - 1] = -n_prev * LN2 - 2.0 * math.log(l)
         s_log = n_j * LN2 + 2.0 * math.lgamma(n_j + 1.0)
-        placed = forward_pow(dense.vector(j, L1).scale(LogComplex(-s_log, 0.0)), w, n_j)
+        placed = forward_pow(dense_vector(j).scale(LogComplex(-s_log, 0.0)), w, n_j)
         sl = slice(n_j, n_j + j)
         hi[sl], lo[sl], ph[sl] = placed.hi[sl], placed.lo[sl], placed.phase[sl]
     return hi, lo, ph
@@ -324,10 +322,9 @@ def reference_layout(ns, dense, w):
 class TestUniversalLayout:
     @pytest.mark.parametrize("blocks", [2, 3, 4])
     def test_schedule_vector_matches_fill_rules(self, blocks):
-        dense, w = DenseTestSeq(), WeightSeq.inv_squares()
-        sch = gap_schedule_search(dense, w, blocks)
+        sch = gap_schedule_search(blocks)
         assert sch.ns[2:] == [94, 1132, 20969][: blocks - 1]
-        want = reference_layout(sch.ns, dense, w)
+        want = reference_layout(sch.ns)
         for got, ref in zip((sch.z.hi, sch.z.lo, sch.z.phase), want):
             assert got.tobytes() == ref.tobytes()
 
@@ -366,28 +363,20 @@ class TestCertificateFailures:
     def first_failure(certs):
         return next(c for c in certs if not c.ok)
 
-    def test_weight_identity_wrong_weights(self):
-        first = self.first_failure(weight_identity_certificates(20, w=WeightSeq.linear()))
+    def test_weight_identity_wrong_weights(self, monkeypatch):
+        monkeypatch.setattr(WeightSeq, "inv_squares", staticmethod(WeightSeq.linear))
+        first = self.first_failure(weight_identity_certificates(20))
         assert (first.name, first.index, first.bound) == ("weight-identity-value", 2, 1e-8)
         # w_l = l: the surviving value is log 2 against the closed form 4 log 2
         assert first.measured == pytest.approx(0.75, rel=1e-12)
 
-    def test_universal_vector_wrong_weights(self, built):
+    def test_universal_vector_wrong_weights(self, built, monkeypatch):
         sch = built[0]
-        first = self.first_failure(universal_y_l1(sch, DenseTestSeq(), WeightSeq.ones()))
+        _unit_weights(monkeypatch)
+        first = self.first_failure(universal_y_l1(sch))
         assert (first.name, first.index) == ("universality-residual", 2)
         assert first.bound == pytest.approx(math.log(2.0 * (math.pi ** 2 / 6 - 1.0)))
         assert first.measured > first.bound
-
-    def test_delta_d_pair_tol_below_worst(self):
-        g = stacked_primitive_g(DenseTestSeq(), 8)
-        _, certs = delta_d_pair(g)
-        worst = max(c.measured for c in certs if c.name == "reciprocal-coefficient")
-        assert worst > 0.0  # a positive tolerance below it exists
-        tol = 0.5 * worst
-        _, certs = delta_d_pair(g, tol=tol)
-        first = self.first_failure(certs)
-        assert first.name == "reciprocal-coefficient" and first.bound == tol
 
     @pytest.mark.parametrize("idx, measured", [
         (1, 1.0e-6), (5, 5.0e-7), (20, 5.0e-7), (43, 5.0e-7)])
@@ -403,19 +392,12 @@ class TestCertificateFailures:
             return oh, ol
 
         monkeypatch.setattr(constructions, "_dd_cumsum_neg", perturbed)
-        g = stacked_primitive_g(DenseTestSeq(), 8)
+        g = stacked_primitive_g(8)
         _, certs = delta_d_pair(g)
         first = self.first_failure(certs)
         assert (first.name, first.index, first.bound) == ("reciprocal-coefficient", idx, 1e-9)
         assert first.measured == pytest.approx(measured, rel=1e-3)
         assert [c.index for c in certs if not c.ok] == [idx]
-
-    def test_hc_q_blocks_tol_below_worst(self):
-        dense = DenseTestSeq()
-        qb = hc_Q_blocks(dense, 3)
-        tol = 0.5 * max(c.measured for c in qb.certificates if c.name == "unit-weight")
-        first = self.first_failure(hc_Q_blocks(dense, 3, tol=tol).certificates)
-        assert first.name == "unit-weight" and first.bound == tol
 
 
 class TestCheck:
@@ -505,7 +487,7 @@ class TestReciprocalPair:
             taylor = mags * np.exp(1j * ph)
             coeffs = [taylor[i] / math.factorial(i) for i in range(31)]
             g = cvec(coeffs, HC)
-            _, certs = delta_d_pair(g, tol=1e-9)
+            _, certs = delta_d_pair(g)
             assert all(c.ok for c in certs)
 
     def test_zero_coefficient_rejected(self):
@@ -520,28 +502,27 @@ class TestReciprocalPair:
             ("reciprocal-exponent-telescopes", 2)]
 
     def test_stacked_primitive_residual_decreases(self):
-        dense = DenseTestSeq()
         blocks = 9
-        g = stacked_primitive_g(dense, blocks)
+        g = stacked_primitive_g(blocks)
         for k in (1, 2, 3):
             gk = retag(g, SpaceTag.hc(k))
             prev = None
             for nblk in range(2, blocks):
                 resid = norm(derivative_pow(gk, primitive_gap_offset(nblk)).sub(
-                    retag(primitive_block(dense, nblk), SpaceTag.hc(k))))
+                    retag(primitive_block(nblk), SpaceTag.hc(k))))
                 if prev is not None:
                     assert resid < prev
                 prev = resid
 
     def test_stacked_primitive_feeds_pair(self):
-        g = stacked_primitive_g(DenseTestSeq(), 8)
+        g = stacked_primitive_g(8)
         f, certs = delta_d_pair(g)
         assert all(c.ok for c in certs)
 
 
 class TestUniversalEntireFunction:
     def test_block_one_unit_coefficients(self):
-        qb = hc_Q_blocks(DenseTestSeq(), 1)
+        qb = hc_Q_blocks(1)
         assert qb.alphas[0].log_mag == pytest.approx(0.0, abs=1e-14)
         assert qb.betas[0].log_mag == pytest.approx(0.0, abs=1e-14)
         # the first test polynomial has unit-modulus coefficients: alpha = beta = 1
@@ -549,14 +530,14 @@ class TestUniversalEntireFunction:
         assert abs(qb.betas[0].phase) < 1e-14
 
     def test_three_blocks_certified(self):
-        qb = hc_Q_blocks(DenseTestSeq(), 3)
+        qb = hc_Q_blocks(3)
         assert all(c.ok for c in qb.certificates)
         units = [c for c in qb.certificates if c.name == "unit-weight"]
         assert len(units) == 6
         assert max(c.measured for c in units) <= 1e-8
 
     def test_coefficient_bounds(self):
-        qb = hc_Q_blocks(DenseTestSeq(), 3)
+        qb = hc_Q_blocks(3)
         for c in qb.certificates:
             if c.name in ("alpha-bound", "beta-bound"):
                 assert c.measured <= c.bound
@@ -572,15 +553,15 @@ class TestUniversalEntireFunction:
             for j in range(1, limit + 1):
                 best = max(best, e * math.log(j) - j * math.log(2.0))
         assert best == 0.0
-        assert hc_Q_blocks(DenseTestSeq(), 2).C_log == 0.0
+        assert hc_Q_blocks(2).C_log == 0.0
 
     def test_derivative_shift_identity(self):
         # with the first block's weights pinned to one, the weight of order n
         # equals the weight of order n-4 of the 4-th derivative
-        qb = hc_Q_blocks(DenseTestSeq(), 2)
+        qb = hc_Q_blocks(2)
         n2 = qb.ns[1]
         q2 = qb.Q.truncate(n2 + 1)
-        spec = m_fg_prime(1)
+        spec = m_fg_prime()
         one_fn = cvec([1.0], HC)
         led_q = ledger(spec, (one_fn, q2), n2 + 2)
         led_d4 = ledger(spec, (one_fn, derivative_pow(q2, 4)), n2 - 2)
@@ -589,10 +570,12 @@ class TestUniversalEntireFunction:
             assert a.log_mag == pytest.approx(b.log_mag, abs=1e-9)
             assert abs(math.remainder(a.phase - b.phase, 2 * math.pi)) < 1e-9
 
-    def test_beta_tends_to_one_as_gap_grows(self):
+    def test_beta_tends_to_one_as_gap_grows(self, monkeypatch):
         devs = []
         for pad in (2, 8, 16, 26):
-            qb = hc_Q_blocks(DenseTestSeq(), 2, pad=pad)
+            monkeypatch.setattr(constructions, "Q_PAD", pad)
+            qb = hc_Q_blocks(2)
+            assert qb.ns[1] == 3 + 1 + 4 + pad
             devs.append(abs(qb.betas[1].log_mag))
         assert devs == sorted(devs, reverse=True)
         assert devs[-1] < 1e-4
@@ -658,15 +641,13 @@ def _ray_direction(seed):
 class TestOneOrbitClassifier:
     """The midpoint classes from one orbit of v against the direct classifier."""
 
-    W = WeightSeq.inv_squares()
-
     def _replay(self, v, t_lo, t_hi, tol):
         # julia_ray_bisection's loop with the direct classifier at every midpoint
-        unit_logs = list(constructions._ray_norm_logs(v, 1.0, self.W))
+        unit_logs = list(constructions._ray_norm_logs(v, 1.0))
         steps = 0
         while t_hi - t_lo > tol:
             mid = 0.5 * (t_lo + t_hi)
-            direct = classify_polynomial_ray(v, mid, self.W)
+            direct = classify_polynomial_ray(v, mid)
             assert constructions._classify_scaled(unit_logs, mid) is direct, mid
             if direct is OrbitClass.CONVERGES_TO_ZERO:
                 t_lo = mid
@@ -678,24 +659,24 @@ class TestOneOrbitClassifier:
     @pytest.mark.parametrize("seed", range(10))
     def test_bench_like_direction(self, seed):
         v = _ray_direction(seed)
-        unit_logs = list(constructions._ray_norm_logs(v, 1.0, self.W))
+        unit_logs = list(constructions._ray_norm_logs(v, 1.0))
         assert len(unit_logs) == 59  # one coordinate dropped per squaring
         assert (constructions._classify_scaled(unit_logs, 0.0)
-                is classify_polynomial_ray(v, 0.0, self.W) is OrbitClass.CONVERGES_TO_ZERO)
-        probe = julia_ray_bisection(self.W, v, 1.0, 20.0, tol=1e-9)
+                is classify_polynomial_ray(v, 0.0) is OrbitClass.CONVERGES_TO_ZERO)
+        probe = julia_ray_bisection(v, 1.0, 20.0, tol=1e-9)
         assert (probe.t_lo, probe.t_hi, probe.bisection_steps) == self._replay(v, 1.0, 20.0, 1e-9)
 
     def test_orbit_reaching_exact_zero(self):
         # support of 20 coordinates: P^20(t v) = 0 for every t, and t >= 1
         # escapes before that step, so t = 0 must not read as t = 1
         v = cvec([10.0] * 20 + [0.0] * 20)
-        unit_logs = list(constructions._ray_norm_logs(v, 1.0, self.W))
+        unit_logs = list(constructions._ray_norm_logs(v, 1.0))
         assert unit_logs[18] > LOG_ZERO and set(unit_logs[19:]) == {LOG_ZERO}
         for t in (0.0, 0.5, 1.0, 7.0, 1e6):
             assert (constructions._classify_scaled(unit_logs, t)
-                    is classify_polynomial_ray(v, t, self.W))
-        assert classify_polynomial_ray(v, 1.0, self.W) is OrbitClass.ESCAPING
-        probe = julia_ray_bisection(self.W, v, 0.0, 1e6, tol=1e-9)
+                    is classify_polynomial_ray(v, t))
+        assert classify_polynomial_ray(v, 1.0) is OrbitClass.ESCAPING
+        probe = julia_ray_bisection(v, 0.0, 1e6, tol=1e-9)
         assert probe.class_hi is OrbitClass.ESCAPING
         assert (probe.t_lo, probe.t_hi, probe.bisection_steps) == self._replay(v, 0.0, 1e6, 1e-9)
 
@@ -704,12 +685,12 @@ class TestRayBisection:
     def test_whole_ray_attracted_is_bad_bracket(self):
         v = cvec([1.0, 1.0] + [0.0] * 6)
         with pytest.raises(BadBracketError):
-            julia_ray_bisection(WeightSeq.inv_squares(), v, 0.5, 50.0, 1e-9)
+            julia_ray_bisection(v, 0.5, 50.0, 1e-9)
 
     def test_inverted_bracket(self):
         v = factorial_tail_direction(60)
         with pytest.raises(BadBracketError):
-            julia_ray_bisection(WeightSeq.inv_squares(), v, 20.0, 1.0, 1e-9)
+            julia_ray_bisection(v, 20.0, 1.0, 1e-9)
 
     def test_input_bracket_when_no_narrower_one_reverifies(self, monkeypatch):
         # past the two entry classifications the direct classifier answers
@@ -719,20 +700,20 @@ class TestRayBisection:
         v = factorial_tail_direction(60)
         direct, calls = constructions.classify_polynomial_ray, []
 
-        def entry_only(v, t, w):
+        def entry_only(v, t):
             calls.append(t)
-            return direct(v, t, w) if len(calls) <= 2 else OrbitClass.UNDECIDED
+            return direct(v, t) if len(calls) <= 2 else OrbitClass.UNDECIDED
 
         monkeypatch.setattr(constructions, "classify_polynomial_ray", entry_only)
-        probe = julia_ray_bisection(WeightSeq.inv_squares(), v, 1.0, 20.0, 1e-6)
+        probe = julia_ray_bisection(v, 1.0, 20.0, 1e-6)
         assert (probe.t_lo, probe.t_hi) == (1.0, 20.0)
         assert probe.class_lo is OrbitClass.CONVERGES_TO_ZERO
-        assert probe.class_hi is direct(v, 20.0, WeightSeq.inv_squares())
+        assert probe.class_hi is direct(v, 20.0)
         assert probe.bisection_steps > 0 and len(calls) == 2 + 2 * probe.bisection_steps
 
     def test_factorial_tail_flip(self):
         v = factorial_tail_direction(200)
-        probe = julia_ray_bisection(WeightSeq.inv_squares(), v, 1.0, 20.0,
+        probe = julia_ray_bisection(v, 1.0, 20.0,
                                     tol=1e-9)
         assert probe.width <= 1e-9
         assert 3.0 < probe.t_lo < 12.0
@@ -743,10 +724,10 @@ class TestRayBisection:
     def test_monotone_comparison(self):
         # anything coordinate-dominating a non-converging ray point cannot converge
         v = factorial_tail_direction(200)
-        probe = julia_ray_bisection(WeightSeq.inv_squares(), v, 1.0, 20.0,
+        probe = julia_ray_bisection(v, 1.0, 20.0,
                                     tol=1e-6)
         y_edge = v.scale(LogComplex.from_real(probe.t_hi))
         x_big = v.scale(LogComplex.from_real(1.5 * probe.t_hi))
         assert dominates(x_big, y_edge)
-        cls = classify_polynomial_ray(v, 1.5 * probe.t_hi, WeightSeq.inv_squares())
+        cls = classify_polynomial_ray(v, 1.5 * probe.t_hi)
         assert cls is not OrbitClass.CONVERGES_TO_ZERO

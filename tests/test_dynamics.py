@@ -106,8 +106,8 @@ class TestIterate:
 
     def test_hand_recursion_ones(self):
         # unweighted shift on all-ones vectors: state 4 is (1, 1, 1)
-        spec = n_transpose(L1)
-        v = cvec([1, 1, 1, 1, 1])
+        spec = n_transpose()
+        v = cvec([1, 1, 1, 1, 1], SpaceTag.c0())
         orbit = iterate_bc(spec, (v, v), 4)
         s4 = orbit.states[3]
         assert len(s4) == 3
