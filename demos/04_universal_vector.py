@@ -5,9 +5,13 @@ vector deep enough that (i) its own norm is summable, (ii) the summability
 witness of the whole vector stays under 1/i^2, and (iii) applying the scaled
 shift power recovers the test vector up to an explicit tail bound.  The block
 boundaries come from a log-domain predicate scan; each boundary is minimal.
+The certificates read the vector as its file holds it, and the file holds it
+bit for bit.
 """
 
-from hyperorbit import gap_schedule_search, universal_y_l1
+import numpy as np
+
+from hyperorbit import gap_schedule_search, read_vector, universal_y_l1, write_vector
 
 schedule = gap_schedule_search(blocks=4)
 print("block boundaries:", schedule.ns[1:])
@@ -32,3 +36,12 @@ for name, group in by_name.items():
 print("\nuniversality residuals per block (log, against 2 * zeta tail):")
 for c in by_name["universality-residual"]:
     print(f"  block {c.index}: measured {c.measured:10.3f}  bound {c.bound:8.3f}")
+
+# the vector file: hi, lo and phase columns, read back bit for bit
+write_vector("universal_y.json", schedule.z)
+back = read_vector("universal_y.json")
+same = all(getattr(back, part).tobytes() == getattr(schedule.z, part).tobytes()
+           for part in ("hi", "lo", "phase"))
+print(f"\nuniversal_y.json: {len(back)} coordinates, "
+      f"{np.count_nonzero(schedule.z.lo)} with a nonzero lo part; read back bit-equal: {same}")
+assert same

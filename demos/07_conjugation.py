@@ -11,6 +11,7 @@ import numpy as np
 from hyperorbit import (
     SeqVector,
     SpaceTag,
+    build_N,
     commutation_check,
     host_basis,
     pushforward_orbit_check,
@@ -26,7 +27,7 @@ for kind in ("identity", "diagonal", "banded"):
 print("\ncommutation phi(M(u, v)) = N(phi u, phi v):")
 for kind in ("identity", "diagonal", "banded"):
     basis = host_basis(kind, 200)
-    rep = commutation_check(basis, 200, rng)
+    rep = commutation_check(build_N(basis), 200, rng)
     print(f"  {kind:9s} max residual over all 200^2 basis pairs: "
           f"{rep.max_basis_residual:.2e}, random vectors: "
           f"{rep.max_random_residual:.2e}")
@@ -37,7 +38,7 @@ for kind in ("identity", "diagonal", "banded"):
     mk = lambda: SeqVector.from_complex(
         SpaceTag.l1(), 0.002 * rng.uniform(0.2, 1.0, 150)
         * np.exp(1j * rng.uniform(-np.pi, np.pi, 150)))
-    rep = pushforward_orbit_check(basis, (mk(), mk()), 50)
+    rep = pushforward_orbit_check(build_N(basis), (mk(), mk()), 50)
     worst = max(r - b for r, b in zip(rep.residual_logs, rep.bound_logs))
     print(f"  {kind:9s} all {rep.steps} states inside their bounds: {rep.ok}"
           f"  (worst log margin {worst:.1f})")

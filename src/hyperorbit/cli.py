@@ -35,6 +35,7 @@ from .constructions import (
 from .conjugation import conjugation_checks, host_basis
 from .dynamics import (
     OPERATORS,
+    checked_tol,
     classify_orbit,
     closed_form_checks,
     closed_form_state,
@@ -100,8 +101,8 @@ def _write_trace(path, orbit_states, rational=False) -> None:
                 rec = {"n": n, "coords": q_vector_to_json(state)["coords"]}
             else:
                 rec = {"n": n, "log_norm": norm(state)}
-                if len(state) <= TRACE_COORD_LIMIT:
-                    rec["coords"] = vector_to_json(state)["coords"]
+                if len(state) <= TRACE_COORD_LIMIT:  # then the record reads as a vector
+                    rec.update(vector_to_json(state))
                 if rec["log_norm"] == LOG_ZERO:
                     rec["log_norm"] = "-inf"
             fh.write(json.dumps(rec) + "\n")
@@ -141,6 +142,7 @@ def cmd_orbit(args) -> RunReport:
                          f"got {len(vectors)}")
     if args.rational and spec.name != "mc_CN":
         raise InputError("rational iteration is exact only for mc_CN")
+    checked_tol(args.tol)  # both modes record it, so both reject what it cannot be
     try:
         init = tuple(vector_from_json(v) for v in vectors)
         exact = tuple(q_vector_from_json(v) for v in vectors) if args.rational else None

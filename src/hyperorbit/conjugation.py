@@ -157,11 +157,12 @@ class FactorMap:
 
 
 class HostBilinear:
-    """The bilinear operator conjugated to ``m_l1`` (weights ``1/i^2``),
-    acting in host coordinates."""
+    """The bilinear operator conjugated to ``m_l1`` (weights ``1/i^2``) through
+    the factor map ``phi``, acting in host coordinates."""
 
     def __init__(self, basis: MarkushevichBasis):
         self.basis = basis
+        self.phi = FactorMap(basis)
         N = basis.size
         rows_log, rows_phase = _log_polar(basis.rows)
         self._first = _LogMatrix(rows_log[:1], rows_phase[:1])
@@ -206,10 +207,10 @@ class CommutationReport:
         return max(self.max_basis_residual, self.max_random_residual)
 
 
-def commutation_check(basis: MarkushevichBasis, samples: int,
+def commutation_check(host_op: HostBilinear, samples: int,
                       rng: np.random.Generator) -> CommutationReport:
-    """Residual of ``phi(M(u, v)) = N(phi(u), phi(v))`` for M = ``m_l1`` and
-    N = :func:`build_N` of ``basis``.
+    """Residual of ``phi(M(u, v)) = N(phi(u), phi(v))`` for M = ``m_l1``, N =
+    ``host_op`` and phi its factor map.
 
     Checked densely on all canonical pairs (k, j <= samples) in plain complex
     arithmetic (magnitudes are tame there) and on random log-domain vectors,
@@ -218,7 +219,7 @@ def commutation_check(basis: MarkushevichBasis, samples: int,
     """
     if samples < 1:
         raise ParameterRangeError("commutation needs samples >= 1")
-    m_spec, host_op = m_l1(), build_N(basis)
+    m_spec, basis, phi = m_l1(), host_op.basis, host_op.phi
     N = basis.size
     samples = min(samples, N)
     w = m_spec.weights
@@ -241,7 +242,6 @@ def commutation_check(basis: MarkushevichBasis, samples: int,
         resid_rest = 0.0
     basis_resid = max(resid_j1, resid_rest)
 
-    phi = FactorMap(basis)
     max_rand = 0.0
     for _ in range(max(1, samples // 5)):
         uu = SeqVector.from_complex(_L1, rng.normal(size=N) + 1j * rng.normal(size=N))
@@ -261,15 +261,15 @@ class PushforwardReport:
     ok: bool
 
 
-def pushforward_orbit_check(basis: MarkushevichBasis, init, steps: int) -> PushforwardReport:
-    """Iterate the orbits of ``m_l1`` and of :func:`build_N` of ``basis`` and
-    compare ``phi(source state)`` with the host state.
+def pushforward_orbit_check(host_op: HostBilinear, init, steps: int) -> PushforwardReport:
+    """Iterate the orbits of ``m_l1`` and of ``host_op`` and compare
+    ``phi(source state)`` with the host state, phi its factor map.
 
     The source window shrinks with each shift, so states are compared on the
     coordinates the source window still represents.  The per-step bound,
     1e-9 relative, scales with the host state's norm.
     """
-    phi, host_op = FactorMap(basis), build_N(basis)
+    phi = host_op.phi
     orbit = iterate_bc(m_l1(), init, steps)
     h_prev2, h_prev1 = phi(init[0]), phi(init[1])
     resid_logs, bound_logs = [], []
@@ -295,13 +295,14 @@ def conjugation_checks(basis: MarkushevichBasis, samples: int, rng) -> list[Chec
     rows = [check_leq("biorthogonality", basis.biorthogonality_residual(), 1e-12,
                       "basis-biorthogonality"),
             check_leq("basis-bound", basis.bound(), 1.5, "basis-boundedness")]
-    com = commutation_check(basis, samples, rng)
+    host_op = build_N(basis)
+    com = commutation_check(host_op, samples, rng)
     rows.append(check_leq("commutation", com.max_residual, 1e-10, "factor-commutation"))
     n = basis.size
     init = tuple(SeqVector.from_complex(
         _L1, 0.002 * rng.uniform(0.2, 1.0, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
         for _ in range(2))
-    push = pushforward_orbit_check(basis, init, 50)
+    push = pushforward_orbit_check(host_op, init, 50)
     worst = max((r - b for r, b in zip(push.residual_logs, push.bound_logs)), default=-1.0)
     rows.append(check_leq("pushforward", worst, 0.0, "orbit-pushforward"))
     return rows

@@ -26,6 +26,7 @@ from .dynamics import (
     LN2,
     OrbitClass,
     apply,
+    checked_tol,
     ledger,
     m_fg_prime,
     m_l1,
@@ -373,7 +374,7 @@ def _zeta2_tail(j: int) -> float:
 
 
 def universal_y_l1(schedule: GapSchedule) -> CheckList:
-    """Certify the block-built universal vector ``schedule.z``.
+    """Certify the block-built universal vector ``schedule.z`` as its file holds it.
 
     The vector is ``z = z_1 + sum_j (fillers + S_w^{n_j}(z_j / (2**n_j n_j!**2)))``
     with disjoint block supports, as :func:`gap_schedule_search` builds it.
@@ -389,7 +390,7 @@ def universal_y_l1(schedule: GapSchedule) -> CheckList:
     ``gap-monotone[j]`` (the margins keep decreasing past n_j).
     """
     w = WeightSeq.inv_squares()
-    ns, z = schedule.ns, schedule.z
+    ns, z = schedule.ns, vector_from_json(vector_to_json(schedule.z))
     J = schedule.block_count()
     total = len(z)
     verifies = "universal-vector"
@@ -558,8 +559,8 @@ def delta_d_pair(g: SeqVector):
 
     Together they prove that the written f is, index by index to 1e-9,
     the f whose even weights ``c_{2n}`` are identically one.  They do not
-    bound ``c_{2n}`` of the rounded file itself: there each per-index
-    residual enters with a Fibonacci-sized exponent.
+    bound ``c_{2n}`` of the float f itself: there each per-index residual
+    enters with a Fibonacci-sized exponent.
     """
     n = len(g)
     if n == 0:
@@ -908,8 +909,7 @@ def julia_ray_bisection(v: SeqVector, t_lo: float, t_hi: float, tol: float) -> J
     """
     if not (math.isfinite(t_lo) and math.isfinite(t_hi)):
         raise ParameterRangeError("bracket ends must be finite")
-    if not 0 < tol < math.inf:
-        raise ParameterRangeError("tol must be finite and > 0")
+    checked_tol(tol)
     if not (0 <= t_lo < t_hi):
         raise BadBracketError("need 0 <= t_lo < t_hi")
 

@@ -764,20 +764,25 @@ class OrbitClass(Enum):
 CONVERGENCE_RUN = 10  # non-increasing norms below tol in a row that mean convergence
 
 
+def checked_tol(tol: float) -> float:
+    """``tol`` if it is finite and > 0; else :class:`ParameterRangeError`."""
+    if not 0 < tol < math.inf:
+        raise ParameterRangeError("tol must be finite and > 0")
+    return tol
+
+
 def classify_orbit(orbit: OrbitBC, tol: float = 1e-12) -> OrbitClass:
     """Classify an orbit from its norm sequence.
 
     Convergence requires the last stretch of at least ``CONVERGENCE_RUN``
     norms to sit below ``tol`` and be monotone non-increasing through the
     last state (a transient dip is not convergence).  Any norm above
-    ``1/tol`` classifies as escaping.  ``tol`` must be finite and > 0.
+    ``1/tol`` classifies as escaping.  ``tol`` must pass :func:`checked_tol`.
     """
-    if not 0 < tol < math.inf:
-        raise ParameterRangeError("tol must be finite and > 0")
+    log_tol = math.log(checked_tol(tol))
     norms = [norm(s) for s in orbit.states]
     if not norms:
         return OrbitClass.UNDECIDED
-    log_tol = math.log(tol)
 
     if any(v > -log_tol for v in norms):
         return OrbitClass.ESCAPING

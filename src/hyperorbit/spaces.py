@@ -20,14 +20,13 @@ would corrupt it.
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, complex_parts, polar_parts
+from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, complex_parts, normalize_phase, polar_parts
 from .errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 from .rational import q_coord_from_json
 
@@ -166,22 +165,16 @@ def _lse(a: np.ndarray) -> float:
 class WeightSeq:
     """A positive weight sequence with an exact generator descriptor.
 
-    Built-in generators: ``ones`` (w_i = 1), ``inv_squares`` (w_i = 1/i**2),
+    Generators: ``ones`` (w_i = 1), ``inv_squares`` (w_i = 1/i**2),
     ``linear`` (w_i = i).  Log weights and their cumulative sums are cached and
     grow on demand; reads of cached entries are safe concurrently.
     """
 
-    def __init__(self, kind: str, values=None):
-        if kind not in ("ones", "inv_squares", "linear", "custom"):
+    def __init__(self, kind: str):
+        if kind not in ("ones", "inv_squares", "linear"):
             raise ParameterRangeError(f"unknown weight generator {kind!r}")
         self.kind = kind
-        if kind == "custom":
-            vals = np.asarray(values, dtype=float)
-            if vals.ndim != 1 or np.any(vals <= 0):
-                raise ParameterRangeError("custom weights must be positive reals")
-            self._logs = np.log(vals)
-        else:
-            self._logs = np.empty(0)
+        self._logs = np.empty(0)
         self._cum = None
 
     @staticmethod
@@ -199,9 +192,6 @@ class WeightSeq:
     def _ensure(self, n: int) -> None:
         if self._logs.size >= n:
             return
-        if self.kind == "custom":
-            raise ParameterRangeError(
-                f"custom weight sequence has only {self._logs.size} entries, {n} needed")
         i = np.arange(1, n + 1, dtype=float)
         if self.kind == "ones":
             self._logs = np.zeros(n)
@@ -507,13 +497,6 @@ def derivative_pow(v: SeqVector, k) -> SeqVector:
     return shift_pow(v, _LINEAR, k)
 
 
-def integral(v: SeqVector) -> SeqVector:
-    """Antiderivative with zero constant term; the right inverse of derivative."""
-    if v.space.kind != "hc":
-        raise WrongSpaceError("integral is defined on hc-tagged vectors")
-    return forward_shift(v, _LINEAR)
-
-
 def derivative_at_zero(v: SeqVector, k: int) -> LogComplex:
     """``f^(k)(0) = k! * a_k`` from monomial storage (slot k+1)."""
     if k + 1 > len(v):
@@ -698,35 +681,21 @@ def eval_at_integer(v: SeqVector, point: int) -> LogComplex:
 # JSON vector format
 # ---------------------------------------------------------------------------
 
-LOG_FORM_THRESHOLD = 700.0
-
-
 def vector_to_json(v: SeqVector) -> dict:
-    """Serialize in the interchange format (1-indexed coordinate order).
-
-    Coordinates with ``|log magnitude| <= 700`` are written as ``[re, im]``;
-    anything larger keeps the log-polar form ``{"log": L, "phase": p}``.
-    Values come from the libm calls of :meth:`LogComplex.to_complex`, not
-    numpy's vectorized ``exp``/``cos``/``sin``, so the bytes do not depend
-    on numpy's SIMD kernels.
-    """
-    coords = []
-    for l, p in zip(v.lm.tolist(), v.phase.tolist()):
-        if l == LOG_ZERO:
-            coords.append([0.0, 0.0])
-        elif abs(l) <= LOG_FORM_THRESHOLD:
-            z = cmath.rect(math.exp(l), p)
-            coords.append([z.real, z.imag])
-        else:
-            coords.append({"log": l, "phase": p})
-    obj: dict = {"space": v.space.kind, "coords": coords}
+    """Serialize as columns ``{"space", ["param",] "log", "lo", "phase"}``: ``hi``,
+    ``lo`` and ``phase`` as ``tolist()`` gives them, which read back bit for bit.
+    An exact zero's log is the string ``"-inf"``, so the file stays strict JSON."""
+    log = v.hi.tolist()
+    for i in np.flatnonzero(v.hi == LOG_ZERO).tolist():
+        log[i] = "-inf"
+    obj: dict = {"space": v.space.kind}
     if v.space.param is not None:
         obj["param"] = v.space.param
-    return obj
+    return dict(obj, log=log, lo=v.lo.tolist(), phase=v.phase.tolist())
 
 
 def _coord_parts(e) -> tuple[float, float]:
-    """Canonical ``(log_mag, phase)`` of one coordinate of the interchange format."""
+    """Canonical ``(log_mag, phase)`` of one entry of a ``coords`` list."""
     if not isinstance(e, dict):
         return complex_parts(complex(float(e[0]), float(e[1])))
     if "log" in e:
@@ -734,17 +703,40 @@ def _coord_parts(e) -> tuple[float, float]:
     return q_coord_from_json(e).polar_parts()
 
 
+def _column(obj: dict, key: str) -> np.ndarray:
+    """Column ``key`` as floats: finite numbers, or ``"-inf"`` in ``log``."""
+    col = obj[key]
+    if type(col) is not list:
+        raise ParameterRangeError(f"column {key!r} is not a list")
+    if not set(map(type, col)) <= {float, int}:
+        bad = [e for e in col if type(e) not in (float, int) and e != "-inf"]
+        if bad:
+            raise ParameterRangeError(f"column {key!r} holds {bad[0]!r}, not a number")
+    a = np.array(col, dtype=float)
+    if (np.isnan(a) | (a == np.inf) if key == "log" else ~np.isfinite(a)).any():
+        raise ParameterRangeError(f"column {key!r} holds a NaN or an infinity")
+    return a
+
+
 def vector_from_json(obj: dict) -> SeqVector:
     """Parse the interchange format; the inverse of :func:`vector_to_json`.
 
-    ``[re, im]`` pairs, ``{"log", "phase"}`` objects and fractions
-    ``{"num", "den"[, "imnum", "imden"]}`` read through the scalar rules
-    (``complex_parts``, ``polar_parts``, ``q_coord_from_json``), without
-    building a scalar per coordinate.  A NaN part or a zero denominator
-    raises :class:`ParameterRangeError`.
+    Columns (:func:`_column`) read back bit for bit, their phases reduced as
+    ``polar_parts`` does.  A ``coords`` list of ``[re, im]`` pairs, ``{"log",
+    "phase"}`` objects and fractions ``{"num", "den"[, "imnum", "imden"]}``
+    reads through the scalar rules (``complex_parts``, ``polar_parts``,
+    ``q_coord_from_json``).  A NaN, a zero denominator and columns of unequal
+    length raise :class:`ParameterRangeError`.
     """
     tag = SpaceTag(str(obj["space"]).lower(), obj.get("param"))
-    return SeqVector.from_parts(tag, map(_coord_parts, obj["coords"]))
+    if "coords" in obj:
+        return SeqVector.from_parts(tag, map(_coord_parts, obj["coords"]))
+    hi, lo, ph = (_column(obj, key) for key in ("log", "lo", "phase"))
+    if not hi.size == lo.size == ph.size:
+        raise ParameterRangeError(f"column lengths {hi.size}, {lo.size}, {ph.size} differ")
+    outside = ~((ph > -np.pi) & (ph <= np.pi))
+    ph[outside] = [normalize_phase(p) for p in ph[outside].tolist()]
+    return SeqVector(tag, hi, lo, ph)
 
 
 def write_vector(path, v: SeqVector) -> None:

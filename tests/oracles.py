@@ -3,10 +3,13 @@ and small helpers the library has no caller for."""
 
 import math
 
+import numpy as np
+
 from hyperorbit.arith import FibCache
 from hyperorbit.constructions import dense_value, steer_target_CN
+from hyperorbit.errors import ParameterRangeError, WrongSpaceError
 from hyperorbit.rational import QComplex, QVector, q_iterate
-from hyperorbit.spaces import SeqVector, SpaceTag
+from hyperorbit.spaces import SeqVector, SpaceTag, WeightSeq, forward_shift
 
 
 def a_naive(N: int) -> list[int]:
@@ -50,3 +53,29 @@ def primitive_block(nblk: int) -> SeqVector:
 def retag(v: SeqVector, space: SpaceTag) -> SeqVector:
     """``v``'s coordinates, bit for bit, tagged with ``space``."""
     return SeqVector(space, v.hi, v.lo, v.phase)
+
+
+class CustomWeights(WeightSeq):
+    """A weight sequence with the given positive values and no generator:
+    asking for more entries than it holds raises."""
+
+    def __init__(self, values):
+        vals = np.asarray(values, dtype=float)
+        if vals.ndim != 1 or np.any(vals <= 0):
+            raise ParameterRangeError("custom weights must be positive reals")
+        self.kind = "custom"
+        self._logs = np.log(vals)
+        self._cum = None
+
+    def _ensure(self, n: int) -> None:
+        if self._logs.size < n:
+            raise ParameterRangeError(
+                f"custom weight sequence has only {self._logs.size} entries, {n} needed")
+
+
+def integral(v: SeqVector) -> SeqVector:
+    """Antiderivative with zero constant term; the right inverse of
+    ``derivative``."""
+    if v.space.kind != "hc":
+        raise WrongSpaceError("integral is defined on hc-tagged vectors")
+    return forward_shift(v, WeightSeq.linear())

@@ -11,6 +11,7 @@ import numpy as np
 
 from hyperorbit.arith import FibCache, LogComplex, a_closed, a_recursion, check_fib_identities
 from hyperorbit.conjugation import (
+    build_N,
     commutation_check,
     host_basis,
     pushforward_orbit_check,
@@ -201,12 +202,12 @@ def test_10_conjugation_residuals():
     details = []
     for kind in ("identity", "diagonal", "banded"):
         basis = host_basis(kind, 200)
-        com = commutation_check(basis, 200, rng)
+        com = commutation_check(build_N(basis), 200, rng)
         ok = ok and com.max_residual <= 1e-10
         mk = lambda: SeqVector.from_complex(
             L1, 0.002 * rng.uniform(0.2, 1.0, 200)
             * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)))
-        push = pushforward_orbit_check(basis, (mk(), mk()), 50)
+        push = pushforward_orbit_check(build_N(basis), (mk(), mk()), 50)
         ok = ok and push.ok and push.steps == 50
         details.append(f"{kind}:{com.max_residual:.1e}")
     dt = time.perf_counter() - t0

@@ -13,7 +13,7 @@ import pytest
 from fractions import Fraction
 
 from hyperorbit import arith, cli, conjugation, constructions, rational, spaces
-from hyperorbit.arith import LogComplex
+from hyperorbit.arith import LogComplex, normalize_phase
 from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x, factorial_tail_direction, phi_map
 from hyperorbit import report
@@ -120,6 +120,32 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         assert "input error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        ({"log": [1.0, math.nan]}, "column 'log' holds a NaN or an infinity"),
+        ({"lo": [0.0, math.inf]}, "column 'lo' holds a NaN or an infinity"),
+        ({"log": [1.0, math.inf]}, "column 'log' holds a NaN or an infinity"),
+        ({"log": [1.0, "inf"]}, "column 'log' holds 'inf', not a number"),
+        ({"phase": [0.0, "-inf"]}, "column 'phase' holds a NaN or an infinity"),
+        ({"lo": [0.0]}, "column lengths 2, 1, 2 differ"),
+        ({"phase": 0.5}, "column 'phase' is not a list")])
+    @pytest.mark.parametrize("argv", [
+        ["orbit", "--operator", "n_delta_d"],
+        ["julia", "--bracket", "1.0", "20.0"],
+        ["build", "--target", "delta_d"],
+    ])
+    def test_malformed_column_is_input_error(self, argv, edit, message, tmp_path, capsys):
+        # a malformed column-form vector is unusable input: exit 2, no
+        # report, and the reader's message after "input error:"
+        vec = {"space": "hc", "param": 1, "log": [1.0, "-inf"], "lo": [0.0, 0.0],
+               "phase": [0.0, 0.0], **edit}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"vectors": [vec, vec]} if argv[0] == "orbit" else vec))
+        out = tmp_path / "report.json"
+        rc = main(argv + ["--init", str(path), "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert message in err.split("input error:", 1)[1]
+
     @pytest.mark.parametrize("operator, space, count, rational", [
         ("m_l1", "l1", 3, False), ("m_l1", "l1", 1, False),
         ("mc_CN", "cn", 1, False), ("mc_CN", "cn", 1, True)])
@@ -200,17 +226,24 @@ class TestExitCodes:
         ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--tol", "-1"],
         ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--tol", "inf"],
         ["orbit", "--operator", "m_l1", "--init", "l1_pair", "--tol", "nan"],
+        ["orbit", "--operator", "mc_CN", "--init", "cn_pair", "--rational", "--tol", "0"],
+        ["orbit", "--operator", "mc_CN", "--init", "cn_pair", "--rational", "--tol", "-1"],
+        ["orbit", "--operator", "mc_CN", "--init", "cn_pair", "--rational", "--tol", "inf"],
+        ["orbit", "--operator", "mc_CN", "--init", "cn_pair", "--rational", "--tol", "nan"],
         ["orbit", "--operator", "b_translate", "--init", "hc_pair_600", "--steps", "2"],
     ], ids=["steps-0", "max-n-2", "a-max-0", "size-1", "band-u-0.7", "m_l1-on-c0", "julia-on-c0",
             "julia-bracket-inf", "julia-bracket-nan", "julia-tol-0", "julia-tol-neg",
             "julia-tol-inf", "julia-tol-nan", "samples-0", "samples-neg", "orbit-tol-0",
-            "orbit-tol-neg", "orbit-tol-inf", "orbit-tol-nan", "translate-past-degree-cap"])
+            "orbit-tol-neg", "orbit-tol-inf", "orbit-tol-nan", "rational-tol-0",
+            "rational-tol-neg", "rational-tol-inf", "rational-tol-nan",
+            "translate-past-degree-cap"])
     def test_unusable_parameter_is_input_error(self, argv, tmp_path, capsys):
         # a parameter out of range or a vector of the wrong space: exit 2 and
         # no report, like unreadable input
         vec = lambda space: {"space": space, "coords": [[1.0, 0.0], [0.2, 0.1], [0.1, 0.0]]}
         files = {"l1_pair": {"vectors": [vec("l1")] * 2},
                  "c0_pair": {"vectors": [vec("c0")] * 2}, "c0_direction": vec("c0"),
+                 "cn_pair": {"vectors": [dict(vec("cn"), param=4)] * 2},
                  "hc_pair_600": {"vectors": [{"space": "hc", "param": 1,
                                               "coords": [[0.5, 0.0]] * 600}] * 2},
                  "l1_direction": {"space": "l1", "coords": [
@@ -266,6 +299,10 @@ class TestOrbitCommand:
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert len(lines) == 5
         assert all(l["log_norm"] == "-inf" for l in lines)
+        # each state's columns, its exact zeros as the string "-inf"
+        assert [len(l["log"]) for l in lines] == [9, 9, 8, 8, 7]
+        assert all(set(l["log"]) == {"-inf"} and set(l["lo"]) == set(l["phase"]) == {0.0}
+                   for l in lines)
 
     def test_companion_orbit_hits_target_weights(self, tmp_path):
         # even states of the companion pair are 2^n n!^2 B_w^n(y)
@@ -287,7 +324,7 @@ class TestOrbitCommand:
             rec = lines[2 * n - 1]
             want = shift_pow(y, w, n)
             scale = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
-            got = np.array([c[0] for c in rec["coords"]])
+            got = vector_from_json(rec).to_complex().real
             want_c = np.exp(scale) * want.to_complex().real
             assert np.allclose(got, want_c, rtol=1e-6)
 
@@ -455,11 +492,21 @@ class TestBuildCommand:
         assert rc == 2
 
 
+def _scale_coord(obj, k, factor):
+    """Multiply coordinate k (0-based) of a column-form vector object by
+    ``factor``: its log moves by ``log |factor|`` and its phase turns by
+    ``arg factor``; a zero factor makes it the canonical zero."""
+    if factor == 0:
+        obj["log"][k], obj["lo"][k], obj["phase"][k] = "-inf", 0.0, 0.0
+    else:
+        obj["log"][k] += math.log(abs(factor))
+        obj["phase"][k] = normalize_phase(obj["phase"][k] + cmath.phase(factor))
+
+
 def _edit_coord(path, k, factor):
-    """Multiply coordinate k (0-based) of a written ``[re, im]`` vector file."""
+    """Multiply coordinate k (0-based) of a written vector file."""
     obj = json.loads(path.read_text())
-    z = complex(*obj["coords"][k]) * factor
-    obj["coords"][k] = [z.real, z.imag]
+    _scale_coord(obj, k, factor)
     path.write_text(json.dumps(obj))
 
 
@@ -475,13 +522,13 @@ class TestDeltaDFile:
         return g, tmp_path / "delta_d_f.json"
 
     def test_file_is_certified_vector(self, written):
+        # the file holds f bit for bit, its nonzero lo parts included
         g, path = written
         f, _ = constructions.delta_d_pair(g)
-        certified = vector_from_json(vector_to_json(f))
         on_disk = read_vector(path)
+        assert np.count_nonzero(f.lo) == 39
         for part in ("hi", "lo", "phase"):
-            assert (getattr(on_disk, part).tobytes()
-                    == getattr(certified, part).tobytes())
+            assert getattr(on_disk, part).tobytes() == getattr(f, part).tobytes()
 
     @pytest.mark.parametrize("k, factor, measured", [
         (1, 1.0 + 1e-6, 1.0e-6), (5, 1.0 + 1e-6, 3.0e-7), (20, 1.0 + 1e-6, 3.4e-8),
@@ -496,6 +543,39 @@ class TestDeltaDFile:
         assert [(c.name, c.index) for c in certs if not c.ok] == [
             ("reciprocal-coefficient", k)]
         assert certs[k - 1].measured == pytest.approx(measured, rel=0.05)
+
+
+class TestWrittenFiles:
+    """Each build target writes the vectors it built, bit for bit (``delta_d``
+    in ``TestDeltaDFile``)."""
+
+    @staticmethod
+    def built(target, path):
+        """File name -> the vector ``target`` builds from its input at ``path``."""
+        if target == "companion":
+            return {"companion_x.json": companion_x(read_vector(path))}
+        if target == "universal_l1":
+            return {"universal_y.json": constructions.gap_schedule_search(3).z}
+        if target == "q_blocks":
+            return {"q_universal.json": constructions.hc_Q_blocks(3).Q}
+        x, y, _ = constructions.symmetric_preimage_certificates(
+            read_vector(path), np.random.default_rng(0))
+        return {"preimage_x.json": x, "preimage_y.json": y}
+
+    @pytest.mark.parametrize("target, nonzero_lo", [
+        ("companion", [0]), ("universal_l1", [5]), ("q_blocks", [0]),
+        ("symmetric_preimage", [3, 3])])
+    def test_file_reads_back_bit_for_bit(self, target, nonzero_lo, tmp_path):
+        path = tmp_path / "input.json"
+        rc, _ = run(["build", "--target", target] + _target_input(target, path), tmp_path)
+        assert rc == 0
+        built = self.built(target, path)
+        assert [np.count_nonzero(v.lo) for v in built.values()] == nonzero_lo
+        for name, v in built.items():
+            on_disk = read_vector(tmp_path / name)
+            assert on_disk.space == v.space
+            for part in ("hi", "lo", "phase"):
+                assert getattr(on_disk, part).tobytes() == getattr(v, part).tobytes()
 
 
 def _corrupt_cache(monkeypatch, path, args):
@@ -521,8 +601,7 @@ def _faulty_writer(monkeypatch, k, factor):
 
     def faulty(v):
         obj = write(v)
-        z = complex(*obj["coords"][k]) * factor
-        obj["coords"][k] = [z.real, z.imag]
+        _scale_coord(obj, k, factor)
         return obj
 
     monkeypatch.setattr(spaces, "vector_to_json", faulty)
@@ -659,7 +738,7 @@ def _zero_block_coefficient(monkeypatch, path, args):
 def _no_coordinates(monkeypatch, path, args):
     """The input vector file with its coordinates removed."""
     obj = json.loads(path.read_text())
-    obj["coords"] = []
+    obj.update(log=[], lo=[], phase=[])
     path.write_text(json.dumps(obj))
 
 
@@ -914,6 +993,23 @@ class TestMutationTable:
         assert rc == 1
         assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == failing
 
+    def test_written_universal_vector_fails_like_its_edit(self, tmp_path, monkeypatch):
+        # the rows read z as universal_y.json holds it: z_95 times 10 in the
+        # file fails the rows that the same edit of the built z fails
+        args = ["build", "--target", "universal_l1", "--blocks", "3"]
+        failing = {}
+        for name, mutate in (("built", _scaled_block_coordinate),
+                             ("written", lambda mp, path, args: _faulty_writer(mp, 94, 10.0))):
+            with monkeypatch.context() as mp:
+                mutate(mp, None, args)
+                (tmp_path / name).mkdir()
+                rc, rep = run(args, tmp_path / name)
+            failing[name] = rc, [c["name"] for c in rep["checks"] if c["status"] == "fail"]
+        assert failing["built"] == failing["written"] == (1, ["universality-residual[2]"])
+        z = constructions.gap_schedule_search(3).z
+        lm = read_vector(tmp_path / "written" / "universal_y.json").lm
+        assert lm[94] == pytest.approx(z.lm[94] + math.log(10.0), rel=1e-15)
+
     @pytest.mark.parametrize("target, mutate", [
         ("delta_d", _edit_written_f), ("companion", _edit_built_x),
         ("companion", _edit_written_x), ("companion", _wrong_weights)])
@@ -965,6 +1061,19 @@ class TestConjugateCommand:
         rc, rep = run(["conjugate", "--basis", kind, "--size", "120",
                        "--samples", "40"], tmp_path)
         assert rc == 0 and rep["status"] == "pass"
+
+    def test_one_factor_map_and_host_operator_per_run(self, tmp_path, monkeypatch):
+        # the commutation and push-forward checks share one build_N and its
+        # factor map
+        counts = {"FactorMap": 0, "HostBilinear": 0}
+        for cls in (conjugation.FactorMap, conjugation.HostBilinear):
+            def counting(self, basis, init=cls.__init__, name=cls.__name__):
+                counts[name] += 1
+                init(self, basis)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        rc, _ = run(["conjugate", "--basis", "banded", "--size", "60"], tmp_path)
+        assert rc == 0 and counts == {"FactorMap": 1, "HostBilinear": 1}
 
     def test_identity_commutation_residual_zero(self, tmp_path):
         rc, rep = run(["conjugate", "--basis", "identity", "--size", "80",

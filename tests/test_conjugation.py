@@ -164,7 +164,7 @@ class TestLogMatvec:
 class TestCommutation:
     def test_identity_residual_zero(self):
         basis = host_basis("identity", 60)
-        rep = commutation_check(basis, 60, np.random.default_rng(0))
+        rep = commutation_check(build_N(basis), 60, np.random.default_rng(0))
         assert rep.max_basis_residual == 0.0
         assert rep.max_random_residual <= 1e-14
 
@@ -184,7 +184,7 @@ class TestCommutation:
     def test_all_kinds_within_tolerance(self):
         for kind in ("identity", "diagonal", "banded"):
             basis = host_basis(kind, 200)
-            rep = commutation_check(basis, 200, np.random.default_rng(0))
+            rep = commutation_check(build_N(basis), 200, np.random.default_rng(0))
             assert rep.max_residual <= 1e-10, kind
 
 
@@ -196,7 +196,7 @@ class TestPushforward:
         basis = host_basis("identity", 80)
         rng = np.random.default_rng(3)
         init = (self.mk_contraction(rng, 80), self.mk_contraction(rng, 80))
-        rep = pushforward_orbit_check(basis, init, 40)
+        rep = pushforward_orbit_check(build_N(basis), init, 40)
         assert rep.ok
         assert all(r == LOG_ZERO for r in rep.residual_logs)
 
@@ -204,14 +204,14 @@ class TestPushforward:
         basis = host_basis("diagonal", 120)
         rng = np.random.default_rng(4)
         init = (self.mk_contraction(rng, 120), self.mk_contraction(rng, 120))
-        rep = pushforward_orbit_check(basis, init, 50)
+        rep = pushforward_orbit_check(build_N(basis), init, 50)
         assert rep.ok and rep.steps == 50
 
     def test_banded_fifty_steps(self):
         basis = host_basis("banded", 120)
         rng = np.random.default_rng(5)
         init = (self.mk_contraction(rng, 120), self.mk_contraction(rng, 120))
-        rep = pushforward_orbit_check(basis, init, 50)
+        rep = pushforward_orbit_check(build_N(basis), init, 50)
         assert rep.ok
 
     def test_zero_functional_start_gives_zero_orbits(self):
@@ -219,7 +219,7 @@ class TestPushforward:
         rng = np.random.default_rng(6)
         x = rand_vec(rng, 40)
         y = SeqVector.from_complex(L1, [0.0] + [0.5] * 39)
-        rep = pushforward_orbit_check(basis, (x, y), 10)
+        rep = pushforward_orbit_check(build_N(basis), (x, y), 10)
         assert rep.ok
 
 

@@ -1,8 +1,14 @@
 """Vectors, norms, shifts, coefficient operators, and the JSON format."""
 
+import hashlib
+import importlib.util
 import json
 import math
+import os
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
-from hyperorbit.arith import CANCEL_SNAP, LOG_ZERO, LogComplex
+from hyperorbit.arith import CANCEL_SNAP, LOG_ZERO, LogComplex, polar_parts
 from hyperorbit.errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 from hyperorbit.spaces import (
-    LOG_FORM_THRESHOLD,
     SeqVector,
     SpaceTag,
     WeightSeq,
@@ -26,17 +31,20 @@ from hyperorbit.spaces import (
     eval_functional,
     forward_pow,
     forward_shift,
-    integral,
     log_matvec,
     norm,
+    read_vector,
     shift_pow,
     translate,
     translate_by,
     vector_from_json,
     vector_to_json,
+    write_vector,
 )
+from oracles import CustomWeights, integral
 
 L1 = SpaceTag.l1()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def cvec(values, space=L1):
@@ -44,20 +52,13 @@ def cvec(values, space=L1):
 
 
 def _vector_to_json_loop(v):
-    """Reference writer: one scalar ``LogComplex`` per coordinate."""
-    coords = []
-    lm = v.lm
-    for i in range(len(v)):
-        if np.isneginf(lm[i]):
-            coords.append([0.0, 0.0])
-        elif abs(lm[i]) <= LOG_FORM_THRESHOLD:
-            z = LogComplex(float(lm[i]), float(v.phase[i])).to_complex()
-            coords.append([z.real, z.imag])
-        else:
-            coords.append({"log": float(lm[i]), "phase": float(v.phase[i])})
-    obj = {"space": v.space.kind, "coords": coords}
+    """Reference writer: the column form built one coordinate at a time."""
+    obj = {"space": v.space.kind}
     if v.space.param is not None:
         obj["param"] = v.space.param
+    obj["log"] = ["-inf" if h == LOG_ZERO else float(h) for h in v.hi]
+    obj["lo"] = [float(l) for l in v.lo]
+    obj["phase"] = [float(p) for p in v.phase]
     return obj
 
 
@@ -146,7 +147,7 @@ class TestNorms:
 
 class TestShifts:
     def test_weighted_backward(self):
-        w = WeightSeq("custom", [1, 0.25, 1 / 9])
+        w = CustomWeights([1, 0.25, 1 / 9])
         out = backward_shift(cvec([0, 1, 2, 3]), w)
         got = [c.real for c in out.to_complex()]
         assert got == pytest.approx([1.0, 0.5, 1 / 3], rel=1e-15)
@@ -169,7 +170,7 @@ class TestShifts:
         assert out.coord(2).to_complex() == 1
 
     def test_forward_divides(self):
-        w = WeightSeq("custom", [1, 0.25])
+        w = CustomWeights([1, 0.25])
         out = forward_shift(cvec([1, 1]), w)
         assert [c.real for c in out.to_complex()] == pytest.approx([0, 1, 4])
 
@@ -182,7 +183,7 @@ class TestShifts:
         hi[rng.random(n) < 0.15] = LOG_ZERO
         v = SeqVector(L1, hi, np.zeros(n), rng.uniform(-3.1, 3.1, n))
         for w in (WeightSeq.ones(), WeightSeq.inv_squares(), WeightSeq.linear(),
-                  WeightSeq("custom", rng.uniform(1e-8, 1e8, n + 1))):
+                  CustomWeights(rng.uniform(1e-8, 1e8, n + 1))):
             rt = backward_shift(forward_shift(v, w), w)
             assert np.array_equal(rt.hi, v.hi)
             assert np.array_equal(rt.lo, v.lo)
@@ -439,16 +440,19 @@ class TestJsonFormat:
         assert np.allclose(back.to_complex(), v.to_complex())
 
     def test_log_form_beyond_float_range(self):
-        big = SeqVector(L1, np.array([1234.5]), np.zeros(1), np.array([0.7]))
+        big = SeqVector(L1, np.array([1234.5]), np.array([1e-14]), np.array([0.7]))
         obj = vector_to_json(big)
-        assert obj["coords"][0] == {"log": 1234.5, "phase": 0.7}
+        assert obj == {"space": "l1", "log": [1234.5], "lo": [1e-14], "phase": [0.7]}
         back = vector_from_json(obj)
-        assert back.lm[0] == 1234.5 and back.phase[0] == 0.7
+        assert back.hi[0] == 1234.5 and back.lo[0] == 1e-14 and back.phase[0] == 0.7
 
     def test_exact_zero_roundtrip(self):
         v = SeqVector.zeros(L1, 2)
-        back = vector_from_json(vector_to_json(v))
+        obj = vector_to_json(v)
+        assert obj["log"] == ["-inf", "-inf"]  # a string: the file stays strict JSON
+        back = vector_from_json(json.loads(json.dumps(obj, allow_nan=False)))
         assert norm(back) == LOG_ZERO
+        _assert_canonical_zeros(back)
 
     def test_rational_coordinate(self):
         obj = {"space": "l1", "coords": [{"num": "3", "den": "4"},
@@ -489,7 +493,7 @@ class TestJsonFormat:
     def test_order_is_one_indexed(self):
         v = cvec([10, 20, 30])
         obj = vector_to_json(v)
-        assert obj["coords"][0][0] == pytest.approx(10.0)
+        assert obj["log"][0] == math.log(10.0) and obj["phase"] == [0.0, 0.0, 0.0]
         assert json.dumps(obj)  # serializable
 
     def test_writer_bytes_match_per_coordinate_loop(self):
@@ -507,7 +511,14 @@ class TestJsonFormat:
                            rng.uniform(-np.pi, np.pi, n)),
                  SeqVector.zeros(SpaceTag.lp(1.5), 3), SeqVector.zeros(L1, 0)]
         for v in cases:
-            assert json.dumps(vector_to_json(v)) == json.dumps(_vector_to_json_loop(v))
+            text = json.dumps(vector_to_json(v), allow_nan=False)
+            assert text == json.dumps(_vector_to_json_loop(v))
+            # read back bit for bit, the phase -pi reduced to pi as polar_parts does
+            back = vector_from_json(json.loads(text))
+            assert back.hi.tobytes() == v.hi.tobytes() and back.lo.tobytes() == v.lo.tobytes()
+            want = np.array([polar_parts(h, p)[1] for h, p in zip(v.hi.tolist(),
+                                                                  v.phase.tolist())])
+            assert back.phase.tobytes() == want.tobytes()
 
     def test_reader_arrays_match_scalar_path(self):
         coords = [[1.5, -2], [0, 0], [-0.0, 0.0], [0.0, -0.0], [-1, 0], [-1, -0.0],
@@ -559,6 +570,85 @@ class TestJsonFormat:
         obj = {"space": "l1", "coords": [[1.0, 0.0], pair]}
         with pytest.raises(ParameterRangeError):
             vector_from_json(obj)
+
+    @given(st.sampled_from([L1, SpaceTag.lp(1.5), SpaceTag.c0(), SpaceTag.cn(3),
+                            SpaceTag.hc(2)]),
+           st.lists(st.tuples(
+               st.one_of(st.just(LOG_ZERO), st.floats(-1e6, 1e6), st.floats(700.0, 1e300),
+                         st.floats(-1e300, -745.0)),
+               st.one_of(st.just(0.0), st.floats(-1e-10, 1e-10)),
+               st.one_of(st.sampled_from([math.pi, -math.pi, 0.0, -0.0]),
+                         st.floats(-4.0, 4.0))), max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_file_roundtrip_bit_exact(self, space, coords):
+        # a vector as the library makes it (phases in (-pi, pi]) reads back
+        # from its file bit for bit, exact zeros, lo parts and -0.0 included
+        hi, lo, ph = (np.array([c[i] for c in coords], dtype=float) for i in range(3))
+        v = SeqVector(space, hi, lo, _norm_phases(ph))
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "v.json")
+            write_vector(path, v)
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh, parse_constant=_reject_constant)  # strict JSON
+            back = read_vector(path)
+        assert back.space == v.space
+        for part in ("hi", "lo", "phase"):
+            assert getattr(back, part).tobytes() == getattr(v, part).tobytes()
+
+    def test_column_phases_reduce_as_polar_parts(self):
+        ph = [math.pi, -math.pi, math.nextafter(math.pi, 4.0), 3 * math.pi, -3 * math.pi,
+              7.5, -7.5, 1e6, -1e17, 2 * math.pi, -0.0, 0.3]
+        log = [1.0] * (len(ph) - 1) + ["-inf"]
+        v = vector_from_json({"space": "l1", "log": log, "lo": [0.0] * len(ph),
+                              "phase": ph})
+        want = np.array([polar_parts(float(l), p)[1] for l, p in zip(log, ph)])
+        assert v.phase.tobytes() == want.tobytes()
+        assert v.hi[-1] == LOG_ZERO and v.hi[0] == 1.0
+
+    @pytest.mark.parametrize("column, entry", [
+        ("log", math.nan), ("log", math.inf), ("log", "inf"), ("log", "0.5"), ("log", True),
+        ("log", [1.0]), ("lo", math.nan), ("lo", -math.inf), ("lo", "-inf"),
+        ("phase", math.nan), ("phase", math.inf), ("phase", None)])
+    def test_column_reader_rejects_entry(self, column, entry):
+        obj = {"space": "l1", "log": [0.0, "-inf"], "lo": [0.0, 0.0], "phase": [0.5, 0.0]}
+        obj[column][0] = entry
+        with pytest.raises(ParameterRangeError, match=f"column '{column}'"):
+            vector_from_json(obj)
+
+    @pytest.mark.parametrize("edit", [
+        {"lo": [0.0]}, {"phase": [0.5, 0.0, 0.0]}, {"log": 0.0}, {"phase": {"0": 0.5}},
+        {"lo": "0.0"}])
+    def test_column_reader_rejects_shape(self, edit):
+        obj = {"space": "l1", "log": [0.0, "-inf"], "lo": [0.0, 0.0], "phase": [0.5, 0.0]}
+        obj.update(edit)
+        with pytest.raises(ParameterRangeError):
+            vector_from_json(obj)
+
+    @pytest.mark.parametrize("workload, count, digest", [
+        ("certify", 7, "1c271d0681e7d28f3c0ecf54900d0eeb024d2d311bc935b7c6e456a806e3ff42"),
+        ("orbit", 200, "ea13f378b16b4fe783db58034ecbabee63a55618727440e96460442caedcd51c")])
+    def test_bench_inputs_read_to_pinned_bytes(self, workload, count, digest, tmp_path):
+        # the bench writes its seed-7 inputs as [re, im] pairs, {"log",
+        # "phase"} objects and fractions; the digest of the bytes they read to
+        # was taken from the reader before it took the column form
+        name = "bench_tasks_for_reader_test"
+        spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / "tasks.py")
+        tasks = sys.modules.setdefault(name, importlib.util.module_from_spec(spec))
+        spec.loader.exec_module(tasks)
+        tasks.build_round(workload, 7, tmp_path)
+        h, n = hashlib.sha256(), 0
+        for path in sorted(tmp_path.glob("*.json")):
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            for vec in obj.get("vectors", [obj]):
+                assert "coords" in vec
+                v = vector_from_json(vec)
+                h.update(v.hi.tobytes() + v.lo.tobytes() + v.phase.tobytes())
+                n += 1
+        assert (n, h.hexdigest()) == (count, digest)
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def _assert_canonical_zeros(v):
@@ -636,5 +726,7 @@ class TestVectorAlgebra:
         w = WeightSeq.inv_squares()
         assert np.exp(w.logs(3)) == pytest.approx([1.0, 1 / 4, 1 / 9], rel=1e-15)
         assert w.log_at(2) == -2 * math.log(2)
+
+    def test_custom_weights_must_be_positive(self):
         with pytest.raises(ParameterRangeError):
-            WeightSeq("custom", [1.0, -2.0])
+            CustomWeights([1.0, -2.0])
