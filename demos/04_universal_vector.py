@@ -12,6 +12,7 @@ bit for bit.
 import numpy as np
 
 from hyperorbit import gap_schedule_search, read_vector, universal_y_l1, write_vector
+from hyperorbit.report import CheckFamily
 
 schedule = gap_schedule_search(blocks=4)
 print("block boundaries:", schedule.ns[1:])
@@ -20,14 +21,21 @@ for rec in schedule.records:
           f"({rec['margin_main']:.1f}, {rec['margin_gap']:.1f})")
 
 # the certificates, the schedule's minimality and monotonicity among them; a
-# failed one is a failing row
+# failed one is a failing row.  The summability witness Phi(z)_i <= 1/i^2 is
+# one family entry: its columns, every failing index and the worst margin.
 certs = universal_y_l1(schedule)
-print("\nbuilt window:", len(schedule.z), "coordinates;", len(certs), "certificates,",
-      "all pass:", certs.ok)
+print("\nbuilt window:", len(schedule.z), "coordinates; all pass:",
+      all(c.ok for c in certs))
 
 by_name = {}
 for c in certs:
-    by_name.setdefault(c.name, []).append(c)
+    if isinstance(c, CheckFamily):
+        entry = c.to_json()
+        print(f"  {c.name:24s} x{len(c):5d}  worst margin {entry['worst_margin']:9.3f}"
+              f"  at i = {entry['worst_index']} of {c.first}..{c.first + len(c) - 1},"
+              f" failing: {entry['failing']}")
+    else:
+        by_name.setdefault(c.name, []).append(c)
 for name, group in by_name.items():
     worst = max(c.margin for c in group)
     print(f"  {name:24s} x{len(group):5d}  worst margin {worst:9.3f}  "

@@ -173,16 +173,6 @@ class LogComplex:
     def is_zero(self) -> bool:
         return self.log_mag == LOG_ZERO
 
-    def to_complex(self) -> complex:
-        """Ordinary complex value; overflows to inf beyond float range."""
-        if self.is_zero:
-            return 0j
-        try:
-            r = math.exp(self.log_mag)
-        except OverflowError:
-            r = math.inf
-        return cmath.rect(r, self.phase)
-
     # -- arithmetic --------------------------------------------------------
 
     def mul(self, other: "LogComplex") -> "LogComplex":

@@ -44,9 +44,8 @@ from .dynamics import (
 )
 from .errors import BadBracketError, HyperorbitError, ParameterRangeError, WrongSpaceError
 from .rational import exact_orbit_checks, q_vector_from_json, q_vector_to_json
-from .report import Check, RunReport
+from .report import Check, RunReport, _num
 from .spaces import (
-    LOG_ZERO,
     norm,
     read_vector,
     vector_from_json,
@@ -100,11 +99,9 @@ def _write_trace(path, orbit_states, rational=False) -> None:
             if rational:
                 rec = {"n": n, "coords": q_vector_to_json(state)["coords"]}
             else:
-                rec = {"n": n, "log_norm": norm(state)}
+                rec = {"n": n, "log_norm": _num(norm(state))}
                 if len(state) <= TRACE_COORD_LIMIT:  # then the record reads as a vector
                     rec.update(vector_to_json(state))
-                if rec["log_norm"] == LOG_ZERO:
-                    rec["log_norm"] = "-inf"
             fh.write(json.dumps(rec) + "\n")
 
 

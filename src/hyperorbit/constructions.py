@@ -35,7 +35,7 @@ from .dynamics import (
 from .errors import (BadBracketError, ParameterRangeError, SearchOverflowError,
                      ZeroCoordinateError)
 from .rational import QComplex, QVector, q_forward_shift, q_scale
-from .report import Check, CheckFamily, CheckList, check_flag, check_leq
+from .report import Check, CheckFamily, check_flag, check_leq
 from .spaces import (
     SeqVector,
     SpaceTag,
@@ -373,7 +373,7 @@ def _zeta2_tail(j: int) -> float:
     return float(Fraction(pi * pi, 6 << 2 * bits) - head)
 
 
-def universal_y_l1(schedule: GapSchedule) -> CheckList:
+def universal_y_l1(schedule: GapSchedule) -> list:
     """Certify the block-built universal vector ``schedule.z`` as its file holds it.
 
     The vector is ``z = z_1 + sum_j (fillers + S_w^{n_j}(z_j / (2**n_j n_j!**2)))``
@@ -381,7 +381,8 @@ def universal_y_l1(schedule: GapSchedule) -> CheckList:
     Three families of certificates are checked on the built prefix:
 
     * block norms: each placed block has l1 norm at most 1/j**2;
-    * summability: ``Phi(z)_i <= 1/i**2`` for ``n_2 < i`` up to the built length;
+    * summability: ``Phi(z)_i <= 1/i**2`` for ``n_2 < i`` up to the built length,
+      one :class:`CheckFamily` entry;
     * universality residuals: ``||2**n_j n_j!**2 B_w^{n_j}(z) - z_j||_1``
       is at most ``2 sum_{l >= j} 1/l**2`` for every built block.
 
@@ -394,7 +395,7 @@ def universal_y_l1(schedule: GapSchedule) -> CheckList:
     J = schedule.block_count()
     total = len(z)
     verifies = "universal-vector"
-    certs = CheckList()
+    certs = []
 
     # (a) block norms <= 1/j^2
     for j in range(1, J + 1):
@@ -405,7 +406,7 @@ def universal_y_l1(schedule: GapSchedule) -> CheckList:
 
     # (b) Phi bound beyond the first gap
     idx = np.arange(ns[2] + 1, total + 1)
-    certs.extend(CheckFamily("phi-bound", verifies, idx, phi_map(z).lm[ns[2]:],
+    certs.append(CheckFamily("phi-bound", verifies, ns[2] + 1, phi_map(z).lm[ns[2]:],
                              -2.0 * _ln(idx)))
 
     # (c) universality residuals

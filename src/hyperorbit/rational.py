@@ -181,4 +181,11 @@ def q_vector_to_json(v: QVector) -> dict:
 
 
 def q_vector_from_json(obj: dict) -> QVector:
+    """The exact vector of a ``coords`` list of fractions and ``[re, im]``
+    pairs; a file of log-modulus columns has no exact rational reading."""
+    if "coords" not in obj:
+        raise ParameterRangeError(
+            "rational mode reads a 'coords' list of fractions {num, den[, imnum, "
+            "imden]} or [re, im] pairs; log-modulus columns hold rounded "
+            "logarithms, which name no exact rational")
     return [q_coord_from_json(e) for e in obj["coords"]]

@@ -7,7 +7,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 
 import numpy as np
@@ -76,15 +75,12 @@ def check_flag(name: str, ok: bool, verifies: str = "",
 
 @dataclass(slots=True)
 class CheckFamily:
-    """A per-index family of ``measured <= bound`` checks held as columns.
-
-    Row k is ``check_leq(name, measured[k], bound[k], verifies, index[k])``;
-    iterating yields those rows.  A NaN measured value or bound fails its row.
-    """
+    """The checks ``measured[k] <= bound[k]`` of indices ``first + k``, held as
+    columns and written as one report entry.  A NaN fails its row."""
 
     name: str
     verifies: str
-    index: np.ndarray
+    first: int
     measured: np.ndarray
     bound: np.ndarray
 
@@ -97,57 +93,48 @@ class CheckFamily:
         return bool(self.passed.all())
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.measured)
 
-    def __iter__(self):
-        for i, m, b, p in zip(self.index.tolist(), self.measured.tolist(),
-                              self.bound.tolist(), self.passed.tolist()):
-            yield Check(self.name, "pass" if p else "fail", m, b, self.verifies, i)
+    def to_json(self) -> dict:
+        """The entry: name, status, ``verifies``, ``first``, the two columns,
+        every failing index, and the largest margin with its index (a NaN
+        margin counts as the largest).  The margins are not written: they are
+        ``measured - bound``."""
+        passed = self.passed
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN margin, as in Check
+            margin = self.measured - self.bound
+        worst = int(np.argmax(margin))
+        return {
+            "name": self.name,
+            "status": "pass" if passed.all() else "fail",
+            "verifies": self.verifies,
+            "first": self.first,
+            "measured": _nums(self.measured),
+            "bound": _nums(self.bound),
+            "failing": (self.first + np.flatnonzero(~passed)).tolist(),
+            "worst_index": self.first + worst,
+            "worst_margin": _num(float(margin[worst])),
+        }
 
 
-class CheckList:
-    """Checks in report order: single :class:`Check` rows and whole
-    :class:`CheckFamily` columns.  Iterating yields ``Check`` rows throughout,
-    and ``len`` counts them."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self):
-        self.parts = []
-
-    def append(self, check: Check) -> None:
-        self.parts.append(check)
-
-    def extend(self, checks) -> None:
-        if isinstance(checks, CheckFamily):
-            self.parts.append(checks)
-        elif isinstance(checks, CheckList):
-            self.parts.extend(checks.parts)
-        else:
-            self.parts.extend(checks)
-
-    def __iter__(self):
-        for part in self.parts:
-            if isinstance(part, CheckFamily):
-                yield from part
-            else:
-                yield part
-
-    def __len__(self) -> int:
-        return sum(len(p) if isinstance(p, CheckFamily) else 1 for p in self.parts)
-
-    @property
-    def ok(self) -> bool:
-        return all(p.ok for p in self.parts)
+def _nums(values: np.ndarray) -> list:
+    """``_num(v)`` for each v of a float column."""
+    out = values.tolist()
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[k] = _num(out[k])
+    return out
 
 
 @dataclass
 class RunReport:
-    """A command run: parameters, checks, and wall time; fails if any check fails."""
+    """A command run: parameters, checks, and wall time; fails if any check fails.
+
+    ``checks`` holds :class:`Check` rows and :class:`CheckFamily` entries in
+    report order."""
 
     command: str
     parameters: dict = field(default_factory=dict)
-    checks: CheckList = field(default_factory=CheckList)
+    checks: list = field(default_factory=list)
     wall_time: float = 0.0
     _t0: float = field(default_factory=time.perf_counter, repr=False)
 
@@ -155,7 +142,6 @@ class RunReport:
         self.checks.append(check)
 
     def extend(self, checks) -> None:
-        """Append rows, a :class:`CheckList` or one :class:`CheckFamily`."""
         self.checks.extend(checks)
 
     def finish(self) -> "RunReport":
@@ -164,7 +150,7 @@ class RunReport:
 
     @property
     def ok(self) -> bool:
-        return self.checks.ok
+        return all(c.ok for c in self.checks)
 
     @property
     def status(self) -> str:
@@ -188,14 +174,15 @@ class RunReport:
         """Write the report as JSON to ``path`` (stdout when ``None``).
 
         Top-level fields are indented as ``json.dumps(indent=2)`` lays them
-        out, and each check is one line.  ``json.loads`` of the text equals
-        :meth:`to_json`, key order included.
+        out, and each entry of ``checks`` is one line.  ``json.loads`` of the
+        text equals :meth:`to_json`, key order included.
         """
         parts = []
         for key, value in self._fields().items():
             parts.append((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ")
             if key == "checks":
-                parts.extend(_check_lines(value))
+                lines = ",\n    ".join(_entry_lines(value))
+                parts.append(f"[\n    {lines}\n  ]" if value else "[]")
             else:
                 parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
         parts.append("\n}\n")
@@ -204,9 +191,6 @@ class RunReport:
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(parts)
-
-
-_CHECKS_PER_CALL = 1024  # bounds the encoded text held at once
 
 
 def _line(name, status, measured, bound, margin, verifies) -> str:
@@ -221,49 +205,13 @@ def _value_text(x) -> str:
     return float.__repr__(x) if isinstance(x, float) else json.dumps(x)
 
 
-def _float_texts(values: np.ndarray) -> list:
-    """``json.dumps(_num(v))`` for each v: ``float.__repr__``, with NaN and
-    the infinities as quoted strings."""
-    texts = list(map(float.__repr__, values.tolist()))
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[k] = f'"{texts[k]}"'
-    return texts
-
-
-def _family_lines(fam: CheckFamily):
-    """The report lines of ``fam``'s rows, made from its columns."""
-    name = json.dumps(fam.name)[:-1]  # its closing quote follows the index
-    verifies = json.dumps(fam.verifies)
-    for k in range(0, len(fam), _CHECKS_PER_CALL):
-        sl = slice(k, k + _CHECKS_PER_CALL)
-        measured, bound = fam.measured[sl], fam.bound[sl]
-        with np.errstate(invalid="ignore"):  # inf - inf: a NaN margin, as in Check
-            margin = measured - bound
-        for i, p, m, b, g in zip(fam.index[sl].tolist(), (measured <= bound).tolist(),
-                                 _float_texts(measured), _float_texts(bound),
-                                 _float_texts(margin)):
-            yield _line(f'{name}[{i}]"', '"pass"' if p else '"fail"', m, b, g, verifies)
-
-
-def _lines(checks: CheckList):
-    for part in checks.parts:
-        if isinstance(part, CheckFamily):
-            yield from _family_lines(part)
+def _entry_lines(checks):
+    """``json.dumps(c.to_json())`` for each entry; a row's line is built from
+    its fields."""
+    for c in checks:
+        if isinstance(c, CheckFamily):
+            yield json.dumps(c.to_json())
         else:
-            name, status, measured, bound, margin, verifies = part.to_json().values()
+            name, status, measured, bound, margin, verifies = c.to_json().values()
             yield _line(_json_str(name), _json_str(status), _value_text(measured),
                         _value_text(bound), _value_text(margin), _json_str(verifies))
-
-
-def _check_lines(checks: CheckList):
-    """The JSON list of ``checks``, one per line, in text pieces of at most
-    ``_CHECKS_PER_CALL`` lines, so the text held at once stays bounded."""
-    lines = _lines(checks)
-    sep = "[\n    "
-    while group := list(islice(lines, _CHECKS_PER_CALL)):
-        # the joined piece is not bound to a name, so it is freed before the
-        # next piece is built; keeping it alive one piece longer fragmented
-        # the heap and raised the process's peak RSS
-        yield sep + ",\n    ".join(group)
-        sep = ",\n    "
-    yield "[]" if sep == "[\n    " else "\n  ]"

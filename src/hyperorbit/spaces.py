@@ -298,12 +298,6 @@ class SeqVector:
         return LogComplex(float(self.hi[i - 1] + self.lo[i - 1]),
                           float(self.phase[i - 1]))
 
-    def to_complex(self) -> np.ndarray:
-        """Ordinary complex coordinates; magnitudes beyond float range overflow."""
-        with np.errstate(over="ignore"):
-            r = np.exp(self.lm)
-        return r * np.exp(1j * self.phase)
-
     def truncate(self, n: int) -> "SeqVector":
         return SeqVector(self.space, self.hi[:n], self.lo[:n], self.phase[:n])
 

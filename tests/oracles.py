@@ -1,6 +1,7 @@
 """Reference computations that only the tests use: slow literal evaluations
 and small helpers the library has no caller for."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,6 +11,23 @@ from hyperorbit.constructions import dense_value, steer_target_CN
 from hyperorbit.errors import ParameterRangeError, WrongSpaceError
 from hyperorbit.rational import QComplex, QVector, q_iterate
 from hyperorbit.spaces import SeqVector, SpaceTag, WeightSeq, forward_shift
+
+
+def to_complex(v):
+    """The ordinary complex value of a ``LogComplex``, or the complex
+    coordinates of a ``SeqVector``; magnitudes beyond float range overflow
+    to inf."""
+    if isinstance(v, SeqVector):
+        with np.errstate(over="ignore"):
+            r = np.exp(v.lm)
+        return r * np.exp(1j * v.phase)
+    if v.is_zero:
+        return 0j
+    try:
+        r = math.exp(v.log_mag)
+    except OverflowError:
+        r = math.inf
+    return cmath.rect(r, v.phase)
 
 
 def a_naive(N: int) -> list[int]:

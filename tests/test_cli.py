@@ -3,9 +3,11 @@
 import argparse
 import cmath
 import dataclasses
+import importlib.util
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from hyperorbit import arith, cli, conjugation, constructions, rational, spaces
 from hyperorbit.arith import LogComplex, normalize_phase
 from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x, factorial_tail_direction, phi_map
-from hyperorbit import report
 from hyperorbit.rational import QComplex, q_coord_from_json, q_iterate
 from hyperorbit.report import Check, CheckFamily, RunReport, check_flag, check_leq
 from hyperorbit.spaces import (
@@ -29,7 +30,7 @@ from hyperorbit.spaces import (
     vector_to_json,
     write_vector,
 )
-from oracles import a_naive
+from oracles import a_naive, to_complex
 
 L1 = SpaceTag.l1()
 
@@ -195,6 +196,20 @@ class TestExitCodes:
         assert rc == 2 and not out.exists()
         assert "input error" in capsys.readouterr().err
 
+    def test_rational_column_form_is_input_error_that_names_coords(self, tmp_path,
+                                                                   capsys):
+        vec = vector_to_json(vector_from_json(
+            {"space": "cn", "param": 4, "coords": [[0.5, 0.0], [0.25, 0.0]]}))
+        path = tmp_path / "init.json"
+        path.write_text(json.dumps({"vectors": [vec, vec]}))
+        out = tmp_path / "report.json"
+        rc = main(["orbit", "--operator", "mc_CN", "--rational", "--init", str(path),
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+        err = capsys.readouterr().err.split("input error:", 1)[1]
+        assert "'coords' list of fractions" in err and "[re, im] pairs" in err
+        assert "log-modulus columns hold rounded logarithms" in err
+
     def test_complex_fraction_orbit_runs_both_ways(self, tmp_path):
         coords = [{"num": "1", "den": "2", "imnum": "1", "imden": "3"},
                   {"num": "10" + "0" * 400, "den": "3", "imnum": "-7" + "0" * 399}]
@@ -324,8 +339,8 @@ class TestOrbitCommand:
             rec = lines[2 * n - 1]
             want = shift_pow(y, w, n)
             scale = n * math.log(2.0) + 2.0 * math.lgamma(n + 1.0)
-            got = vector_from_json(rec).to_complex().real
-            want_c = np.exp(scale) * want.to_complex().real
+            got = to_complex(vector_from_json(rec)).real
+            want_c = np.exp(scale) * to_complex(want).real
             assert np.allclose(got, want_c, rtol=1e-6)
 
     def test_rational_orbit(self, tmp_path):
@@ -1023,6 +1038,59 @@ class TestMutationTable:
                     if status == "fail"} & EXPONENT_FAMILIES
 
 
+@pytest.fixture(scope="module")
+def bench_tasks():
+    """``bench/tasks.py``, loaded by path and only read: the benchmark's
+    output checks."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tasks.py")
+    spec = importlib.util.spec_from_file_location("bench_tasks_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestBenchReportCheck:
+    """The benchmark's ``report_all_pass`` reads a family entry's status."""
+
+    ARGS = ["build", "--target", "universal_l1", "--blocks", "3"]
+
+    @staticmethod
+    def forced_pass(path):
+        # the report's own status set to pass: only the entries can fail it
+        rep = json.loads(path.read_text())
+        rep["status"] = "pass"
+        path.write_text(json.dumps(rep))
+        return str(path)
+
+    def test_passing_universal_report(self, bench_tasks, tmp_path):
+        rc, rep = run(self.ARGS, tmp_path)
+        assert rc == 0 and "phi-bound" in [c["name"] for c in rep["checks"]]
+        assert bench_tasks.report_all_pass((rc, str(tmp_path / "report.json")))
+
+    def test_failing_phi_bound_family(self, bench_tasks, tmp_path, monkeypatch):
+        args = list(self.ARGS)
+        _shrunk_filler(monkeypatch, None, args)
+        rc, rep = run(args, tmp_path)
+        assert rc == 1
+        assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == ["phi-bound"]
+        path = tmp_path / "report.json"
+        assert not bench_tasks.report_all_pass((0, str(path)))
+        assert not bench_tasks.report_all_pass((0, self.forced_pass(path)))
+
+    def test_nan_in_measured_column(self, bench_tasks, tmp_path):
+        rep = RunReport("build", {"target": "x"})
+        rep.add(check_flag("flag", True, "f"))
+        rep.add(CheckFamily("col", "c", 1, np.array([0.0, math.nan]), np.ones(2)))
+        path = tmp_path / "report.json"
+        rep.finish().write(path)
+        assert not bench_tasks.report_all_pass((0, str(path)))
+        assert not bench_tasks.report_all_pass((0, self.forced_pass(path)))
+
+
 class TestClosedFormOracle:
     """The builders read a_n from ``a_closed``; with the values of the literal
     defining sum (``a_naive``) in its place their outputs keep every byte."""
@@ -1170,11 +1238,15 @@ class TestReportLayout:
         check_flag("flag", True, "f", 0),
     ]
 
-    @pytest.mark.parametrize("per_call", [1024, 2])
-    def test_text_parses_to_report_with_one_line_per_check(self, per_call, tmp_path,
-                                                           monkeypatch):
-        monkeypatch.setattr(report, "_CHECKS_PER_CALL", per_call)
-        rep = _report_with_checks(self.AWKWARD)
+    # columns of indices 3 .. 9: NaN fails its row; inf <= inf passes, with a
+    # NaN margin
+    FAMILY = CheckFamily(
+        "col", "c", 3,
+        np.array([math.nan, -math.inf, 2.0, 3.5, -1e-300, 0.1 + 0.2, math.inf]),
+        np.array([1.0, 0.0, math.inf, 3.0, 0.0, 0.3, math.inf]))
+
+    def test_text_parses_to_report_with_one_line_per_check(self, tmp_path):
+        rep = _report_with_checks(self.AWKWARD[:2] + [self.FAMILY] + self.AWKWARD[2:])
         path = tmp_path / "r.json"
         rep.write(path)
         text = path.read_text(encoding="utf-8")
@@ -1182,51 +1254,40 @@ class TestReportLayout:
         assert json.dumps(json.loads(text)) == json.dumps(rep.to_json())
         lines = text.splitlines()
         start = lines.index('  "checks": [')
-        body = lines[start + 1: start + 1 + len(self.AWKWARD)]
-        assert lines[start + 1 + len(self.AWKWARD)] == "  ],"
-        for line, check in zip(body, rep.to_json()["checks"]):
+        entries = rep.to_json()["checks"]
+        body = lines[start + 1: start + 1 + len(entries)]
+        assert lines[start + 1 + len(entries)] == "  ],"
+        for line, entry in zip(body, entries):
             assert line.startswith("    {")
-            assert json.loads(line.strip().rstrip(",")) == check
+            assert json.loads(line.strip().rstrip(",")) == entry
+        assert body[2] == "    " + json.dumps(self.FAMILY.to_json()) + ","
 
-    FAMILY = CheckFamily(
-        "col", "c", np.array([0, 1, 2, 3, 4, 5, 7]),
-        np.array([math.nan, -math.inf, 2.0, 3.5, -1e-300, 0.1 + 0.2, math.inf]),
-        np.array([1.0, 0.0, math.inf, 3.0, 0.0, 0.3, math.inf]))
-
-    @pytest.mark.parametrize("per_call", [1024, 2])
-    def test_family_writes_the_bytes_of_its_rows(self, per_call, tmp_path, monkeypatch):
-        monkeypatch.setattr(report, "_CHECKS_PER_CALL", per_call)
+    def test_family_is_one_entry_with_the_status_of_its_rows(self):
         fam = self.FAMILY
-        rows = [check_leq(fam.name, m, b, fam.verifies, i)
-                for i, m, b in zip(fam.index.tolist(), fam.measured, fam.bound)]
-        # NaN fails; inf <= inf passes, with a NaN margin
+        rows = [check_leq(fam.name, m, b, fam.verifies, fam.first + k)
+                for k, (m, b) in enumerate(zip(fam.measured, fam.bound))]
         assert [c.status for c in rows] == ["fail", "pass", "pass", "fail", "pass",
                                             "fail", "pass"]
-        head, tail = self.AWKWARD[:2], self.AWKWARD[2:]
-        as_rows = _report_with_checks(head + rows + tail)
-        as_family = _report_with_checks(head)
-        as_family.extend(fam)
-        as_family.extend(tail)
-        texts = []
-        for rep in (as_rows, as_family):
-            rep.wall_time = 1.25
-            rep.write(tmp_path / "r.json")
-            texts.append((tmp_path / "r.json").read_text(encoding="utf-8"))
-        assert texts[0] == texts[1]
-        assert (as_family.ok, as_family.status) == (as_rows.ok, as_rows.status)
-        # repr: NaN != NaN, and a numpy scalar would show its type
-        assert repr(list(fam)) == repr(rows)
-        assert repr(list(as_family.checks)) == repr(list(as_rows.checks))
-        assert len(as_family.checks) == len(as_rows.checks)
-        assert json.loads(texts[1]) == as_family.to_json()
+        assert len(fam) == 7 and not fam.ok
+        assert fam.to_json() == {
+            "name": "col", "status": "fail", "verifies": "c", "first": 3,
+            "measured": ["nan", "-inf", 2.0, 3.5, -1e-300, 0.1 + 0.2, "inf"],
+            "bound": [1.0, 0.0, "inf", 3.0, 0.0, 0.3, "inf"],
+            "failing": [c.index for c in rows if not c.ok],
+            # a NaN margin counts as the largest
+            "worst_index": 3, "worst_margin": "nan"}
+        # without a NaN, the largest margin of the rows and its index
+        ok = CheckFamily("ok", "c", 10, np.array([1.0, -math.inf, 2.0]),
+                         np.array([2.0, 0.0, 2.25]))
+        got = ok.to_json()
+        assert (ok.ok, got["status"], got["failing"]) == (True, "pass", [])
+        assert (got["worst_index"], got["worst_margin"]) == (12, -0.25)
 
     def test_family_alone_decides_status(self):
-        ok = CheckFamily("f", "v", np.arange(3), np.zeros(3), np.ones(3))
-        rep = _report_with_checks([check_flag("flag", True, "f")])
-        rep.extend(ok)
+        ok = CheckFamily("f", "v", 1, np.zeros(3), np.ones(3))
+        rep = _report_with_checks([check_flag("flag", True, "f"), ok])
         assert rep.ok and rep.status == "pass"
-        rep.extend(CheckFamily("g", "v", np.arange(2), np.array([0.0, math.nan]),
-                               np.ones(2)))
+        rep.add(CheckFamily("g", "v", 1, np.array([0.0, math.nan]), np.ones(2)))
         assert not rep.ok and rep.status == "fail"
 
     def test_nan_measurement_fails_and_stays_strict_json(self, tmp_path):
@@ -1242,6 +1303,11 @@ class TestReportLayout:
         nan, inf = got["checks"]
         assert nan["measured"] == nan["margin"] == "nan"
         assert inf["measured"] == inf["margin"] == "-inf"
+        # a family's non-finite values too
+        rep.add(self.FAMILY)
+        rep.write(tmp_path / "f.json")
+        got = json.loads((tmp_path / "f.json").read_text(), parse_constant=reject)
+        assert got["checks"][2] == self.FAMILY.to_json()
 
     def test_empty_checks_keep_the_indented_layout(self, tmp_path, capsys):
         rep = _report_with_checks([])
