@@ -1244,9 +1244,27 @@ class TestReportLayout:
         "col", "c", 3,
         np.array([math.nan, -math.inf, 2.0, 3.5, -1e-300, 0.1 + 0.2, math.inf]),
         np.array([1.0, 0.0, math.inf, 3.0, 0.0, 0.3, math.inf]))
+    # (measured, bound) pairs with a non-finite value or a rounding edge
+    SPECIAL = [(math.nan, 1.0), (-math.inf, 0.0), (2.0, math.inf), (3.5, 3.0),
+               (-1e-300, 0.0), (0.1 + 0.2, 0.3), (math.inf, math.inf)]
 
-    def test_text_parses_to_report_with_one_line_per_check(self, tmp_path):
-        rep = _report_with_checks(self.AWKWARD[:2] + [self.FAMILY] + self.AWKWARD[2:])
+    @classmethod
+    def _family(cls, rows):
+        """A family of indices 0 .. rows-1: random columns with the special
+        pairs spread from the first row to the last (a NaN and inf <= inf
+        when there are only two rows)."""
+        rng = np.random.default_rng(rows)
+        measured, bound = rng.uniform(-2.0, 2.0, (2, rows))
+        pairs = cls.SPECIAL if rows >= len(cls.SPECIAL) else [cls.SPECIAL[0],
+                                                                cls.SPECIAL[-1]]
+        at = np.linspace(0, rows - 1, len(pairs)).round().astype(int)
+        measured[at], bound[at] = np.array(pairs).T
+        return CheckFamily("big", "b", 0, measured, bound)
+
+    @pytest.mark.parametrize("rows", [1024, 2])
+    def test_text_parses_to_report_with_one_line_per_check(self, tmp_path, rows):
+        rep = _report_with_checks(self.AWKWARD[:2] + [self.FAMILY] + self.AWKWARD[2:]
+                                  + [self._family(rows)])
         path = tmp_path / "r.json"
         rep.write(path)
         text = path.read_text(encoding="utf-8")
@@ -1261,6 +1279,36 @@ class TestReportLayout:
             assert line.startswith("    {")
             assert json.loads(line.strip().rstrip(",")) == entry
         assert body[2] == "    " + json.dumps(self.FAMILY.to_json()) + ","
+        assert body[-1] == "    " + json.dumps(rep.checks[-1].to_json())
+
+    @pytest.mark.parametrize("rows", [1024, 2])
+    def test_family_writes_the_bytes_of_its_rows(self, tmp_path, rows):
+        fam = self._family(rows)
+        rep = _report_with_checks(self.AWKWARD[:2] + [fam] + self.AWKWARD[2:])
+        rep.write(tmp_path / "r.json")
+        text = (tmp_path / "r.json").read_text(encoding="utf-8")
+        lines = text.splitlines()
+        line = lines[lines.index('  "checks": [') + 3]
+        assert line == "    " + json.dumps(fam.to_json()) + ","
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        entry = json.loads(line.strip().rstrip(","), parse_constant=reject)
+        rows_ = [check_leq(fam.name, m, b, fam.verifies, fam.first + k)
+                 for k, (m, b) in enumerate(zip(fam.measured, fam.bound))]
+        row_json = [c.to_json() for c in rows_]
+        # each value has the text the row would write for it
+        for key in ("measured", "bound"):
+            assert json.dumps(entry[key]) == json.dumps([r[key] for r in row_json])
+        assert entry["failing"] == [c.index for c in rows_ if not c.ok]
+        assert entry["status"] == rep.status == "fail" and not rep.ok
+        assert (rows_[0].status, rows_[-1].status) == ("fail", "pass")  # NaN, inf <= inf
+        margins = [c.margin for c in rows_]
+        nans = [k for k, m in enumerate(margins) if math.isnan(m)]
+        worst = nans[0] if nans else max(range(rows), key=margins.__getitem__)
+        assert entry["worst_index"] == fam.first + worst
+        assert json.dumps(entry["worst_margin"]) == json.dumps(row_json[worst]["margin"])
 
     def test_family_is_one_entry_with_the_status_of_its_rows(self):
         fam = self.FAMILY
