@@ -20,7 +20,8 @@ y = SeqVector.from_complex(SpaceTag.l1(),
 print("recursion == closed form for n <= 80:",
       a_recursion(80)[1:] == [a_closed(n) for n in range(1, 81)])
 
-# the builder returns x with its certificates; a failed one is a failing row
+# the builder returns x with its certificates, one family per property with
+# row n for n = 1, 2, ...; a failed row is listed in its family's "failing"
 x, certs = companion_pair(y)
 print("x_1 is free and set to zero:", x.coord(1).is_zero)
 print("log|x_21| =", round(x.coord(21).log_mag, 2),
@@ -30,13 +31,15 @@ print("log|x_21| =", round(x.coord(21).log_mag, 2),
 # exponent of every log y_j telescopes to 0, of every log w_l to -1, and of
 # log 2 to exactly n (for n <= 59); the float recursion then checks it on x
 # as its vector file holds it (for n <= 15)
-print("certificates:", len(certs), "all pass:", all(c.ok for c in certs))
-value = [c for c in certs if c.name == "weight-identity-value" and c.index == 50][0]
+families = {c.name: c for c in certs}
+print("certificates:", {name: len(c) for name, c in families.items()})
+print("all pass:", all(c.ok for c in certs))
+value = families["weight-identity-value"]
 print("n = 50: |relative deviation from 50 log 2 + 2 log 50!| =",
-      f"{value.measured:.2e}")
-recursion = [c for c in certs if c.name == "recursion-identity"]
+      f"{value.measured[50 - value.first]:.2e}")
+recursion = families["recursion-identity"]
 print("recursion route, n <= 15: worst measured / bound =",
-      f"{max(c.measured / c.bound for c in recursion):.1e}")
+      f"{(recursion.measured / recursion.bound).max():.1e}")
 
 # the summability witness Phi(y) controls whether x lands in the space
 from hyperorbit import norm

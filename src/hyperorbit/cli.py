@@ -44,7 +44,7 @@ from .dynamics import (
 )
 from .errors import BadBracketError, HyperorbitError, ParameterRangeError, WrongSpaceError
 from .rational import exact_orbit_checks, q_vector_from_json, q_vector_to_json
-from .report import Check, RunReport, _num
+from .report import RunReport, _num, check_flag
 from .spaces import (
     norm,
     read_vector,
@@ -229,7 +229,7 @@ def cmd_build(args) -> RunReport:
     except HyperorbitError as exc:
         # the message varies with the input; the check keeps a stable tag
         print(f"build input rejected: {exc}", file=sys.stderr)
-        rep.add(Check(type(exc).__name__, "fail", 1.0, 0.0, "build-input"))
+        rep.add(check_flag(type(exc).__name__, False, "build-input"))
     return rep.finish()
 
 

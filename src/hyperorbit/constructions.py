@@ -1,8 +1,10 @@
 """Builders for the explicit vectors and entire functions the theory constructs.
 
 Each builder returns its object together with *certificates*
-(:class:`~hyperorbit.report.Check` records): the explicit inequalities the
-construction promises, re-evaluated in the log domain on the built prefix.
+(:class:`~hyperorbit.report.Check` rows, and a
+:class:`~hyperorbit.report.CheckFamily` for a property certified per index):
+the explicit inequalities the construction promises, re-evaluated in the log
+domain on the built prefix.
 This module alone decides what a ``build`` target certifies.  A failed
 certificate is a failing row, never an exception; a builder raises only on
 input it cannot build from (:class:`ParameterRangeError`,
@@ -35,7 +37,7 @@ from .dynamics import (
 from .errors import (BadBracketError, ParameterRangeError, SearchOverflowError,
                      ZeroCoordinateError)
 from .rational import QComplex, QVector, q_forward_shift, q_scale
-from .report import Check, CheckFamily, check_flag, check_leq
+from .report import Check, CheckFamily, check_leq, flag_family
 from .spaces import (
     SeqVector,
     SpaceTag,
@@ -108,13 +110,13 @@ def companion_x(y: SeqVector) -> SeqVector:
     return SeqVector(y.space, hi, np.zeros(n), _norm_phases(ph))
 
 
-def weight_identity_certificates(n_max: int) -> list[Check]:
+def weight_identity_certificates(n_max: int) -> list[CheckFamily]:
     """Certify ``c_{2n} d_{2n} = 2**n n!**2`` for the companion pair, n <= n_max.
 
     The two-term recursion amplifies float noise with Fibonacci weight, so at
     large n the product must be evaluated the way the identity is proved: by
-    exact big-integer bookkeeping of each atom's exponent.  Per n the checks
-    are
+    exact big-integer bookkeeping of each atom's exponent.  Four families,
+    row n for n = 1 .. n_max:
 
     * the exponent of every ``log y_j`` telescopes to exactly 0 (so the value
       is independent of y, as the construction promises);
@@ -140,30 +142,32 @@ def weight_identity_certificates(n_max: int) -> list[Check]:
     F = cache.prefix(2 * n_max + 1)
     w_fail = next((k for k in range(n_max)
                    if F[2 * k + 3] - 1 - F[2 * k + 2] - F[2 * k + 1] != -1), None)
-    verifies = "companion-weight-identity"
-    certs: list[Check] = []
+    ns = np.arange(1, n_max + 1)
+    two_ok, rel = [], []
     P = Q = 0
     for n in range(1, n_max + 1):
-        y_ok = y_fail is None or n < y_fail
-        certs.append(check_flag("y-exponent-telescopes", y_ok, verifies, n))
-        w_ok = w_fail is None or n <= w_fail
-        certs.append(check_flag("w-exponent-is-minus-one", w_ok, verifies, n))
         # exponent of log 2: sum_{i<=n} a_i F(2(n-i)+1) = a_n + Q_n
         an = a_closed(n)
-        certs.append(check_flag("two-exponent-is-n", an + Q == n, verifies, n))
+        two_ok.append(an + Q == n)
         P, Q = a_convolution_step(an, P, Q)
         # surviving value vs the closed form
         value = n * LN2 - float(np.sum(logs_w[:n]))
         target = _block_scale(n)
-        rel = abs(value - target) / max(1.0, abs(target))
-        certs.append(check_leq("weight-identity-value", rel, 1e-8, verifies, n))
-    return certs
+        rel.append(abs(value - target) / max(1.0, abs(target)))
+    verifies = "companion-weight-identity"
+    return [flag_family("y-exponent-telescopes", verifies, 1,
+                        np.ones(n_max, bool) if y_fail is None else ns < y_fail),
+            flag_family("w-exponent-is-minus-one", verifies, 1,
+                        np.ones(n_max, bool) if w_fail is None else ns <= w_fail),
+            flag_family("two-exponent-is-n", verifies, 1, two_ok),
+            CheckFamily("weight-identity-value", verifies, 1, np.array(rel),
+                        np.full(n_max, 1e-8))]
 
 
 def weight_identity_recursion_error(x: SeqVector, y: SeqVector,
-                                    n_max: int) -> list[Check]:
-    """``recursion-identity[n]``, n <= n_max: the float-recursion ledger of the
-    pair (x, y) against ``2**n n!**2``.
+                                    n_max: int) -> CheckFamily:
+    """The family ``recursion-identity``, row n for n = 1 .. n_max: the
+    float-recursion ledger of the pair (x, y) against ``2**n n!**2``.
 
     Row n measures ``max(|d log|, |phase|)`` of ``c_{2n} d_{2n}`` and passes
     below ``1e-8 max(1, n log 2 + 2 log n!)``.  Useful only for small n: the
@@ -172,15 +176,14 @@ def weight_identity_recursion_error(x: SeqVector, y: SeqVector,
     """
     spec = m_l1()
     led = ledger(spec, (x, y), 2 * n_max)
-    certs = []
+    measured, bound = [], []
     for n in range(1, n_max + 1):
         cd = led.cd(2 * n)
         target = n * LN2 - float(np.sum(spec.weights.logs(n)))
-        certs.append(check_leq("recursion-identity",
-                               max(abs(cd.log_mag - target), abs(cd.phase)),
-                               1e-8 * max(1.0, _block_scale(n)),
-                               "companion-weight-identity", n))
-    return certs
+        measured.append(max(abs(cd.log_mag - target), abs(cd.phase)))
+        bound.append(1e-8 * max(1.0, _block_scale(n)))
+    return CheckFamily("recursion-identity", "companion-weight-identity", 1,
+                       np.array(measured), np.array(bound))
 
 
 def companion_pair(y: SeqVector):
@@ -196,8 +199,8 @@ def companion_pair(y: SeqVector):
     certs = weight_identity_certificates(min(200, len(y) - 1))
     n_rec = min(15, (len(y) - 1) // 2)
     if n_rec >= 1:
-        certs += weight_identity_recursion_error(
-            vector_from_json(vector_to_json(x)), y, n_rec)
+        certs.append(weight_identity_recursion_error(
+            vector_from_json(vector_to_json(x)), y, n_rec))
     return x, certs
 
 
@@ -380,29 +383,34 @@ def universal_y_l1(schedule: GapSchedule) -> list:
     with disjoint block supports, as :func:`gap_schedule_search` builds it.
     Three families of certificates are checked on the built prefix:
 
-    * block norms: each placed block has l1 norm at most 1/j**2;
-    * summability: ``Phi(z)_i <= 1/i**2`` for ``n_2 < i`` up to the built length,
-      one :class:`CheckFamily` entry;
-    * universality residuals: ``||2**n_j n_j!**2 B_w^{n_j}(z) - z_j||_1``
-      is at most ``2 sum_{l >= j} 1/l**2`` for every built block.
+    * ``block-norm``, row j: each placed block has l1 norm at most 1/j**2;
+    * ``phi-bound``, row i: ``Phi(z)_i <= 1/i**2`` for ``n_2 < i`` up to the
+      built length;
+    * ``universality-residual``, row j:
+      ``||2**n_j n_j!**2 B_w^{n_j}(z) - z_j||_1`` is at most
+      ``2 sum_{l >= j} 1/l**2`` for every built block.
 
-    Then the total l1 norm, and per searched block j the schedule's records:
-    ``gap-minimality[j]`` (the margin at n_j - 1 was violated) and
-    ``gap-monotone[j]`` (the margins keep decreasing past n_j).
+    Then the total l1 norm, and per searched block j >= 2 the schedule's
+    records: ``gap-minimality`` (the margin at n_j - 1 was violated) and
+    ``gap-monotone`` (the margins keep decreasing past n_j).
     """
     w = WeightSeq.inv_squares()
     ns, z = schedule.ns, vector_from_json(vector_to_json(schedule.z))
     J = schedule.block_count()
     total = len(z)
     verifies = "universal-vector"
-    certs = []
+    # per block j: (a) its l1 norm and (c) its universality residual
+    blocks = range(1, J + 1)
+    block_norms, resids = np.empty(J), np.empty(J)
+    for j in blocks:
+        n_j, sl = ns[j], slice(ns[j], ns[j] + j)
+        block_norms[j - 1] = norm(SeqVector(z.space, z.hi[sl], z.lo[sl], z.phase[sl]))
+        img = shift_pow(z, w, n_j).scale(LogComplex(_block_scale(n_j), 0.0))
+        resids[j - 1] = norm(img.sub(dense_vector(j)))
 
     # (a) block norms <= 1/j^2
-    for j in range(1, J + 1):
-        sl = slice(ns[j], ns[j] + j)
-        seg = SeqVector(z.space, z.hi[sl], z.lo[sl], z.phase[sl])
-        certs.append(check_leq("block-norm", norm(seg), -2.0 * math.log(j),
-                               verifies, j))
+    certs = [CheckFamily("block-norm", verifies, 1, block_norms,
+                         np.array([-2.0 * math.log(j) for j in blocks]))]
 
     # (b) Phi bound beyond the first gap
     idx = np.arange(ns[2] + 1, total + 1)
@@ -410,24 +418,20 @@ def universal_y_l1(schedule: GapSchedule) -> list:
                              -2.0 * _ln(idx)))
 
     # (c) universality residuals
-    for j in range(1, J + 1):
-        n_j = ns[j]
-        img = shift_pow(z, w, n_j).scale(LogComplex(_block_scale(n_j), 0.0))
-        resid = norm(img.sub(dense_vector(j)))
-        certs.append(check_leq("universality-residual", resid,
-                               math.log(2.0 * _zeta2_tail(j)), verifies, j))
+    certs.append(CheckFamily("universality-residual", verifies, 1, resids,
+                             np.array([math.log(2.0 * _zeta2_tail(j)) for j in blocks])))
 
     # total l1 norm stays under ||z_1|| + 2 * zeta(2)
     certs.append(check_leq("l1-norm", norm(z),
                            math.log(1.0 + 2.0 * _zeta2_tail(1)), verifies))
 
-    for r in schedule.records:
-        certs.append(check_flag("gap-minimality",
-                                r["violated_at_prev"] is None or r["violated_at_prev"] > 0,
-                                "gap-schedule", r["j"]))
-        certs.append(check_flag("gap-monotone",
-                                r["tail_monotone"] and r["derivative_negative"],
-                                "gap-schedule", r["j"]))
+    records = schedule.records  # blocks j = 2 .. J
+    certs.append(flag_family("gap-minimality", "gap-schedule", 2,
+                             [r["violated_at_prev"] is None or r["violated_at_prev"] > 0
+                              for r in records]))
+    certs.append(flag_family("gap-monotone", "gap-schedule", 2,
+                             [r["tail_monotone"] and r["derivative_negative"]
+                              for r in records]))
     return certs
 
 
@@ -519,16 +523,19 @@ def _dd_cumsum_neg(hi, lo):
     return oh, ol
 
 
-def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector) -> list[Check]:
+def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector) -> list[CheckFamily]:
     """Certify ``f^(n)(0) prod_{i<n} g^(i)(0) = 1`` for n = 1 .. len(f) - 1.
 
-    Row n passes when two residuals are at most 1e-9: the log residual
+    The family ``reciprocal-coefficient``, none when len(f) is 1.  Row n passes
+    when two residuals are at most 1e-9: the log residual
     ``|log|f^(n)(0)| + sum_{i<n} log|g^(i)(0)||`` over ``max(1, |log|f^(n)(0)||
     + sum_{i<n} |log|g^(i)(0)||)``, the scale its rounding error follows, and
     the phase residual ``arg f^(n)(0) + sum_{i<n} arg g^(i)(0)`` reduced to
     (-pi, pi].  A product of n terms, so no Fibonacci weight amplifies it.
     """
     n = len(f)
+    if n == 1:
+        return []
     lgf = _lgamma(np.arange(n) + 1.0)
     log_g = g.lm[: n - 1] + lgf[: n - 1]  # log |g^(i)(0)|, i < n - 1
     log_f = f.lm[1:] + lgf[1:]            # log |f^(n)(0)|, n >= 1
@@ -536,8 +543,8 @@ def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector) -> list[Check]:
     scale = np.maximum(1.0, np.abs(log_f) + np.cumsum(np.abs(log_g)))
     ph_res = np.abs(_norm_phases(f.phase[1:] + np.cumsum(g.phase[: n - 1])))
     resid = np.maximum(log_res / scale, ph_res)
-    return [check_leq("reciprocal-coefficient", r, 1e-9, "even-weight-unity", i)
-            for i, r in enumerate(resid.tolist(), 1)]
+    return [CheckFamily("reciprocal-coefficient", "even-weight-unity", 1, resid,
+                        np.full(n - 1, 1e-9))]
 
 
 def delta_d_pair(g: SeqVector):
@@ -548,7 +555,7 @@ def delta_d_pair(g: SeqVector):
     compensated prefix sums of the derivative logs.  Two certificate families
     (``verifies`` is ``even-weight-unity`` for both):
 
-    * ``reciprocal-exponent-telescopes``: in ``c_{2n}`` of the
+    * ``reciprocal-exponent-telescopes``, row n: in ``c_{2n}`` of the
       evaluation-times-derivative operator, the total exponent of every
       ``g^(i)(0)`` is 0 in big-integer arithmetic (the even-index Fibonacci
       sum identity), for every n in the truncation.  This is the exact step
@@ -589,8 +596,10 @@ def delta_d_pair(g: SeqVector):
     # values below it, which is 0 by the even-index sum identity
     N = 2 * (n - 1) if n >= 2 else 2
     fail = even_sum_failure(FibCache(N + 2), N // 2)
-    certs = [check_flag("reciprocal-exponent-telescopes", fail is None or m < fail,
-                        "even-weight-unity", 2 * m) for m in range(1, N // 2 + 1)]
+    m = np.arange(1, N // 2 + 1)
+    telescopes = np.ones(m.size, bool) if fail is None else m < fail
+    certs = [flag_family("reciprocal-exponent-telescopes", "even-weight-unity", 1,
+                         telescopes)]
     certs += reciprocal_coefficient_checks(g, vector_from_json(vector_to_json(f)))
     return f, certs
 
@@ -656,11 +665,13 @@ def hc_Q_blocks(K: int) -> QBlocks:
     the factorial-scaled test polynomial, :data:`Q_PAD` ones, and a free top
     coefficient, then solves the two monomial equations making the next two
     orbit weights equal to one (principal root branch).  Certified per block:
-    the two weights are 1 to 1e-8 in log magnitude and phase (checked
+    the two weights are 1 to 1e-8 in log magnitude and phase (``unit-weight``
+    row j, the worse of the weights of orders n_j + 1 and n_j + 2; checked
     through the two-term recursion on ``vector_from_json(vector_to_json(Q))``,
     which is what the written vector file holds: an independent route from the
     solver's direct exponent sums), and the solved coefficients obey
-    ``|alpha_{j+1}| <= C 2**(n_j + 1)``, ``|beta_{j+1}| <= C 2**n_{j+1}``.
+    ``|alpha_{j+1}| <= C 2**(n_j + 1)``, ``|beta_{j+1}| <= C 2**n_{j+1}``
+    (``alpha-bound`` and ``beta-bound`` row j + 1, none when K is 1).
 
     ``C`` is the smallest constant >= 1 with ``j**e_k <= C 2**j`` for all
     ``j, k >= 1``, where ``e_k = (F(k+1) - 1) / F(k)``; it is exactly 1, so
@@ -736,18 +747,20 @@ def hc_Q_blocks(K: int) -> QBlocks:
     one_fn = SeqVector.from_complex(SpaceTag.hc(1), [1.0])
     led = ledger(spec, (one_fn, vector_from_json(vector_to_json(Q))), ns[-1] + 2)
     verifies = "unit-weight-blocks"
-    certs = []
-    for j in range(K):
-        for off in (1, 2):
-            c = led.c(ns[j] + off)
-            worst = max(abs(c.log_mag), abs(c.phase))
-            certs.append(check_leq("unit-weight", worst, 1e-8, verifies, ns[j] + off))
+    weights = [led.c(n + off) for n in ns for off in (1, 2)]
+    worst = np.maximum(np.abs([c.log_mag for c in weights]),
+                       np.abs([c.phase for c in weights])).reshape(K, 2)
+    # row j: the worse of block j's two weights; np.maximum keeps a NaN
+    certs = [CheckFamily("unit-weight", verifies, 1,
+                         np.maximum(worst[:, 0], worst[:, 1]), np.full(K, 1e-8))]
     C_log = 0.0  # proved in the docstring
-    for j in range(1, K):
-        certs.append(check_leq("alpha-bound", alphas[j].log_mag,
-                               C_log + (ns[j - 1] + 1) * LN2, verifies, j + 1))
-        certs.append(check_leq("beta-bound", betas[j].log_mag,
-                               C_log + ns[j] * LN2, verifies, j + 1))
+    if K > 1:
+        certs.append(CheckFamily(
+            "alpha-bound", verifies, 2, np.array([a.log_mag for a in alphas[1:]]),
+            np.array([C_log + (ns[j - 1] + 1) * LN2 for j in range(1, K)])))
+        certs.append(CheckFamily(
+            "beta-bound", verifies, 2, np.array([b.log_mag for b in betas[1:]]),
+            np.array([C_log + ns[j] * LN2 for j in range(1, K)])))
     return QBlocks(Q, ns, alphas, betas, C_log, certs)
 
 
@@ -795,8 +808,8 @@ def symmetric_preimage_certificates(x0: SeqVector, rng):
     """Preimage pairs of ``x0`` for 20 random lam, each certified.
 
     lam has modulus uniform in [0.5, 8] and phase uniform in [-pi, pi], drawn
-    from ``rng`` in that order.  Row t, ``preimage-residual[t]``, is the
-    residual of :func:`symmetric_preimage` relative to ``||x0||`` (absolute
+    from ``rng`` in that order.  Row t of the family ``preimage-residual`` is
+    the residual of :func:`symmetric_preimage` relative to ``||x0||`` (absolute
     for a zero x0; an exactly zero residual reads -1e9), bounded by
     ``log 1e-12``.  Returns ``(x, y, certificates)`` with the pair of the
     first lam; row 0 reads that pair as
@@ -804,7 +817,7 @@ def symmetric_preimage_certificates(x0: SeqVector, rng):
     files hold.
     """
     base = norm(x0)
-    certs = []
+    rels = np.empty(20)
     for t in range(20):
         lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
                                               * np.exp(1j * rng.uniform(-np.pi, np.pi))))
@@ -814,9 +827,9 @@ def symmetric_preimage_certificates(x0: SeqVector, rng):
             resid = _preimage_residual(x0, *(vector_from_json(vector_to_json(v))
                                             for v in pair))
         rel = resid - base if base > LOG_ZERO else resid
-        certs.append(check_leq("preimage-residual", rel if rel > LOG_ZERO else -1e9,
-                               math.log(1e-12), "symmetric-preimage", t))
-    return (*pair, certs)
+        rels[t] = rel if rel > LOG_ZERO else -1e9
+    return (*pair, [CheckFamily("preimage-residual", "symmetric-preimage", 0, rels,
+                                np.full(20, math.log(1e-12)))])
 
 
 # ---------------------------------------------------------------------------

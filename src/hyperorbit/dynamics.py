@@ -777,11 +777,12 @@ def classify_orbit(orbit: OrbitBC, tol: float = 1e-12) -> OrbitClass:
     Convergence requires the last stretch of at least ``CONVERGENCE_RUN``
     norms to sit below ``tol`` and be monotone non-increasing through the
     last state (a transient dip is not convergence).  Any norm above
-    ``1/tol`` classifies as escaping.  ``tol`` must pass :func:`checked_tol`.
+    ``1/tol`` classifies as escaping.  An orbit with no state or with a NaN
+    norm is undecided.  ``tol`` must pass :func:`checked_tol`.
     """
     log_tol = math.log(checked_tol(tol))
     norms = [norm(s) for s in orbit.states]
-    if not norms:
+    if not norms or any(math.isnan(v) for v in norms):
         return OrbitClass.UNDECIDED
 
     if any(v > -log_tol for v in norms):

@@ -7,14 +7,11 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 
 import numpy as np
 
 
 def _num(x):
-    if x is None:
-        return None
     if math.isnan(x):
         return "nan"  # strict JSON has no NaN, as it has no infinity
     if math.isinf(x):
@@ -24,35 +21,30 @@ def _num(x):
 
 @dataclass(slots=True)
 class Check:
-    """One verified inequality or equality, with its measured value and bound.
+    """One verified inequality ``measured <= bound``; a NaN fails it.
 
     ``verifies`` is a stable identifier of the property being checked, so
-    reports can be compared across runs and versions.  ``index`` locates one
-    instance of a per-index family (a block, a coordinate, a step); the report
-    names it ``name[index]``.
+    reports can be compared across runs and versions.  A property checked per
+    index (a block, a coordinate, a step) is a :class:`CheckFamily`.
     """
 
     name: str
-    status: str              # "pass" | "fail" | "skip"
-    measured: float | None = None
-    bound: float | None = None
-    verifies: str = ""
-    index: int | None = None
+    measured: float
+    bound: float
+    verifies: str
 
     @property
     def ok(self) -> bool:
-        return self.status != "fail"
+        return self.measured <= self.bound
 
     @property
-    def margin(self) -> float | None:
-        if self.measured is None or self.bound is None:
-            return None
+    def margin(self) -> float:
         return self.measured - self.bound
 
     def to_json(self) -> dict:
         return {
-            "name": self.name if self.index is None else f"{self.name}[{self.index}]",
-            "status": self.status,
+            "name": self.name,
+            "status": "pass" if self.ok else "fail",
             "measured": _num(self.measured),
             "bound": _num(self.bound),
             "margin": _num(self.margin),
@@ -60,17 +52,13 @@ class Check:
         }
 
 
-def check_leq(name: str, measured: float, bound: float, verifies: str = "",
-              index: int | None = None) -> Check:
-    measured, bound = float(measured), float(bound)
-    return Check(name, "pass" if measured <= bound else "fail", measured, bound,
-                 verifies, index)
+def check_leq(name: str, measured: float, bound: float, verifies: str) -> Check:
+    return Check(name, float(measured), float(bound), verifies)
 
 
-def check_flag(name: str, ok: bool, verifies: str = "",
-               index: int | None = None) -> Check:
-    return Check(name, "pass" if ok else "fail", 0.0 if ok else 1.0, 0.0, verifies,
-                 index)
+def check_flag(name: str, ok: bool, verifies: str) -> Check:
+    """A yes/no property as a check: measured 0 (yes) or 1 (no) against 0."""
+    return Check(name, 0.0 if ok else 1.0, 0.0, verifies)
 
 
 @dataclass(slots=True)
@@ -117,6 +105,13 @@ class CheckFamily:
         }
 
 
+def flag_family(name: str, verifies: str, first: int, ok) -> CheckFamily:
+    """Per-index yes/no properties as a family: measured 0 (yes) or 1 (no)
+    against 0, as :func:`check_flag` makes one."""
+    ok = np.asarray(ok, dtype=bool)
+    return CheckFamily(name, verifies, first, np.where(ok, 0.0, 1.0), np.zeros(ok.size))
+
+
 def _nums(values: np.ndarray) -> list:
     """``_num(v)`` for each v of a float column."""
     out = values.tolist()
@@ -156,19 +151,14 @@ class RunReport:
     def status(self) -> str:
         return "pass" if self.ok else "fail"
 
-    def _fields(self) -> dict:
+    def to_json(self) -> dict:
         return {
             "command": self.command,
             "parameters": self.parameters,
             "status": self.status,
-            "checks": self.checks,
+            "checks": [c.to_json() for c in self.checks],
             "wall_time": self.wall_time,
         }
-
-    def to_json(self) -> dict:
-        out = self._fields()
-        out["checks"] = [c.to_json() for c in self.checks]
-        return out
 
     def write(self, path=None) -> None:
         """Write the report as JSON to ``path`` (stdout when ``None``).
@@ -178,10 +168,10 @@ class RunReport:
         text equals :meth:`to_json`, key order included.
         """
         parts = []
-        for key, value in self._fields().items():
+        for key, value in self.to_json().items():
             parts.append((",\n  " if parts else "{\n  ") + json.dumps(key) + ": ")
             if key == "checks":
-                lines = ",\n    ".join(_entry_lines(value))
+                lines = ",\n    ".join(map(json.dumps, value))
                 parts.append(f"[\n    {lines}\n  ]" if value else "[]")
             else:
                 parts.append(json.dumps(value, indent=2).replace("\n", "\n  "))
@@ -191,27 +181,3 @@ class RunReport:
         else:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.writelines(parts)
-
-
-def _line(name, status, measured, bound, margin, verifies) -> str:
-    """One check's report line from its six fields, each already JSON text:
-    the text ``json.dumps`` writes for the check's :meth:`Check.to_json` dict."""
-    return (f'{{"name": {name}, "status": {status}, "measured": {measured}, '
-            f'"bound": {bound}, "margin": {margin}, "verifies": {verifies}}}')
-
-
-def _value_text(x) -> str:
-    """``json.dumps(x)`` for a value of :meth:`Check.to_json`."""
-    return float.__repr__(x) if isinstance(x, float) else json.dumps(x)
-
-
-def _entry_lines(checks):
-    """``json.dumps(c.to_json())`` for each entry; a row's line is built from
-    its fields."""
-    for c in checks:
-        if isinstance(c, CheckFamily):
-            yield json.dumps(c.to_json())
-        else:
-            name, status, measured, bound, margin, verifies = c.to_json().values()
-            yield _line(_json_str(name), _json_str(status), _value_text(measured),
-                        _value_text(bound), _value_text(margin), _json_str(verifies))

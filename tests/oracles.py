@@ -97,3 +97,15 @@ def integral(v: SeqVector) -> SeqVector:
     if v.space.kind != "hc":
         raise WrongSpaceError("integral is defined on hc-tagged vectors")
     return forward_shift(v, WeightSeq.linear())
+
+
+def entry(checks, name):
+    """The one report entry called ``name``: a row or a family."""
+    (found,) = [c for c in checks if c.name == name]
+    return found
+
+
+def failures(checks):
+    """``(name, failing indices)`` of each failing entry, in report order; a
+    row, which has no index, gives None."""
+    return [(c.name, c.to_json().get("failing")) for c in checks if not c.ok]

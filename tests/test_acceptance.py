@@ -42,7 +42,7 @@ from hyperorbit.dynamics import (
 from hyperorbit.rational import qvec
 from hyperorbit.report import CheckFamily
 from hyperorbit.spaces import SeqVector, SpaceTag
-from oracles import steering_exact
+from oracles import entry, steering_exact
 
 L1 = SpaceTag.l1()
 HC = SpaceTag.hc(1)
@@ -154,8 +154,7 @@ def test_07_reciprocal_pair_unity():
                   for i in range(31)]
         g = SeqVector.from_complex(HC, coeffs)
         _, certs = delta_d_pair(g)
-        worst = max(worst, max(c.measured for c in certs
-                               if c.name == "reciprocal-coefficient"))
+        worst = max(worst, entry(certs, "reciprocal-coefficient").measured.max())
         assert all(c.ok for c in certs)
     dt = time.perf_counter() - t0
     _report(7, worst <= 1e-9,

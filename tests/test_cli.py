@@ -18,6 +18,7 @@ from hyperorbit import arith, cli, conjugation, constructions, rational, spaces
 from hyperorbit.arith import LogComplex, normalize_phase
 from hyperorbit.cli import main
 from hyperorbit.constructions import companion_x, factorial_tail_direction, phi_map
+from hyperorbit.dynamics import iterate_bc, m_symmetric
 from hyperorbit.rational import QComplex, q_coord_from_json, q_iterate
 from hyperorbit.report import Check, CheckFamily, RunReport, check_flag, check_leq
 from hyperorbit.spaces import (
@@ -51,6 +52,13 @@ def run(args, tmp_path, name="report.json"):
     rc = main(list(args) + ["--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return rc, report
+
+
+def _failing(report):
+    """``(name, failing indices)`` of each failing entry of a written report;
+    a row, which has no index, gives None."""
+    return [(c["name"], c.get("failing")) for c in report["checks"]
+            if c["status"] == "fail"]
 
 
 class TestExitCodes:
@@ -301,6 +309,20 @@ class TestOrbitCommand:
         agree = [c for c in rep["checks"] if c["name"] == "closed-form-agreement"]
         assert len(agree) == 1 and agree[0]["status"] == "pass"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_orbit_is_undecided(self, tmp_path):
+        # every log at -1e307: the Fibonacci-weighted logs overflow and the
+        # norms are NaN from state 6 on, which says nothing about boundedness
+        v = SeqVector(L1, np.full(30, -1e307), np.zeros(30), np.zeros(30))
+        orbit = iterate_bc(m_symmetric(), (v, v), 12)
+        nan = [math.isnan(spaces.norm(s)) for s in orbit.states]
+        assert nan == [False] * 5 + [True] * 7
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"vectors": [vector_to_json(v)] * 2}))
+        rc, rep = run(["orbit", "--operator", "m_symmetric", "--init", str(init),
+                       "--steps", "12"], tmp_path)
+        assert rc == 0 and rep["parameters"]["classification"] == "undecided"
+
     def test_zero_init_trace(self, tmp_path):
         init = tmp_path / "zero.json"
         init.write_text(json.dumps({"vectors": [
@@ -420,8 +442,9 @@ class TestBuildCommand:
                       tmp_path)
         assert rc == 0 and rep["status"] == "pass"
         assert os.path.exists(tmp_path / "universal_y.json")
-        names = {c["name"].split("[")[0] for c in rep["checks"]}
-        assert {"block-norm", "phi-bound", "universality-residual"} <= names
+        assert [c["name"] for c in rep["checks"]] == [
+            "block-norm", "phi-bound", "universality-residual", "l1-norm",
+            "gap-minimality", "gap-monotone"]
 
     def test_companion_with_zero_coordinate_fails(self, tmp_path):
         y = tmp_path / "y.json"
@@ -450,8 +473,9 @@ class TestBuildCommand:
         rc, rep = run(["build", "--target", "symmetric_preimage",
                        "--init", str(x0)], tmp_path)
         assert rc == 0 and rep["status"] == "pass"
-        assert len([c for c in rep["checks"]
-                    if c["name"].startswith("preimage-residual")]) == 20
+        (family,) = rep["checks"]
+        assert (family["name"], family["first"], len(family["measured"])) == (
+            "preimage-residual", 0, 20)
 
     def test_q_blocks(self, tmp_path):
         rc, rep = run(["build", "--target", "q_blocks", "--blocks", "3"],
@@ -554,10 +578,10 @@ class TestDeltaDFile:
         # 1e-6 rad, it moves the phase residual by 1e-6
         g, path = written
         _edit_coord(path, k, factor)
-        certs = constructions.reciprocal_coefficient_checks(g, read_vector(path))
-        assert [(c.name, c.index) for c in certs if not c.ok] == [
-            ("reciprocal-coefficient", k)]
-        assert certs[k - 1].measured == pytest.approx(measured, rel=0.05)
+        (family,) = constructions.reciprocal_coefficient_checks(g, read_vector(path))
+        assert (family.name, family.first) == ("reciprocal-coefficient", 1)
+        assert family.to_json()["failing"] == [k]
+        assert family.measured[k - 1] == pytest.approx(measured, rel=0.05)
 
 
 class TestWrittenFiles:
@@ -967,7 +991,7 @@ class TestMutationTable:
         if mutate is not None:
             mutate(monkeypatch, path, args)
         rc, rep = run(args, tmp_path)
-        return rc, {(c["name"].split("[")[0], c["status"]) for c in rep["checks"]}
+        return rc, {(c["name"], c["status"]) for c in rep["checks"]}
 
     @pytest.mark.parametrize("target", sorted(MUTATIONS))
     def test_table_covers_every_emitted_name(self, target, tmp_path, monkeypatch):
@@ -990,23 +1014,23 @@ class TestMutationTable:
         _edit_written_x(monkeypatch, path, args)
         rc, rep = run(["build", "--target", "companion"] + args, tmp_path)
         assert rc == 1
-        assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == [
-            f"recursion-identity[{n}]" for n in range(5, 16)]
+        assert _failing(rep) == [("recursion-identity", list(range(5, 16)))]
 
     @pytest.mark.parametrize("target, failing", [
-        ("q_blocks", [f"unit-weight[{n}]" for n in (4, 5, 17, 18, 31, 32)]),
-        ("symmetric_preimage", ["preimage-residual[0]"])])
+        ("q_blocks", [("unit-weight", [1, 2, 3])]),
+        ("symmetric_preimage", [("preimage-residual", [0])])])
     def test_written_vector_off_by_half_fails(self, target, failing, tmp_path,
                                               monkeypatch):
         # the rows read the vectors as the files hold them: with coordinate 2
-        # of q_universal.json off by 50 %, every unit weight fails; with it off
-        # in preimage_x.json and preimage_y.json, the row of the written pair
+        # of q_universal.json off by 50 %, the unit weights of every block
+        # fail; with it off in preimage_x.json and preimage_y.json, the row of
+        # the written pair
         path = tmp_path / "input.json"
         args = _target_input(target, path)
         _faulty_writer(monkeypatch, 2, 1.5)
         rc, rep = run(["build", "--target", target] + args, tmp_path)
         assert rc == 1
-        assert [c["name"] for c in rep["checks"] if c["status"] == "fail"] == failing
+        assert _failing(rep) == failing
 
     def test_written_universal_vector_fails_like_its_edit(self, tmp_path, monkeypatch):
         # the rows read z as universal_y.json holds it: z_95 times 10 in the
@@ -1019,8 +1043,9 @@ class TestMutationTable:
                 mutate(mp, None, args)
                 (tmp_path / name).mkdir()
                 rc, rep = run(args, tmp_path / name)
-            failing[name] = rc, [c["name"] for c in rep["checks"] if c["status"] == "fail"]
-        assert failing["built"] == failing["written"] == (1, ["universality-residual[2]"])
+            failing[name] = rc, _failing(rep)
+        assert failing["built"] == failing["written"] == (
+            1, [("universality-residual", [2])])
         z = constructions.gap_schedule_search(3).z
         lm = read_vector(tmp_path / "written" / "universal_y.json").lm
         assert lm[94] == pytest.approx(z.lm[94] + math.log(10.0), rel=1e-15)
@@ -1181,13 +1206,26 @@ class TestJuliaCommand:
         assert "bad-bracket" not in capsys.readouterr().err
 
 
+ROW_KEYS = ["name", "status", "measured", "bound", "margin", "verifies"]
+FAMILY_KEYS = ["name", "status", "verifies", "first", "measured", "bound", "failing",
+               "worst_index", "worst_margin"]
+BUILD_TARGETS = sorted(set(MUTATIONS) - set(SUBCOMMANDS))
+
+
 class TestReportContract:
     def test_every_check_names_its_property(self, tmp_path):
-        rc, rep = run(["identities", "--max-n", "40"], tmp_path)
-        for c in rep["checks"]:
-            assert c["verifies"]
-            assert c["status"] in ("pass", "fail", "skip")
-            assert "measured" in c and "bound" in c and "margin" in c
+        # every subcommand and build target: one entry per name, a row or a
+        # family, each naming the property it verifies
+        for target in sorted(MUTATIONS):
+            rc, rep = run(_command(target, tmp_path / f"{target}.json"), tmp_path,
+                          f"{target}_report.json")
+            assert rc == 0 and rep["checks"], target
+            names = [c["name"] for c in rep["checks"]]
+            assert len(set(names)) == len(names), target
+            for c in rep["checks"]:
+                assert "[" not in c["name"] and c["verifies"], (target, c["name"])
+                assert c["status"] in ("pass", "fail"), (target, c["name"])
+                assert list(c) in (ROW_KEYS, FAMILY_KEYS), (target, c["name"])
 
     def test_deterministic_reports(self, init_file, tmp_path):
         rc1, rep1 = run(["orbit", "--operator", "m_l1", "--init", init_file,
@@ -1196,6 +1234,14 @@ class TestReportContract:
                          "--steps", "20"], tmp_path, "b.json")
         rep1.pop("wall_time"), rep2.pop("wall_time")
         assert rep1 == rep2
+        # and every build target, from one input file
+        assert len(BUILD_TARGETS) == 5
+        for target in BUILD_TARGETS:
+            args = _command(target, tmp_path / f"{target}.json")
+            reports = [run(args, tmp_path, f"{target}_{k}.json")[1] for k in range(2)]
+            for report in reports:
+                report.pop("wall_time")
+            assert reports[0] == reports[1], target
 
     def test_report_records_every_option(self, tmp_path):
         # each option other than --out and --trace is a key of the report's
@@ -1231,11 +1277,11 @@ def _report_with_checks(checks):
 
 class TestReportLayout:
     AWKWARD = [
-        check_leq("plain", 0.5, 1.0, "p", 3),
+        check_leq("plain", 0.5, 1.0, "p"),
         check_leq("inf-bound", 2.0, math.inf, "p"),
-        Check('brace}, {"name": "x"', "fail", None, -math.inf, 'quote " and \\ }, {"'),
-        Check("unicode-é≤", "skip", verifies="line\nbreak"),
-        check_flag("flag", True, "f", 0),
+        Check('brace}, {"name": "x"', math.nan, -math.inf, 'quote " and \\ }, {"'),
+        Check("unicode-é≤", 1.0, 0.0, "line\nbreak"),
+        check_flag("flag", True, "f"),
     ]
 
     # columns of indices 3 .. 9: NaN fails its row; inf <= inf passes, with a
@@ -1295,15 +1341,15 @@ class TestReportLayout:
             raise ValueError(f"non-standard JSON constant {constant}")
 
         entry = json.loads(line.strip().rstrip(","), parse_constant=reject)
-        rows_ = [check_leq(fam.name, m, b, fam.verifies, fam.first + k)
-                 for k, (m, b) in enumerate(zip(fam.measured, fam.bound))]
+        rows_ = [check_leq(fam.name, m, b, fam.verifies)
+                 for m, b in zip(fam.measured, fam.bound)]
         row_json = [c.to_json() for c in rows_]
         # each value has the text the row would write for it
         for key in ("measured", "bound"):
             assert json.dumps(entry[key]) == json.dumps([r[key] for r in row_json])
-        assert entry["failing"] == [c.index for c in rows_ if not c.ok]
+        assert entry["failing"] == [fam.first + k for k, c in enumerate(rows_) if not c.ok]
         assert entry["status"] == rep.status == "fail" and not rep.ok
-        assert (rows_[0].status, rows_[-1].status) == ("fail", "pass")  # NaN, inf <= inf
+        assert (rows_[0].ok, rows_[-1].ok) == (False, True)  # NaN, inf <= inf
         margins = [c.margin for c in rows_]
         nans = [k for k, m in enumerate(margins) if math.isnan(m)]
         worst = nans[0] if nans else max(range(rows), key=margins.__getitem__)
@@ -1312,16 +1358,16 @@ class TestReportLayout:
 
     def test_family_is_one_entry_with_the_status_of_its_rows(self):
         fam = self.FAMILY
-        rows = [check_leq(fam.name, m, b, fam.verifies, fam.first + k)
-                for k, (m, b) in enumerate(zip(fam.measured, fam.bound))]
-        assert [c.status for c in rows] == ["fail", "pass", "pass", "fail", "pass",
-                                            "fail", "pass"]
+        rows = [check_leq(fam.name, m, b, fam.verifies)
+                for m, b in zip(fam.measured, fam.bound)]
+        assert [c.to_json()["status"] for c in rows] == [
+            "fail", "pass", "pass", "fail", "pass", "fail", "pass"]
         assert len(fam) == 7 and not fam.ok
         assert fam.to_json() == {
             "name": "col", "status": "fail", "verifies": "c", "first": 3,
             "measured": ["nan", "-inf", 2.0, 3.5, -1e-300, 0.1 + 0.2, "inf"],
             "bound": [1.0, 0.0, "inf", 3.0, 0.0, 0.3, "inf"],
-            "failing": [c.index for c in rows if not c.ok],
+            "failing": [3, 6, 8],
             # a NaN margin counts as the largest
             "worst_index": 3, "worst_margin": "nan"}
         # without a NaN, the largest margin of the rows and its index
@@ -1341,7 +1387,7 @@ class TestReportLayout:
     def test_nan_measurement_fails_and_stays_strict_json(self, tmp_path):
         rep = _report_with_checks([check_leq("nan", math.nan, 1e-9, "p"),
                                    check_leq("inf", -math.inf, 1e-9, "p")])
-        assert [c.status for c in rep.checks] == ["fail", "pass"] and not rep.ok
+        assert [c.ok for c in rep.checks] == [False, True] and not rep.ok
         rep.write(tmp_path / "r.json")
 
         def reject(constant):

@@ -38,7 +38,7 @@ from hyperorbit.errors import (
     ZeroCoordinateError,
 )
 from hyperorbit.rational import QComplex, q_iterate, qvec
-from hyperorbit.report import Check
+from hyperorbit.report import Check, check_flag
 from hyperorbit.spaces import (
     SeqVector,
     SpaceTag,
@@ -47,7 +47,7 @@ from hyperorbit.spaces import (
     forward_pow,
     norm,
 )
-from oracles import primitive_block, retag, steering_exact, to_complex
+from oracles import entry, failures, primitive_block, retag, steering_exact, to_complex
 
 L1 = SpaceTag.l1()
 HC = SpaceTag.hc(1)
@@ -109,10 +109,9 @@ class TestCompanion:
     def test_recursion_route_small_n(self):
         rng = np.random.default_rng(30)
         y = cvec(rng.uniform(0.4, 2.5, 50) * np.exp(1j * rng.uniform(-3, 3, 50)))
-        certs = weight_identity_recursion_error(companion_x(y), y, 15)
-        assert [(c.name, c.index) for c in certs] == [
-            ("recursion-identity", n) for n in range(1, 16)]
-        assert all(c.ok for c in certs)
+        family = weight_identity_recursion_error(companion_x(y), y, 15)
+        assert (family.name, family.first, len(family)) == ("recursion-identity", 1, 15)
+        assert family.ok
 
     def test_exact_route_certificates(self):
         certs = weight_identity_certificates(60)
@@ -134,9 +133,8 @@ class TestCompanion:
         oracle = [all(cache(2 * n + 3 - 2 * l) - 1 - cache(2 * (n - l + 1))
                       - cache(2 * (n - l) + 1) == -1 for l in range(1, n + 1))
                   for n in range(1, n_max + 1)]
-        certs = weight_identity_certificates(n_max)
-        rows = [(c.index, c.ok) for c in certs if c.name == "w-exponent-is-minus-one"]
-        assert rows == list(zip(range(1, n_max + 1), oracle))
+        family = entry(weight_identity_certificates(n_max), "w-exponent-is-minus-one")
+        assert family.first == 1 and family.passed.tolist() == oracle
         assert all(oracle) == (corrupt is None)
 
     @pytest.mark.parametrize("off_at", [None, 1, 37, 200])
@@ -151,21 +149,17 @@ class TestCompanion:
         a = constructions.a_closed
         oracle = [sum(a(i) * cache(2 * (n - i) + 1) for i in range(1, n + 1)) == n
                   for n in range(1, n_max + 1)]
-        rows = [(c.index, c.ok) for c in weight_identity_certificates(n_max)
-                if c.name == "two-exponent-is-n"]
-        assert rows == list(zip(range(1, n_max + 1), oracle))
+        family = entry(weight_identity_certificates(n_max), "two-exponent-is-n")
+        assert family.first == 1 and family.passed.tolist() == oracle
         assert all(oracle) == (off_at is None)
 
     def test_closed_form_off_by_one_fails_two_exponent(self, monkeypatch):
         # negative control: a_37 one too large breaks sum_i a_i F(2(n-i)+1) = n
-        # from n = 37 on, and that is the first certificate to fail
+        # from n = 37 on, and that is the only family to fail
         exact = constructions.a_closed
         monkeypatch.setattr(constructions, "a_closed", lambda n: exact(n) + (n == 37))
-        certs = weight_identity_certificates(60)
-        first = next(c for c in certs if not c.ok)
-        assert (first.name, first.index) == ("two-exponent-is-n", 37)
-        assert [c.index for c in certs
-                if c.name == "two-exponent-is-n" and not c.ok] == list(range(37, 61))
+        assert failures(weight_identity_certificates(60)) == [
+            ("two-exponent-is-n", list(range(37, 61)))]
 
 
 class TestPhiMap:
@@ -337,15 +331,17 @@ class TestUniversalVector:
 
     def test_residuals_shrink_with_block(self, built):
         _, _, certs = built
-        res = {c.index: c.measured for c in certs
-               if c.name == "universality-residual"}
-        assert res[2] <= res[1] and res[3] <= res[2]
+        family = entry(certs, "universality-residual")
+        assert family.first == 1 and len(family) == 3
+        res = family.measured
+        assert res[1] <= res[0] and res[2] <= res[1]
 
     def test_block_norm_bounds(self, built):
         _, _, certs = built
-        for c in certs:
-            if c.name == "block-norm":
-                assert c.measured <= -2 * math.log(c.index) + 1e-12
+        family = entry(certs, "block-norm")
+        assert family.first == 1 and len(family) == 3
+        for j, measured in enumerate(family.measured, 1):
+            assert measured <= -2 * math.log(j) + 1e-12
 
     def test_total_norm_finite(self, built):
         _, z, certs = built
@@ -355,28 +351,28 @@ class TestUniversalVector:
 
 
 class TestCertificateFailures:
-    """Negative controls: each certificate family fails on a broken input as a
-    failing row, with the name, index, measured value and bound of the first
-    failure; the builder does not raise."""
-
-    @staticmethod
-    def first_failure(certs):
-        return next(c for c in certs if not c.ok)
+    """Negative controls: each certificate family fails on a broken input at
+    the indices it lists as failing, with the measured value and bound of the
+    first; the builder does not raise."""
 
     def test_weight_identity_wrong_weights(self, monkeypatch):
         monkeypatch.setattr(WeightSeq, "inv_squares", staticmethod(WeightSeq.linear))
-        first = self.first_failure(weight_identity_certificates(20))
-        assert (first.name, first.index, first.bound) == ("weight-identity-value", 2, 1e-8)
-        # w_l = l: the surviving value is log 2 against the closed form 4 log 2
-        assert first.measured == pytest.approx(0.75, rel=1e-12)
+        certs = weight_identity_certificates(20)
+        assert failures(certs) == [("weight-identity-value", list(range(2, 21)))]
+        family = entry(certs, "weight-identity-value")
+        # w_l = l: at n = 2 the surviving value is log 2 against the closed form
+        # 4 log 2
+        assert family.bound[1] == 1e-8
+        assert family.measured[1] == pytest.approx(0.75, rel=1e-12)
 
     def test_universal_vector_wrong_weights(self, built, monkeypatch):
         sch = built[0]
         _unit_weights(monkeypatch)
-        first = self.first_failure(universal_y_l1(sch))
-        assert (first.name, first.index) == ("universality-residual", 2)
-        assert first.bound == pytest.approx(math.log(2.0 * (math.pi ** 2 / 6 - 1.0)))
-        assert first.measured > first.bound
+        certs = universal_y_l1(sch)
+        assert failures(certs) == [("universality-residual", [2, 3])]
+        family = entry(certs, "universality-residual")
+        assert family.bound[1] == pytest.approx(math.log(2.0 * (math.pi ** 2 / 6 - 1.0)))
+        assert family.measured[1] > family.bound[1]
 
     @pytest.mark.parametrize("idx, measured", [
         (1, 1.0e-6), (5, 5.0e-7), (20, 5.0e-7), (43, 5.0e-7)])
@@ -394,18 +390,50 @@ class TestCertificateFailures:
         monkeypatch.setattr(constructions, "_dd_cumsum_neg", perturbed)
         g = stacked_primitive_g(8)
         _, certs = delta_d_pair(g)
-        first = self.first_failure(certs)
-        assert (first.name, first.index, first.bound) == ("reciprocal-coefficient", idx, 1e-9)
-        assert first.measured == pytest.approx(measured, rel=1e-3)
-        assert [c.index for c in certs if not c.ok] == [idx]
+        assert failures(certs) == [("reciprocal-coefficient", [idx])]
+        family = entry(certs, "reciprocal-coefficient")
+        assert (family.first, family.bound[idx - 1]) == (1, 1e-9)
+        assert family.measured[idx - 1] == pytest.approx(measured, rel=1e-3)
+
+
+class TestUnitWeightNaN:
+    """A NaN in either part of either weight of a block fails that block's
+    ``unit-weight`` row, and only that row."""
+
+    @pytest.mark.parametrize("off, part", [(1, "log_mag"), (1, "phase"),
+                                           (2, "log_mag"), (2, "phase")])
+    def test_nan_weight_fails_its_block(self, off, part, monkeypatch):
+        order = hc_Q_blocks(3).ns[1] + off  # a weight of block 2
+        build = constructions.ledger
+
+        def with_nan(*args):
+            led = build(*args)
+            c = led.c
+
+            def patched(n):
+                w = c(n)
+                if n != order:
+                    return w
+                parts = {"log_mag": w.log_mag, "phase": w.phase, part: math.nan}
+                return LogComplex(parts["log_mag"], parts["phase"])
+
+            led.c = patched
+            return led
+
+        monkeypatch.setattr(constructions, "ledger", with_nan)
+        assert failures(hc_Q_blocks(3).certificates) == [("unit-weight", [2])]
 
 
 class TestCheck:
-    def test_indexed_name_and_ok(self):
-        c = Check("x", "pass", 1.0, 2.0, "v", 3)
-        assert c.to_json()["name"] == "x[3]"
-        assert Check("x", "pass").to_json()["name"] == "x"
-        assert c.ok and Check("x", "skip").ok and not Check("x", "fail").ok
+    def test_status_follows_measured_and_bound(self):
+        assert Check("x", 1.0, 2.0, "v").to_json() == {
+            "name": "x", "status": "pass", "measured": 1.0, "bound": 2.0,
+            "margin": -1.0, "verifies": "v"}
+        assert Check("x", 2.0, 2.0, "v").ok and Check("x", math.inf, math.inf, "v").ok
+        assert not Check("x", 2.5, 2.0, "v").ok
+        nan = Check("x", math.nan, 2.0, "v")
+        assert not nan.ok and nan.to_json()["status"] == "fail"
+        assert check_flag("x", True, "v").ok and not check_flag("x", False, "v").ok
 
 
 class TestSteering:
@@ -498,8 +526,10 @@ class TestReciprocalPair:
         # f = 1 and no coefficient to relate; the one exponent row still runs
         f, certs = delta_d_pair(cvec([2.0], HC))
         assert to_complex(f.coord(1)) == 1.0
-        assert [(c.name, c.index) for c in certs] == [
-            ("reciprocal-exponent-telescopes", 2)]
+        # row 1 certifies c_2
+        (family,) = certs
+        assert (family.name, family.first, len(family), family.ok) == (
+            "reciprocal-exponent-telescopes", 1, 1, True)
 
     def test_stacked_primitive_residual_decreases(self):
         blocks = 9
@@ -532,15 +562,16 @@ class TestUniversalEntireFunction:
     def test_three_blocks_certified(self):
         qb = hc_Q_blocks(3)
         assert all(c.ok for c in qb.certificates)
-        units = [c for c in qb.certificates if c.name == "unit-weight"]
-        assert len(units) == 6
-        assert max(c.measured for c in units) <= 1e-8
+        units = entry(qb.certificates, "unit-weight")
+        assert (units.first, len(units)) == (1, 3)  # row j: both weights of block j
+        assert units.measured.max() <= 1e-8
 
     def test_coefficient_bounds(self):
         qb = hc_Q_blocks(3)
-        for c in qb.certificates:
-            if c.name in ("alpha-bound", "beta-bound"):
-                assert c.measured <= c.bound
+        for name in ("alpha-bound", "beta-bound"):
+            family = entry(qb.certificates, name)
+            assert (family.first, len(family)) == (2, 2)
+            assert np.all(family.measured <= family.bound)
 
     def test_coefficient_constant_is_one(self):
         # the scan the constant replaces: max over j, k of
@@ -611,9 +642,10 @@ class TestSymmetricPreimage:
         # 20 rows, one per lam; the returned pair is the first lam's
         x0 = cvec([1.0, -2.0, 0.25])
         x, y, certs = symmetric_preimage_certificates(x0, np.random.default_rng(35))
-        assert [(c.name, c.index, c.verifies) for c in certs] == [
-            ("preimage-residual", t, "symmetric-preimage") for t in range(20)]
-        assert all(c.ok for c in certs)
+        (family,) = certs
+        assert (family.name, family.verifies, family.first, len(family)) == (
+            "preimage-residual", "symmetric-preimage", 0, 20)
+        assert family.ok
         rng = np.random.default_rng(35)
         lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
                                               * np.exp(1j * rng.uniform(-np.pi, np.pi))))

@@ -396,7 +396,7 @@ class TestClosedFormBlock:
         orbit.states[4] = SeqVector(s.space, hi, s.lo, s.phase)
         worst = closed_form_agreement(orbit, closed_form_state)
         assert math.isnan(worst)
-        assert not check_leq("closed-form-agreement", worst, 1e-9).ok
+        assert not check_leq("closed-form-agreement", worst, 1e-9, "orbit-closed-form").ok
 
 
 class TestTreeOrbit:

@@ -8,7 +8,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperorbit"
-SETTABLE_VALUES = 24
+SETTABLE_VALUES = 20
 
 
 def count_settable_values(root: Path) -> int:
