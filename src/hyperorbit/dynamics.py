@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .arith import LOG_ZERO, FibCache, LogComplex, logc_prod
+from .arith import LOG_ZERO, FibCache, LogComplex, logc_prod, normalize_phase
 from .errors import ParameterRangeError, UnsupportedFormError, WrongSpaceError
 from .report import Check, check_leq
 from .spaces import (
@@ -528,7 +528,7 @@ def _quant_keys(hi, lo, phase, q: float):
     bytes: windows that differ only by trailing exact zeros describe the same
     state and key alike, so padding to a common ``n`` changes no key.
     """
-    live = ~np.isneginf(hi)
+    live = hi != LOG_ZERO
     keys = np.empty(hi.shape + (2,))
     keys[..., 0] = np.where(live, np.rint((hi + lo) / q) + 0.0, LOG_ZERO)
     keys[..., 1] = np.where(live, np.rint(phase / q) + 0.0, 0.0)
@@ -556,24 +556,34 @@ def _first_rows(keys: np.ndarray) -> np.ndarray:
     return np.sort(first)
 
 
-def _quant_distance(a: SeqVector, b: SeqVector) -> float:
+def _quant_distance(a: SeqVector, b: SeqVector):
+    """Largest gap of log magnitude or of wrapped phase between ``a`` and
+    ``b`` over their live coordinates, both padded alike with exact zeros:
+    ``inf`` where their exact zeros differ, 0.0 where none is live.
+
+    ``b`` may be a block; then one masked pass gives one distance per row.
+    """
     n = max(len(a), len(b))
     a, b = a._padded(n), b._padded(n)
     la, lb = a.lm, b.lm
-    za, zb = np.isneginf(la), np.isneginf(lb)
-    if not np.array_equal(za, zb):
-        return math.inf
+    za, zb = la == LOG_ZERO, lb == LOG_ZERO
     live = ~za
-    if not live.any():
-        return 0.0
-    dl = np.max(np.abs(la[live] - lb[live]))
-    dp = np.max(np.abs(np.angle(np.exp(1j * (a.phase[live] - b.phase[live])))))
-    return max(float(dl), float(dp))
+    with np.errstate(invalid="ignore"):  # -inf - -inf, off the live mask
+        dl = np.max(np.abs(la - lb), axis=-1, where=live, initial=0.0)
+    dp = np.max(np.abs(np.angle(np.exp(1j * (a.phase - b.phase)))), axis=-1,
+                where=live, initial=0.0)
+    return np.where((za == zb).all(axis=-1), np.maximum(dl, dp), math.inf)
 
 
 @dataclass
 class OrbitTreeGK:
     """Levels of the pairwise-image orbit tree with quantized deduplication.
+
+    The kept states are one block (see :class:`SeqVector`): ``states`` holds
+    them as rows in the order they were kept, padded with canonical zeros to
+    the wider initial vector, and ``lens`` their true lengths.  Each level
+    keeps the previous one and appends its new states, so level l is the
+    first ``level_sizes[l]`` rows, an aborted level too.
 
     Per level, ``candidate_counts`` states were generated: the previous
     level's states plus one image per ordered pair.  Each is kept (it is in
@@ -585,7 +595,9 @@ class OrbitTreeGK:
 
     spec: MultilinearSpec
     q: float
-    levels: list            # list of list[SeqVector]
+    states: SeqVector       # (K, W) block of every kept state
+    lens: np.ndarray        # true length of each row of ``states``
+    level_sizes: list       # rows of ``states`` in each level
     hash_sets: list         # list of set[bytes], keys from _quantize
     candidate_counts: list  # states generated per level before dedup
     aborted_at_level: int | None = None
@@ -594,20 +606,63 @@ class OrbitTreeGK:
     exhausted_counts: list = field(default_factory=list)
 
     @property
-    def level_sizes(self) -> list[int]:
-        return [len(lv) for lv in self.levels]
+    def levels(self) -> list:
+        """Each level as a list of its states at their true lengths; built on
+        every read, with the rows shared between levels."""
+        s = self.states
+        rows = [SeqVector(s.space, s.hi[r, :m], s.lo[r, :m], s.phase[r, :m])
+                for r, m in enumerate(self.lens.tolist())]
+        return [rows[:k] for k in self.level_sizes]
 
     def contains(self, state: SeqVector, level: int) -> bool:
         """Hash membership at a level, with a near-miss fallback: any state
-        within two quanta."""
+        within two quanta, in one masked pass over the level's rows."""
         if _quantize(state, self.q) in self.hash_sets[level]:
             return True
-        return any(_quant_distance(state, s) <= 2.0 * self.q for s in self.levels[level])
+        k, s = self.level_sizes[level], self.states
+        rows = SeqVector(s.space, s.hi[:k], s.lo[:k], s.phase[:k])
+        return bool(np.any(_quant_distance(state, rows) <= 2.0 * self.q))
 
 
 # elements (candidate rows times padded image width) per array of one block
 # of a tree level; bounds the level pass's peak memory
 _TREE_BLOCK = 1 << 12
+
+
+def _image_rows(spec: MultilinearSpec, states: SeqVector, lens):
+    """Linear images and functional scalars of a padded block of states.
+
+    ``states`` holds one state per row, padded with canonical zeros, and
+    ``lens`` their true lengths.  Returns the images' padded hi/lo/phase,
+    their true lengths, and the scalars' log magnitudes and phases.  Row r
+    has the bits of ``spec.linear_apply(v)`` and of
+    ``logc_prod((eval_functional(v),))`` for the row's state ``v`` at its
+    true length; a zero-length row gives the canonical zero scalar.
+
+    The shift and the derivative image the whole block in one call, which
+    turns the padding into canonical zeros again.  A translation is one call
+    per row at its true length: its ``n**2`` kernel costs the same per row,
+    and a padded row's matrix sums need not round as the true row's do.
+    """
+    if spec.linear == "translate":
+        hi = np.full(states.hi.shape, LOG_ZERO)
+        lo, ph = np.zeros_like(hi), np.zeros_like(hi)
+        for r, m in enumerate(lens.tolist()):
+            t = spec.linear_apply(SeqVector(states.space, states.hi[r, :m],
+                                            states.lo[r, :m], states.phase[r, :m]))
+            hi[r, :m], lo[r, :m], ph[r, :m] = t.hi, t.lo, t.phase
+        img_lens = lens
+    else:
+        img = spec.linear_apply(states)
+        hi, lo, ph = img.hi, img.lo, img.phase
+        img_lens = np.maximum(lens - 1, 0)
+    first = states._padded(1)
+    s_log = 0.0 + (first.hi[:, 0] + first.lo[:, 0])  # as LogComplex.one().mul
+    s_ph = 0.0 + first.phase[:, 0]
+    outside = ~((s_ph > -np.pi) & (s_ph <= np.pi))
+    s_ph[outside] = [normalize_phase(p) for p in s_ph[outside].tolist()]
+    s_ph[s_log == LOG_ZERO] = 0.0
+    return hi, lo, ph, img_lens, s_log, s_ph
 
 
 def _outer(parts, s_log, s_ph, img, sc):
@@ -620,9 +675,9 @@ def _candidates(spec: MultilinearSpec, parts, lens, s_log, s_ph, rows, L):
 
     ``parts`` are the images' padded ``(L, W)`` hi/lo/phase arrays (canonical
     zero padding) and ``lens`` their true lengths.  Returns the candidates'
-    padded hi/lo/phase, true lengths (0 = exhausted) and image indices, the
-    same bits :func:`apply` gives pair by pair (zeros become canonical in
-    the :class:`SeqVector` constructor; the keys ignore them).
+    padded hi/lo/phase and true lengths (0 = exhausted), the same bits
+    :func:`apply` gives pair by pair, except that zero coordinates are not
+    yet canonical (the keys ignore them).
     """
     pair = np.divmod(rows, L)
     img, sc = pair[spec.shift_slot - 1], pair[spec.functional_slots[0] - 1]
@@ -635,34 +690,27 @@ def _candidates(spec: MultilinearSpec, parts, lens, s_log, s_ph, rows, L):
         hi[cut] = ohi[cut] = LOG_ZERO
         hi, lo, ph = _scale_arrays(*_add_arrays(hi, lo, ph, ohi, olo, oph),
                                    HALF.log_mag, HALF.phase)
-    return hi, lo, ph, n, img
+    return hi, lo, ph, n
 
 
-def _tree_level(spec: MultilinearSpec, prev: list, images: list, scalars: list,
-                seen: set, q: float, cap: int):
-    """One tree level: ``prev`` plus each new image of a pair from it.
+def _tree_level(spec: MultilinearSpec, images, seen: set, q: float, room: int):
+    """The new states of one tree level: each new image of a pair from the
+    previous level.
 
+    ``images`` is :func:`_image_rows` over the previous level's L states.
     Pairs run in z-major order, in blocks of at most ``_TREE_BLOCK``
     elements; a candidate is kept when its key is not yet in ``seen``, which
-    is updated in place.  Returns the level, the exhausted and examined
-    candidate counts, and whether ``cap`` aborted it.
+    is updated in place, and keeping more than ``room`` aborts the level.
+    Returns the kept candidates' padded hi/lo/phase and true lengths, the
+    exhausted and examined candidate counts, and whether the level aborted.
     """
-    L = len(prev)
-    lens = np.array([len(im) for im in images])
-    width = int(lens.max(initial=0))
-    parts = (np.full((L, width), LOG_ZERO), np.zeros((L, width)), np.zeros((L, width)))
-    for i, im in enumerate(images):
-        for a, b in zip(parts, (im.hi, im.lo, im.phase)):
-            a[i, :len(im)] = b
-    s_log = np.array([s.log_mag for s in scalars])
-    s_ph = np.array([s.phase for s in scalars])
-
-    out = list(prev)
-    exhausted = 0
-    step = max(1, _TREE_BLOCK // max(width, 1))
+    *parts, lens, s_log, s_ph = images
+    L = len(lens)
+    kept, exhausted, examined, aborted = [], 0, L * L, False
+    step = max(1, _TREE_BLOCK // max(parts[0].shape[1], 1))
     for r0 in range(0, L * L, step):
         rows = np.arange(r0, min(L * L, r0 + step))
-        hi, lo, ph, n, img = _candidates(spec, parts, lens, s_log, s_ph, rows, L)
+        hi, lo, ph, n = _candidates(spec, parts, lens, s_log, s_ph, rows, L)
         live = np.flatnonzero(n)
         keys, kw = _quant_keys(hi[live], lo[live], ph[live], q)
         picked, stop = [], None
@@ -671,17 +719,17 @@ def _tree_level(spec: MultilinearSpec, prev: list, images: list, scalars: list,
             if k not in seen:
                 seen.add(k)
                 picked.append(live[j])
-                if len(out) + len(picked) > cap:
+                if len(picked) > room:
                     stop = int(live[j])
                     break
-        for a, b, c, m, i in zip(hi[picked], lo[picked], ph[picked],
-                                 n[picked], img[picked]):
-            out.append(SeqVector(prev[i].space, a[:m], b[:m], c[:m]))
+        kept.append((hi[picked], lo[picked], ph[picked], n[picked]))
+        room -= len(picked)
         if stop is not None:
             exhausted += int(np.count_nonzero(n[:stop] == 0))
-            return out, exhausted, r0 + stop + 1, True
+            examined, aborted = r0 + stop + 1, True
+            break
         exhausted += len(rows) - len(live)
-    return out, exhausted, L * L, False
+    return tuple(map(np.concatenate, zip(*kept))), exhausted, examined, aborted
 
 
 def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
@@ -693,12 +741,15 @@ def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
     repeat bit-exactly, so dedup without quantization would be vacuous.  A
     level exceeding ``cap`` aborts with the partial result recorded.  A tree
     that does not abort records whether each level contains the state of the
-    direct orbit at that step.
+    direct orbit at that step.  ``x`` and ``y`` must share one space.
 
-    A level is one array pass: each state's linear image and functional
-    scalar are computed once, the images of all ordered pairs ``(z, w)``
-    (z-major, as :func:`apply` would give them one by one) form an outer
-    product of scalars with padded images, and their keys are quantized and
+    The states are one padded block that grows by each level's kept rows
+    (:class:`OrbitTreeGK`).  Beside it, row for row, sit the states' linear
+    images and functional scalars; each level extends them for the rows the
+    previous level added, with one :func:`_image_rows` call.  A level is one
+    array pass: the images of all ordered pairs ``(z, w)`` (z-major, as
+    :func:`apply` would give them one by one) form an outer product of
+    scalars with padded images, and their keys are quantized and
     deduplicated together.
     """
     if spec.arity != 2:
@@ -707,35 +758,47 @@ def gk_tree(spec: MultilinearSpec, x: SeqVector, y: SeqVector, depth: int,
         raise ParameterRangeError("need depth >= 0 and q > 0")
     if depth:
         _check_spaces(spec, (x, y))
+    if x.space != y.space:
+        raise WrongSpaceError("the tree's initial vectors must share one space")
 
-    cur: list[SeqVector] = []
+    width = max(len(x), len(y))
     seen: set = set()
+    first = []
     for s in (x, y):
         h = _quantize(s, q)
         if h not in seen:
             seen.add(h)
-            cur.append(s)
-    tree = OrbitTreeGK(spec, q, [cur], [seen], [2],
-                       duplicate_counts=[2 - len(cur)], exhausted_counts=[0])
+            first.append(s._padded(width))
+    states = SeqVector(x.space, np.stack([s.hi for s in first]),
+                       np.stack([s.lo for s in first]), np.stack([s.phase for s in first]))
+    lens = np.array([len(x), len(y)][:len(first)])  # y is dropped only as x's duplicate
+    sizes, sets, counts = [len(first)], [seen], [2]
+    duplicates, exhausted_counts = [2 - len(first)], [0]
 
-    images: list[SeqVector] = []
-    scalars: list[LogComplex] = []
+    images, done, aborted = None, 0, None
     for lvl in range(1, depth + 1):
-        prev = tree.levels[-1]
-        for v in prev[len(images):]:
-            images.append(spec.linear_apply(v))
-            scalars.append(logc_prod((eval_functional(v),)))
-        seen = set(tree.hash_sets[-1])
-        nxt, exhausted, examined, aborted = _tree_level(
-            spec, prev, images, scalars, seen, q, cap)
-        tree.levels.append(nxt)
-        tree.hash_sets.append(seen)
-        tree.candidate_counts.append(len(prev) + len(prev) ** 2)
-        tree.exhausted_counts.append(exhausted)
-        tree.duplicate_counts.append(examined - (len(nxt) - len(prev)) - exhausted)
-        if aborted:
-            tree.aborted_at_level = lvl
+        L = len(lens)
+        new = _image_rows(spec, SeqVector(states.space, states.hi[done:], states.lo[done:],
+                                          states.phase[done:]), lens[done:])
+        images = new if images is None else tuple(map(np.concatenate, zip(images, new)))
+        done = L
+        seen = set(sets[-1])
+        (hi, lo, ph, n), exhausted, examined, stopped = _tree_level(
+            spec, images, seen, q, cap - L)
+        kept = SeqVector(states.space, hi, lo, ph)._padded(width)  # zeros made canonical
+        states = SeqVector(states.space, *(np.concatenate(p) for p in zip(
+            (states.hi, states.lo, states.phase), (kept.hi, kept.lo, kept.phase))))
+        lens = np.concatenate((lens, n))
+        sizes.append(len(lens))
+        sets.append(seen)
+        counts.append(L + L * L)
+        exhausted_counts.append(exhausted)
+        duplicates.append(examined - len(n) - exhausted)
+        if stopped:
+            aborted = lvl
             break
+    tree = OrbitTreeGK(spec, q, states, lens, sizes, sets, counts, aborted,
+                       duplicate_counts=duplicates, exhausted_counts=exhausted_counts)
 
     if tree.aborted_at_level is None:
         orbit = iterate_bc(spec, (x, y), depth) if depth >= 1 else None

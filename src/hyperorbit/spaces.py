@@ -229,7 +229,8 @@ class SeqVector:
     A block of vectors of one space shares the class: ``hi``/``lo``/``phase``
     are ``(K, W)`` arrays, one vector per row, shorter rows padded with
     canonical zeros, and ``len()`` is the width W.  Blocks promise only the
-    elementwise members (:attr:`lm`, :meth:`scale`).
+    elementwise members (:attr:`lm`, :meth:`scale`, :meth:`_padded`) and
+    :func:`backward_shift`.
     """
 
     __slots__ = ("space", "hi", "lo", "phase")
@@ -315,14 +316,15 @@ class SeqVector:
         return SeqVector(self.space, self.hi, self.lo, ph)
 
     def _padded(self, n: int) -> "SeqVector":
+        """Canonical zeros appended up to width ``n``, to every row of a block."""
         if len(self) >= n:
             return self
-        pad = n - len(self)
+        pad = self.hi.shape[:-1] + (n - len(self),)
         return SeqVector(
             self.space,
-            np.concatenate([self.hi, np.full(pad, LOG_ZERO)]),
-            np.concatenate([self.lo, np.zeros(pad)]),
-            np.concatenate([self.phase, np.zeros(pad)]),
+            np.concatenate([self.hi, np.full(pad, LOG_ZERO)], axis=-1),
+            np.concatenate([self.lo, np.zeros(pad)], axis=-1),
+            np.concatenate([self.phase, np.zeros(pad)], axis=-1),
         )
 
     def add(self, other: "SeqVector") -> "SeqVector":
@@ -399,14 +401,16 @@ def backward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:
     """``[B_w v]_i = w_i * v_{i+1}``; output one coordinate shorter.
 
     On a length-1 window the result is the empty vector, which iteration
-    engines treat as window exhaustion.
+    engines treat as window exhaustion.  A ``(K, W)`` block shifts every row
+    at once (``[..., 1:]``); a vector is the one-row case.  Canonical-zero
+    padding stays canonical zero, so a padded row's live coordinates have
+    the bits of the row shifted at its true length.
     """
     n = len(v)
     if n == 0:
         return v
-    logs = w.logs(max(n - 1, 0))
-    hi, lo = _dd_add(v.hi[1:], v.lo[1:], logs)
-    return SeqVector(v.space, hi, lo, v.phase[1:])
+    hi, lo = _dd_add(v.hi[..., 1:], v.lo[..., 1:], w.logs(n - 1))
+    return SeqVector(v.space, hi, lo, v.phase[..., 1:])
 
 
 def forward_shift(v: SeqVector, w: WeightSeq) -> SeqVector:

@@ -48,9 +48,11 @@ L1 = SpaceTag.l1()
 HC = SpaceTag.hc(1)
 
 
-def _report(num, ok, detail, dt, budget):
+def _report(record, num, ok, detail, dt, budget):
     status = "PASS" if ok and dt < budget else "FAIL"
     print(f"ACCEPTANCE {num:2d}: {status}  {detail}  [{dt:.2f}s / {budget:.0f}s]")
+    record({"number": num, "status": status, "detail": detail,
+            "seconds": dt, "budget": budget})
     assert ok, f"criterion {num}: {detail}"
     assert dt < budget, f"criterion {num} exceeded its {budget}s budget ({dt:.2f}s)"
 
@@ -61,23 +63,24 @@ def rand_vec(rng, space, n, lo=0.5, hi=2.0):
     return SeqVector.from_complex(space, mags * np.exp(1j * ph))
 
 
-def test_01_integer_identity_suite():
+def test_01_integer_identity_suite(acceptance_record):
     t0 = time.perf_counter()
     rep = check_fib_identities(200, FibCache(200))
     dt = time.perf_counter() - t0
-    _report(1, rep.ok, f"{rep.checked} exact identity instances covered, "
-                       f"{rep.computed} computed", dt, 5.0)
+    _report(acceptance_record, 1, rep.ok,
+            f"{rep.checked} exact identity instances covered, {rep.computed} computed",
+            dt, 5.0)
 
 
-def test_02_exponent_sequence_closed_form():
+def test_02_exponent_sequence_closed_form(acceptance_record):
     t0 = time.perf_counter()
     a = a_recursion(10**4)
     ok = a[1:] == [a_closed(n) for n in range(1, 10**4 + 1)]
     dt = time.perf_counter() - t0
-    _report(2, ok, "a_n recursion == closed form for n <= 1e4", dt, 1.0)
+    _report(acceptance_record, 2, ok, "a_n recursion == closed form for n <= 1e4", dt, 1.0)
 
 
-def test_03_closed_form_vs_direct_orbit():
+def test_03_closed_form_vs_direct_orbit(acceptance_record):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1003)
     families = [
@@ -93,12 +96,12 @@ def test_03_closed_form_vs_direct_orbit():
             # np.maximum lets a NaN agreement through, so that it fails
             worst = np.maximum(worst, closed_form_agreement(orbit, closed_form_state))
     dt = time.perf_counter() - t0
-    _report(3, worst <= 1e-9,
+    _report(acceptance_record, 3, worst <= 1e-9,
             f"5 operators x 100 inits, worst log-magnitude rel {worst:.2e}",
             dt, 30.0)
 
 
-def test_04_weight_identity_to_200():
+def test_04_weight_identity_to_200(acceptance_record):
     t0 = time.perf_counter()
     # the exact exponent route to n = min(200, 401), then the recursion route
     # on a literally built companion pair to n = min(15, 401 // 2) (its noise
@@ -109,22 +112,22 @@ def test_04_weight_identity_to_200():
     _, certs = companion_pair(y)
     ok = all(c.ok for c in certs)
     dt = time.perf_counter() - t0
-    _report(4, ok, "c_2n d_2n = 2^n n!^2 certified to n = 200", dt, 5.0)
+    _report(acceptance_record, 4, ok, "c_2n d_2n = 2^n n!^2 certified to n = 200", dt, 5.0)
 
 
-def test_05_universal_vector_certificates():
+def test_05_universal_vector_certificates(acceptance_record):
     t0 = time.perf_counter()
     sch = gap_schedule_search(4)
     certs = universal_y_l1(sch)
     ok = all(c.ok for c in certs)
     rows = sum(len(c) if isinstance(c, CheckFamily) else 1 for c in certs)
     dt = time.perf_counter() - t0
-    _report(5, ok,
+    _report(acceptance_record, 5, ok,
             f"schedule {sch.ns[1:]}, {rows} certificates, "
             f"window {len(sch.z)}", dt, 120.0)
 
 
-def test_06_exact_steering():
+def test_06_exact_steering(acceptance_record):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1006)
     count = 0
@@ -139,11 +142,11 @@ def test_06_exact_steering():
             ok = ok and steering_exact(m, heads + [x0], tgt, k)
             count += 1
     dt = time.perf_counter() - t0
-    _report(6, ok, f"{count} exact rational steering targets (m = 2, 3)",
+    _report(acceptance_record, 6, ok, f"{count} exact rational steering targets (m = 2, 3)",
             dt, 10.0)
 
 
-def test_07_reciprocal_pair_unity():
+def test_07_reciprocal_pair_unity(acceptance_record):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1007)
     worst = 0.0
@@ -157,12 +160,12 @@ def test_07_reciprocal_pair_unity():
         worst = max(worst, entry(certs, "reciprocal-coefficient").measured.max())
         assert all(c.ok for c in certs)
     dt = time.perf_counter() - t0
-    _report(7, worst <= 1e-9,
+    _report(acceptance_record, 7, worst <= 1e-9,
             f"50 random pairs, worst f^(n)(0) prod g^(i)(0) residual = {worst:.2e} "
             f"for n <= 30", dt, 10.0)
 
 
-def test_08_universal_entire_function_blocks():
+def test_08_universal_entire_function_blocks(acceptance_record):
     t0 = time.perf_counter()
     qb = hc_Q_blocks(3)
     ok = all(c.ok for c in qb.certificates)
@@ -176,12 +179,12 @@ def test_08_universal_entire_function_blocks():
                                  g, 40)
     ok = ok and rep.ok
     dt = time.perf_counter() - t0
-    _report(8, ok,
+    _report(acceptance_record, 8, ok,
             f"blocks at {qb.ns}, unit weights + coefficient bounds + "
             "collapse bound to n = 40", dt, 60.0)
 
 
-def test_09_symmetric_preimage_residuals():
+def test_09_symmetric_preimage_residuals(acceptance_record):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1009)
     ok = True
@@ -192,11 +195,11 @@ def test_09_symmetric_preimage_residuals():
         _, _, certs = symmetric_preimage_certificates(x0, rng)  # 20 lambdas
         ok = ok and all(c.ok for c in certs)
     dt = time.perf_counter() - t0
-    _report(9, ok, "50 targets x 20 lambdas, relative residual <= 1e-12",
+    _report(acceptance_record, 9, ok, "50 targets x 20 lambdas, relative residual <= 1e-12",
             dt, 5.0)
 
 
-def test_10_conjugation_residuals():
+def test_10_conjugation_residuals(acceptance_record):
     t0 = time.perf_counter()
     rng = np.random.default_rng(1010)
     ok = True
@@ -212,11 +215,11 @@ def test_10_conjugation_residuals():
         ok = ok and push.ok and push.steps == 50
         details.append(f"{kind}:{com.max_residual:.1e}")
     dt = time.perf_counter() - t0
-    _report(10, ok, "commutation on all 200^2 pairs + 50-step push-forward "
+    _report(acceptance_record, 10, ok, "commutation on all 200^2 pairs + 50-step push-forward "
             f"({', '.join(details)})", dt, 30.0)
 
 
-def test_11_limit_ball():
+def test_11_limit_ball(acceptance_record):
     t0 = time.perf_counter()
     spec = m_l1()
     rng = np.random.default_rng(1011)
@@ -240,11 +243,11 @@ def test_11_limit_ball():
         orbit = iterate_bc(spec, (big, big2), 60)
         ok = ok and classify_orbit(orbit) is not OrbitClass.CONVERGES_TO_ZERO
     dt = time.perf_counter() - t0
-    _report(11, ok, "100 contraction-ball orbits converge monotonically; "
+    _report(acceptance_record, 11, ok, "100 contraction-ball orbits converge monotonically; "
             "100 large orbits never converge", dt, 30.0)
 
 
-def test_12_tree_orbit():
+def test_12_tree_orbit(acceptance_record):
     t0 = time.perf_counter()
     x = SeqVector.from_complex(SpaceTag.c0(), [0.9] * 12)
     tree = gk_tree(n_transpose(), x, x, 6, q=1e-7)
@@ -259,6 +262,14 @@ def test_12_tree_orbit():
     ok = ok and tree2.containment == [True] * 3
     ok = ok and all(tree2.level_sizes[l] <= tree2.candidate_counts[l]
                     for l in range(1, 4))
+    # a generic pair at depth 4, where the dedup loop dominates
+    xg, yg = rand_vec(rng, SpaceTag.c0(), 12), rand_vec(rng, SpaceTag.c0(), 12)
+    tree3 = gk_tree(n_transpose(), xg, yg, 4)
+    ok = ok and tree3.containment == [True] * 4
+    ok = ok and all(c == s + d + e for c, s, d, e in zip(
+        tree3.candidate_counts, tree3.level_sizes, tree3.duplicate_counts,
+        tree3.exhausted_counts))
     dt = time.perf_counter() - t0
-    _report(12, ok, f"depth-6 containment, level sizes {tree.level_sizes}",
-            dt, 30.0)
+    _report(acceptance_record, 12, ok,
+            f"depth-6 containment, level sizes {tree.level_sizes}; generic depth 4, "
+            f"level sizes {tree3.level_sizes}", dt, 30.0)

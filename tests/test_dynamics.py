@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hyperorbit import dynamics
-from hyperorbit.arith import LOG_ZERO, FibCache, LogComplex
+from hyperorbit.arith import LOG_ZERO, FibCache, LogComplex, logc_prod
 from hyperorbit.dynamics import (
     OPERATORS,
     MultilinearSpec,
@@ -38,7 +38,13 @@ from hyperorbit.errors import (
     WrongSpaceError,
 )
 from hyperorbit.report import check_leq
-from hyperorbit.spaces import SeqVector, SpaceTag, WeightSeq, norm
+from hyperorbit.spaces import (
+    SeqVector,
+    SpaceTag,
+    WeightSeq,
+    eval_functional,
+    norm,
+)
 from oracles import to_complex
 
 L1 = SpaceTag.l1()
@@ -674,6 +680,79 @@ class TestTreeKeys:
             same = _ref_key(a, q) == _ref_key(b, q)
             assert (_quantize(a, q) == _quantize(b, q)) == same
         assert _quantize(base, q) != _quantize(other, q)
+
+
+def _bits(*values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+class TestTreeBlock:
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_image_rows_match_one_vector_calls(self, name):
+        # unequal true lengths with zero-length rows, a zero first coordinate
+        # and a first phase outside (-pi, pi] in a canonical-zero padded
+        # block; padded this wide, a translation of the whole row would round
+        # differently from the row at its true length
+        spec = OPERATORS[name]()
+        rng = np.random.default_rng(46)
+        vecs = [rand_vec(rng, spec.space, m) for m in (7, 0, 3, 7, 1, 5, 0, 2)]
+        v = vecs[2]
+        vecs[2] = SeqVector(spec.space, np.r_[LOG_ZERO, v.hi[1:]], v.lo, v.phase)
+        v = vecs[5]
+        vecs[5] = SeqVector(spec.space, v.hi, v.lo, np.r_[3.5, v.phase[1:]])
+        lens = np.array([len(v) for v in vecs])
+        pad = [v._padded(280) for v in vecs]
+        block = SeqVector(spec.space, *(np.stack([getattr(p, a) for p in pad])
+                                        for a in ("hi", "lo", "phase")))
+        hi, lo, ph, img_lens, s_log, s_ph = dynamics._image_rows(spec, block, lens)
+        assert img_lens.tolist() == [len(spec.linear_apply(v)) for v in vecs]
+        assert 0 in img_lens
+        for r, v in enumerate(vecs):
+            want = spec.linear_apply(v)
+            m = len(want)
+            for got, ref in ((hi, want.hi), (lo, want.lo), (ph, want.phase)):
+                assert got[r, :m].tobytes() == ref.tobytes()
+            assert np.all(hi[r, m:] == LOG_ZERO)
+            assert _bits(*lo[r, m:], *ph[r, m:]) == _bits(*[0.0] * 2 * (hi.shape[1] - m))
+            s = logc_prod((eval_functional(v),))
+            assert _bits(s_log[r], s_ph[r]) == _bits(s.log_mag, s.phase)
+        assert np.isneginf(s_log[[1, 2, 6]]).all()
+
+    def test_containment_negative_control(self):
+        # a direct state moved by 3q is out of the level, and so is one with
+        # an exact zero in place of a live coordinate; moved by 1.5q its key
+        # changes, and the near-miss fallback still finds it
+        rng = np.random.default_rng(48)
+        q = 1e-9
+        x, y = rand_vec(rng, L1, 12), rand_vec(rng, L1, 12)
+        tree = gk_tree(m_l1(), x, y, 3, q=q)
+        s = iterate_bc(m_l1(), (x, y), 3).states[2]
+        assert tree.contains(s, 3)
+
+        def moved(step):
+            return SeqVector(s.space, np.r_[s.hi[0] + step, s.hi[1:]], s.lo, s.phase)
+
+        assert not tree.contains(moved(3 * q), 3)
+        assert not tree.contains(moved(LOG_ZERO), 3)
+        near = moved(1.5 * q)
+        assert _quantize(near, q) != _quantize(s, q)
+        assert _quantize(near, q) not in tree.hash_sets[3]
+        assert tree.contains(near, 3)
+
+    def test_levels_read_block_rows_at_true_length(self):
+        rng = np.random.default_rng(49)
+        x, y = rand_vec(rng, L1, 9), rand_vec(rng, L1, 5)
+        tree = gk_tree(m_l1(), x, y, 3, q=1e-9)
+        assert tree.states.hi.shape == (tree.level_sizes[-1], 9)
+        levels = tree.levels
+        assert [len(lv) for lv in levels] == tree.level_sizes
+        assert len(levels[0][1]) == 5  # y at its true length, not the block's
+        assert levels[0][1].hi.tobytes() == y.hi.tobytes()
+
+    def test_initials_must_share_one_space(self):
+        x = cvec([1.0, 2.0], SpaceTag.hc(1))
+        with pytest.raises(WrongSpaceError):
+            gk_tree(m_fg_prime(), x, cvec([1.0, 2.0], SpaceTag.hc(2)), 1)
 
 
 class TestClassification:
