@@ -11,7 +11,7 @@ proved closed form a_n = 1 - n(n-1)/2, and the recursion certifies it.
 
 import numpy as np
 
-from hyperorbit import SeqVector, SpaceTag, companion_pair, phi_map
+from hyperorbit import SeqVector, SpaceTag, companion_pair, phi_map, vector_from_json
 from hyperorbit.arith import a_closed, a_recursion
 
 rng = np.random.default_rng(1)
@@ -20,9 +20,11 @@ y = SeqVector.from_complex(SpaceTag.l1(),
 print("recursion == closed form for n <= 80:",
       a_recursion(80)[1:] == [a_closed(n) for n in range(1, 81)])
 
-# the builder returns x with its certificates, one family per property with
-# row n for n = 1, 2, ...; a failed row is listed in its family's "failing"
-x, certs = companion_pair(y)
+# the builder returns x, as the JSON object its vector file holds, with its
+# certificates, one family per property with row n for n = 1, 2, ...; a
+# failed row is listed in its family's "failing"
+x_obj, certs = companion_pair(y)
+x = vector_from_json(x_obj)
 print("x_1 is free and set to zero:", x.coord(1).is_zero)
 print("log|x_21| =", round(x.coord(21).log_mag, 2),
       " (the 2^{a_i} factor decays like -i^2/2 log 2)")

@@ -23,7 +23,7 @@ for rec in schedule.records:
 # the certificates, the schedule's minimality and monotonicity among them.
 # A property checked per block or per coordinate is one family entry: its
 # columns from index `first` on, every failing index and the worst margin.
-certs = universal_y_l1(schedule)
+z, certs = universal_y_l1(schedule)
 print("\nbuilt window:", len(schedule.z), "coordinates; all pass:",
       all(c.ok for c in certs))
 
@@ -42,8 +42,9 @@ for j, (measured, bound) in enumerate(zip(residuals.measured, residuals.bound),
                                       residuals.first):
     print(f"  block {j}: measured {measured:10.3f}  bound {bound:8.3f}")
 
-# the vector file: hi, lo and phase columns, read back bit for bit
-write_vector("universal_y.json", schedule.z)
+# the vector file: hi, lo and phase columns, read back bit for bit; z is the
+# JSON object the certificates read, encoded once
+write_vector("universal_y.json", z)
 back = read_vector("universal_y.json")
 same = all(getattr(back, part).tobytes() == getattr(schedule.z, part).tobytes()
            for part in ("hi", "lo", "phase"))

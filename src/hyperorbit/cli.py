@@ -177,8 +177,8 @@ def _build_companion(args, rep: RunReport) -> None:
 def _build_universal(args, rep: RunReport) -> None:
     schedule = gap_schedule_search(3 if args.blocks is None else args.blocks)
     rep.parameters["schedule"] = schedule.ns[1:]
-    certs = universal_y_l1(schedule)
-    write_vector(_emit_path(args.out, "universal_y.json"), schedule.z)
+    z, certs = universal_y_l1(schedule)
+    write_vector(_emit_path(args.out, "universal_y.json"), z)
     rep.extend(certs)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import LOG_ZERO
-from .dynamics import apply, iterate_bc, m_l1
+from .dynamics import _scale_rows, apply, iterate_bc, m_l1
 from .errors import ParameterRangeError
 from .report import Check, check_leq
 from .spaces import (
@@ -32,8 +32,8 @@ from .spaces import (
     SpaceTag,
     _coords_from_row_sums,
     _dd_add,
+    _lse_rows,
     _norm_phases,
-    norm,
 )
 
 _L1 = SpaceTag.l1()
@@ -110,6 +110,23 @@ class _LogMatrix:
         self.log_abs = log_abs[self.row, self.col]
         self.phase = phase[self.row, self.col]
         self._live_rows, self._starts = np.unique(self.row, return_index=True)
+        self._layouts: dict = {}
+
+    def _layout(self, K: int, width: int):
+        """The live entries of a block of K input rows of ``width``
+        coordinates, flattened row after row: the output index ``row + k *
+        n_out`` and the input index ``col + k * width`` of each, the segment
+        starts and the live output rows.  Cached per shape; the entries' log
+        moduli and phases broadcast along the rows."""
+        lay = self._layouts.get((K, width))
+        if lay is None:
+            n_out = self.shape[0]
+            k = np.arange(K)[:, np.newaxis]
+            lay = self._layouts[K, width] = (
+                (self.row + n_out * k).ravel(), (self.col + width * k).ravel(),
+                (self._starts + self.row.size * k).ravel(),
+                (self._live_rows + n_out * k).ravel())
+        return lay
 
     def matvec(self, v: SeqVector) -> SeqVector:
         """Log-domain ``M v`` on l1; ``v`` is zero-padded or cut to the width.
@@ -120,29 +137,41 @@ class _LogMatrix:
         scaled moduli sum to exactly 1 passes its largest term through
         ``_dd_add``, ``lo`` included, so images of canonical vectors keep the
         matrix entries bit for bit and the identity basis is exact.
+
+        A ``(K, W)`` block gives the ``(K, n_out)`` block of its images, and
+        a vector is the one-row case.  The block's live entries are laid out
+        row after row (:meth:`_layout`), so each ``bincount`` runs over
+        ``row + k * n_out``: the terms of output row ``(k, row)`` are added in
+        the order of the one-vector call, and every image row has its bits.
         """
         n_out, n_in = self.shape
         v = v._padded(n_in)
-        t = self.log_abs + v.lm[self.col]
-        rowmax = np.full(n_out, LOG_ZERO)
+        K = v.hi.size // len(v)
+        nnz = self.row.size
+        row, col, starts, live = self._layout(K, len(v))
+        hi, lo, v_phase = v.hi.ravel(), v.lo.ravel(), v.phase.ravel()
+        t = ((hi + lo)[col].reshape(K, nnz) + self.log_abs).ravel()
+        rowmax = np.full(K * n_out, LOG_ZERO)
         if t.size:
-            rowmax[self._live_rows] = np.maximum.reduceat(t, self._starts)
-        scaled = t - np.where(rowmax == LOG_ZERO, 0.0, rowmax)[self.row]
+            rowmax[live] = np.maximum.reduceat(t, starts)
+        top = rowmax[row]
+        scaled = t - np.where(top == LOG_ZERO, 0.0, top)
         np.maximum(scaled, _EXP_FLOOR, out=scaled)
         np.exp(scaled, out=scaled)
-        psi = self.phase + v.phase[self.col]
-        re = np.bincount(self.row, scaled * np.cos(psi), n_out)
-        im = np.bincount(self.row, scaled * np.sin(psi), n_out)
-        tot = np.bincount(self.row, scaled, n_out)
-        hi, ph = _coords_from_row_sums(rowmax, re, im)
-        lo = np.zeros(n_out)
+        psi = (v_phase[col].reshape(K, nnz) + self.phase).ravel()
+        re = np.bincount(row, scaled * np.cos(psi), K * n_out)
+        im = np.bincount(row, scaled * np.sin(psi), K * n_out)
+        tot = np.bincount(row, scaled, K * n_out)
+        hi_out, ph = _coords_from_row_sums(rowmax, re, im)
+        lo_out = np.zeros(K * n_out)
         single = tot == 1.0
         if single.any():
-            k = np.flatnonzero(single[self.row] & (t == rowmax[self.row]))
-            r, c = self.row[k], self.col[k]
-            hi[r], lo[r] = _dd_add(v.hi[c], v.lo[c], self.log_abs[k])
-            ph[r] = _norm_phases(v.phase[c] + self.phase[k])
-        return SeqVector(_L1, hi, lo, ph)
+            k = np.flatnonzero(single[row] & (t == top))
+            r, c, e = row[k], col[k], k % nnz  # e: the matrix entry of term k
+            hi_out[r], lo_out[r] = _dd_add(hi[c], lo[c], self.log_abs[e])
+            ph[r] = _norm_phases(v_phase[c] + self.phase[e])
+        shape = v.hi.shape[:-1] + (n_out,)
+        return SeqVector(_L1, hi_out.reshape(shape), lo_out.reshape(shape), ph.reshape(shape))
 
 
 class FactorMap:
@@ -164,9 +193,13 @@ class HostBilinear:
         self.basis = basis
         self.phi = FactorMap(basis)
         N = basis.size
-        rows_log, rows_phase = _log_polar(basis.rows)
-        self._first = _LogMatrix(rows_log[:1], rows_phase[:1])
-        self._rest = _LogMatrix(rows_log[1:], rows_phase[1:])
+        # the functionals N reads of a pair, from the coordinates of u and
+        # then of v in one matvec: row l-2 is x_l*(u), l = 2..N, and row N-1
+        # is x_1*(v), whose entries move to v's columns N..2N-1
+        self._functionals = _LogMatrix(*(np.roll(a, -1, axis=0)
+                                         for a in _log_polar(basis.rows)))
+        self._functionals.col[self._functionals.row == N - 1] += N
+        self._functionals.shape = (N, 2 * N)
         # combined matrix for sum_l x_l*(u) w_{l-1} x_{l-1}: column l-2 is
         # x_{l-1} scaled by w_{l-1}, l = 2..N, the weight added to the log moduli
         cols_log, cols_phase = _log_polar(basis.columns[:, : N - 1])
@@ -178,12 +211,17 @@ class HostBilinear:
         For the identity basis every row has one live term, so this is,
         coordinate for coordinate, the source operator's own computation
         (functional times weighted shift), and the push-forward comparison
-        is exact there.
+        is exact there.  ``u`` and ``v`` may be ``(K, W)`` blocks: row k of
+        the result is ``N(u_k, v_k)`` with the bits of the one-pair call.
         """
-        s = self._first.matvec(v).coord(1)  # x_1*(v)
-        if s.is_zero:
-            return SeqVector.zeros(_L1, self.basis.size)
-        return self._mix_log.matvec(self._rest.matvec(u)).scale(s)
+        N = self.basis.size
+        u, v = u._padded(N), v._padded(N)
+        f = self._functionals.matvec(SeqVector(_L1, *(
+            np.concatenate((a[..., :N], b[..., :N]), axis=-1) for a, b in
+            ((u.hi, v.hi), (u.lo, v.lo), (u.phase, v.phase)))))
+        img = self._mix_log.matvec(f.truncate(N - 1))
+        return SeqVector(_L1, *_scale_rows(img.hi, img.lo, img.phase,
+                                           f.lm[..., N - 1:], f.phase[..., N - 1:]))
 
 
 def build_N(basis: MarkushevichBasis) -> HostBilinear:
@@ -242,13 +280,15 @@ def commutation_check(host_op: HostBilinear, samples: int,
         resid_rest = 0.0
     basis_resid = max(resid_j1, resid_rest)
 
+    # the random pairs (u, v), drawn u then v, as two blocks; phi images
+    # M(u, v), u and v in one call
+    K = max(1, samples // 5)
+    z = np.array([rng.normal(size=N) + 1j * rng.normal(size=N) for _ in range(2 * K)])
+    uu, vv = SeqVector.from_complex(_L1, z[0::2]), SeqVector.from_complex(_L1, z[1::2])
+    images = phi(SeqVector.stack([apply(m_spec, (uu, vv))._padded(N), uu, vv]))
+    lhs_v, phi_u, phi_v = (images.row(slice(k * K, (k + 1) * K)) for k in range(3))
     max_rand = 0.0
-    for _ in range(max(1, samples // 5)):
-        uu = SeqVector.from_complex(_L1, rng.normal(size=N) + 1j * rng.normal(size=N))
-        vv = SeqVector.from_complex(_L1, rng.normal(size=N) + 1j * rng.normal(size=N))
-        lhs_v = phi(apply(m_spec, (uu, vv))._padded(N))
-        rhs_v = host_op.apply(phi(uu), phi(vv))
-        r = norm(lhs_v.sub(rhs_v))
+    for r in _lse_rows(lhs_v.sub(host_op.apply(phi_u, phi_v)).lm, None):
         max_rand = max(max_rand, math.exp(min(r, 50.0)) if r > LOG_ZERO else 0.0)
     return CommutationReport(basis_resid, max_rand)
 
@@ -271,18 +311,22 @@ def pushforward_orbit_check(host_op: HostBilinear, init, steps: int) -> Pushforw
     """
     phi = host_op.phi
     orbit = iterate_bc(m_l1(), init, steps)
-    h_prev2, h_prev1 = phi(init[0]), phi(init[1])
     resid_logs, bound_logs = [], []
-    for n in range(1, len(orbit.states) + 1):
-        h = host_op.apply(h_prev2, h_prev1)
-        h_prev2, h_prev1 = h_prev1, h
-        src = orbit.states[n - 1]
-        L = len(src)
-        r = norm(phi(src).truncate(L).sub(h.truncate(L)))
-        hn = norm(h)
-        bound = math.log(1e-9) + float(np.logaddexp(0.0, hn))
-        resid_logs.append(r)
-        bound_logs.append(bound)
+    if orbit.states:
+        start = phi(SeqVector.stack(init))
+        h_prev2, h_prev1 = start.row(0), start.row(1)
+        states = []
+        for _ in orbit.states:
+            h = host_op.apply(h_prev2, h_prev1)
+            h_prev2, h_prev1 = h_prev1, h
+            states.append(h)
+        H = SeqVector.stack(states)
+        # the source states' images in one call, each compared with its host
+        # state on the coordinates its own window represents
+        lens = [len(src) for src in orbit.states]
+        resid_logs = _lse_rows(phi(SeqVector.stack(orbit.states)).sub(H).lm, lens)
+        bound_logs = [math.log(1e-9) + float(np.logaddexp(0.0, hn))
+                      for hn in _lse_rows(H.lm, None)]
     ok = not any(r > b for r, b in zip(resid_logs, bound_logs))
     return PushforwardReport(len(resid_logs), resid_logs, bound_logs, ok)
 

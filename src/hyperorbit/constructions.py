@@ -15,6 +15,7 @@ construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .dynamics import (
     m_fg_prime,
     m_l1,
     m_symmetric,
+    scale_rows,
 )
 from .errors import (BadBracketError, ParameterRangeError, SearchOverflowError,
                      ZeroCoordinateError)
@@ -43,6 +45,7 @@ from .spaces import (
     SpaceTag,
     WeightSeq,
     _dd_add,
+    _lse_rows,
     _norm_phases,
     _two_sum,
     forward_pow,
@@ -189,18 +192,17 @@ def weight_identity_recursion_error(x: SeqVector, y: SeqVector,
 def companion_pair(y: SeqVector):
     """Build the companion vector of ``y`` and certify the pair.
 
-    Returns ``(x, certificates)``: :func:`weight_identity_certificates` for
-    n <= min(200, len(y) - 1), then :func:`weight_identity_recursion_error`
-    for n <= min(15, (len(y) - 1) // 2) on
-    ``vector_from_json(vector_to_json(x))``, which is what the written vector
-    file holds.
+    Returns ``(x, certificates)``, x as its :func:`vector_to_json` object,
+    which is what the vector file holds:
+    :func:`weight_identity_certificates` for n <= min(200, len(y) - 1), then
+    :func:`weight_identity_recursion_error` for n <= min(15, (len(y) - 1) // 2)
+    on x read back from that object.
     """
-    x = companion_x(y)
+    x = vector_to_json(companion_x(y))
     certs = weight_identity_certificates(min(200, len(y) - 1))
     n_rec = min(15, (len(y) - 1) // 2)
     if n_rec >= 1:
-        certs.append(weight_identity_recursion_error(
-            vector_from_json(vector_to_json(x)), y, n_rec))
+        certs.append(weight_identity_recursion_error(vector_from_json(x), y, n_rec))
     return x, certs
 
 
@@ -376,8 +378,11 @@ def _zeta2_tail(j: int) -> float:
     return float(Fraction(pi * pi, 6 << 2 * bits) - head)
 
 
-def universal_y_l1(schedule: GapSchedule) -> list:
+def universal_y_l1(schedule: GapSchedule):
     """Certify the block-built universal vector ``schedule.z`` as its file holds it.
+
+    Returns ``(z, certificates)``, z as its :func:`vector_to_json` object,
+    which is what the vector file holds; the certificates read z back from it.
 
     The vector is ``z = z_1 + sum_j (fillers + S_w^{n_j}(z_j / (2**n_j n_j!**2)))``
     with disjoint block supports, as :func:`gap_schedule_search` builds it.
@@ -395,7 +400,8 @@ def universal_y_l1(schedule: GapSchedule) -> list:
     ``gap-monotone`` (the margins keep decreasing past n_j).
     """
     w = WeightSeq.inv_squares()
-    ns, z = schedule.ns, vector_from_json(vector_to_json(schedule.z))
+    z_obj = vector_to_json(schedule.z)
+    ns, z = schedule.ns, vector_from_json(z_obj)
     J = schedule.block_count()
     total = len(z)
     verifies = "universal-vector"
@@ -432,7 +438,7 @@ def universal_y_l1(schedule: GapSchedule) -> list:
     certs.append(flag_family("gap-monotone", "gap-schedule", 2,
                              [r["tail_monotone"] and r["derivative_negative"]
                               for r in records]))
-    return certs
+    return z_obj, certs
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +567,9 @@ def delta_d_pair(g: SeqVector):
       sum identity), for every n in the truncation.  This is the exact step
       that turns the per-index relation into ``c_{2n} = 1``;
     * ``reciprocal-coefficient``: the per-index relation itself, checked by
-      :func:`reciprocal_coefficient_checks` on
-      ``vector_from_json(vector_to_json(f))``, which is what the written
-      vector file holds.
+      :func:`reciprocal_coefficient_checks` on f read back from its
+      :func:`vector_to_json` object, which is what the vector file holds and
+      what is returned as f.
 
     Together they prove that the written f is, index by index to 1e-9,
     the f whose even weights ``c_{2n}`` are identically one.  They do not
@@ -600,7 +606,8 @@ def delta_d_pair(g: SeqVector):
     telescopes = np.ones(m.size, bool) if fail is None else m < fail
     certs = [flag_family("reciprocal-exponent-telescopes", "even-weight-unity", 1,
                          telescopes)]
-    certs += reciprocal_coefficient_checks(g, vector_from_json(vector_to_json(f)))
+    f = vector_to_json(f)
+    certs += reciprocal_coefficient_checks(g, vector_from_json(f))
     return f, certs
 
 
@@ -647,7 +654,7 @@ def stacked_primitive_g(blocks: int) -> SeqVector:
 class QBlocks:
     """Result of the inductive entire-function construction."""
 
-    Q: SeqVector
+    Q: dict                  # the vector_to_json object the file holds
     ns: list                 # n_1 .. n_K
     alphas: list             # LogComplex per block
     betas: list
@@ -667,9 +674,9 @@ def hc_Q_blocks(K: int) -> QBlocks:
     orbit weights equal to one (principal root branch).  Certified per block:
     the two weights are 1 to 1e-8 in log magnitude and phase (``unit-weight``
     row j, the worse of the weights of orders n_j + 1 and n_j + 2; checked
-    through the two-term recursion on ``vector_from_json(vector_to_json(Q))``,
-    which is what the written vector file holds: an independent route from the
-    solver's direct exponent sums), and the solved coefficients obey
+    through the two-term recursion on Q read back from its
+    :func:`vector_to_json` object, ``QBlocks.Q``, which is what the vector
+    file holds: an independent route from the solver's direct exponent sums), and the solved coefficients obey
     ``|alpha_{j+1}| <= C 2**(n_j + 1)``, ``|beta_{j+1}| <= C 2**n_{j+1}``
     (``alpha-bound`` and ``beta-bound`` row j + 1, none when K is 1).
 
@@ -739,13 +746,13 @@ def hc_Q_blocks(K: int) -> QBlocks:
         t = taylor[i]
         coeffs.append(LogComplex.zero() if t.is_zero else
                       LogComplex(t.log_mag - math.lgamma(i + 1.0), t.phase))
-    Q = SeqVector.from_logc(SpaceTag.hc(1), coeffs)
+    Q = vector_to_json(SeqVector.from_logc(SpaceTag.hc(1), coeffs))
 
     # certificates via the two-term recursion (independent of the solver path),
     # on Q as the written vector file holds it
     spec = m_fg_prime()
     one_fn = SeqVector.from_complex(SpaceTag.hc(1), [1.0])
-    led = ledger(spec, (one_fn, vector_from_json(vector_to_json(Q))), ns[-1] + 2)
+    led = ledger(spec, (one_fn, vector_from_json(Q)), ns[-1] + 2)
     verifies = "unit-weight-blocks"
     weights = [led.c(n + off) for n in ns for off in (1, 2)]
     worst = np.maximum(np.abs([c.log_mag for c in weights]),
@@ -769,7 +776,7 @@ def hc_Q_blocks(K: int) -> QBlocks:
 # ---------------------------------------------------------------------------
 
 
-def symmetric_preimage(x0: SeqVector, lam: LogComplex):
+def symmetric_preimage(x0: SeqVector, lam):
     """Preimage pair for the symmetrized shift operator: ``M(x, y) = x0`` for any lam.
 
     ``x = e_1 + lam * S_w(x0) + sum_{i>=2} e_i / i**2`` and
@@ -778,9 +785,14 @@ def symmetric_preimage(x0: SeqVector, lam: LogComplex):
     coordinates are 1 and the shifted parts average back to ``S_w(x0)``, so
     the dependence on lam cancels identically.  Returns ``(x, y, residual)``
     with the residual the log l1 distance of ``M(x, y)`` from ``x0``.
+
+    ``lam`` may also be a list of scalars: then x and y are blocks, row t
+    built from ``lam[t]`` with the bits of the one-scalar call, and the
+    residual is the list of the rows' residuals.
     """
     if x0.space.kind != "l1":
         raise ParameterRangeError("preimage construction lives on l1")
+    lams = [lam] if isinstance(lam, LogComplex) else list(lam)
     L = len(x0) + 2
     tag = SpaceTag.l1()
 
@@ -790,44 +802,44 @@ def symmetric_preimage(x0: SeqVector, lam: LogComplex):
     e1 = SeqVector.basis(tag, L, 1)
 
     s_x0 = forward_pow(x0, WeightSeq.inv_squares(), 1)._padded(L)
-    lam_m2 = lam.add(LogComplex.from_real(-2.0))
-    x = e1.add(s_x0.scale(lam)).add(tail)
-    y = e1.add(s_x0.scale(lam_m2).neg()).add(tail.neg())
 
-    return x, y, _preimage_residual(x0, x, y)
+    minus_two = LogComplex.from_real(-2.0)
+    x = e1.add(scale_rows(s_x0, lams)).add(tail)
+    y = e1.add(scale_rows(s_x0, [c.add(minus_two) for c in lams]).neg()).add(tail.neg())
+    resid = _preimage_residual(x0, x, y)
+    if isinstance(lam, LogComplex):
+        return x.row(0), y.row(0), resid[0]
+    return x, y, resid
 
 
-def _preimage_residual(x0: SeqVector, x: SeqVector, y: SeqVector) -> float:
+def _preimage_residual(x0: SeqVector, x: SeqVector, y: SeqVector) -> list[float]:
     """The log l1 distance of ``M(x, y)`` from ``x0``, M the symmetrized shift
-    operator."""
+    operator, for each row of blocks x and y (vectors are one row)."""
     out = apply(m_symmetric(), (x, y))
-    return norm(out.sub(x0._padded(len(out))))
+    return _lse_rows(out.sub(x0._padded(len(out))).lm.reshape(-1, len(out)), None)
 
 
 def symmetric_preimage_certificates(x0: SeqVector, rng):
-    """Preimage pairs of ``x0`` for 20 random lam, each certified.
+    """Preimage pairs of ``x0`` for 20 random lam, built and certified as one
+    block.
 
     lam has modulus uniform in [0.5, 8] and phase uniform in [-pi, pi], drawn
     from ``rng`` in that order.  Row t of the family ``preimage-residual`` is
     the residual of :func:`symmetric_preimage` relative to ``||x0||`` (absolute
     for a zero x0; an exactly zero residual reads -1e9), bounded by
     ``log 1e-12``.  Returns ``(x, y, certificates)`` with the pair of the
-    first lam; row 0 reads that pair as
-    ``vector_from_json(vector_to_json(.))``, which is what the written vector
-    files hold.
+    first lam as :func:`vector_to_json` objects, which are what the vector
+    files hold; row 0 reads that pair back.
     """
     base = norm(x0)
-    rels = np.empty(20)
-    for t in range(20):
-        lam = LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
-                                              * np.exp(1j * rng.uniform(-np.pi, np.pi))))
-        x, y, resid = symmetric_preimage(x0, lam)
-        if t == 0:
-            pair = x, y
-            resid = _preimage_residual(x0, *(vector_from_json(vector_to_json(v))
-                                            for v in pair))
-        rel = resid - base if base > LOG_ZERO else resid
-        rels[t] = rel if rel > LOG_ZERO else -1e9
+    lams = [LogComplex.from_complex(complex(rng.uniform(0.5, 8.0)
+                                            * np.exp(1j * rng.uniform(-np.pi, np.pi))))
+            for _ in range(20)]
+    x, y, resids = symmetric_preimage(x0, lams)
+    pair = vector_to_json(x.row(0)), vector_to_json(y.row(0))
+    resids[0], = _preimage_residual(x0, *map(vector_from_json, pair))
+    rels = np.array([r - base if base > LOG_ZERO else r for r in resids])
+    rels[rels == LOG_ZERO] = -1e9  # a NaN stays NaN, and fails its row
     return (*pair, [CheckFamily("preimage-residual", "symmetric-preimage", 0, rels,
                                 np.full(20, math.log(1e-12)))])
 
@@ -855,16 +867,19 @@ class JuliaProbe:
 RAY_WINDOW = 200  # coordinates of the ray direction the classifier iterates
 
 
-def _ray_norm_logs(v: SeqVector, t: float):
+def _ray_norm_logs(v: SeqVector, t):
     """Norm logs of ``P^n(t v)``, n = 1, 2, ..., for the square map
     ``P(x) = m_l1(x, x) = x_1 B_w(x)`` on the first ``RAY_WINDOW`` coordinates
     of ``v``; each squaring drops a coordinate, so the stream ends when one is
-    left."""
+    left.  A list of points gives one orbit block, a row per point, and the
+    stream yields the list of the rows' norm logs at each step."""
     spec = m_l1()
-    s = v.truncate(RAY_WINDOW).scale(LogComplex.from_real(t))
+    s = scale_rows(v.truncate(RAY_WINDOW),
+                   [LogComplex.from_real(x) for x in np.atleast_1d(t).tolist()])
     while len(s) > 1:
         s = apply(spec, (s, s))
-        yield norm(s)
+        logs = _lse_rows(s.lm, None)
+        yield logs if np.ndim(t) else logs[0]
 
 
 def _ray_class(norm_logs) -> OrbitClass:
@@ -887,11 +902,20 @@ def _ray_class(norm_logs) -> OrbitClass:
     return OrbitClass.UNDECIDED
 
 
+def classify_ray_points(v: SeqVector, ts) -> list[OrbitClass]:
+    """The classes of the ray points ``t * v`` for the points ``ts``, from one
+    orbit block (:func:`_ray_norm_logs`): each row is read by :func:`_ray_class`
+    as its own orbit would be, and the block is iterated only as far as the
+    slowest row needs."""
+    steps = itertools.tee(_ray_norm_logs(v, list(ts)), len(ts))
+    return [_ray_class(logs[r] for logs in rows) for r, rows in enumerate(steps)]
+
+
 def classify_polynomial_ray(v: SeqVector, t: float) -> OrbitClass:
     """Classify the iteration of the induced square map ``P(x) = x_1 B_w(x)``
-    along the ray point ``t * v`` by iterating it (:func:`_ray_class` on
-    :func:`_ray_norm_logs`)."""
-    return _ray_class(_ray_norm_logs(v, t))
+    along the ray point ``t * v`` by iterating it: the one-point case of
+    :func:`classify_ray_points`."""
+    return classify_ray_points(v, [t])[0]
 
 
 def _classify_scaled(unit_logs: list[float], t: float) -> OrbitClass:
@@ -915,9 +939,9 @@ def julia_ray_bisection(v: SeqVector, t_lo: float, t_hi: float, tol: float) -> J
     their spacing, and re-verifies both endpoint classifications, returning
     the narrowest bracket of the bisection that keeps them: the input bracket,
     whose ends were classified first, when no narrower one does.
-    The endpoints are classified by their own orbits
-    (:func:`classify_polynomial_ray`), the midpoints from one orbit of ``v``
-    (:func:`_classify_scaled`).  The returned bracket is a numerical
+    The endpoints are classified by their own orbits, each pair as one
+    two-row block (:func:`classify_ray_points`), the midpoints from one orbit
+    of ``v`` (:func:`_classify_scaled`).  The returned bracket is a numerical
     certificate of proximity to the basin boundary along the ray, nothing
     stronger.
     """
@@ -927,10 +951,7 @@ def julia_ray_bisection(v: SeqVector, t_lo: float, t_hi: float, tol: float) -> J
     if not (0 <= t_lo < t_hi):
         raise BadBracketError("need 0 <= t_lo < t_hi")
 
-    def cls(t: float) -> OrbitClass:
-        return classify_polynomial_ray(v, t)
-
-    c_lo, c_hi = cls(t_lo), cls(t_hi)
+    c_lo, c_hi = classify_ray_points(v, (t_lo, t_hi))
     if c_lo is not OrbitClass.CONVERGES_TO_ZERO:
         raise BadBracketError(f"low endpoint classifies {c_lo.value}")
     if c_hi is OrbitClass.CONVERGES_TO_ZERO:
@@ -952,7 +973,7 @@ def julia_ray_bisection(v: SeqVector, t_lo: float, t_hi: float, tol: float) -> J
     # the narrowest bracket whose ends keep their classes by their own orbits:
     # a few ulps from the boundary the window leaves the direct orbit undecided
     for t_lo, t_hi in reversed(brackets[1:]):
-        c_lo, c_hi = cls(t_lo), cls(t_hi)
+        c_lo, c_hi = classify_ray_points(v, (t_lo, t_hi))
         if c_lo is OrbitClass.CONVERGES_TO_ZERO and c_hi is not OrbitClass.CONVERGES_TO_ZERO:
             return JuliaProbe(t_lo, t_hi, c_lo, c_hi, len(brackets) - 1)
     return JuliaProbe(*entry, len(brackets) - 1)

@@ -96,11 +96,16 @@ class MultilinearSpec:
             self.arity == 2 or (self.chain and self.linear == "shift"))
 
     def linear_apply(self, v: SeqVector) -> SeqVector:
+        """``L v``; a ``(K, W)`` block gives its rows' images.  The shift and
+        the derivative take the block in one call; a translation is one
+        :func:`translate` per row, each row as wide as the block."""
         if self.linear == "shift":
             return backward_shift(v, self.weights)
         if self.linear == "derivative":
             return derivative(v)
-        return translate(v)
+        if v.hi.ndim == 1:
+            return translate(v)
+        return SeqVector.stack([translate(v.row(k)) for k in range(v.hi.shape[0])])
 
     def linear_pow(self, v: SeqVector, k) -> SeqVector:
         """``L**k v``; a 1-D array of powers gives a block, one row per power.
@@ -214,17 +219,72 @@ def _check_spaces(spec: MultilinearSpec, args) -> None:
                 f"{spec.name} expects {spec.space.kind!r} vectors, got {a.space.kind!r}")
 
 
+def _scale_rows(hi, lo, ph, s_log, s_ph):
+    """Row r of a block times scalar r: a batched :meth:`SeqVector.scale`.
+
+    The scalars are columns, one entry per row (shape ``(K, 1)``), so they
+    broadcast along the rows; a vector with a one-entry column is the one-row
+    case.  A zero scalar gives a zero row, as ``scale`` does.
+    """
+    # a list scan of the short column costs less than a ufunc and .any()
+    if LOG_ZERO not in s_log.ravel().tolist():
+        return _scale_arrays(hi, lo, ph, s_log, s_ph)
+    zero = s_log == LOG_ZERO
+    hi, lo, ph = _scale_arrays(hi, lo, ph, np.where(zero, 0.0, s_log), s_ph)
+    return np.where(zero, LOG_ZERO, hi), lo, ph
+
+
+def scale_rows(v: SeqVector, scalars) -> SeqVector:
+    """The block whose row t is ``v.scale(scalars[t])``, with its bits; ``v``
+    is a vector, or a block with one row per scalar."""
+    return SeqVector(v.space, *_scale_rows(v.hi, v.lo, v.phase,
+                                           np.array([[c.log_mag] for c in scalars]),
+                                           np.array([[c.phase] for c in scalars])))
+
+
+def _functional_column(args, slots):
+    """The scalar ``logc_prod(eval_functional(args[s - 1]) for s in slots)``
+    of :func:`apply` for every row, with its bits, as columns of log
+    magnitudes and phases (:func:`_scale_rows`): a zero-width row reads as
+    exact zero.
+
+    The column is short (one entry per row), so it is tested by list scans,
+    which cost less than ufuncs and ``.any()`` on a few entries.
+    """
+    s_log, s_ph, zero = 0.0, 0.0, False  # LogComplex.one()
+    for s in slots:
+        first = args[s - 1]._padded(1)
+        f_log = first.hi[..., :1] + first.lo[..., :1]
+        if LOG_ZERO in f_log.ravel().tolist():
+            zero = zero | (f_log == LOG_ZERO)
+        s_log = s_log + f_log
+        s_ph = s_ph + first.phase[..., :1]
+        phases = s_ph.ravel().tolist()
+        if min(phases, default=0.0) <= -math.pi or max(phases, default=0.0) > math.pi:
+            wrap = (s_ph <= -np.pi) | (s_ph > np.pi)
+            s_ph[wrap] = [normalize_phase(p) for p in s_ph[wrap].tolist()]
+    if zero is not False:  # as LogComplex.mul: a zero factor gives zero, even beside an infinite one
+        s_log[zero], s_ph[zero] = LOG_ZERO, 0.0
+    return s_log, s_ph
+
+
 def _apply_oriented(spec: MultilinearSpec, args, functional_slots, shift_slot):
-    scalar = logc_prod(eval_functional(args[s - 1]) for s in functional_slots)
     shifted = spec.linear_apply(args[shift_slot - 1])
-    return shifted.scale(scalar)
+    return SeqVector(shifted.space, *_scale_rows(
+        shifted.hi, shifted.lo, shifted.phase, *_functional_column(args, functional_slots)))
 
 
 HALF = LogComplex(-LN2, 0.0)
 
 
 def apply(spec: MultilinearSpec, args) -> SeqVector:
-    """One application of the operator to an m-tuple of vectors."""
+    """One application of the operator to an m-tuple of vectors.
+
+    The arguments may be ``(K, W)`` blocks of equal height, rows padded with
+    canonical zeros: row k of the result is the application to the k-th
+    rows, with the bits of the one-tuple call on those rows.  A vector is
+    the one-row case.
+    """
     args = tuple(args)
     if len(args) != spec.arity:
         raise ParameterRangeError(f"{spec.name} has arity {spec.arity}")
@@ -421,18 +481,6 @@ def ledger(spec: MultilinearSpec, init, N: int) -> WeightLedger:
     return WeightLedger(spec, c_vals, d_vals, merge, zero_from)
 
 
-def _scale_rows(hi, lo, ph, s_log, s_ph):
-    """Row r of a block times scalar r: a batched :meth:`SeqVector.scale`.
-
-    A zero scalar gives a zero row, as ``scale`` does.
-    """
-    zero = s_log == LOG_ZERO
-    hi, lo, ph = _scale_arrays(hi, lo, ph, np.where(zero, 0.0, s_log)[:, np.newaxis],
-                               s_ph[:, np.newaxis])
-    hi[zero] = LOG_ZERO
-    return hi, lo, ph
-
-
 def closed_form_state(spec: MultilinearSpec, init, ledg: WeightLedger,
                       n) -> SeqVector:
     """State n straight from the closed form (linear power times c_n d_n).
@@ -468,8 +516,8 @@ def closed_form_state(spec: MultilinearSpec, init, ledg: WeightLedger,
     for b, rows in blocks:
         hi[rows, :len(b)], lo[rows, :len(b)], ph[rows, :len(b)] = b.hi, b.lo, b.phase
     cd = [ledg.cd(int(k)) for k in ks]
-    hi, lo, ph = _scale_rows(hi, lo, ph, np.array([c.log_mag for c in cd]),
-                             np.array([c.phase for c in cd]))
+    hi, lo, ph = _scale_rows(hi, lo, ph, np.array([[c.log_mag] for c in cd]),
+                             np.array([[c.phase] for c in cd]))
     if np.ndim(n) == 0:
         hi, lo, ph = hi[0], lo[0], ph[0]
     space = blocks[0][0].space if blocks else init[-1].space
@@ -634,7 +682,8 @@ def _image_rows(spec: MultilinearSpec, states: SeqVector, lens):
 
     ``states`` holds one state per row, padded with canonical zeros, and
     ``lens`` their true lengths.  Returns the images' padded hi/lo/phase,
-    their true lengths, and the scalars' log magnitudes and phases.  Row r
+    their true lengths, and the scalars' log magnitudes and phases as
+    columns (:func:`_functional_column`).  Row r
     has the bits of ``spec.linear_apply(v)`` and of
     ``logc_prod((eval_functional(v),))`` for the row's state ``v`` at its
     true length; a zero-length row gives the canonical zero scalar.
@@ -656,13 +705,7 @@ def _image_rows(spec: MultilinearSpec, states: SeqVector, lens):
         img = spec.linear_apply(states)
         hi, lo, ph = img.hi, img.lo, img.phase
         img_lens = np.maximum(lens - 1, 0)
-    first = states._padded(1)
-    s_log = 0.0 + (first.hi[:, 0] + first.lo[:, 0])  # as LogComplex.one().mul
-    s_ph = 0.0 + first.phase[:, 0]
-    outside = ~((s_ph > -np.pi) & (s_ph <= np.pi))
-    s_ph[outside] = [normalize_phase(p) for p in s_ph[outside].tolist()]
-    s_ph[s_log == LOG_ZERO] = 0.0
-    return hi, lo, ph, img_lens, s_log, s_ph
+    return hi, lo, ph, img_lens, *_functional_column((states,), (1,))
 
 
 def _outer(parts, s_log, s_ph, img, sc):

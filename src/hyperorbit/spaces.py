@@ -157,6 +157,26 @@ def _lse(a: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(a - m))))
 
 
+def _lse_rows(a: np.ndarray, lens) -> list[float]:
+    """:func:`_lse` of each row of a 2-D array, row r cut to its first
+    ``lens[r]`` entries (whole rows for ``lens = None``), as floats: on a
+    block's ``lm`` these are the l1 norms of its rows.
+
+    Row maxima and one ``exp`` serve the whole block, then each row is summed
+    at its own length and logged by ``math.log``, so a row has the bits of
+    ``_lse`` on the row alone (a padded sum would group its terms
+    differently).
+    """
+    if lens is not None:
+        a = np.where(np.arange(a.shape[1]) < np.asarray(lens)[:, np.newaxis], a, LOG_ZERO)
+    m = np.max(a, axis=1, initial=LOG_ZERO)
+    e = np.exp(a - np.where(m == LOG_ZERO, 0.0, m)[:, np.newaxis])
+    sums = (np.sum(e, axis=1).tolist() if lens is None
+            else [float(np.sum(row[:n])) for row, n in zip(e, lens)])
+    return [LOG_ZERO if mr == LOG_ZERO else mr + math.log(s)
+            for mr, s in zip(m.tolist(), sums)]
+
+
 # ---------------------------------------------------------------------------
 # weight sequences
 # ---------------------------------------------------------------------------
@@ -228,9 +248,12 @@ class SeqVector:
 
     A block of vectors of one space shares the class: ``hi``/``lo``/``phase``
     are ``(K, W)`` arrays, one vector per row, shorter rows padded with
-    canonical zeros, and ``len()`` is the width W.  Blocks promise only the
-    elementwise members (:attr:`lm`, :meth:`scale`, :meth:`_padded`) and
-    :func:`backward_shift`.
+    canonical zeros, and ``len()`` is the width W.  Blocks promise the
+    elementwise members (:attr:`lm`, :meth:`scale`, :meth:`neg`,
+    :meth:`add`, :meth:`sub`, :meth:`truncate`, :meth:`_padded`), the row
+    access of :meth:`row` and :meth:`stack`, and :func:`backward_shift`;
+    each row of their results has the bits of the one-vector call on that
+    row.  ``_lse_rows(block.lm, None)`` gives the l1 norms of the rows.
     """
 
     __slots__ = ("space", "hi", "lo", "phase")
@@ -271,7 +294,37 @@ class SeqVector:
 
     @staticmethod
     def from_complex(space: SpaceTag, values) -> "SeqVector":
-        return SeqVector.from_parts(space, (complex_parts(complex(v)) for v in values))
+        """From complex values; a 2-D array gives a block, one vector per row.
+
+        The rule is :func:`~hyperorbit.arith.complex_parts`, applied to the
+        whole array in one pass through the same libm calls (Python ``abs``,
+        ``math.log`` and ``math.atan2`` by ``map``), so every coordinate has
+        its bits; numpy's own ``log``, ``arctan2`` and ``abs`` round
+        differently on some inputs.  A NaN part raises
+        :class:`ParameterRangeError`.
+        """
+        z = np.asarray(values, dtype=complex)
+        nan = np.isnan(z)
+        if nan.any():
+            raise ParameterRangeError(f"complex value {complex(z[nan][0])!r} must not be NaN")
+        flat = z.ravel()
+        mag = np.array(list(map(abs, flat.tolist())))
+        zero = mag == 0.0
+        hi = np.array(list(map(math.log, np.where(zero, 1.0, mag).tolist())))
+        hi[zero] = LOG_ZERO
+        ph = np.array(list(map(math.atan2, flat.imag.tolist(), flat.real.tolist())))
+        ph[ph == -math.pi] = math.pi  # normalize_phase on atan2's range [-pi, pi]
+        return SeqVector(space, hi.reshape(z.shape), np.zeros(z.shape), ph.reshape(z.shape))
+
+    @staticmethod
+    def stack(parts) -> "SeqVector":
+        """Vectors and blocks of one space as one block: their rows in order,
+        padded with canonical zeros to the widest part."""
+        n = max(len(p) for p in parts)
+        parts = [p._padded(n) for p in parts]
+        return SeqVector(parts[0].space, *(
+            np.concatenate([getattr(p, a).reshape(-1, n) for p in parts])
+            for a in ("hi", "lo", "phase")))
 
     @staticmethod
     def from_logc(space: SpaceTag, coords) -> "SeqVector":
@@ -299,8 +352,13 @@ class SeqVector:
         return LogComplex(float(self.hi[i - 1] + self.lo[i - 1]),
                           float(self.phase[i - 1]))
 
+    def row(self, k) -> "SeqVector":
+        """Row ``k`` of a block as a vector; a slice gives a block of rows."""
+        return SeqVector(self.space, self.hi[k], self.lo[k], self.phase[k])
+
     def truncate(self, n: int) -> "SeqVector":
-        return SeqVector(self.space, self.hi[:n], self.lo[:n], self.phase[:n])
+        """The first ``n`` coordinates (of every row of a block)."""
+        return SeqVector(self.space, self.hi[..., :n], self.lo[..., :n], self.phase[..., :n])
 
     # -- algebra -----------------------------------------------------------
 
@@ -737,9 +795,12 @@ def vector_from_json(obj: dict) -> SeqVector:
     return SeqVector(tag, hi, lo, ph)
 
 
-def write_vector(path, v: SeqVector) -> None:
+def write_vector(path, v) -> None:
+    """Write ``v``, a vector or its :func:`vector_to_json` object, as one JSON
+    document; a builder hands over the object it certified, encoded once."""
+    obj = vector_to_json(v) if isinstance(v, SeqVector) else v
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(vector_to_json(v)))  # one-shot dumps uses the C encoder
+        fh.write(json.dumps(obj))  # one-shot dumps uses the C encoder
 
 
 def read_vector(path) -> SeqVector:

@@ -118,7 +118,7 @@ def test_04_weight_identity_to_200(acceptance_record):
 def test_05_universal_vector_certificates(acceptance_record):
     t0 = time.perf_counter()
     sch = gap_schedule_search(4)
-    certs = universal_y_l1(sch)
+    _, certs = universal_y_l1(sch)
     ok = all(c.ok for c in certs)
     rows = sum(len(c) if isinstance(c, CheckFamily) else 1 for c in certs)
     dt = time.perf_counter() - t0

@@ -563,7 +563,7 @@ class TestDeltaDFile:
     def test_file_is_certified_vector(self, written):
         # the file holds f bit for bit, its nonzero lo parts included
         g, path = written
-        f, _ = constructions.delta_d_pair(g)
+        f = spaces.vector_from_json(constructions.delta_d_pair(g)[0])
         on_disk = read_vector(path)
         assert np.count_nonzero(f.lo) == 39
         for part in ("hi", "lo", "phase"):
@@ -596,10 +596,11 @@ class TestWrittenFiles:
         if target == "universal_l1":
             return {"universal_y.json": constructions.gap_schedule_search(3).z}
         if target == "q_blocks":
-            return {"q_universal.json": constructions.hc_Q_blocks(3).Q}
+            return {"q_universal.json": spaces.vector_from_json(constructions.hc_Q_blocks(3).Q)}
         x, y, _ = constructions.symmetric_preimage_certificates(
             read_vector(path), np.random.default_rng(0))
-        return {"preimage_x.json": x, "preimage_y.json": y}
+        return {"preimage_x.json": spaces.vector_from_json(x),
+                "preimage_y.json": spaces.vector_from_json(y)}
 
     @pytest.mark.parametrize("target, nonzero_lo", [
         ("companion", [0]), ("universal_l1", [5]), ("q_blocks", [0]),
@@ -1076,6 +1077,44 @@ def bench_tasks():
         yield module
     finally:
         del sys.modules[spec.name]
+
+
+@pytest.fixture(scope="module")
+def bench_spans():
+    """``bench/spans.py``, loaded by path and only read: the traced run's
+    per-layer targets."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans_under_test", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_span_target_resolves(bench_spans):
+    # a renamed or removed library name would silently drop its per-layer
+    # metrics from a traced run: every target names a function of the library
+    # (a method in its class's own namespace, as the recorder wraps it)
+    unresolved = []
+    for target in bench_spans.TARGETS:
+        modname, *path = target.split(".")
+        owner = importlib.import_module("hyperorbit." + modname)
+        for name in path:
+            owner = vars(owner).get(name)
+            if owner is None:
+                break
+        if not callable(owner):
+            unresolved.append(target)
+    assert unresolved == []
+    recorder = bench_spans.SpanRecorder()
+    try:
+        recorder.install()
+    finally:
+        recorder.uninstall()
+    assert recorder.missing == []
 
 
 class TestBenchReportCheck:

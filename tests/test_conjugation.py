@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from hyperorbit.arith import LOG_ZERO
+from hyperorbit.arith import LOG_ZERO, LogComplex
 from hyperorbit.conjugation import (
     FactorMap,
+    HostBilinear,
     _log_polar,
     _LogMatrix,
     build_N,
@@ -45,9 +46,12 @@ def apply_dense(op, u, v):
 
 
 def functional(op, l, v):
-    """``x_l*(v)`` in the log domain, read from the operator's row matrices."""
-    rows = op._first.matvec(v) if l == 1 else op._rest.matvec(v)
-    return rows.coord(1 if l == 1 else l - 1)
+    """``x_l*(v)`` in the log domain, read from the operator's functional
+    matrix on the pair (v, v): row l-1 for l >= 2, the last row for l = 1."""
+    N = op.basis.size
+    v = v._padded(N).truncate(N)
+    pair = SeqVector(L1, *(np.concatenate((a, a)) for a in (v.hi, v.lo, v.phase)))
+    return op._functionals.matvec(pair).coord(N if l == 1 else l - 1)
 
 
 class TestBases:
@@ -222,6 +226,124 @@ class TestPushforward:
         y = SeqVector.from_complex(L1, [0.0] + [0.5] * 39)
         rep = pushforward_orbit_check(build_N(basis), (x, y), 10)
         assert rep.ok
+
+
+def _same_bits(a: SeqVector, b: SeqVector) -> bool:
+    return all(getattr(a, p).tobytes() == getattr(b, p).tobytes()
+               for p in ("hi", "lo", "phase"))
+
+
+def _block_rows(rng, N):
+    """One row of each kind a block holds: full width, padded with canonical
+    zeros, one live term, all zero, and a zero first coordinate (a zero
+    first functional in every built-in basis)."""
+    full = rand_vec(rng, N)
+    return [full, rand_vec(rng, N - 5),
+            SeqVector.basis(L1, N, 3).scale(LogComplex(-0.4, 2.0)),
+            SeqVector.zeros(L1, N),
+            SeqVector(L1, np.r_[LOG_ZERO, full.hi[1:]], np.r_[0.0, full.lo[1:]],
+                      np.r_[0.0, full.phase[1:]])]
+
+
+KINDS = ["identity", "diagonal", "banded"]
+
+
+class TestBlockRows:
+    """Row k of a block call has the bits of the one-vector call on row k."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matvec_rows(self, kind):
+        N = 30
+        op = build_N(host_basis(kind, N))
+        rows = _block_rows(np.random.default_rng(71), N)
+        block = SeqVector.stack(rows)
+        for matrix in (op.phi._cols, op._mix_log):
+            out = matrix.matvec(block)
+            assert out.hi.shape == (len(rows), matrix.shape[0])
+            for k, r in enumerate(rows):
+                assert _same_bits(out.row(k), matrix.matvec(r))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_host_apply_rows(self, kind):
+        N = 30
+        op = build_N(host_basis(kind, N))
+        rows = _block_rows(np.random.default_rng(72), N)
+        K = len(rows)
+        # v runs one row behind u, so each kind of row meets each slot
+        vs = rows[1:] + rows[:1]
+        out = op.apply(SeqVector.stack(rows), SeqVector.stack(vs))
+        for k in range(K):
+            assert _same_bits(out.row(k), op.apply(rows[k], vs[k]))
+        # a zero first functional annihilates the whole row
+        assert (out.row(K - 2).hi == LOG_ZERO).all()
+
+
+def _old_commutation_random(host_op, samples, rng):
+    """Reference: the random part of the commutation check pair by pair, with
+    the draws in the check's order (the basis part draws nothing)."""
+    phi, N = host_op.phi, host_op.basis.size
+    worst = 0.0
+    for _ in range(max(1, min(samples, N) // 5)):
+        uu = SeqVector.from_complex(L1, rng.normal(size=N) + 1j * rng.normal(size=N))
+        vv = SeqVector.from_complex(L1, rng.normal(size=N) + 1j * rng.normal(size=N))
+        r = norm(phi(apply(m_l1(), (uu, vv))._padded(N)).sub(host_op.apply(phi(uu), phi(vv))))
+        worst = max(worst, math.exp(min(r, 50.0)) if r > LOG_ZERO else 0.0)
+    return worst
+
+
+def _old_pushforward_logs(host_op, init, steps):
+    """Reference: the push-forward residual and bound logs state by state."""
+    phi = host_op.phi
+    h_prev2, h_prev1 = phi(init[0]), phi(init[1])
+    resid, bound = [], []
+    for src in iterate_bc(m_l1(), init, steps).states:
+        h = host_op.apply(h_prev2, h_prev1)
+        h_prev2, h_prev1 = h_prev1, h
+        resid.append(norm(phi(src).truncate(len(src)).sub(h.truncate(len(src)))))
+        bound.append(math.log(1e-9) + float(np.logaddexp(0.0, norm(h))))
+    return resid, bound
+
+
+class TestBlockChecks:
+    """The block-built checks give the numbers of their pair-by-pair and
+    state-by-state forms, and still fail on a host operator that is off."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_commutation_matches_pair_by_pair(self, kind):
+        op = build_N(host_basis(kind, 80))
+        rep = commutation_check(op, 60, np.random.default_rng(73))
+        assert rep.max_random_residual == _old_commutation_random(
+            op, 60, np.random.default_rng(73))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pushforward_matches_state_by_state(self, kind):
+        op = build_N(host_basis(kind, 80))
+        rng = np.random.default_rng(74)
+        init = (rand_vec(rng, 80, 0.002), rand_vec(rng, 80, 0.002))
+        rep = pushforward_orbit_check(op, init, 30)
+        assert (rep.residual_logs, rep.bound_logs) == _old_pushforward_logs(op, init, 30)
+
+    @staticmethod
+    def scaled(monkeypatch, log_factor):
+        apply_n = HostBilinear.apply
+        monkeypatch.setattr(HostBilinear, "apply", lambda self, u, v: apply_n(
+            self, u, v).scale(LogComplex(log_factor, 0.0)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_host_scaled_by_e_1e_3_fails_pushforward(self, kind, monkeypatch):
+        op = build_N(host_basis(kind, 80))
+        rng = np.random.default_rng(75)
+        init = (rand_vec(rng, 80, 0.002), rand_vec(rng, 80, 0.002))
+        assert pushforward_orbit_check(op, init, 50).ok
+        self.scaled(monkeypatch, 1e-3)
+        assert not pushforward_orbit_check(op, init, 50).ok
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_host_scaled_by_e_1e_6_fails_commutation(self, kind, monkeypatch):
+        op = build_N(host_basis(kind, 80))
+        assert commutation_check(op, 50, np.random.default_rng(76)).max_residual <= 1e-10
+        self.scaled(monkeypatch, 1e-6)
+        assert commutation_check(op, 50, np.random.default_rng(76)).max_residual > 1e-10
 
 
 class TestLiveEntryKernel:

@@ -30,7 +30,7 @@ from hyperorbit.constructions import (
     weight_identity_certificates,
     weight_identity_recursion_error,
 )
-from hyperorbit.dynamics import LN2, OrbitClass, apply, ledger, m_fg_prime, m_symmetric
+from hyperorbit.dynamics import LN2, OrbitClass, apply, ledger, m_fg_prime, m_l1, m_symmetric
 from hyperorbit.errors import (
     BadBracketError,
     ParameterRangeError,
@@ -46,6 +46,7 @@ from hyperorbit.spaces import (
     derivative_pow,
     forward_pow,
     norm,
+    vector_from_json,
 )
 from oracles import entry, failures, primitive_block, retag, steering_exact, to_complex
 
@@ -289,7 +290,7 @@ class TestGapScanOracle:
 @pytest.fixture(scope="module")
 def built():
     sch = gap_schedule_search(3)
-    return sch, sch.z, universal_y_l1(sch)
+    return sch, sch.z, universal_y_l1(sch)[1]
 
 
 def reference_layout(ns):
@@ -368,7 +369,7 @@ class TestCertificateFailures:
     def test_universal_vector_wrong_weights(self, built, monkeypatch):
         sch = built[0]
         _unit_weights(monkeypatch)
-        certs = universal_y_l1(sch)
+        _, certs = universal_y_l1(sch)
         assert failures(certs) == [("universality-residual", [2, 3])]
         family = entry(certs, "universality-residual")
         assert family.bound[1] == pytest.approx(math.log(2.0 * (math.pi ** 2 / 6 - 1.0)))
@@ -495,6 +496,7 @@ class TestReciprocalPair:
         # g^(0)(0)=2, g^(1)(0)=3: f'(0) = 1/2, c_2 = g(0) f'(0) = 1
         g = cvec([2.0, 3.0, 0.5, 0.1], HC)
         f, certs = delta_d_pair(g)
+        f = vector_from_json(f)
         assert to_complex(f.coord(2)) == pytest.approx(0.5)
         assert all(c.ok for c in certs)
 
@@ -502,6 +504,7 @@ class TestReciprocalPair:
         n = 12
         g = cvec([1.0 / math.factorial(i) for i in range(n)], HC)
         f, certs = delta_d_pair(g)
+        f = vector_from_json(f)
         for i in range(n):
             assert to_complex(f.coord(i + 1)) == pytest.approx(
                 1.0 / math.factorial(i), rel=1e-12)
@@ -525,6 +528,7 @@ class TestReciprocalPair:
     def test_single_coefficient(self):
         # f = 1 and no coefficient to relate; the one exponent row still runs
         f, certs = delta_d_pair(cvec([2.0], HC))
+        f = vector_from_json(f)
         assert to_complex(f.coord(1)) == 1.0
         # row 1 certifies c_2
         (family,) = certs
@@ -591,7 +595,7 @@ class TestUniversalEntireFunction:
         # equals the weight of order n-4 of the 4-th derivative
         qb = hc_Q_blocks(2)
         n2 = qb.ns[1]
-        q2 = qb.Q.truncate(n2 + 1)
+        q2 = vector_from_json(qb.Q).truncate(n2 + 1)
         spec = m_fg_prime()
         one_fn = cvec([1.0], HC)
         led_q = ledger(spec, (one_fn, q2), n2 + 2)
@@ -642,6 +646,7 @@ class TestSymmetricPreimage:
         # 20 rows, one per lam; the returned pair is the first lam's
         x0 = cvec([1.0, -2.0, 0.25])
         x, y, certs = symmetric_preimage_certificates(x0, np.random.default_rng(35))
+        x, y = vector_from_json(x), vector_from_json(y)
         (family,) = certs
         assert (family.name, family.verifies, family.first, len(family)) == (
             "preimage-residual", "symmetric-preimage", 0, 20)
@@ -653,6 +658,51 @@ class TestSymmetricPreimage:
         for got, want in ((x, x1), (y, y1)):
             assert got.hi.tobytes() == want.hi.tobytes()
             assert got.phase.tobytes() == want.phase.tobytes()
+
+    def test_lambda_block_rows_are_the_one_lambda_calls(self):
+        x0 = cvec([1.0, -2.0, 0.25, 0.0, 3j])
+        lams = [LogComplex.from_complex(z) for z in (2.0, -3 + 1j, 0.5j, 7.5, -0.5 - 0.0j)]
+        x, y, resids = symmetric_preimage(x0, lams)
+        for t, lam in enumerate(lams):
+            x1, y1, r1 = symmetric_preimage(x0, lam)
+            assert resids[t] == r1
+            for got, want in ((x.row(t), x1), (y.row(t), y1)):
+                for part in ("hi", "lo", "phase"):
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+    def test_one_perturbed_lambda_row_fails_only_its_index(self, monkeypatch):
+        # x of row 7 is built from lam * (1 + 1e-6), its y from the true lam:
+        # M(x, y) misses x0 there and nowhere else
+        scale_rows, calls = constructions.scale_rows, []
+
+        def perturbed(v, scalars):
+            scalars = list(scalars)
+            if not calls:
+                scalars[7] = scalars[7].mul(LogComplex(math.log1p(1e-6), 0.0))
+            calls.append(len(scalars))
+            return scale_rows(v, scalars)
+
+        x0 = cvec([1.0, -2.0, 0.25])
+        assert symmetric_preimage_certificates(x0, np.random.default_rng(36))[2][0].ok
+        monkeypatch.setattr(constructions, "scale_rows", perturbed)
+        _, _, certs = symmetric_preimage_certificates(x0, np.random.default_rng(36))
+        assert calls == [20, 20]
+        assert failures(certs) == [("preimage-residual", [7])]
+
+    def test_nan_residual_fails_its_row(self, monkeypatch):
+        # a NaN residual is no exact zero: it stays NaN and fails
+        residual = constructions._preimage_residual
+
+        def nan_row_3(x0, x, y):
+            out = residual(x0, x, y)
+            if len(out) == 20:
+                out[3] = math.nan
+            return out
+
+        monkeypatch.setattr(constructions, "_preimage_residual", nan_row_3)
+        _, _, certs = symmetric_preimage_certificates(cvec([1.0, -2.0]),
+                                                      np.random.default_rng(37))
+        assert failures(certs) == [("preimage-residual", [3])]
 
     def test_pair_lands_back_exactly_on_first_coords(self):
         x0 = cvec([1.0, -2.0, 0.25])
@@ -714,6 +764,27 @@ class TestOneOrbitClassifier:
 
 
 class TestRayBisection:
+    def test_ray_point_rows_are_classified_as_their_own_orbits(self):
+        # each row of the orbit block is read as its one-point orbit would be:
+        # the classes of a block are those of its points alone
+        v = factorial_tail_direction(60)
+        ts = [1.0, 20.0, 3.0, 0.0, 7.25]
+        got = constructions.classify_ray_points(v, ts)
+        assert got == [constructions.classify_ray_points(v, [t])[0] for t in ts]
+        assert OrbitClass.CONVERGES_TO_ZERO in got and len(set(got)) > 1
+
+        def direct(t):
+            # the one-point orbit: t v squared by the induced map, one norm a step
+            s = v.truncate(constructions.RAY_WINDOW).scale(LogComplex.from_real(t))
+            while len(s) > 1:
+                s = apply(m_l1(), (s, s))
+                yield norm(s)
+
+        block = list(constructions._ray_norm_logs(v, ts))
+        for r, (t, c) in enumerate(zip(ts, got)):
+            assert [logs[r] for logs in block] == list(direct(t))
+            assert constructions._ray_class(direct(t)) is c
+
     def test_whole_ray_attracted_is_bad_bracket(self):
         v = cvec([1.0, 1.0] + [0.0] * 6)
         with pytest.raises(BadBracketError):
@@ -725,23 +796,25 @@ class TestRayBisection:
             julia_ray_bisection(v, 20.0, 1.0, 1e-9)
 
     def test_input_bracket_when_no_narrower_one_reverifies(self, monkeypatch):
-        # past the two entry classifications the direct classifier answers
+        # past the entry classification the direct classifier answers
         # undecided, so no bisected bracket re-verifies: the input bracket
         # comes back with the classes its ends were given at entry, and the
-        # walk back classifies each bisected bracket once and the input not again
+        # walk back classifies each bisected bracket once, as one pair, and
+        # the input not again
         v = factorial_tail_direction(60)
-        direct, calls = constructions.classify_polynomial_ray, []
+        direct, calls = constructions.classify_ray_points, []
 
-        def entry_only(v, t):
-            calls.append(t)
-            return direct(v, t) if len(calls) <= 2 else OrbitClass.UNDECIDED
+        def entry_only(v, ts):
+            calls.append(tuple(ts))
+            return direct(v, ts) if len(calls) <= 1 else [OrbitClass.UNDECIDED] * len(ts)
 
-        monkeypatch.setattr(constructions, "classify_polynomial_ray", entry_only)
+        monkeypatch.setattr(constructions, "classify_ray_points", entry_only)
         probe = julia_ray_bisection(v, 1.0, 20.0, 1e-6)
         assert (probe.t_lo, probe.t_hi) == (1.0, 20.0)
         assert probe.class_lo is OrbitClass.CONVERGES_TO_ZERO
-        assert probe.class_hi is direct(v, 20.0)
-        assert probe.bisection_steps > 0 and len(calls) == 2 + 2 * probe.bisection_steps
+        assert probe.class_hi is direct(v, [20.0])[0]
+        assert calls[0] == (1.0, 20.0) and {len(ts) for ts in calls} == {2}
+        assert probe.bisection_steps > 0 and len(calls) == 1 + probe.bisection_steps
 
     def test_factorial_tail_flip(self):
         v = factorial_tail_direction(200)

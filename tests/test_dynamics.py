@@ -104,6 +104,77 @@ class TestApply:
             apply(spec, (cvec([1], HC), cvec([1], HC)))
 
 
+def _same_bits(a: SeqVector, b: SeqVector) -> bool:
+    return all(getattr(a, p).tobytes() == getattr(b, p).tobytes()
+               for p in ("hi", "lo", "phase"))
+
+
+def _apply_by_scalars(spec, args):
+    """Reference for the one-tuple :func:`apply`: the functional scalar as a
+    ``LogComplex`` product and the image scaled by it, as the operator reads."""
+    def oriented(slots, shift):
+        scalar = logc_prod(eval_functional(args[s - 1]) for s in slots)
+        return spec.linear_apply(args[shift - 1]).scale(scalar)
+
+    out = oriented(spec.functional_slots, spec.shift_slot)
+    if spec.symmetrized:
+        other = oriented((spec.shift_slot,), spec.functional_slots[0])
+        n = min(len(out), len(other))
+        out = out.truncate(n).add(other.truncate(n)).scale(dynamics.HALF)
+    return out
+
+
+def _block_rows(space, W, rng):
+    """One row of each kind a block holds: full width, padded with canonical
+    zeros, one live term, all zero, and a zero first coordinate (a zero
+    functional); the first coordinates' phases sit near +-pi and at -0.0."""
+    full = rand_vec(rng, space, W)
+    no_first = SeqVector(space, np.r_[LOG_ZERO, full.hi[1:]], np.r_[0.0, full.lo[1:]],
+                         np.r_[0.0, full.phase[1:]])
+    return [full, rand_vec(rng, space, W - 3),
+            SeqVector.basis(space, W, 4).scale(LogComplex(0.7, -2.5)),
+            SeqVector.zeros(space, W), no_first,
+            SeqVector.from_complex(space, [complex(-1.5, -1e-9)] + [0.5] * (W - 1)),
+            SeqVector.from_complex(space, [complex(2.0, -0.0)] + [1.0j] * (W - 1))]
+
+
+BLOCK_SPECS = {name: make for name, make in OPERATORS.items()}
+BLOCK_SPECS["mc_CN(4)"] = lambda: mc_CN(4)
+
+
+class TestApplyBlock:
+    """``apply`` on (K, W) blocks: row k of the result has the bits of the
+    one-tuple call on the k-th rows."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
+    def test_rows_have_the_bits_of_the_one_tuple_call(self, name):
+        spec = BLOCK_SPECS[name]()
+        W = 12
+        rows = _block_rows(spec.space, W, np.random.default_rng(61))
+        K = len(rows)
+        # slot j reads the rows rotated by j, so every slot meets every kind
+        args = [[rows[(k + j) % K] for k in range(K)] for j in range(spec.arity)]
+        out = apply(spec, [SeqVector.stack(a) for a in args])
+        assert out.hi.shape[0] == K
+        for k in range(K):
+            row = out.row(k)
+            assert _same_bits(row, apply(spec, [a[k]._padded(W) for a in args]))
+            # a padded row's translation sums over the block's width, so only
+            # rows at full width are the translation of the true-length row
+            if spec.linear != "translate" or all(len(a[k]) == W for a in args):
+                one = apply(spec, [a[k] for a in args])
+                assert _same_bits(row.truncate(len(one)), one)
+                assert (row.hi[len(one):] == LOG_ZERO).all() or spec.symmetrized
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_SPECS))
+    def test_one_tuple_call_is_the_scalar_product(self, name):
+        spec = BLOCK_SPECS[name]()
+        rows = _block_rows(spec.space, 12, np.random.default_rng(62))
+        for k in range(len(rows)):
+            args = [rows[(k + j) % len(rows)] for j in range(spec.arity)]
+            assert _same_bits(apply(spec, args), _apply_by_scalars(spec, args))
+
+
 class TestIterate:
     def test_zero_first_coordinates_kill_orbit(self):
         spec = m_l1()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc
 
-from hyperorbit.arith import CANCEL_SNAP, LOG_ZERO, LogComplex, polar_parts
+from hyperorbit.arith import CANCEL_SNAP, LOG_ZERO, LogComplex, complex_parts, polar_parts
 from hyperorbit.errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 from hyperorbit.spaces import (
     SeqVector,
@@ -98,6 +98,60 @@ class TestNormPhases:
         assert _norm_phases(p) is p
         q = np.array([0.5, -np.pi])
         assert _norm_phases(q) is not q
+
+
+class TestFromComplex:
+    """``SeqVector.from_complex`` converts a whole array at once; every
+    coordinate has the bits of :func:`complex_parts` on that value."""
+
+    TINY = 5e-324  # the smallest subnormal
+    EDGES = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+             TINY, -TINY, complex(0.0, TINY), complex(-TINY, -0.0), complex(TINY, TINY),
+             2.5e-308, complex(-1e-310, 3e-315),
+             1e300, -1e300, 1e-300, complex(1e300, -1e300), complex(-1e-300, 1e-300),
+             # atan2 returns -pi on the negative real axis with a -0.0 imaginary part
+             complex(-1.0, -0.0), complex(-1e300, -0.0), complex(-TINY, -0.0),
+             complex(-1e-300, -0.0), -1.0, 1.0, 1j, -1j, complex(math.inf, 0.0)]
+
+    @staticmethod
+    def expected(values):
+        parts = [complex_parts(complex(z)) for z in values]
+        return (np.array([h for h, _ in parts]),
+                np.array([0.0 if h == LOG_ZERO else p for h, p in parts]))
+
+    @staticmethod
+    def samples():
+        # normal draws, as the commutation check makes them, put many moduli
+        # near 1, where a vectorized log can round differently from libm;
+        # log-uniform moduli span the range of doubles
+        rng = np.random.default_rng(41)
+        mags = np.exp(rng.uniform(-690.0, 690.0, 4000))
+        return (list(rng.normal(size=8000) + 1j * rng.normal(size=8000))
+                + list(mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 4000))))
+
+    @pytest.mark.parametrize("case", ["edges", "samples"])
+    def test_bits_of_complex_parts(self, case):
+        values = self.EDGES if case == "edges" else self.samples()
+        v = SeqVector.from_complex(L1, values)
+        hi, ph = self.expected(values)
+        assert v.hi.tobytes() == hi.tobytes()
+        assert v.phase.tobytes() == ph.tobytes()
+        assert not v.lo.any()
+
+    def test_block_rows_have_the_bits_of_their_vectors(self):
+        values = (self.EDGES * 2)[:50]
+        block = SeqVector.from_complex(L1, np.array(values).reshape(5, 10))
+        for k in range(5):
+            row = SeqVector.from_complex(L1, values[10 * k:10 * k + 10])
+            for part in ("hi", "lo", "phase"):
+                assert getattr(block, part)[k].tobytes() == getattr(row, part).tobytes()
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(-0.0, math.nan)])
+    def test_nan_still_raises(self, z):
+        with pytest.raises(ParameterRangeError, match="must not be NaN"):
+            SeqVector.from_complex(L1, [1.0, z])
+        with pytest.raises(ParameterRangeError, match="must not be NaN"):
+            SeqVector.from_complex(L1, [[1.0, 2.0], [3.0, z]])
 
 
 class TestSpaceTag:
