@@ -212,12 +212,17 @@ def phi_map(y: SeqVector) -> SeqVector:
     Finite l1 norm of this vector certifies that the companion construction
     lands in l1 (the companion differs from it by bounded factors).
     """
+    return _phi_map(y, LogTable())
+
+
+def _phi_map(y: SeqVector, logs: LogTable) -> SeqVector:
+    """:func:`phi_map`, its ``log i!`` terms read from ``logs``."""
     n = len(y)
     lm = y.lm
     if np.any(np.isneginf(lm)):
         raise ZeroCoordinateError("phi map needs nonzero coordinates")
     i = np.arange(1, n + 1, dtype=np.int64)
-    hi = (a_closed(i) * LN2 + 2.0 * np.log(i) + 2.0 * _lgamma(i + 1.0)
+    hi = (a_closed(i) * LN2 + 2.0 * np.log(i) + 2.0 * logs.log_factorial(i)
           - np.cumsum(lm))
     return SeqVector(SpaceTag.l1(), hi, np.zeros(n), np.zeros(n))
 
@@ -234,12 +239,14 @@ class GapSchedule:
     ``ns[j]`` is n_j (``ns[1] = 0``); each record carries the evaluated
     log-domain margins at n_j (all <= 0), the violated margin at n_j - 1
     (minimality), and the monotonicity probes.  ``z`` is the universal vector
-    the blocks build, through coordinate ``n_J + J``.
+    the blocks build, through coordinate ``n_J + J``; ``logs`` is the table
+    of logs the search filled, which certifying z reads on.
     """
 
     ns: list
     records: list
     z: SeqVector
+    logs: LogTable
 
     def block_count(self) -> int:
         return len(self.ns) - 1
@@ -249,18 +256,43 @@ SCAN_CAP = 10**6  # largest n a gap scan tries before giving up
 _SCAN_CHUNK = 4096  # n values one array pass of the gap scan evaluates
 
 
-def _ln(x):
-    """``math.log``, elementwise on an array: no bits from numpy's SIMD kernels."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.log, x.tolist()), float, x.size)
-    return math.log(x)
+class LogTable:
+    """``math.log(i)`` and ``log i! = math.lgamma(i + 1)`` for integers
+    i >= 0 (``log 0`` is -inf): the math module's bits, not those of numpy's
+    SIMD kernels, each computed once.
 
+    A lookup fills the table through its largest index, so a build that makes
+    one table and reads it as its scan advances computes each log once.
+    """
 
-def _lgamma(x):
-    """``math.lgamma``, elementwise on an array."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.lgamma, x.tolist()), float, x.size)
-    return math.lgamma(x)
+    def __init__(self):
+        self._log = np.array([LOG_ZERO])
+        self._log_fact = np.array([0.0])
+        self._size = 1  # entries filled; the arrays' length is their capacity
+
+    def _fill(self, n: int) -> None:
+        """Fill entries through ``n``, doubling the capacity when it runs out."""
+        size = self._size
+        if n < size:
+            return
+        if n >= self._log.size:
+            pad = np.empty(max(n + 1, 2 * self._log.size) - size)
+            self._log = np.concatenate((self._log[:size], pad))
+            self._log_fact = np.concatenate((self._log_fact[:size], pad))
+        self._log[size: n + 1] = np.fromiter(map(math.log, range(size, n + 1)), float)
+        self._log_fact[size: n + 1] = np.fromiter(
+            map(math.lgamma, range(size + 1, n + 2)), float)
+        self._size = n + 1
+
+    def log(self, i):
+        """``math.log(i)``; ``i`` an int or an integer array."""
+        self._fill(int(np.max(i, initial=0)))
+        return self._log[i]
+
+    def log_factorial(self, i):
+        """``math.lgamma(i + 1)``; ``i`` an int or an integer array."""
+        self._fill(int(np.max(i, initial=0)))
+        return self._log_fact[i]
 
 
 def _block_scale(n: int) -> float:
@@ -270,24 +302,24 @@ def _block_scale(n: int) -> float:
 
 # The margins take an int n or an int64 array of n; an array gives, element
 # for element, the same bits as the int, the operations running in the same
-# order.
+# order.  Their logs come from the build's table.
 
 
-def _base_margin(n):
+def _base_margin(logs: LogTable, n):
     """Log form of the first-gap condition (must be <= 0)."""
-    return ((n * n / 4.0) * LN2 + 4.0 * _ln(n) + 4.0 * _lgamma(n + 1.0)
+    return ((n * n / 4.0) * LN2 + 4.0 * logs.log(n) + 4.0 * logs.log_factorial(n)
             + (2.0 * n + 2.0) * LN2 + a_closed(n) * LN2)
 
 
-def _cond3_margin(n, j: int, n_prev: int):
+def _cond3_margin(logs: LogTable, n, j: int, n_prev: int):
     """Log form of the gap-growth condition (strictly < 0)."""
-    return _block_scale(n_prev) + 2.0 * j * _ln(n + j) + 4.0 * math.log(j) - n * LN2
+    return _block_scale(n_prev) + 2.0 * j * logs.log(n + j) + 4.0 * math.log(j) - n * LN2
 
 
-def _cond4_margin(n, j: int, n_prev: int, pi_log: float):
+def _cond4_margin(logs: LogTable, n, j: int, n_prev: int, pi_log: float):
     """Log form of the summability condition (must be <= 0)."""
-    return (4.0 * _ln(n + j) + (n * n / 4.0) * LN2
-            + 4.0 * _lgamma(n + 1.0) + a_closed(n) * LN2 + pi_log
+    return (4.0 * logs.log(n + j) + (n * n / 4.0) * LN2
+            + 4.0 * logs.log_factorial(n) + a_closed(n) * LN2 + pi_log
             + n_prev * n * LN2 + j * n * LN2 + j * math.log(j))
 
 
@@ -306,7 +338,7 @@ def _first_passing(margins, start: int, j: int) -> int:
     raise SearchOverflowError(f"n_{j} exceeded the scan cap {SCAN_CAP}")
 
 
-def _place_block(z: SeqVector, j: int, n_prev: int, n_j: int) -> SeqVector:
+def _place_block(logs: LogTable, z: SeqVector, j: int, n_prev: int, n_j: int) -> SeqVector:
     """The universal vector ``z`` extended by block j.
 
     Coordinates ``n_prev + j .. n_j`` get the fillers ``2**-n_prev / l**2``
@@ -315,7 +347,7 @@ def _place_block(z: SeqVector, j: int, n_prev: int, n_j: int) -> SeqVector:
     """
     z = z._padded(n_j + j)
     hi, lo, ph = z.hi.copy(), z.lo.copy(), z.phase.copy()
-    hi[n_prev + j - 1: n_j] = -n_prev * LN2 - 2.0 * _ln(np.arange(n_prev + j, n_j + 1))
+    hi[n_prev + j - 1: n_j] = -n_prev * LN2 - 2.0 * logs.log(np.arange(n_prev + j, n_j + 1))
     placed = forward_pow(dense_vector(j).scale(LogComplex(-_block_scale(n_j), 0.0)),
                          WeightSeq.inv_squares(), n_j)
     sl = slice(n_j, n_j + j)
@@ -338,7 +370,8 @@ def gap_schedule_search(blocks: int) -> GapSchedule:
         raise ParameterRangeError("schedule needs at least 2 blocks")
     ns = [None, 0]
     records = []
-    z = _place_block(SeqVector.zeros(SpaceTag.l1(), 0), 1, 0, 0)
+    logs = LogTable()
+    z = _place_block(logs, SeqVector.zeros(SpaceTag.l1(), 0), 1, 0, 0)
 
     for j in range(2, blocks + 1):
         n_prev = ns[j - 1]
@@ -346,9 +379,9 @@ def gap_schedule_search(blocks: int) -> GapSchedule:
 
         def margins(n):
             if j == 2:
-                return _base_margin(n), _cond3_margin(n, j, n_prev)
-            return (_cond4_margin(n, j, n_prev, pi_log),
-                    _cond3_margin(n, j, n_prev))
+                return _base_margin(logs, n), _cond3_margin(logs, n, j, n_prev)
+            return (_cond4_margin(logs, n, j, n_prev, pi_log),
+                    _cond3_margin(logs, n, j, n_prev))
 
         n = _first_passing(margins, n_prev + j + 1, j)
         ns.append(n)
@@ -364,8 +397,8 @@ def gap_schedule_search(blocks: int) -> GapSchedule:
             "tail_monotone": all(tail[t + 1] <= tail[t] + 1e-9 for t in range(10)),
             "derivative_negative": diff < 0.0,
         })
-        z = _place_block(z, j, n_prev, n)
-    return GapSchedule(ns, records, z)
+        z = _place_block(logs, z, j, n_prev, n)
+    return GapSchedule(ns, records, z, logs)
 
 
 def _zeta2_tail(j: int) -> float:
@@ -412,7 +445,12 @@ def universal_y_l1(schedule: GapSchedule):
         n_j, sl = ns[j], slice(ns[j], ns[j] + j)
         block_norms[j - 1] = norm(SeqVector(z.space, z.hi[sl], z.lo[sl], z.phase[sl]))
         img = shift_pow(z, w, n_j).scale(LogComplex(_block_scale(n_j), 0.0))
-        resids[j - 1] = norm(img.sub(dense_vector(j)))
+        # z_j has j coordinates: past them the difference is img itself, as
+        # subtracting a canonical zero returns the other coordinate's bits
+        head = img.truncate(j).sub(dense_vector(j))
+        resids[j - 1] = norm(SeqVector(z.space, *(
+            np.concatenate((getattr(head, a), getattr(img, a)[j:]))
+            for a in ("hi", "lo", "phase"))))
 
     # (a) block norms <= 1/j^2
     certs = [CheckFamily("block-norm", verifies, 1, block_norms,
@@ -420,8 +458,9 @@ def universal_y_l1(schedule: GapSchedule):
 
     # (b) Phi bound beyond the first gap
     idx = np.arange(ns[2] + 1, total + 1)
-    certs.append(CheckFamily("phi-bound", verifies, ns[2] + 1, phi_map(z).lm[ns[2]:],
-                             -2.0 * _ln(idx)))
+    certs.append(CheckFamily("phi-bound", verifies, ns[2] + 1,
+                             _phi_map(z, schedule.logs).lm[ns[2]:],
+                             -2.0 * schedule.logs.log(idx)))
 
     # (c) universality residuals
     certs.append(CheckFamily("universality-residual", verifies, 1, resids,
@@ -542,7 +581,7 @@ def reciprocal_coefficient_checks(g: SeqVector, f: SeqVector) -> list[CheckFamil
     n = len(f)
     if n == 1:
         return []
-    lgf = _lgamma(np.arange(n) + 1.0)
+    lgf = LogTable().log_factorial(np.arange(n))
     log_g = g.lm[: n - 1] + lgf[: n - 1]  # log |g^(i)(0)|, i < n - 1
     log_f = f.lm[1:] + lgf[1:]            # log |f^(n)(0)|, n >= 1
     log_res = np.abs(log_f + np.cumsum(log_g))
@@ -582,7 +621,7 @@ def delta_d_pair(g: SeqVector):
     lm = g.lm
     if np.any(np.isneginf(lm)):
         raise ZeroCoordinateError("pair construction needs nonzero coefficients")
-    lgf = _lgamma(np.arange(n) + 1.0)
+    lgf = LogTable().log_factorial(np.arange(n))
     a_hi, a_lo = _two_sum(lm, lgf)  # log |g^(i)(0)| as dd pairs
     a_ph = g.phase
 
@@ -996,7 +1035,6 @@ def dominates(x: SeqVector, y: SeqVector) -> bool:
 
 def factorial_tail_direction(truncation: int) -> SeqVector:
     """The ray direction with first coordinate 1 and tail ``1/(i-1)!**2``."""
-    i = np.arange(truncation, dtype=float)
-    hi = -2.0 * _lgamma(i + 1.0)
+    hi = -2.0 * LogTable().log_factorial(np.arange(truncation))
     hi[0] = 0.0  # log 1; the formula gives -0.0
     return SeqVector(SpaceTag.l1(), hi, np.zeros(truncation), np.zeros(truncation))

@@ -1,7 +1,12 @@
-"""Machine-readable run reports: named checks with measured values and bounds."""
+"""Machine-readable run reports: named checks with measured values and bounds.
+
+Also the one JSON form of a float column, which report families and vector
+files both write: :func:`encode_column` and :func:`decode_column`.
+"""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import sys
@@ -9,6 +14,29 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ParameterRangeError
+
+
+def encode_column(values: np.ndarray) -> str:
+    """A float column as one JSON string: the base64 of its little-endian
+    float64 bytes.  Lossless for every value, NaN and infinities included."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_column(text: str, key: str) -> np.ndarray:
+    """The float64 array :func:`encode_column` wrote as ``text``, a new
+    native-endian array; ``key`` names the column in the error.  Text that is
+    not base64, or bytes that are not whole float64 values, raise
+    :class:`ParameterRangeError`."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ParameterRangeError(f"column {key!r} is not base64: {exc}") from exc
+    if len(raw) % 8:
+        raise ParameterRangeError(
+            f"column {key!r} holds {len(raw)} bytes, not whole float64 values")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
 def _num(x):
@@ -84,10 +112,10 @@ class CheckFamily:
         return len(self.measured)
 
     def to_json(self) -> dict:
-        """The entry: name, status, ``verifies``, ``first``, the two columns,
-        every failing index, and the largest margin with its index (a NaN
-        margin counts as the largest).  The margins are not written: they are
-        ``measured - bound``."""
+        """The entry: name, status, ``verifies``, ``first``, the two columns
+        (each an :func:`encode_column` string), every failing index, and the
+        largest margin with its index (a NaN margin counts as the largest).
+        The margins are not written: they are ``measured - bound``."""
         passed = self.passed
         with np.errstate(invalid="ignore"):  # inf - inf: a NaN margin, as in Check
             margin = self.measured - self.bound
@@ -97,8 +125,8 @@ class CheckFamily:
             "status": "pass" if passed.all() else "fail",
             "verifies": self.verifies,
             "first": self.first,
-            "measured": _nums(self.measured),
-            "bound": _nums(self.bound),
+            "measured": encode_column(self.measured),
+            "bound": encode_column(self.bound),
             "failing": (self.first + np.flatnonzero(~passed)).tolist(),
             "worst_index": self.first + worst,
             "worst_margin": _num(float(margin[worst])),
@@ -110,14 +138,6 @@ def flag_family(name: str, verifies: str, first: int, ok) -> CheckFamily:
     against 0, as :func:`check_flag` makes one."""
     ok = np.asarray(ok, dtype=bool)
     return CheckFamily(name, verifies, first, np.where(ok, 0.0, 1.0), np.zeros(ok.size))
-
-
-def _nums(values: np.ndarray) -> list:
-    """``_num(v)`` for each v of a float column."""
-    out = values.tolist()
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        out[k] = _num(out[k])
-    return out
 
 
 @dataclass

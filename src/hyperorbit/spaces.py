@@ -29,6 +29,7 @@ import numpy as np
 from .arith import CANCEL_SNAP, LOG_ZERO, LogComplex, complex_parts, normalize_phase, polar_parts
 from .errors import DegreeCapError, ParameterRangeError, WrongSpaceError
 from .rational import q_coord_from_json
+from .report import decode_column, encode_column
 
 TRANSLATE_DEGREE_CAP = 500
 
@@ -738,16 +739,14 @@ def eval_at_integer(v: SeqVector, point: int) -> LogComplex:
 # ---------------------------------------------------------------------------
 
 def vector_to_json(v: SeqVector) -> dict:
-    """Serialize as columns ``{"space", ["param",] "log", "lo", "phase"}``: ``hi``,
-    ``lo`` and ``phase`` as ``tolist()`` gives them, which read back bit for bit.
-    An exact zero's log is the string ``"-inf"``, so the file stays strict JSON."""
-    log = v.hi.tolist()
-    for i in np.flatnonzero(v.hi == LOG_ZERO).tolist():
-        log[i] = "-inf"
+    """Serialize as columns ``{"space", ["param",] "log", "lo", "phase"}``:
+    ``hi``, ``lo`` and ``phase``, each one :func:`~hyperorbit.report.encode_column`
+    string, which reads back bit for bit (an exact zero's log is -inf)."""
     obj: dict = {"space": v.space.kind}
     if v.space.param is not None:
         obj["param"] = v.space.param
-    return dict(obj, log=log, lo=v.lo.tolist(), phase=v.phase.tolist())
+    return dict(obj, log=encode_column(v.hi), lo=encode_column(v.lo),
+                phase=encode_column(v.phase))
 
 
 def _coord_parts(e) -> tuple[float, float]:
@@ -760,15 +759,20 @@ def _coord_parts(e) -> tuple[float, float]:
 
 
 def _column(obj: dict, key: str) -> np.ndarray:
-    """Column ``key`` as floats: finite numbers, or ``"-inf"`` in ``log``."""
+    """Column ``key`` as floats: an :func:`~hyperorbit.report.encode_column`
+    string, or a list of numbers as earlier versions wrote (``"-inf"`` in
+    ``log``).  Every value is finite, but a log may be -inf."""
     col = obj[key]
-    if type(col) is not list:
-        raise ParameterRangeError(f"column {key!r} is not a list")
-    if not set(map(type, col)) <= {float, int}:
-        bad = [e for e in col if type(e) not in (float, int) and e != "-inf"]
-        if bad:
-            raise ParameterRangeError(f"column {key!r} holds {bad[0]!r}, not a number")
-    a = np.array(col, dtype=float)
+    if type(col) is str:
+        a = decode_column(col, key)
+    elif type(col) is list:
+        if not set(map(type, col)) <= {float, int}:
+            bad = [e for e in col if type(e) not in (float, int) and e != "-inf"]
+            if bad:
+                raise ParameterRangeError(f"column {key!r} holds {bad[0]!r}, not a number")
+        a = np.array(col, dtype=float)
+    else:
+        raise ParameterRangeError(f"column {key!r} is not a list or a string")
     if (np.isnan(a) | (a == np.inf) if key == "log" else ~np.isfinite(a)).any():
         raise ParameterRangeError(f"column {key!r} holds a NaN or an infinity")
     return a

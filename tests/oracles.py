@@ -1,7 +1,9 @@
 """Reference computations that only the tests use: slow literal evaluations
 and small helpers the library has no caller for."""
 
+import base64
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -109,3 +111,24 @@ def failures(checks):
     """``(name, failing indices)`` of each failing entry, in report order; a
     row, which has no index, gives None."""
     return [(c.name, c.to_json().get("failing")) for c in checks if not c.ok]
+
+
+def b64_column(values) -> str:
+    """A column's text as the writer would make it from ``values``: the
+    base64 of bytes, or of the little-endian float64 bytes of numbers; for
+    reader tests, well formed or not."""
+    raw = values if isinstance(values, bytes) else np.array(values, "<f8").tobytes()
+    return base64.b64encode(raw).decode("ascii")
+
+
+@contextlib.contextmanager
+def columns(obj, *keys):
+    """The float columns ``keys`` of a written vector or report family entry,
+    decoded by the documented rule (each is the base64 of little-endian
+    float64 bytes) into writable arrays.  On exit each array is encoded back
+    into ``obj``, so an edit of the arrays is an edit of ``obj``."""
+    arrays = [np.frombuffer(base64.b64decode(obj[key], validate=True), "<f8").astype(float)
+              for key in keys]
+    yield arrays
+    for key, a in zip(keys, arrays):
+        obj[key] = b64_column(a)

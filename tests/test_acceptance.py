@@ -4,11 +4,13 @@ Each test prints one PASS/FAIL line (visible with ``pytest -s`` or on failure)
 and asserts both the property and the runtime.
 """
 
+import json
 import math
 import time
 
 import numpy as np
 
+from hyperorbit import cli
 from hyperorbit.arith import FibCache, LogComplex, a_closed, a_recursion, check_fib_identities
 from hyperorbit.conjugation import (
     build_N,
@@ -41,7 +43,7 @@ from hyperorbit.dynamics import (
 )
 from hyperorbit.rational import qvec
 from hyperorbit.report import CheckFamily
-from hyperorbit.spaces import SeqVector, SpaceTag
+from hyperorbit.spaces import SeqVector, SpaceTag, read_vector
 from oracles import entry, steering_exact
 
 L1 = SpaceTag.l1()
@@ -273,3 +275,20 @@ def test_12_tree_orbit(acceptance_record):
     _report(acceptance_record, 12, ok,
             f"depth-6 containment, level sizes {tree.level_sizes}; generic depth 4, "
             f"level sizes {tree3.level_sizes}", dt, 30.0)
+
+
+def test_13_five_block_universal_vector(acceptance_record, tmp_path):
+    # the CLI searches, certifies, writes and reads back the 5-block vector
+    t0 = time.perf_counter()
+    out = tmp_path / "report.json"
+    rc = cli.main(["build", "--target", "universal_l1", "--blocks", "5", "--out", str(out)])
+    rep = json.loads(out.read_text(encoding="utf-8"))
+    z = read_vector(tmp_path / "universal_y.json")
+    dt = time.perf_counter() - t0
+    schedule = rep["parameters"]["schedule"]
+    ok = (rc == 0 and schedule == [0, 94, 1132, 20969, 562744]
+          and all(c["status"] == "pass" for c in rep["checks"])
+          and len(z) == schedule[-1] + 5)
+    _report(acceptance_record, 13, ok,
+            f"exit {rc}, schedule {schedule}, {len(rep['checks'])} entries pass, "
+            f"{len(z)} coordinates read back", dt, 30.0)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from hyperorbit import arith, cli, conjugation, constructions, rational, spaces
 from hyperorbit.arith import LogComplex, normalize_phase
 from hyperorbit.cli import main
+from hyperorbit.errors import ParameterRangeError
 from hyperorbit.constructions import companion_x, factorial_tail_direction, phi_map
 from hyperorbit.dynamics import iterate_bc, m_symmetric
 from hyperorbit.rational import QComplex, q_coord_from_json, q_iterate
@@ -31,7 +32,7 @@ from hyperorbit.spaces import (
     vector_to_json,
     write_vector,
 )
-from oracles import a_naive, to_complex
+from oracles import a_naive, b64_column, columns, to_complex
 
 L1 = SpaceTag.l1()
 
@@ -45,6 +46,10 @@ def init_file(tmp_path):
     ]}
     path.write_text(json.dumps(vecs))
     return str(path)
+
+
+def _reject_constant(constant):
+    raise ValueError(f"non-standard JSON constant {constant}")
 
 
 def run(args, tmp_path, name="report.json"):
@@ -136,14 +141,27 @@ class TestExitCodes:
         ({"log": [1.0, "inf"]}, "column 'log' holds 'inf', not a number"),
         ({"phase": [0.0, "-inf"]}, "column 'phase' holds a NaN or an infinity"),
         ({"lo": [0.0]}, "column lengths 2, 1, 2 differ"),
-        ({"phase": 0.5}, "column 'phase' is not a list")])
+        ({"phase": 0.5}, "column 'phase' is not a list"),
+        # base64 columns, as the program writes them
+        ({"log": "not base64!"}, "column 'log' is not base64"),
+        ({"lo": "AAA"}, "column 'lo' is not base64"),  # incorrect padding
+        ({"phase": "é"}, "column 'phase' is not base64"),
+        ({"lo": b64_column(bytes(15))}, "column 'lo' holds 15 bytes, not whole float64 values"),
+        ({"log": b64_column([1.0, math.nan])}, "column 'log' holds a NaN or an infinity"),
+        ({"log": b64_column([math.inf, 1.0])}, "column 'log' holds a NaN or an infinity"),
+        ({"lo": b64_column([0.0, -math.inf])}, "column 'lo' holds a NaN or an infinity"),
+        ({"phase": b64_column([math.nan, 0.0])}, "column 'phase' holds a NaN or an infinity"),
+        ({"phase": b64_column([0.0, math.inf])}, "column 'phase' holds a NaN or an infinity"),
+        ({"lo": b64_column([0.0])}, "column lengths 2, 1, 2 differ"),
+        ({"log": b64_column([1.0, 2.0, 3.0])}, "column lengths 3, 2, 2 differ")])
     @pytest.mark.parametrize("argv", [
         ["orbit", "--operator", "n_delta_d"],
         ["julia", "--bracket", "1.0", "20.0"],
         ["build", "--target", "delta_d"],
     ])
     def test_malformed_column_is_input_error(self, argv, edit, message, tmp_path, capsys):
-        # a malformed column-form vector is unusable input: exit 2, no
+        # a malformed column-form vector, with list columns as earlier
+        # versions wrote them or base64 ones, is unusable input: exit 2, no
         # report, and the reader's message after "input error:"
         vec = {"space": "hc", "param": 1, "log": [1.0, "-inf"], "lo": [0.0, 0.0],
                "phase": [0.0, 0.0], **edit}
@@ -208,6 +226,7 @@ class TestExitCodes:
                                                                    capsys):
         vec = vector_to_json(vector_from_json(
             {"space": "cn", "param": 4, "coords": [[0.5, 0.0], [0.25, 0.0]]}))
+        assert all(type(vec[key]) is str for key in ("log", "lo", "phase"))  # base64
         path = tmp_path / "init.json"
         path.write_text(json.dumps({"vectors": [vec, vec]}))
         out = tmp_path / "report.json"
@@ -323,6 +342,26 @@ class TestOrbitCommand:
                        "--steps", "12"], tmp_path)
         assert rc == 0 and rep["parameters"]["classification"] == "undecided"
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nan_orbit_trace_is_strict_json(self, tmp_path):
+        # the same input, traced: every line is strict JSON, and the record of
+        # a NaN state does not read back as a vector
+        v = SeqVector(L1, np.full(30, -1e307), np.zeros(30), np.zeros(30))
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"vectors": [vector_to_json(v)] * 2}))
+        trace = tmp_path / "trace.jsonl"
+        rc, _ = run(["orbit", "--operator", "m_symmetric", "--init", str(init),
+                     "--steps", "12", "--trace", str(trace)], tmp_path)
+        assert rc == 0
+        lines = [json.loads(l, parse_constant=_reject_constant)
+                 for l in trace.read_text().splitlines()]
+        assert [l["log_norm"] == "nan" for l in lines] == [False] * 5 + [True] * 7
+        for l in lines[:5]:
+            assert np.isfinite(vector_from_json(l).lm).all()
+        for l in lines[5:]:
+            with pytest.raises(ParameterRangeError, match="holds a NaN or an infinity"):
+                vector_from_json(l)
+
     def test_zero_init_trace(self, tmp_path):
         init = tmp_path / "zero.json"
         init.write_text(json.dumps({"vectors": [
@@ -336,10 +375,13 @@ class TestOrbitCommand:
         lines = [json.loads(l) for l in trace.read_text().splitlines()]
         assert len(lines) == 5
         assert all(l["log_norm"] == "-inf" for l in lines)
-        # each state's columns, its exact zeros as the string "-inf"
-        assert [len(l["log"]) for l in lines] == [9, 9, 8, 8, 7]
-        assert all(set(l["log"]) == {"-inf"} and set(l["lo"]) == set(l["phase"]) == {0.0}
-                   for l in lines)
+        # each state's columns, its exact zeros with log -inf
+        decoded = []
+        for l in lines:
+            with columns(l, "log", "lo", "phase") as cols:
+                decoded.append([set(c.tolist()) for c in cols] + [len(cols[0])])
+        assert [d[3] for d in decoded] == [9, 9, 8, 8, 7]
+        assert all(d[:3] == [{-math.inf}, {0.0}, {0.0}] for d in decoded)
 
     def test_companion_orbit_hits_target_weights(self, tmp_path):
         # even states of the companion pair are 2^n n!^2 B_w^n(y)
@@ -455,6 +497,15 @@ class TestBuildCommand:
         assert rc == 1
         assert any(c["name"] == "ZeroCoordinateError" for c in rep["checks"])
 
+    def test_written_universal_vector_is_companion_input(self, tmp_path):
+        # the file universal_l1 writes is the y that companion builds x from
+        rc, _ = run(["build", "--target", "universal_l1", "--blocks", "3"], tmp_path)
+        assert rc == 0
+        rc, rep = run(["build", "--target", "companion", "--init",
+                       str(tmp_path / "universal_y.json")], tmp_path)
+        assert rc == 0 and rep["status"] == "pass"
+        assert len(read_vector(tmp_path / "companion_x.json")) == 1135
+
     def test_companion_good_vector(self, tmp_path):
         y = tmp_path / "y.json"
         rng = np.random.default_rng(22)
@@ -474,8 +525,9 @@ class TestBuildCommand:
                        "--init", str(x0)], tmp_path)
         assert rc == 0 and rep["status"] == "pass"
         (family,) = rep["checks"]
-        assert (family["name"], family["first"], len(family["measured"])) == (
-            "preimage-residual", 0, 20)
+        with columns(family, "measured") as (measured,):
+            assert (family["name"], family["first"], len(measured)) == (
+                "preimage-residual", 0, 20)
 
     def test_q_blocks(self, tmp_path):
         rc, rep = run(["build", "--target", "q_blocks", "--blocks", "3"],
@@ -535,11 +587,12 @@ def _scale_coord(obj, k, factor):
     """Multiply coordinate k (0-based) of a column-form vector object by
     ``factor``: its log moves by ``log |factor|`` and its phase turns by
     ``arg factor``; a zero factor makes it the canonical zero."""
-    if factor == 0:
-        obj["log"][k], obj["lo"][k], obj["phase"][k] = "-inf", 0.0, 0.0
-    else:
-        obj["log"][k] += math.log(abs(factor))
-        obj["phase"][k] = normalize_phase(obj["phase"][k] + cmath.phase(factor))
+    with columns(obj, "log", "lo", "phase") as (log, lo, phase):
+        if factor == 0:
+            log[k], lo[k], phase[k] = -math.inf, 0.0, 0.0
+        else:
+            log[k] += math.log(abs(factor))
+            phase[k] = normalize_phase(float(phase[k]) + cmath.phase(factor))
 
 
 def _edit_coord(path, k, factor):
@@ -720,7 +773,7 @@ def _search_past_first(monkeypatch, path, args):
 
 def _flat_base_margin(monkeypatch, path, args):
     """The first-gap margin is a constant -1, so it stops decreasing."""
-    monkeypatch.setattr(constructions, "_base_margin", lambda n: 0.0 * n - 1.0)
+    monkeypatch.setattr(constructions, "_base_margin", lambda logs, n: 0.0 * n - 1.0)
 
 
 def _small_scan_cap(monkeypatch, path, args):
@@ -1383,9 +1436,10 @@ class TestReportLayout:
         rows_ = [check_leq(fam.name, m, b, fam.verifies)
                  for m, b in zip(fam.measured, fam.bound)]
         row_json = [c.to_json() for c in rows_]
-        # each value has the text the row would write for it
-        for key in ("measured", "bound"):
-            assert json.dumps(entry[key]) == json.dumps([r[key] for r in row_json])
+        # each column holds the bits of the values the rows check
+        with columns(entry, "measured", "bound") as (measured, bound):
+            assert measured.tobytes() == np.array([c.measured for c in rows_]).tobytes()
+            assert bound.tobytes() == np.array([c.bound for c in rows_]).tobytes()
         assert entry["failing"] == [fam.first + k for k, c in enumerate(rows_) if not c.ok]
         assert entry["status"] == rep.status == "fail" and not rep.ok
         assert (rows_[0].ok, rows_[-1].ok) == (False, True)  # NaN, inf <= inf
@@ -1402,10 +1456,15 @@ class TestReportLayout:
         assert [c.to_json()["status"] for c in rows] == [
             "fail", "pass", "pass", "fail", "pass", "fail", "pass"]
         assert len(fam) == 7 and not fam.ok
-        assert fam.to_json() == {
+        entry = fam.to_json()
+        with columns(entry, "measured", "bound") as (measured, bound):
+            assert measured.tobytes() == np.array(
+                [math.nan, -math.inf, 2.0, 3.5, -1e-300, 0.1 + 0.2, math.inf]).tobytes()
+            assert bound.tobytes() == np.array(
+                [1.0, 0.0, math.inf, 3.0, 0.0, 0.3, math.inf]).tobytes()
+        del entry["measured"], entry["bound"]
+        assert entry == {
             "name": "col", "status": "fail", "verifies": "c", "first": 3,
-            "measured": ["nan", "-inf", 2.0, 3.5, -1e-300, 0.1 + 0.2, "inf"],
-            "bound": [1.0, 0.0, "inf", 3.0, 0.0, 0.3, "inf"],
             "failing": [3, 6, 8],
             # a NaN margin counts as the largest
             "worst_index": 3, "worst_margin": "nan"}

@@ -46,6 +46,7 @@ from hyperorbit.spaces import (
     derivative_pow,
     forward_pow,
     norm,
+    shift_pow,
     vector_from_json,
 )
 from oracles import entry, failures, primitive_block, retag, steering_exact, to_complex
@@ -209,17 +210,18 @@ def scalar_gap_scan(blocks):
     """The gap scan one n at a time, as it ran before the array scan: the
     reference for :func:`gap_schedule_search`'s ``ns`` and records."""
     ns, records = [None, 0], []
-    z = constructions._place_block(SeqVector.zeros(L1, 0), 1, 0, 0)
+    logs = constructions.LogTable()
+    z = constructions._place_block(logs, SeqVector.zeros(L1, 0), 1, 0, 0)
     for j in range(2, blocks + 1):
         n_prev = ns[j - 1]
         pi_log = -sum(z.lm[: n_prev + j - 1].tolist())
 
         def margins(n):
             if j == 2:
-                return (constructions._base_margin(n),
-                        constructions._cond3_margin(n, j, n_prev))
-            return (constructions._cond4_margin(n, j, n_prev, pi_log),
-                    constructions._cond3_margin(n, j, n_prev))
+                return (constructions._base_margin(logs, n),
+                        constructions._cond3_margin(logs, n, j, n_prev))
+            return (constructions._cond4_margin(logs, n, j, n_prev, pi_log),
+                    constructions._cond3_margin(logs, n, j, n_prev))
 
         n = n_prev + j + 1
         while True:
@@ -240,7 +242,7 @@ def scalar_gap_scan(blocks):
             "tail_monotone": all(tail[t + 1] <= tail[t] + 1e-9 for t in range(10)),
             "derivative_negative": diff < 0.0,
         })
-        z = constructions._place_block(z, j, n_prev, n)
+        z = constructions._place_block(logs, z, j, n_prev, n)
     return ns, records
 
 
@@ -254,19 +256,20 @@ class TestGapScanOracle:
 
     def test_array_margins_are_bitwise_scalar(self):
         sch = gap_schedule_search(4)
+        logs = constructions.LogTable()  # the scalar side fills its own table
         for j in range(2, 5):
             n_prev = sch.ns[j - 1]
             pi_log = -sum(sch.z.lm[: n_prev + j - 1].tolist())
             # every n the scan tried, and the probes past the hit
             n = np.arange(n_prev + j + 1, sch.ns[j] + 12, dtype=np.int64)
-            vec = [constructions._cond3_margin(n, j, n_prev)]
-            ref = [[constructions._cond3_margin(int(k), j, n_prev) for k in n]]
+            vec = [constructions._cond3_margin(sch.logs, n, j, n_prev)]
+            ref = [[constructions._cond3_margin(logs, int(k), j, n_prev) for k in n]]
             if j == 2:
-                vec.append(constructions._base_margin(n))
-                ref.append([constructions._base_margin(int(k)) for k in n])
+                vec.append(constructions._base_margin(sch.logs, n))
+                ref.append([constructions._base_margin(logs, int(k)) for k in n])
             else:
-                vec.append(constructions._cond4_margin(n, j, n_prev, pi_log))
-                ref.append([constructions._cond4_margin(int(k), j, n_prev, pi_log)
+                vec.append(constructions._cond4_margin(sch.logs, n, j, n_prev, pi_log))
+                ref.append([constructions._cond4_margin(logs, int(k), j, n_prev, pi_log)
                             for k in n])
             for got, want in zip(vec, ref):
                 assert got.dtype == np.float64
@@ -349,6 +352,43 @@ class TestUniversalVector:
         total = [c for c in certs if c.name == "l1-norm"][0]
         assert total.ok
         assert norm(z) == pytest.approx(total.measured)
+
+    def test_residuals_are_full_width_differences(self, built):
+        # the residual subtracts z_j from its first j coordinates only: the
+        # bits of the difference taken over the whole shifted vector
+        sch, z, certs = built
+        want = [norm(shift_pow(z, WeightSeq.inv_squares(), sch.ns[j]).scale(LogComplex(
+            sch.ns[j] * LN2 + 2.0 * math.lgamma(sch.ns[j] + 1.0), 0.0)).sub(dense_vector(j)))
+            for j in range(1, 4)]
+        assert entry(certs, "universality-residual").measured.tobytes() == np.array(
+            want).tobytes()
+
+    def test_phi_bound_columns_are_math_module_logs(self, built):
+        # the columns read the schedule's log table: the bits of phi_map and
+        # of math.log on their own
+        sch, z, certs = built
+        family = entry(certs, "phi-bound")
+        assert family.first == sch.ns[2] + 1
+        assert family.measured.tobytes() == phi_map(z).lm[sch.ns[2]:].tobytes()
+        idx = range(family.first, len(z) + 1)
+        assert family.bound.tobytes() == np.array([-2.0 * math.log(i) for i in idx]).tobytes()
+
+
+class TestLogTable:
+    def test_entries_are_math_module_bits(self):
+        # lookups that grow the table in uneven steps, past its capacity
+        # and back below it, as ints and as arrays
+        logs = constructions.LogTable()
+        assert (logs.log(0), logs.log_factorial(0)) == (-math.inf, 0.0)
+        for top in (1, 5, 3, 100, 2, 3000, 70000, 10):
+            i = np.arange(1, top + 1)
+            assert logs.log(i).tobytes() == np.array(
+                [math.log(k) for k in range(1, top + 1)]).tobytes()
+            assert logs.log_factorial(i).tobytes() == np.array(
+                [math.lgamma(k + 1.0) for k in range(1, top + 1)]).tobytes()
+            assert logs.log(top) == math.log(top)
+            assert logs.log_factorial(top) == math.lgamma(top + 1.0)
+        assert logs.log(np.arange(0)).shape == logs.log_factorial(np.arange(0)).shape == (0,)
 
 
 class TestCertificateFailures:

@@ -1,10 +1,12 @@
 """Vectors, norms, shifts, coefficient operators, and the JSON format."""
 
+import base64
 import hashlib
 import importlib.util
 import json
 import math
 import os
+import struct
 import sys
 import tempfile
 from fractions import Fraction
@@ -41,7 +43,7 @@ from hyperorbit.spaces import (
     vector_to_json,
     write_vector,
 )
-from oracles import CustomWeights, integral, to_complex
+from oracles import CustomWeights, b64_column, columns, integral, to_complex
 
 L1 = SpaceTag.l1()
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,13 +54,14 @@ def cvec(values, space=L1):
 
 
 def _vector_to_json_loop(v):
-    """Reference writer: the column form built one coordinate at a time."""
+    """Reference writer: the column form built one coordinate at a time, each
+    column the base64 of its coordinates' little-endian float64 bytes."""
     obj = {"space": v.space.kind}
     if v.space.param is not None:
         obj["param"] = v.space.param
-    obj["log"] = ["-inf" if h == LOG_ZERO else float(h) for h in v.hi]
-    obj["lo"] = [float(l) for l in v.lo]
-    obj["phase"] = [float(p) for p in v.phase]
+    for key, col in (("log", v.hi), ("lo", v.lo), ("phase", v.phase)):
+        raw = b"".join(struct.pack("<d", x) for x in col.tolist())
+        obj[key] = base64.b64encode(raw).decode("ascii")
     return obj
 
 
@@ -496,14 +499,17 @@ class TestJsonFormat:
     def test_log_form_beyond_float_range(self):
         big = SeqVector(L1, np.array([1234.5]), np.array([1e-14]), np.array([0.7]))
         obj = vector_to_json(big)
-        assert obj == {"space": "l1", "log": [1234.5], "lo": [1e-14], "phase": [0.7]}
+        assert list(obj) == ["space", "log", "lo", "phase"] and obj["space"] == "l1"
+        with columns(obj, "log", "lo", "phase") as (log, lo, phase):
+            assert (log.tolist(), lo.tolist(), phase.tolist()) == ([1234.5], [1e-14], [0.7])
         back = vector_from_json(obj)
         assert back.hi[0] == 1234.5 and back.lo[0] == 1e-14 and back.phase[0] == 0.7
 
     def test_exact_zero_roundtrip(self):
         v = SeqVector.zeros(L1, 2)
         obj = vector_to_json(v)
-        assert obj["log"] == ["-inf", "-inf"]  # a string: the file stays strict JSON
+        with columns(obj, "log") as (log,):  # a string: the file stays strict JSON
+            assert log.tolist() == [-math.inf, -math.inf]
         back = vector_from_json(json.loads(json.dumps(obj, allow_nan=False)))
         assert norm(back) == LOG_ZERO
         _assert_canonical_zeros(back)
@@ -547,7 +553,8 @@ class TestJsonFormat:
     def test_order_is_one_indexed(self):
         v = cvec([10, 20, 30])
         obj = vector_to_json(v)
-        assert obj["log"][0] == math.log(10.0) and obj["phase"] == [0.0, 0.0, 0.0]
+        with columns(obj, "log", "phase") as (log, phase):
+            assert log[0] == math.log(10.0) and phase.tolist() == [0.0, 0.0, 0.0]
         assert json.dumps(obj)  # serializable
 
     def test_writer_bytes_match_per_coordinate_loop(self):
@@ -671,7 +678,12 @@ class TestJsonFormat:
 
     @pytest.mark.parametrize("edit", [
         {"lo": [0.0]}, {"phase": [0.5, 0.0, 0.0]}, {"log": 0.0}, {"phase": {"0": 0.5}},
-        {"lo": "0.0"}])
+        {"lo": "0.0"},
+        # base64 columns, as the program writes them
+        {"log": "not base64!"}, {"lo": "AAA"}, {"phase": "é"}, {"lo": b64_column(bytes(15))},
+        {"log": b64_column([0.0, math.nan])}, {"log": b64_column([math.inf, 0.0])},
+        {"lo": b64_column([0.0, -math.inf])}, {"phase": b64_column([math.nan, 0.0])},
+        {"lo": b64_column([0.0])}])
     def test_column_reader_rejects_shape(self, edit):
         obj = {"space": "l1", "log": [0.0, "-inf"], "lo": [0.0, 0.0], "phase": [0.5, 0.0]}
         obj.update(edit)
